@@ -194,8 +194,6 @@ def cmd_probe(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cubiclab")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker cap (results are independent of it)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, poly=True):

@@ -1,28 +1,34 @@
 """Exact lattice counting of phi = 0 in boxes, expanding-shell search for
 the smallest solution, and comparison against the circle-method prediction.
 
-The counter enumerates all coordinates but the first and solves the
-remaining univariate integer cubic exactly; the degenerate leading cases
-(quadratic, linear, constant, identically zero) are handled explicitly,
-the last one contributing a full lattice segment.
+The counter walks the coordinates x_2..x_n of the box (the prefixes) in
+chunks; for each chunk it forms the coefficients of the univariate cubic
+in x_1 in numpy and evaluates it exactly, by Horner, at every x_1 of the
+box.  Degenerate slices (quadratic, linear, constant, identically zero)
+need no special case.  The arithmetic is int64 when the height and the box
+prove that nothing overflows, else Python ints in object arrays.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
-import time
+from math import isqrt, prod
+
+import numpy as np
 
 from .budget import check_budget
 from .nt import divisors
 from .polynomials import CubicPolynomial
+
+_BLOCK = 1 << 15  # array elements per chunk; bounds peak memory
 
 
 def integer_roots_cubic(a: int, b: int, c: int, d: int):
     """Integer roots of a t^3 + b t^2 + c t + d.
 
     Returns ("all", None) when the polynomial vanishes identically,
-    else ("roots", sorted list of distinct integer roots).
+    else ("roots", sorted list of distinct integer roots).  The tests use
+    it, slice by slice, as the reference for count_solutions.
     """
     if a == 0 and b == 0 and c == 0:
         return ("all", None) if d == 0 else ("roots", [])
@@ -51,17 +57,45 @@ def integer_roots_cubic(a: int, b: int, c: int, d: int):
     return "roots", sorted(set(roots))
 
 
-def _x1_coefficients(phi: CubicPolynomial, y) -> tuple:
-    """(a, b, c, d) with phi(t, y) = a t^3 + b t^2 + c t + d."""
-    n = phi.n
-    a = phi.c(0, 0, 0)
-    b = phi.q(0, 0) + 3 * sum(phi.c(0, 0, j) * y[j - 1] for j in range(1, n))
-    c = phi.lin[0]
-    c += 2 * sum(phi.q(0, j) * y[j - 1] for j in range(1, n))
-    c += 3 * sum(phi.c(0, j, k) * y[j - 1] * y[k - 1]
-                 for j in range(1, n) for k in range(1, n))
-    d = phi.evaluate([0] + list(y))
-    return a, b, c, d
+def _zeros(terms: list, t_range: range, ranges: list):
+    """Zeros of phi (given by `terms`) with x_1 in t_range and (x_2..x_n) in
+    the product of `ranges`, as (k, n) integer arrays, one per chunk:
+    prefixes in itertools.product order, x_1 ascending within a prefix."""
+    sizes = [len(r) for r in ranges]
+    nprefix = prod(sizes)
+    if not nprefix or not t_range:
+        return
+    B = max(1, *(abs(v) for r in (t_range, *ranges) for v in (r[0], r[-1])))
+    # every partial sum and Horner step is at most sum |w| B^deg, every
+    # coordinate step at most 2B
+    wide = 2 * B + sum(abs(w) * B ** len(idx) for w, idx in terms) >= 2 ** 63
+    dtype = object if wide else np.int64
+    table = [(w, idx.count(0), [i - 1 for i in idx if i]) for w, idx in terms]
+    # a prefix row holds its x_1 values, its coordinates and 4 coefficients
+    rows = max(1, _BLOCK // (len(t_range) + len(ranges) + 5))
+    for start in range(0, nprefix, rows):
+        flat = np.arange(start, min(start + rows, nprefix))
+        y = [None] * len(ranges)
+        for j in reversed(range(len(ranges))):
+            flat, digit = np.divmod(flat, sizes[j])
+            y[j] = digit.astype(dtype) * ranges[j].step + ranges[j].start
+        coef = [np.zeros(len(flat), dtype) for _ in range(4)]  # d, c, b, a
+        for w, deg, rest in table:
+            v = w
+            for j in rest:
+                v = v * y[j]
+            coef[deg] = coef[deg] + v
+        d, c, b, a = (v[:, None] for v in coef)
+        for t0 in range(0, len(t_range), _BLOCK):
+            tr = t_range[t0:t0 + _BLOCK]
+            t = np.arange(len(tr)).astype(dtype) * tr.step + tr.start
+            h = a * t + b
+            for e in (c, d):
+                h *= t
+                h += e
+            r, k = np.nonzero(h == 0)
+            if len(r):
+                yield np.column_stack([t[k], *(col[r] for col in y)])
 
 
 @dataclass(frozen=True)
@@ -70,7 +104,6 @@ class CountResult:
     count: int
     prediction: float | None = None
     solutions_sample: tuple = ()
-    elapsed: float = 0.0
 
 
 def _box_ranges(n: int, P: int, box=None) -> list:
@@ -83,35 +116,18 @@ def _box_ranges(n: int, P: int, box=None) -> list:
 
 def count_solutions(phi: CubicPolynomial, P: int, box=None,
                     budget: int | None = None, keep: int = 100) -> CountResult:
-    """Exact N(P) over the integer box (default [-P, P]^n)."""
-    t0 = time.perf_counter()
-    n = phi.n
-    rng = _box_ranges(n, P, box)
-    lo1, hi1 = rng[0]
-    prefix = 1
-    for lo, hi in rng[1:]:
-        prefix *= max(hi - lo + 1, 0)
-    check_budget(prefix, budget, what="solution count")
-    count = 0
-    sample = []
-    for y in product(*(range(lo, hi + 1) for lo, hi in rng[1:])):
-        a, b, c, d = _x1_coefficients(phi, y)
-        kind, roots = integer_roots_cubic(a, b, c, d)
-        if kind == "all":
-            seg = max(hi1 - lo1 + 1, 0)
-            count += seg
-            if len(sample) < keep:
-                for t in range(lo1, min(hi1, lo1 + keep) + 1):
-                    if len(sample) < keep:
-                        sample.append((t, *y))
-            continue
-        for t in roots:
-            if lo1 <= t <= hi1:
-                count += 1
-                if len(sample) < keep:
-                    sample.append((t, *y))
-    return CountResult(P=P, count=count, solutions_sample=tuple(sample),
-                       elapsed=time.perf_counter() - t0)
+    """Exact N(P) over the integer box (default [-P, P]^n).
+
+    The budget counts the prefixes (x_2..x_n); solutions_sample holds the
+    first `keep` zeros in prefix order, x_1 ascending within a prefix."""
+    rng = [range(lo, hi + 1) for lo, hi in _box_ranges(phi.n, P, box)]
+    check_budget(prod(len(r) for r in rng[1:]), budget, what="solution count")
+    count, sample = 0, []
+    for z in _zeros(phi.terms(), rng[0], rng[1:]):
+        count += len(z)
+        sample += z[:keep - len(sample)].tolist()
+    return CountResult(P=P, count=count,
+                       solutions_sample=tuple(map(tuple, sample)))
 
 
 def naive_count(phi: CubicPolynomial, P: int, box=None,
@@ -137,26 +153,25 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
                       budget: int | None = None,
                       start_shell: int = 0) -> SearchReport:
     """First solution in expanding sup-norm shells (within a shell,
-    lexicographically smallest), or certified emptiness up to max_shell."""
+    lexicographically smallest), or certified emptiness up to max_shell.
+
+    Only the new shell is enumerated: prefixes (x_2..x_n) of sup-norm s take
+    every x_1 in [-s, s], the others x_1 = -s and s.  The budget counts the
+    (2s + 1)^(n-1) prefixes of the shell's box."""
+    n, terms = phi.n, phi.terms()
     for s in range(start_shell, max_shell + 1):
-        found = []
         if s == 0:
-            if phi.evaluate([0] * phi.n) == 0:
-                return SearchReport(found=(0,) * phi.n, shell=0, exhausted_to=None)
+            if phi.evaluate([0] * n) == 0:
+                return SearchReport(found=(0,) * n, shell=0, exhausted_to=None)
             continue
-        res = count_solutions(phi, s, budget=budget, keep=0)
-        if res.count == 0:
-            continue
-        # shell s solutions = solutions in box s with sup-norm exactly s
-        for y in product(*([range(-s, s + 1)] * (phi.n - 1))):
-            a, b, c, d = _x1_coefficients(phi, y)
-            kind, roots = integer_roots_cubic(a, b, c, d)
-            cand = range(-s, s + 1) if kind == "all" else \
-                [t for t in roots if -s <= t <= s]
-            for t in cand:
-                x = (t, *y)
-                if max(abs(v) for v in x) == s:
-                    found.append(x)
+        check_budget((2 * s + 1) ** (n - 1), budget, what="shell search")
+        inner, full = range(1 - s, s), range(-s, s + 1)
+        ends = range(-s, s + 1, 2 * s)
+        # face j: |x_(j+2)| = s, the prefix coordinates before it below s
+        faces = [(full, [inner] * j + [ends] + [full] * (n - 2 - j))
+                 for j in range(n - 1)] + [(ends, [inner] * (n - 1))]
+        found = [min(map(tuple, z.tolist()))
+                 for t, ys in faces for z in _zeros(terms, t, ys)]
         if found:
             return SearchReport(found=min(found), shell=s, exhausted_to=None)
     return SearchReport(found=None, shell=None, exhausted_to=max_shell)

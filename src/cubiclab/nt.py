@@ -6,6 +6,7 @@ fractions.Fraction; no floating point.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt
 
 
@@ -67,7 +68,7 @@ def trial_factor(n: int, bound: int = 10**6) -> tuple[dict[int, int], int]:
     factors: dict[int, int] = {}
     if n == 0:
         return factors, 0
-    for p in [2, 3] + list(range(5, bound + 1, 2)):
+    for p in chain((2, 3), range(5, bound + 1, 2)):
         if p * p > n:
             break
         if n % p:

@@ -93,6 +93,14 @@ class CubicPolynomial:
     def cubic_part(self) -> "CubicPolynomial":
         return CubicPolynomial(self.n, cubic=dict(self.cubic))
 
+    def terms(self) -> list:
+        """phi as (weight, index tuple) pairs, phi(x) = sum w * prod x[i]:
+        one pair per stored entry, its weight carrying the permutation count."""
+        out = [(_mult3(*t) * c, t) for t, c in self.cubic.items()]
+        out += [(_mult2(*t) * q, t) for t, q in self.quad.items()]
+        out += [(li, (i,)) for i, li in enumerate(self.lin) if li]
+        return out + ([(self.const, ())] if self.const else [])
+
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, x) -> int:

@@ -198,6 +198,14 @@ class TestDeterminism:
         assert out1 == out2
         assert json.loads(out1)["manifest"]["seed"] == 11
 
+    @pytest.mark.parametrize("argv", [["count", "--P", "10"],
+                                      ["search", "--max-shell", "3"]])
+    def test_count_search_byte_identical(self, capsys, fermat_json, argv):
+        argv = [argv[0], "--poly", fermat_json, *argv[1:]]
+        _, out1 = run(capsys, argv)
+        _, out2 = run(capsys, argv)
+        assert out1 == out2
+
     def test_budget_exceeded_is_operational(self, capsys, watson_json):
         code, _ = run(capsys, ["densities", "--poly", watson_json,
                                "--p", "3", "--kmax", "3",

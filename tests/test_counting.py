@@ -2,14 +2,91 @@
 comparison table."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cubiclab import count_solutions, smallest_solution, symmetrize
+from cubiclab import (CubicPolynomial, count_solutions, smallest_solution,
+                      symmetrize)
 from cubiclab.budget import BudgetExceeded
 from cubiclab.counting import (asymptotic_compare, integer_roots_cubic,
                                naive_count)
 from conftest import random_poly
+
+
+def slice_coefficients(phi, y) -> tuple:
+    """(a, b, c, d) with phi(t, y) = a t^3 + b t^2 + c t + d, interpolated
+    exactly from the values at t = 0, 1, -1, 2."""
+    d, f1, fm, f2 = (phi.evaluate((t, *y)) for t in (0, 1, -1, 2))
+    b = (f1 + fm) // 2 - d
+    a = (f2 - 4 * b - d - (f1 - fm)) // 6
+    return a, b, (f1 - fm) // 2 - a, d
+
+
+def roots_reference(phi, ranges) -> list:
+    """Zeros in the box, per prefix (x_2..x_n) by integer_roots_cubic."""
+    zeros = []
+    for y in product(*ranges[1:]):
+        kind, roots = integer_roots_cubic(*slice_coefficients(phi, y))
+        ts = ranges[0] if kind == "all" else [t for t in roots if t in ranges[0]]
+        zeros += [(t, *y) for t in ts]
+    return zeros
+
+
+def scan_reference(phi, ranges) -> list:
+    """Zeros in the box by evaluating every point, prefix-major."""
+    return [(t, *y) for y in product(*ranges[1:]) for t in ranges[0]
+            if phi.evaluate((t, *y)) == 0]
+
+
+def shell_reference(phi, max_shell: int, start_shell: int = 0) -> tuple:
+    """(lexicographically least zero of sup-norm s, s) for the first shell
+    s >= start_shell that has one, by scanning the whole box [-s, s]^n."""
+    for s in range(start_shell, max_shell + 1):
+        zeros = [x for x in product(range(-s, s + 1), repeat=phi.n)
+                 if max(map(abs, x)) == s and phi.evaluate(x) == 0]
+        if zeros:
+            return min(zeros), s
+    return None, None
+
+
+def drop_x1(phi) -> CubicPolynomial:
+    """phi with every term in x_1 removed: each slice is constant in x_1."""
+    return CubicPolynomial(
+        phi.n, cubic={k: v for k, v in phi.cubic.items() if 0 not in k},
+        quad={k: v for k, v in phi.quad.items() if 0 not in k},
+        lin=(0, *phi.lin[1:]), const=phi.const)
+
+
+def plant_zero(phi, z) -> CubicPolynomial:
+    return CubicPolynomial(phi.n, cubic=phi.cubic, quad=phi.quad,
+                           lin=phi.lin, const=phi.const - phi.evaluate(z))
+
+
+@st.composite
+def counting_cases(draw, heights):
+    """(phi, P, box, integer ranges of the box, keep) for n = 1..4: boxes
+    with empty ranges, zero leading coefficients, x_1-free polynomials
+    (identically zero slices) and a planted zero when the box has points."""
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    phi = random_poly(rng, n, coeff_bound=draw(st.sampled_from(heights)),
+                      force_degenerate_leading=draw(st.booleans()))
+    if draw(st.booleans()):
+        phi = drop_x1(phi)
+    span = {1: 12, 2: 6, 3: 3, 4: 2}[n]
+    P = draw(st.integers(1, span))
+    if draw(st.booleans()):
+        box, ranges = None, [range(-P, P + 1)] * n
+    else:
+        los = draw(st.lists(st.integers(-span, span), min_size=n, max_size=n))
+        sizes = draw(st.lists(st.integers(0, span + 1), min_size=n, max_size=n))
+        ranges = [range(lo, lo + m) for lo, m in zip(los, sizes)]
+        box = [(r.start / P, (r.stop - 1) / P) for r in ranges]
+    if all(ranges) and draw(st.booleans()):
+        phi = plant_zero(phi, [draw(st.sampled_from(r)) for r in ranges])
+    return phi, P, box, ranges, draw(st.sampled_from([0, 1, 7, 100]))
 
 
 class TestIntegerRootsCubic:
@@ -90,6 +167,37 @@ class TestCountSolutions:
         with pytest.raises(BudgetExceeded):
             count_solutions(fermat, 1000, budget=100)
 
+    def test_empty_ranges(self, fermat):
+        assert count_solutions(fermat, 4, box=[(0.5, 0.2), (-1, 1), (-1, 1)]).count == 0
+        assert count_solutions(fermat, 4, box=[(-1, 1), (0.5, 0.2), (-1, 1)]).count == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(counting_cases(heights=[5]))
+    def test_matches_root_reference(self, case):
+        phi, P, box, ranges, keep = case
+        ref = roots_reference(phi, ranges)
+        res = count_solutions(phi, P, box=box, keep=keep)
+        assert res.count == len(ref) == naive_count(phi, P, box=box)
+        assert res.solutions_sample == tuple(ref[:keep])
+
+    @settings(max_examples=60, deadline=None)
+    @given(counting_cases(heights=[2**40, 2**57, 2**70]))
+    def test_matches_scan_at_large_heights(self, case):
+        phi, P, box, ranges, keep = case
+        ref = scan_reference(phi, ranges)
+        res = count_solutions(phi, P, box=box, keep=keep)
+        assert res.count == len(ref)
+        assert res.solutions_sample == tuple(ref[:keep])
+
+    def test_python_ints_where_int64_wraps(self):
+        # 2^61 (x^3 - y^3) is 0 mod 2^64 whenever x^3 = y^3 mod 8, so int64
+        # arithmetic would report false zeros such as (2, 0)
+        H = 2**61
+        phi = symmetrize(2, {(0, 0, 0): H, (1, 1, 1): -H})[0]
+        res = count_solutions(phi, 3)
+        assert res.count == 7 == naive_count(phi, 3)
+        assert res.solutions_sample == tuple((t, t) for t in range(-3, 4))
+
 
 class TestSmallestSolution:
     def test_sum_thirtysix(self):
@@ -113,6 +221,31 @@ class TestSmallestSolution:
 
     def test_origin(self, fermat):
         assert smallest_solution(fermat, 2).found == (0, 0, 0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans(),
+           st.booleans(), st.integers(0, 3), st.integers(0, 3),
+           st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    def test_matches_shell_reference(self, n, seed, degenerate, x1_free,
+                                     start, max_shell, z):
+        phi = random_poly(random.Random(seed), n,
+                          force_degenerate_leading=degenerate)
+        phi = plant_zero(drop_x1(phi) if x1_free else phi, z[:n])
+        rep = smallest_solution(phi, max_shell, start_shell=start)
+        found, shell = shell_reference(phi, max_shell, start)
+        assert (rep.found, rep.shell) == (found, shell)
+        assert rep.exhausted_to == (max_shell if found is None else None)
+
+    def test_budget_counts_shell_prefixes(self):
+        # 2(x^3 + y^3 + z^3) + 1 is odd, so every shell is searched; shell s
+        # needs (2s + 1)^2 prefixes: 49 at s = 3, 81 at s = 4
+        phi = symmetrize(3, {(0, 0, 0): 2, (1, 1, 1): 2, (2, 2, 2): 2},
+                         const=1)[0]
+        assert smallest_solution(phi, 3, budget=49).exhausted_to == 3
+        with pytest.raises(BudgetExceeded):
+            smallest_solution(phi, 4, budget=49)
+        with pytest.raises(BudgetExceeded):
+            smallest_solution(phi, 4, budget=80, start_shell=4)
 
     def test_consistent_with_counts(self):
         phi = symmetrize(2, {(0, 0, 0): 1, (1, 1, 1): 1}, const=-9)[0]

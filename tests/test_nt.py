@@ -1,0 +1,30 @@
+"""Trial division against a plain factorisation oracle."""
+
+from cubiclab.nt import is_prime, trial_factor
+
+
+def plain_factor(n: int) -> dict:
+    factors, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def test_matches_plain_factorisation():
+    for n in range(1, 10**4 + 1):
+        assert trial_factor(n) == (plain_factor(n), 1)
+        assert trial_factor(-n) == (plain_factor(n), 1)
+    assert trial_factor(0) == ({}, 0)
+
+
+def test_unsplit_cofactor():
+    p, q = 1_000_003, 1_000_033  # primes above the default bound 10^6
+    assert is_prime(p) and is_prime(q)
+    assert trial_factor(p * q) == ({}, p * q)
+    assert trial_factor(12 * p * q) == ({2: 2, 3: 1}, p * q)
+    assert trial_factor(101 * 103, bound=10) == ({}, 101 * 103)
