@@ -18,7 +18,7 @@ import numpy as np
 
 from .budget import check_budget
 from .nt import divisors
-from .polynomials import CubicPolynomial
+from .polynomials import CubicPolynomial, _eval_terms
 
 _BLOCK = 1 << 15  # array elements per chunk; bounds peak memory
 
@@ -57,10 +57,10 @@ def integer_roots_cubic(a: int, b: int, c: int, d: int):
     return "roots", sorted(set(roots))
 
 
-def _zeros(terms: list, t_range: range, ranges: list):
-    """Zeros of phi (given by `terms`) with x_1 in t_range and (x_2..x_n) in
-    the product of `ranges`, as (k, n) integer arrays, one per chunk:
-    prefixes in itertools.product order, x_1 ascending within a prefix."""
+def _zeros(phi: CubicPolynomial, t_range: range, ranges: list):
+    """Zeros of phi with x_1 in t_range and (x_2..x_n) in the product of
+    `ranges`, as (k, n) integer arrays, one per chunk: prefixes in
+    itertools.product order, x_1 ascending within a prefix."""
     sizes = [len(r) for r in ranges]
     nprefix = prod(sizes)
     if not nprefix or not t_range:
@@ -68,9 +68,9 @@ def _zeros(terms: list, t_range: range, ranges: list):
     B = max(1, *(abs(v) for r in (t_range, *ranges) for v in (r[0], r[-1])))
     # every partial sum and Horner step is at most sum |w| B^deg, every
     # coordinate step at most 2B
-    wide = 2 * B + sum(abs(w) * B ** len(idx) for w, idx in terms) >= 2 ** 63
+    wide = 2 * B + sum(abs(w) * B ** len(idx) for w, idx in phi.terms()) >= 2 ** 63
     dtype = object if wide else np.int64
-    table = [(w, idx.count(0), [i - 1 for i in idx if i]) for w, idx in terms]
+    slices = phi.x1_slices()
     # a prefix row holds its x_1 values, its coordinates and 4 coefficients
     rows = max(1, _BLOCK // (len(t_range) + len(ranges) + 5))
     for start in range(0, nprefix, rows):
@@ -79,13 +79,8 @@ def _zeros(terms: list, t_range: range, ranges: list):
         for j in reversed(range(len(ranges))):
             flat, digit = np.divmod(flat, sizes[j])
             y[j] = digit.astype(dtype) * ranges[j].step + ranges[j].start
-        coef = [np.zeros(len(flat), dtype) for _ in range(4)]  # d, c, b, a
-        for w, deg, rest in table:
-            v = w
-            for j in rest:
-                v = v * y[j]
-            coef[deg] = coef[deg] + v
-        d, c, b, a = (v[:, None] for v in coef)
+        d, c, b, a = ((np.zeros(len(flat), dtype) + _eval_terms(part, y))[:, None]
+                      for part in slices)
         for t0 in range(0, len(t_range), _BLOCK):
             tr = t_range[t0:t0 + _BLOCK]
             t = np.arange(len(tr)).astype(dtype) * tr.step + tr.start
@@ -123,7 +118,7 @@ def count_solutions(phi: CubicPolynomial, P: int, box=None,
     rng = [range(lo, hi + 1) for lo, hi in _box_ranges(phi.n, P, box)]
     check_budget(prod(len(r) for r in rng[1:]), budget, what="solution count")
     count, sample = 0, []
-    for z in _zeros(phi.terms(), rng[0], rng[1:]):
+    for z in _zeros(phi, rng[0], rng[1:]):
         count += len(z)
         sample += z[:keep - len(sample)].tolist()
     return CountResult(P=P, count=count,
@@ -138,8 +133,9 @@ def naive_count(phi: CubicPolynomial, P: int, box=None,
     for lo, hi in rng:
         npts *= max(hi - lo + 1, 0)
     check_budget(npts, budget, what="naive count")
+    terms = phi.terms()
     return sum(1 for x in product(*(range(lo, hi + 1) for lo, hi in rng))
-               if phi.evaluate(x) == 0)
+               if _eval_terms(terms, x) == 0)
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,7 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
     Only the new shell is enumerated: prefixes (x_2..x_n) of sup-norm s take
     every x_1 in [-s, s], the others x_1 = -s and s.  The budget counts the
     (2s + 1)^(n-1) prefixes of the shell's box."""
-    n, terms = phi.n, phi.terms()
+    n = phi.n
     for s in range(start_shell, max_shell + 1):
         if s == 0:
             if phi.evaluate([0] * n) == 0:
@@ -171,7 +167,7 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
         faces = [(full, [inner] * j + [ends] + [full] * (n - 2 - j))
                  for j in range(n - 1)] + [(ends, [inner] * (n - 1))]
         found = [min(map(tuple, z.tolist()))
-                 for t, ys in faces for z in _zeros(terms, t, ys)]
+                 for t, ys in faces for z in _zeros(phi, t, ys)]
         if found:
             return SearchReport(found=min(found), shell=s, exhausted_to=None)
     return SearchReport(found=None, shell=None, exhausted_to=max_shell)

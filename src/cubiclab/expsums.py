@@ -9,18 +9,15 @@ Phases are reduced in exact integer arithmetic whenever the frequency is
 rational, so the only floating-point step is the final root of unity.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import fsum, gcd, tau, floor, ceil
 import cmath
 
-import numpy as np
-
 from .budget import check_budget
 from .nt import ramanujan_sum, nearest_int_distance
-from .polynomials import CubicPolynomial
+from .polynomials import CubicPolynomial, _eval_terms
 from .local import value_distribution
 
 
@@ -44,12 +41,12 @@ def _unit_roots(q: int) -> list:
 
 @lru_cache(maxsize=256)
 def _exact_residue_profile(poly_json: str, q: int) -> tuple:
-    """counts[m] = #{r mod q : phi(r) = m mod q}, by pure-Python exact
-    evaluation (independent of the numpy grid path)."""
+    """counts[m] = #{r mod q : phi(r) = m mod q}, by exact evaluation in
+    Python ints (independent of the numpy grid path)."""
     phi = CubicPolynomial.from_json(poly_json)
-    counts = [0] * q
+    counts, terms = [0] * q, phi.terms()
     for r in product(range(q), repeat=phi.n):
-        counts[phi.evaluate(r) % q] += 1
+        counts[_eval_terms(terms, r) % q] += 1
     return tuple(counts)
 
 
@@ -142,19 +139,20 @@ def weyl_sum(phi: CubicPolynomial, alpha, bounds, P: float = 1.0,
         npts *= c
     check_budget(npts, budget, what="Weyl sum lattice")
     rational = isinstance(alpha, Fraction)
+    terms = phi.terms()
     if rational:
         q = alpha.denominator
         a = alpha.numerator
         roots = _unit_roots(q)
         re_parts, im_parts = [], []
         for x in product(*(range(lo, hi + 1) for lo, hi in rng)):
-            m = a * phi.evaluate(x) % q
+            m = a * _eval_terms(terms, x) % q
             re_parts.append(roots[m].real)
             im_parts.append(roots[m].imag)
         return complex(fsum(re_parts), fsum(im_parts))
     re_parts, im_parts = [], []
     for x in product(*(range(lo, hi + 1) for lo, hi in rng)):
-        ph = (alpha * phi.evaluate(x)) % 1.0
+        ph = (alpha * _eval_terms(terms, x)) % 1.0
         z = cmath.exp(1j * tau * ph)
         re_parts.append(z.real)
         im_parts.append(z.imag)
@@ -274,36 +272,6 @@ def bootstrap_check(q: int, a: int, theta: Fraction, X: int, P1: int,
     return {"divides": m % q == 0,
             "forced_zero": zero_regime,
             "is_zero": m == 0}
-
-
-# -- minor-arc probes -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MinorArcProbe:
-    q: int
-    a: int
-    theta: float
-    R: float            # dyadic scale of q
-    phi_scale: float    # dyadic scale of |theta|
-    H: int
-    kappa: float
-    eta: float          # |theta| + 1/(P^2 H M)
-    Z: float
-
-    def __post_init__(self):
-        if not (0 <= self.a < max(self.q, 1)) or gcd(self.a, self.q) != 1:
-            if not (self.q == 1 and self.a == 0):
-                raise ValueError("need 0 <= a < q with gcd(a, q) = 1")
-
-
-def make_probe(q: int, a: int, theta: float, P: float, H: int, M: int,
-               kappa: float = 0.0, Z: float = 1.0) -> MinorArcProbe:
-    eta = abs(theta) + 1.0 / (P * P * H * M)
-    R = 2.0 ** floor(np.log2(q)) if q >= 1 else 1.0
-    phs = 2.0 ** floor(np.log2(abs(theta))) if theta else 0.0
-    return MinorArcProbe(q=q, a=a % q if q > 1 else 0, theta=theta, R=R,
-                         phi_scale=phs, H=H, kappa=kappa, eta=eta, Z=Z)
 
 
 def weyl_bound_probe(C: CubicPolynomial, q: int, a: int, theta: float,

@@ -46,24 +46,22 @@ def int_det(rows: list) -> int:
 
 
 def rank_rational(rows: list) -> int:
-    """Rank over Q by exact fraction elimination."""
-    a = [[Fraction(v) for v in r] for r in rows]
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    rank = 0
-    col = 0
-    for col in range(n):
+    """Rank over Q of an integer matrix by fraction-free (Bareiss)
+    elimination: every division by the previous pivot is exact."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    rank, prev = 0, 1
+    for col in range(len(a[0]) if a else 0):
         piv = next((i for i in range(rank, m) if a[i][col]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
         pr = a[rank]
-        inv = 1 / pr[col]
+        p = pr[col]
         for i in range(rank + 1, m):
-            f = a[i][col] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], pr)]
+            y = a[i][col]
+            a[i] = [(x * p - y * z) // prev for x, z in zip(a[i], pr)]
+        prev = p
         rank += 1
         if rank == m:
             break

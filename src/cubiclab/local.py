@@ -18,7 +18,7 @@ import numpy as np
 from .budget import check_budget, BudgetExceeded, enumeration_budget
 from .invariants import delta, DeltaInvariant
 from .nt import primes_up_to, valuation
-from .polynomials import CubicPolynomial, _mult3, _mult2, homogenize
+from .polynomials import CubicPolynomial, _eval_terms, homogenize
 
 
 class HenselPreconditionError(ValueError):
@@ -35,45 +35,17 @@ def _axes(q: int, n: int) -> list:
 
 def residue_values(phi: CubicPolynomial, q: int,
                    budget: int | None = None) -> np.ndarray:
-    """Array of shape (q,)*n holding phi(x) mod q (x_1 the slowest axis)."""
+    """Read-only array of shape (q,)*n holding phi(x) mod q (x_1 the
+    slowest axis)."""
     n = phi.n
     check_budget(q**n, budget, what=f"residue grid mod {q}")
-    X = _axes(q, n)
-    acc = np.full((q,) * n, phi.const % q, dtype=np.int64)
-    for (i, j, k), c in phi.cubic.items():
-        t = (X[i] * X[j]) % q
-        t = (t * X[k]) % q
-        acc = (acc + t * ((_mult3(i, j, k) * c) % q)) % q
-    for (i, j), c in phi.quad.items():
-        t = (X[i] * X[j]) % q
-        acc = (acc + t * ((_mult2(i, j) * c) % q)) % q
-    for i, li in enumerate(phi.lin):
-        if li % q:
-            acc = (acc + X[i] * (li % q)) % q
-    return acc
+    return np.broadcast_to(_eval_terms(phi.terms(), _axes(q, n), q), (q,) * n)
 
 
 def gradient_residue(phi: CubicPolynomial, i: int, q: int, X=None) -> np.ndarray:
-    """Array of (grad phi)_i mod q over the residue grid."""
-    n = phi.n
-    if X is None:
-        X = _axes(q, n)
-    acc = np.full((1,) * n, phi.lin[i] % q, dtype=np.int64)
-    for (a, b, c), cc in phi.cubic.items():
-        mult = _mult3(a, b, c)
-        idx = (a, b, c)
-        for pos in range(3):
-            if idx[pos] == i:
-                u, v = idx[(pos + 1) % 3], idx[(pos + 2) % 3]
-                t = (X[u] * X[v]) % q
-                acc = (acc + t * ((mult * cc) % q)) % q
-    for (a, b), qq in phi.quad.items():
-        mlt = _mult2(a, b)
-        idx = (a, b)
-        for pos in range(2):
-            if idx[pos] == i:
-                acc = (acc + X[idx[1 - pos]] * ((mlt * qq) % q)) % q
-    return np.broadcast_to(acc % q, (q,) * n) if acc.shape != (q,) * n else acc % q
+    """Read-only array of (grad phi)_i mod q over the residue grid."""
+    X = _axes(q, phi.n) if X is None else X
+    return np.broadcast_to(_eval_terms(phi.derivative(i), X, q), (q,) * phi.n)
 
 
 def value_distribution(phi: CubicPolynomial, q: int,
@@ -254,7 +226,7 @@ class NCCCertificate:
 
 def _first_root(phi: CubicPolynomial, q: int, budget=None):
     arr = residue_values(phi, q, budget)
-    flat = np.flatnonzero(arr.ravel() == 0)
+    flat = np.flatnonzero(arr == 0)
     if not len(flat):
         return None
     return tuple(int(v) for v in np.unravel_index(int(flat[0]), arr.shape))

@@ -20,7 +20,7 @@ from .budget import check_budget, enumeration_budget, BudgetExceeded
 from .invariants import siegel_solve, FullRankError
 from .local import local_factor, rho, ncc_threshold
 from .nt import primes_up_to, valuation
-from .polynomials import CubicPolynomial, _mult3, _mult2
+from .polynomials import CubicPolynomial, _eval_terms
 
 
 # -- real non-singular point ------------------------------------------------
@@ -36,29 +36,6 @@ class RealPoint:
     runner_ups: tuple = ()   # other coordinates with comparable derivative
 
 
-def _x1_slices(C: CubicPolynomial):
-    """C(x1, y) = a x1^3 + x1^2 F1(y) + x1 F2(y) + F3(y); returns
-    (a, F1 coeff vector, F2 as (n-1)-var quadratic, F3 as (n-1)-var cubic)."""
-    n = C.n
-    a = C.c(0, 0, 0)
-    f1 = [3 * C.c(0, 0, j) for j in range(1, n)]
-
-    # F2's symmetric matrix can be half-integral, so it is evaluated
-    # directly rather than stored as a CubicPolynomial.
-    def F2(y):
-        tot = 0
-        for j in range(1, n):
-            for k in range(1, n):
-                tot += 3 * C.c(0, j, k) * y[j - 1] * y[k - 1]
-        return tot
-
-    F3 = CubicPolynomial(
-        n - 1,
-        cubic={(i - 1, j - 1, k - 1): c
-               for (i, j, k), c in C.cubic.items() if i >= 1})
-    return a, f1, F2, F3
-
-
 def real_point(C: CubicPolynomial, mode: str = "n-variable",
                h: int | None = None, calibration: float = 1e3) -> RealPoint:
     """Constructive zero of C with large first partial derivative.
@@ -71,7 +48,9 @@ def real_point(C: CubicPolynomial, mode: str = "n-variable",
     calibration constant) are asserted; achieved values are reported.
     """
     n = C.n
-    a, f1, F2, F3 = _x1_slices(C)
+    a = C.c(0, 0, 0)
+    f1 = [3 * C.c(0, 0, j) for j in range(1, n)]
+    F3, F2 = C.x1_slices()[:2]
     if a <= 0:
         raise ValueError("normalization c_111 > 0 required (run normalize_leading)")
     if n < 2:
@@ -94,13 +73,13 @@ def real_point(C: CubicPolynomial, mode: str = "n-variable",
             y = siegel_solve([f1])
         except FullRankError:
             raise RuntimeError("F1 has no nonzero integer kernel vector")
-    if F3.evaluate(y) == 0:
+    if _eval_terms(F3, y) == 0:
         sol = (0, *y)
         grad = C.gradient(list(sol))
         return RealPoint(kind="integer", point=sol, derivatives=tuple(grad))
-    if F3.evaluate(y) > 0:
+    if _eval_terms(F3, y) > 0:
         y = [-v for v in y]  # F1(-y) = 0, F2 even, F3 odd
-    f2v, f3v = F2(y), F3.evaluate(y)
+    f2v, f3v = _eval_terms(F2, y), _eval_terms(F3, y)
     roots = np.roots([a, 0, f2v, f3v])
     real_pos = sorted(r.real for r in roots
                       if abs(r.imag) < 1e-9 * max(1.0, abs(r)) and r.real > 0)
@@ -118,7 +97,7 @@ def real_point(C: CubicPolynomial, mode: str = "n-variable",
         if abs(step) < 1e-15 * max(1.0, abs(xi)):
             break
     z = (xi, *(float(v) for v in y))
-    grad = [float(g) for g in _grad_float(C, z)]
+    grad = [float(g) for g in C.gradient(z)]
     d1 = grad[0]
     assert d1 > 0, "first partial derivative must be positive at the point"
     hh = h if (mode == "h-invariant" and h) else n
@@ -135,28 +114,6 @@ def real_point(C: CubicPolynomial, mode: str = "n-variable",
     return RealPoint(kind="real", point=z, xi=xi, derivatives=tuple(grad),
                      bracket=(lo, hi) if lo is not None else None,
                      runner_ups=runner_ups)
-
-
-def _grad_float(C: CubicPolynomial, x):
-    n = C.n
-    g = [0.0] * n
-    for m in range(n):
-        s = 0.0
-        for (i, j, k), cc in C.cubic.items():
-            mult = _mult3(i, j, k)
-            idx = (i, j, k)
-            for pos in range(3):
-                if idx[pos] == m:
-                    u, v = idx[(pos + 1) % 3], idx[(pos + 2) % 3]
-                    s += mult * cc * x[u] * x[v]
-        for (i, j), qq in C.quad.items():
-            mlt = _mult2(i, j)
-            idx = (i, j)
-            for pos in range(2):
-                if idx[pos] == m:
-                    s += mlt * qq * x[idx[1 - pos]]
-        g[m] = s + C.lin[m]
-    return g
 
 
 # -- box construction with certified floors ---------------------------------
@@ -179,50 +136,6 @@ class BoxRegion:
         return [(z - self.width, z + self.width) for z in self.center]
 
 
-def _interval_eval(terms, intervals):
-    """Interval extension of a sparse polynomial given as
-    [(coeff, (index,...)), ...]."""
-    tot = iv.mpf(0)
-    for coeff, idx in terms:
-        t = iv.mpf(coeff)
-        for i in idx:
-            t = t * intervals[i]
-        tot = tot + t
-    return tot
-
-
-def _poly_terms(C: CubicPolynomial):
-    terms = []
-    for (i, j, k), c in C.cubic.items():
-        terms.append((_mult3(i, j, k) * c, (i, j, k)))
-    for (i, j), c in C.quad.items():
-        terms.append((_mult2(i, j) * c, (i, j)))
-    for i, li in enumerate(C.lin):
-        if li:
-            terms.append((li, (i,)))
-    if C.const:
-        terms.append((C.const, ()))
-    return terms
-
-
-def _grad_terms(C: CubicPolynomial, m: int):
-    terms = []
-    for (i, j, k), c in C.cubic.items():
-        mult = _mult3(i, j, k)
-        idx = (i, j, k)
-        for pos in range(3):
-            if idx[pos] == m:
-                terms.append((mult * c, (idx[(pos + 1) % 3], idx[(pos + 2) % 3])))
-    for (i, j), c in C.quad.items():
-        idx = (i, j)
-        for pos in range(2):
-            if idx[pos] == m:
-                terms.append((_mult2(i, j) * c, (idx[1 - pos],)))
-    if C.lin[m]:
-        terms.append((C.lin[m], ()))
-    return terms
-
-
 def build_box(C: CubicPolynomial, z_tilde, n: int | None = None,
               M: int | None = None, max_A_log2: int = 10) -> BoxRegion:
     """Scale z~ to z = A M^(3 + 8/(n-2)) z~ and certify the box floors.
@@ -235,15 +148,15 @@ def build_box(C: CubicPolynomial, z_tilde, n: int | None = None,
     n = n if n is not None else C.n
     M = M if M is not None else max(C.height, 2)
     base = float(M) ** (3.0 + 8.0 / max(n - 2, 1))
-    grad0 = _grad_float(C, z_tilde)
+    grad0 = C.gradient(z_tilde)
     order = sorted(range(n), key=lambda i: -abs(grad0[i]))
     ax1, ax2 = order[0], (order[1] if n > 1 else order[0])
     A = 4
     while A <= 2**max_A_log2:
         z = tuple(A * base * v for v in z_tilde)
         ivals = [iv.mpf([zi - 1.0, zi + 1.0]) for zi in z]
-        g1 = _interval_eval(_grad_terms(C, ax1), ivals)
-        g2 = _interval_eval(_grad_terms(C, ax2), ivals)
+        g1 = _eval_terms(C.derivative(ax1), ivals)
+        g2 = _eval_terms(C.derivative(ax2), ivals)
         lo1 = float(iv.mpf(g1).a)
         lo2 = float(iv.mpf(g2).a)
         ok_sign = lo1 > 0 or float(iv.mpf(g1).b) < 0
@@ -252,7 +165,7 @@ def build_box(C: CubicPolynomial, z_tilde, n: int | None = None,
         if ok_sign and ok_sign2 and origin_ok:
             d1 = min(abs(lo1), abs(float(iv.mpf(g1).b)))
             d2 = min(abs(lo2), abs(float(iv.mpf(g2).b)))
-            cv = _interval_eval(_poly_terms(C), ivals)
+            cv = _eval_terms(C.terms(), ivals)
             sigma = max(abs(float(cv.a)), abs(float(cv.b)))
             return BoxRegion(center=z, width=1.0, sigma=sigma,
                              d1=d1, d2=d2, axis1=ax1, axis2=ax2, A=A)
@@ -296,15 +209,7 @@ def _cc_nodes(m: int, lo: float, hi: float):
 
 def evaluate_array(phi: CubicPolynomial, X: list) -> np.ndarray:
     """phi over broadcastable float arrays (one per coordinate)."""
-    acc = np.asarray(float(phi.const))
-    for (i, j, k), c in phi.cubic.items():
-        acc = acc + (_mult3(i, j, k) * c) * X[i] * X[j] * X[k]
-    for (i, j), c in phi.quad.items():
-        acc = acc + (_mult2(i, j) * c) * X[i] * X[j]
-    for i, li in enumerate(phi.lin):
-        if li:
-            acc = acc + li * X[i]
-    return acc
+    return np.asarray(_eval_terms(phi.terms(), X), dtype=float)
 
 
 # Grid points whose integrand is held at once: _tensor_integral works through
@@ -435,7 +340,7 @@ def slice_volume(C: CubicPolynomial, box, grid: int = 128) -> dict:
         right = np.sign(evaluate_array(C, point(mid, Y))) == s_lo
         a = np.where(right, mid, a)
         b = np.where(right, b, mid)
-    d = _grad_float(C, point(mid, Y))[ax]
+    d = _eval_terms(C.derivative(ax), point(mid, Y))
     return {"value": float(np.sum(W / np.abs(d))), "empty": False}
 
 

@@ -40,6 +40,33 @@ def _mult2(i: int, j: int) -> int:
     return 1 if i == j else 2
 
 
+# w * x[i] * x[j] * x[k] for 0..3 indices, each one expression: numpy reuses
+# a temporary array that nothing else references, so every product after the
+# first, and the running sum of _eval_terms, is computed in place.  A loop
+# over a named running product allocates an array per factor instead, which
+# doubles the time of a 400,000-point Monte-Carlo integrand.
+_MONOMIAL = (lambda w, x, idx: w,
+             lambda w, x, idx: w * x[idx[0]],
+             lambda w, x, idx: w * x[idx[0]] * x[idx[1]],
+             lambda w, x, idx: w * x[idx[0]] * x[idx[1]] * x[idx[2]])
+
+
+def _eval_terms(terms, x, mod=None):
+    """sum w * prod x[i] over (weight, index tuple) terms, for x of exact
+    numbers, numpy arrays or mpmath intervals.  With mod, every product and
+    partial sum is reduced mod q, so int64 residue grids never overflow."""
+    total = 0
+    for w, idx in terms:
+        if mod is None:
+            total = total + _MONOMIAL[len(idx)](w, x, idx)
+        else:
+            w %= mod
+            for i in idx:
+                w = w * x[i] % mod
+            total = (total + w) % mod
+    return total
+
+
 @dataclass(frozen=True)
 class CubicPolynomial:
     """Immutable integer cubic polynomial in n variables (0-based indices)."""
@@ -95,11 +122,27 @@ class CubicPolynomial:
 
     def terms(self) -> list:
         """phi as (weight, index tuple) pairs, phi(x) = sum w * prod x[i]:
-        one pair per stored entry, its weight carrying the permutation count."""
-        out = [(_mult3(*t) * c, t) for t, c in self.cubic.items()]
+        the constant first, then one pair per stored entry, its weight
+        carrying the permutation count.  Every evaluation of phi reads this
+        table."""
+        out = [(self.const, ())] if self.const else []
+        out += [(_mult3(*t) * c, t) for t, c in self.cubic.items()]
         out += [(_mult2(*t) * q, t) for t, q in self.quad.items()]
-        out += [(li, (i,)) for i, li in enumerate(self.lin) if li]
-        return out + ([(self.const, ())] if self.const else [])
+        return out + [(li, (i,)) for i, li in enumerate(self.lin) if li]
+
+    def derivative(self, m: int) -> list:
+        """d phi / d x_m as (weight, index tuple) pairs: one pair per
+        occurrence of m in a term, the other indices in cyclic order."""
+        return [(w, idx[p + 1:] + idx[:p]) for w, idx in self.terms()
+                for p, i in enumerate(idx) if i == m]
+
+    def x1_slices(self) -> list:
+        """[phi_0, phi_1, phi_2, phi_3] with phi(t, y) = sum t^d phi_d(y),
+        y = (x_2..x_n), each as (weight, index tuple) pairs over y."""
+        parts = [[], [], [], []]
+        for w, idx in self.terms():
+            parts[idx.count(0)].append((w, tuple(i - 1 for i in idx if i)))
+        return parts
 
     # -- evaluation ---------------------------------------------------------
 
@@ -107,51 +150,13 @@ class CubicPolynomial:
         """Exact value phi(x) for an integer (or Fraction) vector x."""
         if len(x) != self.n:
             raise DimensionMismatch(f"point has dim {len(x)}, expected {self.n}")
-        total = self.const
-        for (i, j, k), cc in self.cubic.items():
-            total += _mult3(i, j, k) * cc * x[i] * x[j] * x[k]
-        for (i, j), qq in self.quad.items():
-            total += _mult2(i, j) * qq * x[i] * x[j]
-        for i, li in enumerate(self.lin):
-            if li:
-                total += li * x[i]
-        return total
-
-    def evaluate_cubic(self, x) -> int:
-        if len(x) != self.n:
-            raise DimensionMismatch(f"point has dim {len(x)}, expected {self.n}")
-        return sum(
-            _mult3(i, j, k) * cc * x[i] * x[j] * x[k]
-            for (i, j, k), cc in self.cubic.items()
-        )
-
-    def evaluate_quad(self, x) -> int:
-        return sum(_mult2(i, j) * qq * x[i] * x[j] for (i, j), qq in self.quad.items())
+        return _eval_terms(self.terms(), x)
 
     def gradient(self, x) -> list:
         """nabla phi(x), exact."""
         if len(x) != self.n:
             raise DimensionMismatch(f"point has dim {len(x)}, expected {self.n}")
-        g = [0] * self.n
-        for m in range(self.n):
-            s = 0
-            for (i, j, k), cc in self.cubic.items():
-                mult = _mult3(i, j, k)
-                idx = (i, j, k)
-                # product rule on mult * c * x_i x_j x_k
-                for pos in range(3):
-                    if idx[pos] == m:
-                        a, b = idx[(pos + 1) % 3], idx[(pos + 2) % 3]
-                        s += mult * cc * x[a] * x[b]
-            for (i, j), qq in self.quad.items():
-                mlt = _mult2(i, j)
-                idx = (i, j)
-                for pos in range(2):
-                    if idx[pos] == m:
-                        s += mlt * qq * x[idx[1 - pos]]
-            s += self.lin[m]
-            g[m] = s
-        return g
+        return [_eval_terms(self.derivative(m), x) for m in range(self.n)]
 
     # -- Hessian / bilinear forms ------------------------------------------
 
@@ -389,7 +394,7 @@ def normalize_leading(phi: CubicPolynomial, height_bound: int = 3):
             g = gcd(g, v)
         if g != 1:
             continue
-        val = C.evaluate_cubic(list(t))
+        val = C.evaluate(t)
         if abs(val) > abs(best_val):
             best_t, best_val = list(t), val
     threshold = Fraction(M, 10 * n**3)

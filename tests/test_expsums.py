@@ -13,7 +13,7 @@ from cubiclab import (a_of_q, a_of_q_exact, bilinear_count, bootstrap_check,
                       gauss_sum, rho, shrinking_check, symmetrize, weyl_sum)
 from cubiclab.expsums import (euler_comparison, gauss_sum_direct,
                               gauss_sum_distribution, lattice_point_count,
-                              make_probe, shrinking_count, weyl_bound_probe)
+                              shrinking_count, weyl_bound_probe)
 from cubiclab.nt import nearest_int_distance
 from conftest import random_poly
 
@@ -262,15 +262,6 @@ class TestBootstrap:
 # -- probes -----------------------------------------------------------------
 
 class TestProbes:
-    def test_make_probe_eta_floor(self):
-        pr = make_probe(5, 2, 1e-6, P=100.0, H=10, M=3)
-        assert pr.eta >= 1.0 / (100.0**2 * 10 * 3)
-        assert pr.q == 5 and pr.a == 2
-
-    def test_make_probe_coprimality_enforced(self):
-        with pytest.raises(ValueError):
-            make_probe(6, 2, 0.0, P=10.0, H=2, M=2)
-
     def test_weyl_bound_probe_alpha_zero(self, fermat):
         out = weyl_bound_probe(fermat.cubic_part(), 1, 0, 0.0, P=3, psi=1.0)
         assert out["S_abs"] == pytest.approx(7**3)

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubiclab import (CubicPolynomial, delta, homogenize, rank_census,
                       psi_good_report, symmetrize)
@@ -19,7 +20,66 @@ from conftest import random_poly
 
 # -- exact linear algebra ---------------------------------------------------
 
+def fraction_rank(rows: list) -> int:
+    """Reference rank over Q: Gaussian elimination in Fractions."""
+    a = [[Fraction(v) for v in r] for r in rows]
+    m, n = len(a), len(a[0]) if a else 0
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pr = a[rank]
+        for i in range(rank + 1, m):
+            f = a[i][col] / pr[col]
+            a[i] = [x - f * y for x, y in zip(a[i], pr)]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    """m x n integer matrices, often with zero rows or columns and rows
+    that are combinations of earlier ones."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.integers(-9, 9) | st.integers(-2**70, 2**70)
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero" or (kind == "combination" and not rows):
+            rows.append([0] * n)
+        elif kind == "combination":
+            coeffs = [draw(st.integers(-3, 3)) for _ in rows]
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows))
+                         for j in range(n)])
+        else:
+            rows.append([draw(entry) for _ in range(n)])
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else ():
+        for r in rows:
+            r[j] = 0
+    return rows
+
+
 class TestLinearAlgebra:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_matrices())
+    def test_rank_rational_matches_fraction_elimination(self, rows):
+        assert rank_rational(rows) == fraction_rank(rows)
+
+    def test_rank_rational_edge_cases(self):
+        assert rank_rational([]) == 0
+        assert rank_rational([[]]) == 0
+        assert rank_rational([[0, 0], [0, 0]]) == 0
+        assert rank_rational([[1, 2, 3], [2, 4, 6]]) == 1
+        assert rank_rational([[0, 1], [1, 0], [1, 1]]) == 2
+        assert rank_rational([[2, 4], [3, 5]]) == 2
+        # a row with a zero under the pivot must still be scaled by it, or
+        # the next exact division goes wrong
+        assert rank_rational([[0, 1, 0, 0, 1, -1], [0, 1, 0, 0, 0, 0],
+                              [2, 0, 0, 0, 0, 0], [2, 1, 0, 0, 1, -1]]) == 3
+
+
     def test_int_det_known(self):
         assert int_det([[1, 2], [3, 4]]) == -2
         assert int_det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30

@@ -19,7 +19,7 @@ from cubiclab import majorarcs
 from cubiclab.budget import BudgetExceeded
 from cubiclab.expsums import a_of_q_exact
 from cubiclab.local import local_factor
-from cubiclab.majorarcs import _cc_nodes, _grad_float, evaluate_array
+from cubiclab.majorarcs import _cc_nodes, evaluate_array
 from conftest import random_poly
 
 
@@ -248,7 +248,7 @@ class TestSliceVolume:
             if f(bounds[0][0]) * f(bounds[0][1]) > 0:
                 continue
             r = brentq(f, *bounds[0])
-            total += w / abs(_grad_float(C, [r, *y])[0])
+            total += w / abs(C.gradient([r, *y])[0])
             hit = True
         assert got["empty"] == (not hit)
         assert got["value"] == pytest.approx(total, rel=1e-10)

@@ -2,14 +2,19 @@
 bilinear forms, homogenization, serialization and leading normalization."""
 
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import iv
 
 from cubiclab import CubicPolynomial, symmetrize, homogenize, transform
+from cubiclab.local import gradient_residue, residue_values
+from cubiclab.majorarcs import evaluate_array
 from cubiclab.polynomials import (DimensionMismatch, DegreeError,
                                   NormalizationError, normalize_leading,
-                                  _extend_to_unimodular)
+                                  _eval_terms, _extend_to_unimodular)
 from conftest import random_poly
 
 
@@ -106,9 +111,80 @@ class TestEvaluate:
     def test_decomposition(self, poly, seed):
         rng = random.Random(seed)
         x = [rng.randint(-6, 6) for _ in range(poly.n)]
-        parts = (poly.evaluate_cubic(x) + poly.evaluate_quad(x)
+        parts = (poly.cubic_part().evaluate(x)
+                 + CubicPolynomial(poly.n, quad=poly.quad).evaluate(x)
                  + sum(l * v for l, v in zip(poly.lin, x)) + poly.const)
         assert poly.evaluate(x) == parts
+
+
+# -- the term table: one evaluator for every arithmetic ----------------------
+
+class TestTermTable:
+    def test_constant_first(self, watson5):
+        assert watson5.terms()[0] == (watson5.const, ())
+        assert CubicPolynomial(1, cubic={(0, 0, 0): 1}).terms() == [(1, (0, 0, 0))]
+
+    def test_derivative_of_square_times_linear(self):
+        # 3 x0^2 x1 stored as c_001 = 1: d/dx0 = 6 x0 x1, d/dx1 = 3 x0^2
+        poly, _ = symmetrize(2, {(0, 0, 1): 3})
+        assert poly.derivative(0) == [(3, (0, 1)), (3, (1, 0))]
+        assert poly.derivative(1) == [(3, (0, 0))]
+
+    @settings(max_examples=80, deadline=None)
+    @given(poly_strategy(), st.integers(0, 2**32 - 1))
+    def test_gradient_central_difference(self, poly, seed):
+        # phi restricted to the x_m line is a t^3 + b t^2 + c t + d with
+        # a = c_mmm, so (phi(x + e_m) - phi(x - e_m)) / 2 = d phi/dx_m + c_mmm
+        rng = random.Random(seed)
+        x = [rng.randint(-9, 9) for _ in range(poly.n)]
+        grad = poly.gradient(x)
+        for m in range(poly.n):
+            up = [v + (i == m) for i, v in enumerate(x)]
+            down = [v - (i == m) for i, v in enumerate(x)]
+            diff = poly.evaluate(up) - poly.evaluate(down)
+            assert diff % 2 == 0
+            assert diff // 2 - poly.c(m, m, m) == grad[m]
+
+    @settings(max_examples=40, deadline=None)
+    @given(poly_strategy(max_n=3), st.sampled_from([2, 3, 4, 5, 7, 9]))
+    def test_residue_grids_match_exact_mod_q(self, poly, q):
+        vals = residue_values(poly, q)
+        grads = [gradient_residue(poly, i, q) for i in range(poly.n)]
+        for x in product(range(q), repeat=poly.n):
+            assert vals[x] == poly.evaluate(x) % q
+            assert [g[x] for g in grads] == [v % q for v in poly.gradient(x)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(poly_strategy(), st.integers(0, 2**32 - 1))
+    def test_float_arrays_exact_at_small_integers(self, poly, seed):
+        rng = random.Random(seed)
+        pts = [[rng.randint(-6, 6) for _ in range(poly.n)] for _ in range(5)]
+        X = [np.array([float(p[i]) for p in pts]) for i in range(poly.n)]
+        assert evaluate_array(poly, X).tolist() == [poly.evaluate(p) for p in pts]
+        grads = [np.broadcast_to(g, (5,)).tolist() for g in poly.gradient(X)]
+        assert [list(g) for g in zip(*grads)] == [poly.gradient(p) for p in pts]
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_strategy(), st.integers(0, 2**32 - 1))
+    def test_intervals_contain_exact_value(self, poly, seed):
+        # coordinates near 2^40 push the products past 53 bits, so the
+        # interval sums round outward and must still enclose the value
+        rng = random.Random(seed)
+        x = [rng.randint(-2**40, 2**40) for _ in range(poly.n)]
+        box = [iv.mpf([v, v]) for v in x]
+        assert poly.evaluate(x) in iv.mpf(_eval_terms(poly.terms(), box))
+        for m, g in enumerate(poly.gradient(x)):
+            assert g in iv.mpf(_eval_terms(poly.derivative(m), box))
+
+    @settings(max_examples=80, deadline=None)
+    @given(poly_strategy(), st.integers(0, 2**32 - 1))
+    def test_x1_slices_recompose(self, poly, seed):
+        rng = random.Random(seed)
+        x = [rng.randint(-7, 7) for _ in range(poly.n)]
+        parts = poly.x1_slices()
+        assert len(parts) == 4
+        assert sum(x[0] ** d * _eval_terms(part, x[1:])
+                   for d, part in enumerate(parts)) == poly.evaluate(x)
 
 
 # -- Hessian and bilinear forms ---------------------------------------------
