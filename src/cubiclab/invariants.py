@@ -4,14 +4,14 @@ statistics, the rank-census diagnostic, and Siegel-lemma small kernel vectors.
 Delta(C) is the gcd of all n x n minors of the n x binom(n+1, 2) matrix
 whose (i, (j, k)) entry is c_{ijk}, columns indexed by unordered pairs
 j <= k.  It vanishes exactly when C is degenerate, and p | Delta whenever
-C is degenerate mod p.
+C is degenerate mod p.  It is computed exactly, from one unimodular column
+reduction of that matrix, never from a sample of minors.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from math import gcd, comb, log
-import random
+from itertools import product
+from math import log, prod
 
 from .budget import check_budget
 from .nt import trial_factor, ceil_fraction
@@ -100,7 +100,6 @@ class DeltaInvariant:
     value: int
     prime_factorization: dict = field(default_factory=dict)
     unfactored_cofactor: int = 1
-    sampled: bool = False  # True when only a sampled subset of minors was used
 
     def v_p(self, p: int) -> int:
         return self.prime_factorization.get(p, 0)
@@ -113,59 +112,60 @@ def coefficient_matrix(C: CubicPolynomial) -> list:
     return [[C.c(i, j, k) for (j, k) in pairs] for i in range(n)]
 
 
-def delta(C: CubicPolynomial, column_set_budget: int = 20000,
-          factor_bound: int = 10**6, seed: int = 0) -> DeltaInvariant:
-    """gcd of all n x n minors of the coefficient matrix.
+def _column_reduce(A: list) -> tuple:
+    """Unimodular column reduction of the m x n integer matrix A.
 
-    When the number of column subsets exceeds column_set_budget, a seeded
-    random sample of that many subsets is used instead and the result is
-    flagged sampled (a divisor multiple of the true Delta: gcd over fewer
-    minors can only be larger, but v_p for small p is preserved in practice).
+    Euclid each row in turn across the columns that hold no pivot yet,
+    mirroring every column operation on an identity matrix U.  Returns
+    (pivots, U), U as its list of n columns: A U = [H | 0], H has one
+    column per pivot, the first nonzero entry of column j of H is
+    pivots[j], and every entry above it is 0.  When every row gets a pivot,
+    H is lower triangular, so |prod pivots| = |det H| is the gcd of the
+    m x m minors of A (the index of its column lattice in Z^m; Cohen,
+    GTM 138, sec. 2.4).  The U-columns paired with the zero columns
+    generate the integer kernel lattice of A.
     """
-    mat = coefficient_matrix(C)
-    n = C.n
-    ncols = len(mat[0])
-    if n > ncols:
+    m, n = len(A), len(A[0]) if A else 0
+    cols = [[int(A[r][c]) for r in range(m)] for c in range(n)]
+    U = [[int(r == c) for r in range(n)] for c in range(n)]
+    pivots = []
+    for row in range(m):
+        start = len(pivots)  # columns < start hold already-placed pivots
+        while True:
+            nz = [c for c in range(start, n) if cols[c][row]]
+            if len(nz) <= 1:
+                break
+            piv = min(nz, key=lambda c: abs(cols[c][row]))
+            a, u = cols[piv], U[piv]
+            for c in nz:
+                if c != piv:
+                    q = cols[c][row] // a[row]
+                    cols[c] = [x - q * y for x, y in zip(cols[c], a)]
+                    U[c] = [x - q * y for x, y in zip(U[c], u)]
+        if nz:
+            c = nz[0]
+            cols[start], cols[c] = cols[c], cols[start]
+            U[start], U[c] = U[c], U[start]
+            pivots.append(cols[start][row])
+    return pivots, U
+
+
+def delta(C: CubicPolynomial, factor_bound: int = 10**6) -> DeltaInvariant:
+    """gcd of all n x n minors of the coefficient matrix: the product of the
+    pivots of its column reduction, 0 when its rank is below n."""
+    pivots, _ = _column_reduce(coefficient_matrix(C))
+    if len(pivots) < C.n:
         return DeltaInvariant(0)
-    total = comb(ncols, n)
-    g = 0
-    sampled = total > column_set_budget
-    if not sampled:
-        subsets = combinations(range(ncols), n)
-    else:
-        rng = random.Random(seed)
-        subsets = (tuple(sorted(rng.sample(range(ncols), n)))
-                   for _ in range(column_set_budget))
-    for cols in subsets:
-        minor = int_det([[row[c] for c in cols] for row in mat])
-        g = gcd(g, minor)
-        if g == 1:
-            break
-    if g == 0:
-        return DeltaInvariant(0, sampled=sampled)
+    g = prod(abs(v) for v in pivots)
     factors, cof = trial_factor(g, factor_bound)
     return DeltaInvariant(g, prime_factorization=factors,
-                          unfactored_cofactor=cof, sampled=sampled)
+                          unfactored_cofactor=cof)
 
 
 def degenerate_mod(C: CubicPolynomial, q: int) -> bool:
-    """True when every n x n minor of the coefficient matrix vanishes mod q.
-
-    For prime q this is rank < n over F_q; for composite q the minors are
-    checked directly (only intended for small q).
-    """
-    mat = coefficient_matrix(C)
-    n = C.n
-    ncols = len(mat[0])
-    if n > ncols:
-        return True
-    from .nt import is_prime
-    if is_prime(q):
-        return rank_mod_p(mat, q) < n
-    for cols in combinations(range(ncols), n):
-        if int_det([[row[c] for c in cols] for row in mat]) % q:
-            return False
-    return True
+    """True when every n x n minor of the coefficient matrix vanishes mod q,
+    i.e. q | Delta."""
+    return delta(C).value % q == 0
 
 
 # -- Hessian rank census ----------------------------------------------------
@@ -313,45 +313,11 @@ def _lll(basis: list, delta_param: Fraction = Fraction(3, 4)) -> list:
 
 
 def integer_kernel_basis(A: list) -> list:
-    """Basis of the full integer kernel lattice {x in Z^n : Ax = 0}.
-
-    Unimodular column reduction: Euclid each row across the still-active
-    columns while mirroring every column operation on an identity matrix U,
-    so the U-columns paired with zeroed-out A-columns generate (not merely
-    span rationally) the kernel lattice.
-    """
-    m = len(A)
-    n = len(A[0])
-    a = [list(map(int, row)) for row in A]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_addmul(dst, src, q):
-        for r in range(m):
-            a[r][dst] += q * a[r][src]
-        for r in range(n):
-            U[r][dst] += q * U[r][src]
-
-    def col_swap(x, y):
-        for r in range(m):
-            a[r][x], a[r][y] = a[r][y], a[r][x]
-        for r in range(n):
-            U[r][x], U[r][y] = U[r][y], U[r][x]
-
-    start = 0  # columns < start hold already-placed pivots
-    for row in range(m):
-        while True:
-            nz = [c for c in range(start, n) if a[row][c]]
-            if len(nz) <= 1:
-                break
-            piv = min(nz, key=lambda c: abs(a[row][c]))
-            for c in nz:
-                if c != piv:
-                    col_addmul(c, piv, -(a[row][c] // a[row][piv]))
-        nz = [c for c in range(start, n) if a[row][c]]
-        if nz:
-            col_swap(start, nz[0])
-            start += 1
-    return [[U[r][c] for r in range(n)] for c in range(start, n)]
+    """Basis of the full integer kernel lattice {x in Z^n : Ax = 0}: the
+    U-columns of the unimodular column reduction that pair with zeroed-out
+    A-columns, so they generate (not merely span rationally) the lattice."""
+    pivots, U = _column_reduce(A)
+    return U[len(pivots):]
 
 
 def siegel_solve(A: list) -> list:

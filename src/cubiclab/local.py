@@ -2,9 +2,10 @@
 counts rho*(p^k), Hensel lifting, quantitative lifting levels, and the
 necessary-congruence-condition (NCC) certifier.
 
-Counting is exact.  Residue grids are enumerated with numpy (all arithmetic
-reduced mod q at every step, so int64 never overflows for the moduli the
-budget admits); beyond the budget, rho falls back to a stratified recursion:
+Counting is exact.  rho first divides out the p-content of phi's term
+table.  Residue grids are enumerated with numpy (all arithmetic reduced mod
+q at every step, so int64 never overflows for the moduli the budget
+admits); beyond the budget, rho falls back to a stratified recursion:
 each non-singular root mod p contributes p^((k-1)(n-1)) and each singular
 root a is rescaled via psi_a(y) = phi(a + p y)/p and counted at level k-1.
 """
@@ -90,15 +91,26 @@ def _psi_rescale(phi: CubicPolynomial, p: int, a: list) -> CubicPolynomial:
 
 def rho(phi: CubicPolynomial, p: int, k: int, budget: int | None = None,
         max_singular: int = 4096, _depth: int = 0) -> int:
-    """Exact #{x mod p^k : phi(x) = 0 mod p^k}."""
+    """Exact #{x mod p^k : phi(x) = 0 mod p^k}.
+
+    Content reduction first: when p^c divides every weight of phi.terms(),
+    rho(phi, p^k) = p^(cn) rho(phi / p^c, p^(k-c)), which is p^(kn) once
+    c >= k.  The reduced table is counted on its residue grid when that
+    fits the budget; otherwise phi is stratified at p.
+    """
     if k == 0:
         return 1
     n = phi.n
-    q = p**k
+    terms = phi.terms()
+    c = min((valuation(w, p) for w, _ in terms), default=k)
+    if c >= k:
+        return p ** (k * n)
+    q = p ** (k - c)
     cap = enumeration_budget(budget)
     if q**n <= cap:
-        arr = residue_values(phi, q, budget)
-        return int(np.count_nonzero(arr == 0))
+        reduced = [(w // p**c, idx) for w, idx in terms]
+        arr = np.broadcast_to(_eval_terms(reduced, _axes(q, n), q), (q,) * n)
+        return int(np.count_nonzero(arr == 0)) * p ** (c * n)
     if p**n > cap:
         raise BudgetExceeded(
             f"rho({p}^{k}): even the level-1 grid {p}^{n} exceeds budget {cap}")

@@ -93,6 +93,11 @@ class CubicPolynomial:
         object.__setattr__(self, "quad", qd)
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "const", int(self.const))
+        terms = [(self.const, ())] if self.const else []
+        terms += [(_mult3(*t) * c, t) for t, c in cub.items()]
+        terms += [(_mult2(*t) * q, t) for t, q in qd.items()]
+        terms += [(li, (i,)) for i, li in enumerate(lin) if li]
+        object.__setattr__(self, "_terms", tuple(terms))
 
     # -- canonical accessors ------------------------------------------------
 
@@ -120,27 +125,24 @@ class CubicPolynomial:
     def cubic_part(self) -> "CubicPolynomial":
         return CubicPolynomial(self.n, cubic=dict(self.cubic))
 
-    def terms(self) -> list:
+    def terms(self) -> tuple:
         """phi as (weight, index tuple) pairs, phi(x) = sum w * prod x[i]:
         the constant first, then one pair per stored entry, its weight
         carrying the permutation count.  Every evaluation of phi reads this
-        table."""
-        out = [(self.const, ())] if self.const else []
-        out += [(_mult3(*t) * c, t) for t, c in self.cubic.items()]
-        out += [(_mult2(*t) * q, t) for t, q in self.quad.items()]
-        return out + [(li, (i,)) for i, li in enumerate(self.lin) if li]
+        table, which is built once, with the polynomial."""
+        return self._terms
 
     def derivative(self, m: int) -> list:
         """d phi / d x_m as (weight, index tuple) pairs: one pair per
         occurrence of m in a term, the other indices in cyclic order."""
-        return [(w, idx[p + 1:] + idx[:p]) for w, idx in self.terms()
+        return [(w, idx[p + 1:] + idx[:p]) for w, idx in self._terms
                 for p, i in enumerate(idx) if i == m]
 
     def x1_slices(self) -> list:
         """[phi_0, phi_1, phi_2, phi_3] with phi(t, y) = sum t^d phi_d(y),
         y = (x_2..x_n), each as (weight, index tuple) pairs over y."""
         parts = [[], [], [], []]
-        for w, idx in self.terms():
+        for w, idx in self._terms:
             parts[idx.count(0)].append((w, tuple(i - 1 for i in idx if i)))
         return parts
 
@@ -150,7 +152,7 @@ class CubicPolynomial:
         """Exact value phi(x) for an integer (or Fraction) vector x."""
         if len(x) != self.n:
             raise DimensionMismatch(f"point has dim {len(x)}, expected {self.n}")
-        return _eval_terms(self.terms(), x)
+        return _eval_terms(self._terms, x)
 
     def gradient(self, x) -> list:
         """nabla phi(x), exact."""

@@ -51,6 +51,36 @@ def make_triple_product() -> CubicPolynomial:
     return poly
 
 
+def make_diag5m2() -> CubicPolynomial:
+    """x1^3 + ... + x5^3 - 2: a sparse polynomial whose homogenised form
+    has only 5 + 1 nonzero columns in its 6 x 21 coefficient matrix."""
+    poly, scale = symmetrize(5, {(i, i, i): 1 for i in range(5)}, const=-2)
+    assert scale == 1
+    return poly
+
+
+def make_wall14() -> CubicPolynomial:
+    """2(x1^2 - 2 x2^2 + 3 x3^2 - 6 x4^2) + 18 sum_{i<=j<=4} x_i x_j y_ij + 1
+    with ten auxiliary variables y_ij: odd everywhere, so insoluble mod 2,
+    and sparse (10 + 4 nonzero cubic entries in 14 variables)."""
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    cub = {(i, j, 4 + idx): 18 for idx, (i, j) in enumerate(pairs)}
+    quad = {(0, 0): 2, (1, 1): -4, (2, 2): 6, (3, 3): -12}
+    poly, scale = symmetrize(14, cub, quad, const=1)
+    assert scale == 1
+    return poly
+
+
+@pytest.fixture(scope="session")
+def diag5m2():
+    return make_diag5m2()
+
+
+@pytest.fixture(scope="session")
+def wall14():
+    return make_wall14()
+
+
 @pytest.fixture(scope="session")
 def fermat():
     return make_fermat()

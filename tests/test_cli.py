@@ -206,6 +206,22 @@ class TestDeterminism:
         _, out2 = run(capsys, argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("poly,argv", [
+        pytest.param(poly, argv, id=argv[0]) for poly, argv in [
+            ("watson_json", ["analyze"]),
+            ("watson_json", ["ncc", "--p0", "7"]),
+            ("watson_json", ["densities", "--p", "3", "--kmax", "2"]),
+            ("watson_json", ["series", "--p0", "10", "--mode", "both"]),
+            (None, ["exponents", "--T", "84", "--psi", "1"]),
+            ("fermat_json", ["census", "--H", "3"]),
+            ("fermat_json", ["probe", "--q", "5", "--a", "2"])]])
+    def test_every_command_byte_identical(self, capsys, request, poly, argv):
+        if poly:
+            argv = [argv[0], "--poly", request.getfixturevalue(poly), *argv[1:]]
+        _, out1 = run(capsys, argv)
+        _, out2 = run(capsys, argv)
+        assert out1 == out2
+
     def test_budget_exceeded_is_operational(self, capsys, watson_json):
         code, _ = run(capsys, ["densities", "--poly", watson_json,
                                "--p", "3", "--kmax", "3",

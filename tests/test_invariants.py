@@ -3,7 +3,8 @@ Siegel-lemma kernel vectors."""
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 from cubiclab import (CubicPolynomial, delta, homogenize, rank_census,
                       psi_good_report, symmetrize)
 from cubiclab.budget import BudgetExceeded
-from cubiclab.invariants import (FullRankError, coefficient_matrix,
-                                 degenerate_mod, int_det, rank_mod_p,
+from cubiclab.invariants import (FullRankError, _column_reduce,
+                                 coefficient_matrix, degenerate_mod, int_det,
+                                 integer_kernel_basis, rank_mod_p,
                                  rank_rational, siegel_solve,
                                  small_subspace_solution_bound)
+from cubiclab.polynomials import transform
 from conftest import random_poly
 
 
@@ -59,6 +62,54 @@ def integer_matrices(draw):
         for r in rows:
             r[j] = 0
     return rows
+
+
+def minors(mat: list):
+    """Every n x n minor of the n-row matrix mat."""
+    n = len(mat)
+    for cols in combinations(range(len(mat[0])), n):
+        yield int_det([[row[c] for c in cols] for row in mat])
+
+
+def minor_gcd(mat: list) -> int:
+    """Reference Delta: the gcd of every n x n minor, all enumerated."""
+    g = 0
+    for d in minors(mat):
+        g = gcd(g, d)
+    return g
+
+
+def minors_vanish_mod(mat: list, q: int) -> bool:
+    """Reference for degenerate_mod: q divides every n x n minor."""
+    return all(d % q == 0 for d in minors(mat))
+
+
+@st.composite
+def cubic_forms(draw, big=True):
+    """Cubic forms in n <= 4 variables: dense, sparse, diagonal, with a
+    common factor, or rank-deficient (a form in fewer linear forms, or
+    free of a variable)."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    if big:
+        entry = entry | st.integers(-2**40, 2**40)
+    kind = draw(st.sampled_from(["dense", "sparse", "diagonal", "deficient"]))
+    triples = [t for t in combinations_with_replacement(range(n), 3)
+               if kind != "diagonal" or t[0] == t[2]]
+    cubic = {}
+    for t in triples:
+        if kind != "sparse" or draw(st.integers(0, 3)) == 0:
+            cubic[t] = draw(entry)
+    scale = draw(st.sampled_from([1, 1, 2, 6, 12, 2**40]))
+    C = CubicPolynomial(n, cubic={t: scale * c for t, c in cubic.items()})
+    if kind == "deficient":
+        # C(U y) with a zero or a repeated column in U
+        U = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+        src = draw(st.integers(0, n - 1))
+        for row in U:
+            row[0] = row[src] if src else 0
+        C = transform(C, U)
+    return C
 
 
 class TestLinearAlgebra:
@@ -134,14 +185,8 @@ class TestDelta:
         assert delta(C).value == 1
 
     def test_matches_exhaustive_minor_gcd(self, fermat):
-        from math import gcd
         for C in (fermat, symmetrize(3, {(0, 1, 2): 6, (0, 0, 0): 2})[0]):
-            mat = coefficient_matrix(C)
-            n = C.n
-            g = 0
-            for cols in combinations(range(len(mat[0])), n):
-                g = gcd(g, int_det([[row[c] for c in cols] for row in mat]))
-            assert delta(C).value == g
+            assert delta(C).value == minor_gcd(coefficient_matrix(C))
 
     def test_degenerate_mod_divides_delta(self, corpus):
         from cubiclab.nt import primes_up_to
@@ -170,16 +215,48 @@ class TestDelta:
         assert dC == 1024 and dF == 8
         assert dF % dC != 0
 
-    def test_sampled_flag(self):
-        rng = random.Random(5)
-        C = random_poly(rng, 5).cubic_part()
-        full = delta(C)
-        assert not full.sampled
-        sampled = delta(C, column_set_budget=50)
-        assert sampled.sampled
-        # the sampled gcd is a multiple of the true one
-        if full.value:
-            assert sampled.value % full.value == 0
+    def test_sparse_forms_exact(self, diag5m2, wall14):
+        # Almost every 6 x 6 (15 x 15) minor of these homogenised forms is
+        # 0, so a gcd over 20,000 sampled minors out of 54,264 (about
+        # 4.7e18) reported Delta = 0 for both.
+        assert delta(homogenize(diag5m2)[0]).value == 2
+        d = delta(homogenize(wall14)[0])
+        assert d.value == 1_506_290_861_232 == 2**4 * 3**23
+        assert d.prime_factorization == {2: 4, 3: 23}
+        assert delta(wall14.cubic_part()).value == 76_527_504
+
+    def test_wall14_certificate(self, wall14):
+        # A U = [H | 0] with U unimodular: the minors of A and of [H | 0]
+        # have the same gcd, which is |det H| for H lower triangular.
+        A = coefficient_matrix(homogenize(wall14)[0])
+        m, ncols = len(A), len(A[0])
+        pivots, U = _column_reduce(A)
+        assert int_det([[U[c][r] for c in range(ncols)]
+                        for r in range(ncols)]) in (1, -1)
+        AU = [[sum(a * u for a, u in zip(row, U[c])) for c in range(ncols)]
+              for row in A]
+        assert all(AU[i][j] == 0 for i in range(m) for j in range(i + 1, ncols))
+        assert [AU[i][i] for i in range(m)] == pivots
+        assert abs(prod(pivots)) == 1_506_290_861_232
+
+    @settings(max_examples=150, deadline=None)
+    @given(cubic_forms())
+    def test_matches_minor_gcd_oracle(self, C):
+        mat = coefficient_matrix(C)
+        assert delta(C).value == minor_gcd(mat)
+        kernel = integer_kernel_basis(mat)
+        assert len(kernel) == len(mat[0]) - rank_rational(mat)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0
+                   for v in kernel for row in mat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cubic_forms(big=False))
+    def test_degenerate_mod_matches_minor_oracle(self, C):
+        mat = coefficient_matrix(C)
+        for q in (4, 6, 8, 9, 12):
+            assert degenerate_mod(C, q) == minors_vanish_mod(mat, q)
+        for p in (2, 3, 5, 7):
+            assert degenerate_mod(C, p) == (rank_mod_p(mat, p) < C.n)
 
 
 # -- rank census ------------------------------------------------------------

@@ -6,13 +6,41 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubiclab import (CubicPolynomial, hensel_lift, lifting_level,
                       local_factor, ncc_certify, rho, rho_star, symmetrize)
+from cubiclab import local
 from cubiclab.budget import BudgetExceeded
 from cubiclab.local import (HenselPreconditionError, local_report,
                             residue_values, value_distribution, _first_root)
 from conftest import random_poly
+
+
+X3_XY_1 = CubicPolynomial(2, cubic={(0, 0, 0): 1}, quad={(0, 1): 1}, const=1)
+
+
+def scaled(phi, s):
+    """s * phi, every stored entry multiplied by s."""
+    return CubicPolynomial(
+        phi.n, cubic={t: s * c for t, c in phi.cubic.items()},
+        quad={t: s * c for t, c in phi.quad.items()},
+        lin=[s * v for v in phi.lin], const=s * phi.const)
+
+
+@pytest.fixture
+def rescale_calls(monkeypatch):
+    """The arguments of every _psi_rescale call, i.e. of every singular
+    root that the stratified rho recursion rescales."""
+    calls = []
+    rescale = local._psi_rescale
+
+    def spy(*args):
+        calls.append(args)
+        return rescale(*args)
+
+    monkeypatch.setattr(local, "_psi_rescale", spy)
+    return calls
 
 
 def brute_rho(phi, p, k):
@@ -74,6 +102,55 @@ class TestRho:
         for p in (2, 3, 5):
             for k in (1, 2):
                 assert rho(fermat, p, k + 1) <= p**3 * rho(fermat, p, k)
+
+    def test_content_at_least_k(self):
+        # every weight of 9 (x^3 + 2 x y + 1) is divisible by 3^2
+        phi = scaled(X3_XY_1, 9)
+        assert rho(phi, 3, 2) == brute_rho(phi, 3, 2) == 3**4
+        assert rho(phi, 3, 1) == 3**2
+
+    def test_content_below_k(self):
+        # rho(3 psi, 3^k) = 3^n rho(psi, 3^(k-1))
+        phi = scaled(X3_XY_1, 3)
+        for k in (2, 3):
+            assert rho(phi, 3, k) == brute_rho(phi, 3, k) \
+                == 3**2 * brute_rho(X3_XY_1, 3, k - 1)
+
+    def test_zero_polynomial(self):
+        zero = CubicPolynomial(3)
+        for p, k in ((2, 1), (2, 3), (3, 2)):
+            assert rho(zero, p, k) == brute_rho(zero, p, k) == p ** (3 * k)
+
+    def test_content_of_weights_not_entries(self, watson5, rescale_calls):
+        # Watson5's stored entries 4 and 3 are prime to 3, yet every weight
+        # (entry times permutation count) is a multiple of 6, so rho mod
+        # 3^3 counts a 9^5 grid: no stratification, which would rescale.
+        assert any(c % 3 for c in watson5.cubic.values())
+        assert all(w % 6 == 0 for w, _ in watson5.terms())
+        phi = CubicPolynomial(2, cubic={(0, 1, 1): 1}, quad={(0, 1): 3},
+                              lin=(3, 0))
+        for k in (1, 2, 3):
+            # a budget of exactly the reduced grid, 3^(k-1) squared
+            budget = 3 ** (2 * k - 2)
+            assert rho(phi, 3, k, budget) == brute_rho(phi, 3, k)
+        assert rho(watson5, 3, 2) == brute_rho(watson5, 3, 2)
+        assert rho(watson5, 3, 3) == 1_476_225
+        assert not rescale_calls
+
+    def test_reduced_grid_over_budget_stratifies(self, rescale_calls):
+        # content 2^1 at k = 3 leaves a 4^2-point grid; a budget of 2^2
+        # forces the stratified recursion instead
+        phi = scaled(random_poly(random.Random(6), 2), 2)
+        assert rho(phi, 2, 3, budget=4) == brute_rho(phi, 2, 3)
+        assert rescale_calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 2),
+           st.sampled_from([2, 3]), st.integers(1, 3), st.integers(0, 3),
+           st.sampled_from([None, 9, 10**6]))
+    def test_content_reduction_matches_brute(self, rng, n, p, k, c, budget):
+        phi = scaled(random_poly(rng, n), p**c)
+        assert rho(phi, p, k, budget=budget) == brute_rho(phi, p, k)
 
     def test_rho_star_single_cube(self):
         phi = symmetrize(1, {(0, 0, 0): 1})[0]
@@ -194,6 +271,13 @@ class TestNCC:
         # finite threshold scheme applies
         phi = CubicPolynomial(2, cubic={(0, 0, 0): 1})
         assert ncc_certify(phi, 10).status == "degenerate"
+
+    def test_sparse_forms_not_degenerate(self, diag5m2, wall14):
+        # their homogenised Delta is 2 and 2^4 3^23, not 0
+        cert = ncc_certify(diag5m2, 7)
+        assert cert.status == "certified" and cert.delta_phi.value == 2
+        cert = ncc_certify(wall14, 3)
+        assert cert.status == "violation" and cert.violation == (2, 1)
 
     def test_witness_is_lexicographically_first(self, fermat):
         w = _first_root(fermat, 3)

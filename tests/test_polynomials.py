@@ -122,7 +122,7 @@ class TestEvaluate:
 class TestTermTable:
     def test_constant_first(self, watson5):
         assert watson5.terms()[0] == (watson5.const, ())
-        assert CubicPolynomial(1, cubic={(0, 0, 0): 1}).terms() == [(1, (0, 0, 0))]
+        assert CubicPolynomial(1, cubic={(0, 0, 0): 1}).terms() == ((1, (0, 0, 0)),)
 
     def test_derivative_of_square_times_linear(self):
         # 3 x0^2 x1 stored as c_001 = 1: d/dx0 = 6 x0 x1, d/dx1 = 3 x0^2
