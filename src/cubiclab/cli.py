@@ -47,8 +47,7 @@ def _manifest(args, seed: int | None = None) -> dict:
     inputs = {k: v for k, v in vars(args).items()
               if k not in ("func", "csv") and v is not None}
     return {"command": args.command, "inputs": _ser(inputs),
-            "seed": seed, "versions": {"cubiclab": __version__},
-            "outputs": []}
+            "seed": seed, "versions": {"cubiclab": __version__}}
 
 
 def _load_poly(path: str) -> CubicPolynomial:

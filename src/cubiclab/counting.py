@@ -11,50 +11,14 @@ prove that nothing overflows, else Python ints in object arrays.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import isqrt, prod
+from math import prod
 
 import numpy as np
 
 from .budget import check_budget
-from .nt import divisors
 from .polynomials import CubicPolynomial, _eval_terms
 
 _BLOCK = 1 << 15  # array elements per chunk; bounds peak memory
-
-
-def integer_roots_cubic(a: int, b: int, c: int, d: int):
-    """Integer roots of a t^3 + b t^2 + c t + d.
-
-    Returns ("all", None) when the polynomial vanishes identically,
-    else ("roots", sorted list of distinct integer roots).  The tests use
-    it, slice by slice, as the reference for count_solutions.
-    """
-    if a == 0 and b == 0 and c == 0:
-        return ("all", None) if d == 0 else ("roots", [])
-    if a == 0 and b == 0:
-        return "roots", ([-d // c] if d % c == 0 else [])
-    if a == 0:
-        disc = c * c - 4 * b * d
-        if disc < 0:
-            return "roots", []
-        s = isqrt(disc)
-        if s * s != disc:
-            return "roots", []
-        roots = []
-        for num in (-c + s, -c - s):
-            if num % (2 * b) == 0:
-                roots.append(num // (2 * b))
-        return "roots", sorted(set(roots))
-    if d == 0:
-        _, rest = integer_roots_cubic(0, a, b, c)
-        return "roots", sorted(set([0] + rest))
-    roots = []
-    for r in divisors(d):
-        for t in (r, -r):
-            if ((a * t + b) * t + c) * t + d == 0:
-                roots.append(t)
-    return "roots", sorted(set(roots))
 
 
 def _zeros(phi: CubicPolynomial, t_range: range, ranges: list):
@@ -102,6 +66,8 @@ class CountResult:
 
 
 def _box_ranges(n: int, P: int, box=None) -> list:
+    """Integer ranges [ceil(P lo), floor(P hi)] per axis of the box scaled
+    by P (default [-P, P]^n); count_solutions and weyl_sum walk these."""
     if box is None:
         return [(-P, P)] * n
     bounds = box.bounds if hasattr(box, "bounds") else list(box)
@@ -123,19 +89,6 @@ def count_solutions(phi: CubicPolynomial, P: int, box=None,
         sample += z[:keep - len(sample)].tolist()
     return CountResult(P=P, count=count,
                        solutions_sample=tuple(map(tuple, sample)))
-
-
-def naive_count(phi: CubicPolynomial, P: int, box=None,
-                budget: int | None = None) -> int:
-    """Reference oracle: full enumeration of the box."""
-    rng = _box_ranges(phi.n, P, box)
-    npts = 1
-    for lo, hi in rng:
-        npts *= max(hi - lo + 1, 0)
-    check_budget(npts, budget, what="naive count")
-    terms = phi.terms()
-    return sum(1 for x in product(*(range(lo, hi + 1) for lo, hi in rng))
-               if _eval_terms(terms, x) == 0)
 
 
 @dataclass(frozen=True)

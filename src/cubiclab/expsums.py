@@ -10,12 +10,12 @@ rational, so the only floating-point step is the final root of unity.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
-from math import fsum, gcd, tau, floor, ceil
+from math import fsum, gcd, tau, floor
 import cmath
 
 from .budget import check_budget
+from .counting import _box_ranges
 from .nt import ramanujan_sum, nearest_int_distance
 from .polynomials import CubicPolynomial, _eval_terms
 from .local import value_distribution
@@ -39,53 +39,17 @@ def _unit_roots(q: int) -> list:
 # -- Gauss sums -------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _exact_residue_profile(poly_json: str, q: int) -> tuple:
-    """counts[m] = #{r mod q : phi(r) = m mod q}, by exact evaluation in
-    Python ints (independent of the numpy grid path)."""
-    phi = CubicPolynomial.from_json(poly_json)
-    counts, terms = [0] * q, phi.terms()
-    for r in product(range(q), repeat=phi.n):
-        counts[_eval_terms(terms, r) % q] += 1
-    return tuple(counts)
-
-
-def gauss_sum_direct(phi: CubicPolynomial, q: int, a: int,
-                     budget: int | None = None) -> complex:
-    """S(q, a) by direct summation over residues (exact Python evaluation)."""
-    check_budget(q**phi.n, budget, what=f"Gauss sum mod {q}")
-    roots = _unit_roots(q)
-    counts = _exact_residue_profile(phi.to_json(), q)
-    re = fsum(counts[m] * roots[a * m % q].real for m in range(q))
-    im = fsum(counts[m] * roots[a * m % q].imag for m in range(q))
-    return complex(re, im)
-
-
-def gauss_sum_distribution(phi: CubicPolynomial, q: int, a: int,
-                           budget: int | None = None) -> complex:
-    """S(q, a) via the numpy value-distribution path."""
+def gauss_sum(phi: CubicPolynomial, q: int, a: int,
+              budget: int | None = None) -> complex:
+    """S(q, a) = sum_(r mod q) e(a phi(r)/q) for gcd(a, q) = 1, from the
+    value distribution of phi mod q."""
+    if gcd(a, q) != 1:
+        raise ValueError(f"a = {a} not coprime to q = {q}")
     cnt = value_distribution(phi, q, budget)
     roots = _unit_roots(q)
     re = fsum(int(cnt[m]) * roots[a * m % q].real for m in range(q))
     im = fsum(int(cnt[m]) * roots[a * m % q].imag for m in range(q))
     return complex(re, im)
-
-
-def gauss_sum(phi: CubicPolynomial, q: int, a: int,
-              budget: int | None = None) -> complex:
-    """Cross-checked S(q, a): both evaluation paths must agree to 1e-9
-    relative."""
-    if gcd(a % q if q > 1 else 0, q) != 1 and q > 1:
-        raise ValueError(f"a = {a} not coprime to q = {q}")
-    if q == 1:
-        return complex(1.0)
-    s1 = gauss_sum_direct(phi, q, a, budget)
-    s2 = gauss_sum_distribution(phi, q, a, budget)
-    scale = max(abs(s1), abs(s2), 1.0)
-    if abs(s1 - s2) > 1e-9 * scale:
-        raise AssertionError(
-            f"Gauss sum paths disagree at q={q}, a={a}: {s1} vs {s2}")
-    return s1
 
 
 def a_of_q_exact(phi: CubicPolynomial, q: int,
@@ -102,23 +66,7 @@ def a_of_q_exact(phi: CubicPolynomial, q: int,
     return Fraction(num, q**phi.n)
 
 
-def a_of_q(phi: CubicPolynomial, q: int, budget: int | None = None) -> complex:
-    """Floating A(q) by summing Gauss sums over coprime numerators."""
-    if q == 1:
-        return complex(1.0)
-    total = 0j
-    for a in range(1, q):
-        if gcd(a, q) == 1:
-            total += gauss_sum_distribution(phi, q, a, budget)
-    return total / q**phi.n
-
-
 # -- Weyl sums --------------------------------------------------------------
-
-
-def box_lattice_ranges(bounds, P: float) -> list:
-    """Integer ranges [ceil(P lo), floor(P hi)] per axis."""
-    return [(ceil(P * lo - 1e-12), floor(P * hi + 1e-12)) for lo, hi in bounds]
 
 
 def weyl_sum(phi: CubicPolynomial, alpha, bounds, P: float = 1.0,
@@ -130,7 +78,7 @@ def weyl_sum(phi: CubicPolynomial, alpha, bounds, P: float = 1.0,
     phases are accumulated in compensated (fsum) summation with documented
     error <= 1e-8 * point count.
     """
-    rng = box_lattice_ranges(bounds, P)
+    rng = _box_ranges(phi.n, P, bounds)
     counts = [hi - lo + 1 for lo, hi in rng]
     if any(c <= 0 for c in counts):
         return 0j
@@ -157,14 +105,6 @@ def weyl_sum(phi: CubicPolynomial, alpha, bounds, P: float = 1.0,
         re_parts.append(z.real)
         im_parts.append(z.imag)
     return complex(fsum(re_parts), fsum(im_parts))
-
-
-def lattice_point_count(bounds, P: float = 1.0) -> int:
-    rng = box_lattice_ranges(bounds, P)
-    npts = 1
-    for lo, hi in rng:
-        npts *= max(hi - lo + 1, 0)
-    return npts
 
 
 # -- bilinear counting ------------------------------------------------------
@@ -257,7 +197,7 @@ def bootstrap_check(q: int, a: int, theta: Fraction, X: int, P1: int,
     does not settle which inequality the paper makes strict.
     """
     theta = Fraction(theta)
-    if gcd(a % q if q > 1 else 0, q) != 1 and q > 1:
+    if gcd(a, q) != 1:
         raise ValueError("gcd(a, q) != 1")
     if 2 * q * X * abs(theta) > 1:
         raise ValueError("precondition 2qX|theta| <= 1 fails")
@@ -293,38 +233,3 @@ def weyl_bound_probe(C: CubicPolynomial, q: int, a: int, theta: float,
     rhs = P**n * inner ** (7.0 / 4.0)
     return {"S_abs": abs(S), "rhs": rhs,
             "ratio": abs(S) / rhs if rhs else float("inf")}
-
-
-# -- lattice-sum vs integral comparison ------------------------------------
-
-
-def euler_comparison(phi: CubicPolynomial, lam: float, bounds,
-                     budget: int | None = None) -> dict:
-    """|sum_{x in box} e(lam phi(x)) - integral over the box| for smooth
-    phase; the bound K psi^-1 R^(n-1) of the stationary-phase-free regime
-    is reported as a ratio (K calibrated by the test suite, frozen there)."""
-    from scipy import integrate
-
-    n = phi.n
-    S = weyl_sum(phi, lam, bounds, 1.0, budget)
-
-    def f(*x):
-        return cmath.exp(1j * tau * lam * phi.evaluate(x))
-
-    if n == 1:
-        re, _ = integrate.quad(lambda x: f(x).real, bounds[0][0], bounds[0][1],
-                               limit=200)
-        im, _ = integrate.quad(lambda x: f(x).imag, bounds[0][0], bounds[0][1],
-                               limit=200)
-    elif n == 2:
-        re, _ = integrate.dblquad(lambda y, x: f(x, y).real,
-                                  bounds[0][0], bounds[0][1],
-                                  bounds[1][0], bounds[1][1])
-        im, _ = integrate.dblquad(lambda y, x: f(x, y).imag,
-                                  bounds[0][0], bounds[0][1],
-                                  bounds[1][0], bounds[1][1])
-    else:
-        raise ValueError("comparison implemented for n <= 2 only")
-    I = complex(re, im)
-    R = max(hi - lo for lo, hi in bounds) / 2.0
-    return {"sum": S, "integral": I, "diff": abs(S - I), "R": R}

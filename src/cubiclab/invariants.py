@@ -21,30 +21,6 @@ from .polynomials import CubicPolynomial, DimensionMismatch
 # -- exact linear algebra helpers -------------------------------------------
 
 
-def int_det(rows: list) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def rank_rational(rows: list) -> int:
     """Rank over Q of an integer matrix by fraction-free (Bareiss)
     elimination: every division by the previous pivot is exact."""
@@ -160,12 +136,6 @@ def delta(C: CubicPolynomial, factor_bound: int = 10**6) -> DeltaInvariant:
     factors, cof = trial_factor(g, factor_bound)
     return DeltaInvariant(g, prime_factorization=factors,
                           unfactored_cofactor=cof)
-
-
-def degenerate_mod(C: CubicPolynomial, q: int) -> bool:
-    """True when every n x n minor of the coefficient matrix vanishes mod q,
-    i.e. q | Delta."""
-    return delta(C).value % q == 0
 
 
 # -- Hessian rank census ----------------------------------------------------

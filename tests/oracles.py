@@ -1,0 +1,144 @@
+"""Independent references that the tests compare cubiclab against; no CLI
+command reaches any of them."""
+
+import cmath
+from functools import lru_cache
+from itertools import product
+from math import fsum, gcd, isqrt, tau
+
+from scipy import integrate
+
+from cubiclab import CubicPolynomial, weyl_sum
+from cubiclab.budget import check_budget
+from cubiclab.expsums import _unit_roots
+from cubiclab.nt import divisors
+from cubiclab.polynomials import _eval_terms
+
+
+def scan_zeros(phi: CubicPolynomial, ranges) -> list:
+    """Zeros in the box by evaluating every point, prefix-major."""
+    return [(t, *y) for y in product(*ranges[1:]) for t in ranges[0]
+            if phi.evaluate((t, *y)) == 0]
+
+
+def integer_roots_cubic(a: int, b: int, c: int, d: int):
+    """Integer roots of a t^3 + b t^2 + c t + d.
+
+    Returns ("all", None) when the polynomial vanishes identically,
+    else ("roots", sorted list of distinct integer roots).
+    """
+    if a == 0 and b == 0 and c == 0:
+        return ("all", None) if d == 0 else ("roots", [])
+    if a == 0 and b == 0:
+        return "roots", ([-d // c] if d % c == 0 else [])
+    if a == 0:
+        disc = c * c - 4 * b * d
+        if disc < 0:
+            return "roots", []
+        s = isqrt(disc)
+        if s * s != disc:
+            return "roots", []
+        roots = []
+        for num in (-c + s, -c - s):
+            if num % (2 * b) == 0:
+                roots.append(num // (2 * b))
+        return "roots", sorted(set(roots))
+    if d == 0:
+        _, rest = integer_roots_cubic(0, a, b, c)
+        return "roots", sorted(set([0] + rest))
+    roots = []
+    for r in divisors(d):
+        for t in (r, -r):
+            if ((a * t + b) * t + c) * t + d == 0:
+                roots.append(t)
+    return "roots", sorted(set(roots))
+
+
+def int_det(rows: list) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+@lru_cache(maxsize=256)
+def _exact_residue_profile(poly_json: str, q: int) -> tuple:
+    """counts[m] = #{r mod q : phi(r) = m mod q}, by exact evaluation in
+    Python ints (independent of the numpy grid path).  Cached per (phi, q):
+    every numerator a of one modulus reuses it."""
+    phi = CubicPolynomial.from_json(poly_json)
+    counts, terms = [0] * q, phi.terms()
+    for r in product(range(q), repeat=phi.n):
+        counts[_eval_terms(terms, r) % q] += 1
+    return tuple(counts)
+
+
+def gauss_sum_direct(phi: CubicPolynomial, q: int, a: int,
+                     budget: int | None = None) -> complex:
+    """S(q, a) by direct summation over residues (exact Python evaluation)."""
+    check_budget(q**phi.n, budget, what=f"Gauss sum mod {q}")
+    roots = _unit_roots(q)
+    counts = _exact_residue_profile(phi.to_json(), q)
+    re = fsum(counts[m] * roots[a * m % q].real for m in range(q))
+    im = fsum(counts[m] * roots[a * m % q].imag for m in range(q))
+    return complex(re, im)
+
+
+def a_of_q(phi: CubicPolynomial, q: int, budget: int | None = None) -> complex:
+    """Floating A(q) by summing the direct Gauss sums over coprime
+    numerators: the reference for a_of_q_exact, which sums Ramanujan sums
+    over the numpy value distribution instead."""
+    if q == 1:
+        return complex(1.0)
+    total = 0j
+    for a in range(1, q):
+        if gcd(a, q) == 1:
+            total += gauss_sum_direct(phi, q, a, budget)
+    return total / q**phi.n
+
+
+def euler_comparison(phi: CubicPolynomial, lam: float, bounds,
+                     budget: int | None = None) -> dict:
+    """|sum_{x in box} e(lam phi(x)) - integral over the box| for smooth
+    phase; the bound K psi^-1 R^(n-1) of the stationary-phase-free regime
+    is reported as a ratio (K calibrated by the test suite, frozen there)."""
+    n = phi.n
+    S = weyl_sum(phi, lam, bounds, 1.0, budget)
+
+    def f(*x):
+        return cmath.exp(1j * tau * lam * phi.evaluate(x))
+
+    if n == 1:
+        re, _ = integrate.quad(lambda x: f(x).real, bounds[0][0], bounds[0][1],
+                               limit=200)
+        im, _ = integrate.quad(lambda x: f(x).imag, bounds[0][0], bounds[0][1],
+                               limit=200)
+    elif n == 2:
+        re, _ = integrate.dblquad(lambda y, x: f(x, y).real,
+                                  bounds[0][0], bounds[0][1],
+                                  bounds[1][0], bounds[1][1])
+        im, _ = integrate.dblquad(lambda y, x: f(x, y).imag,
+                                  bounds[0][0], bounds[0][1],
+                                  bounds[1][0], bounds[1][1])
+    else:
+        raise ValueError("comparison implemented for n <= 2 only")
+    I = complex(re, im)
+    R = max(hi - lo for lo, hi in bounds) / 2.0
+    return {"sum": S, "integral": I, "diff": abs(S - I), "R": R}

@@ -48,6 +48,8 @@ class TestAnalyze:
         assert res["n"] == 3 and res["is_form"] is True
         assert res["delta_C"] == 1 and res["delta_phi"] == 0
         assert payload["manifest"]["command"] == "analyze"
+        assert set(payload["manifest"]) == {"command", "inputs", "seed",
+                                            "versions"}
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, ["analyze", "--poly", "/nonexistent.json"])

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from cubiclab import (CubicPolynomial, count_solutions, smallest_solution,
                       symmetrize)
 from cubiclab.budget import BudgetExceeded
-from cubiclab.counting import (asymptotic_compare, integer_roots_cubic,
-                               naive_count)
+from cubiclab.counting import asymptotic_compare
 from conftest import random_poly
+from oracles import integer_roots_cubic, scan_zeros
 
 
 def slice_coefficients(phi, y) -> tuple:
@@ -32,12 +32,6 @@ def roots_reference(phi, ranges) -> list:
         ts = ranges[0] if kind == "all" else [t for t in roots if t in ranges[0]]
         zeros += [(t, *y) for t in ts]
     return zeros
-
-
-def scan_reference(phi, ranges) -> list:
-    """Zeros in the box by evaluating every point, prefix-major."""
-    return [(t, *y) for y in product(*ranges[1:]) for t in ranges[0]
-            if phi.evaluate((t, *y)) == 0]
 
 
 def shell_reference(phi, max_shell: int, start_shell: int = 0) -> tuple:
@@ -156,12 +150,13 @@ class TestCountSolutions:
             if phi.c(0, 0, 0) == 0:
                 degenerate_seen += 1
             P = rng.randint(1, 12 if n <= 3 else 6)
-            assert count_solutions(phi, P).count == naive_count(phi, P)
+            assert count_solutions(phi, P).count == \
+                len(scan_zeros(phi, [range(-P, P + 1)] * n))
         assert degenerate_seen >= 5
 
     def test_box_scaling(self, fermat):
         res = count_solutions(fermat, 5, box=[(-2, 2)] * 3)
-        assert res.count == naive_count(fermat, 5, box=[(-2, 2)] * 3)
+        assert res.count == len(scan_zeros(fermat, [range(-10, 11)] * 3))
 
     def test_budget_guard(self, fermat):
         with pytest.raises(BudgetExceeded):
@@ -177,14 +172,14 @@ class TestCountSolutions:
         phi, P, box, ranges, keep = case
         ref = roots_reference(phi, ranges)
         res = count_solutions(phi, P, box=box, keep=keep)
-        assert res.count == len(ref) == naive_count(phi, P, box=box)
+        assert res.count == len(ref) == len(scan_zeros(phi, ranges))
         assert res.solutions_sample == tuple(ref[:keep])
 
     @settings(max_examples=60, deadline=None)
     @given(counting_cases(heights=[2**40, 2**57, 2**70]))
     def test_matches_scan_at_large_heights(self, case):
         phi, P, box, ranges, keep = case
-        ref = scan_reference(phi, ranges)
+        ref = scan_zeros(phi, ranges)
         res = count_solutions(phi, P, box=box, keep=keep)
         assert res.count == len(ref)
         assert res.solutions_sample == tuple(ref[:keep])
@@ -195,7 +190,7 @@ class TestCountSolutions:
         H = 2**61
         phi = symmetrize(2, {(0, 0, 0): H, (1, 1, 1): -H})[0]
         res = count_solutions(phi, 3)
-        assert res.count == 7 == naive_count(phi, 3)
+        assert res.count == 7 == len(scan_zeros(phi, [range(-3, 4)] * 2))
         assert res.solutions_sample == tuple((t, t) for t in range(-3, 4))
 
 

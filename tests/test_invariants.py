@@ -13,12 +13,12 @@ from cubiclab import (CubicPolynomial, delta, homogenize, rank_census,
                       psi_good_report, symmetrize)
 from cubiclab.budget import BudgetExceeded
 from cubiclab.invariants import (FullRankError, _column_reduce,
-                                 coefficient_matrix, degenerate_mod, int_det,
-                                 integer_kernel_basis, rank_mod_p,
-                                 rank_rational, siegel_solve,
+                                 coefficient_matrix, integer_kernel_basis,
+                                 rank_mod_p, rank_rational, siegel_solve,
                                  small_subspace_solution_bound)
 from cubiclab.polynomials import transform
 from conftest import random_poly
+from oracles import int_det
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -77,11 +77,6 @@ def minor_gcd(mat: list) -> int:
     for d in minors(mat):
         g = gcd(g, d)
     return g
-
-
-def minors_vanish_mod(mat: list, q: int) -> bool:
-    """Reference for degenerate_mod: q divides every n x n minor."""
-    return all(d % q == 0 for d in minors(mat))
 
 
 @st.composite
@@ -188,15 +183,6 @@ class TestDelta:
         for C in (fermat, symmetrize(3, {(0, 1, 2): 6, (0, 0, 0): 2})[0]):
             assert delta(C).value == minor_gcd(coefficient_matrix(C))
 
-    def test_degenerate_mod_divides_delta(self, corpus):
-        from cubiclab.nt import primes_up_to
-        for phi in corpus.values():
-            C = phi.cubic_part()
-            d = delta(C).value
-            for q in primes_up_to(50):
-                if degenerate_mod(C, q):
-                    assert d % q == 0
-
     def test_delta_divides_homogenized_delta(self, fermat, selmer4,
                                              triple_product):
         for phi in (fermat, selmer4, triple_product):
@@ -251,12 +237,12 @@ class TestDelta:
 
     @settings(max_examples=100, deadline=None)
     @given(cubic_forms(big=False))
-    def test_degenerate_mod_matches_minor_oracle(self, C):
+    def test_rank_mod_p_matches_delta(self, C):
+        # the coefficient matrix loses rank mod p exactly when p | Delta
         mat = coefficient_matrix(C)
-        for q in (4, 6, 8, 9, 12):
-            assert degenerate_mod(C, q) == minors_vanish_mod(mat, q)
+        d = delta(C).value
         for p in (2, 3, 5, 7):
-            assert degenerate_mod(C, p) == (rank_mod_p(mat, p) < C.n)
+            assert (rank_mod_p(mat, p) < C.n) == (d % p == 0)
 
 
 # -- rank census ------------------------------------------------------------

@@ -16,6 +16,7 @@ from cubiclab.polynomials import (DimensionMismatch, DegreeError,
                                   NormalizationError, normalize_leading,
                                   _eval_terms, _extend_to_unimodular)
 from conftest import random_poly
+from oracles import int_det
 
 
 # -- strategies -------------------------------------------------------------
@@ -311,7 +312,6 @@ class TestNormalize:
             U = _extend_to_unimodular(list(t))
             n = len(t)
             assert [U[i][0] for i in range(n)] == list(t)
-            from cubiclab.invariants import int_det
             assert abs(int_det(U)) == 1
 
     def test_transform_identity(self, fermat):
