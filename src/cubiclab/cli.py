@@ -16,7 +16,7 @@ from . import __version__
 from .budget import BudgetExceeded
 from .counting import count_solutions, smallest_solution
 from .exponents import (solve_parameters, psi_requirement, present,
-                        theorem_exponent_check, paper_exponents)
+                        theorem_exponent_check)
 from .invariants import delta, rank_census, psi_good_report
 from .local import ncc_certify, local_report
 from .majorarcs import singular_integral, singular_series

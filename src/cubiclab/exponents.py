@@ -14,7 +14,7 @@ instead (P0 >> M^259 for the T=84 chain, P0 >> M^(876(n^2-1)+7) for
 T = 292(n^2-1)).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from decimal import Decimal, ROUND_HALF_UP
 

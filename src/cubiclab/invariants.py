@@ -14,8 +14,12 @@ from itertools import product
 from math import log, prod
 
 from .budget import check_budget
-from .nt import trial_factor, ceil_fraction
+from .nt import column_reduce, trial_factor, ceil_fraction
 from .polynomials import CubicPolynomial, DimensionMismatch
+
+_FACTOR_BOUND = 10**6  # trial division bound for the factorization of Delta
+_PSI_BOUND_CONST = 20.0  # largest regularized ratio psi_good_report accepts
+_LLL_DELTA = Fraction(3, 4)  # the Lovasz condition parameter of _lll
 
 
 # -- exact linear algebra helpers -------------------------------------------
@@ -88,52 +92,14 @@ def coefficient_matrix(C: CubicPolynomial) -> list:
     return [[C.c(i, j, k) for (j, k) in pairs] for i in range(n)]
 
 
-def _column_reduce(A: list) -> tuple:
-    """Unimodular column reduction of the m x n integer matrix A.
-
-    Euclid each row in turn across the columns that hold no pivot yet,
-    mirroring every column operation on an identity matrix U.  Returns
-    (pivots, U), U as its list of n columns: A U = [H | 0], H has one
-    column per pivot, the first nonzero entry of column j of H is
-    pivots[j], and every entry above it is 0.  When every row gets a pivot,
-    H is lower triangular, so |prod pivots| = |det H| is the gcd of the
-    m x m minors of A (the index of its column lattice in Z^m; Cohen,
-    GTM 138, sec. 2.4).  The U-columns paired with the zero columns
-    generate the integer kernel lattice of A.
-    """
-    m, n = len(A), len(A[0]) if A else 0
-    cols = [[int(A[r][c]) for r in range(m)] for c in range(n)]
-    U = [[int(r == c) for r in range(n)] for c in range(n)]
-    pivots = []
-    for row in range(m):
-        start = len(pivots)  # columns < start hold already-placed pivots
-        while True:
-            nz = [c for c in range(start, n) if cols[c][row]]
-            if len(nz) <= 1:
-                break
-            piv = min(nz, key=lambda c: abs(cols[c][row]))
-            a, u = cols[piv], U[piv]
-            for c in nz:
-                if c != piv:
-                    q = cols[c][row] // a[row]
-                    cols[c] = [x - q * y for x, y in zip(cols[c], a)]
-                    U[c] = [x - q * y for x, y in zip(U[c], u)]
-        if nz:
-            c = nz[0]
-            cols[start], cols[c] = cols[c], cols[start]
-            U[start], U[c] = U[c], U[start]
-            pivots.append(cols[start][row])
-    return pivots, U
-
-
-def delta(C: CubicPolynomial, factor_bound: int = 10**6) -> DeltaInvariant:
+def delta(C: CubicPolynomial) -> DeltaInvariant:
     """gcd of all n x n minors of the coefficient matrix: the product of the
     pivots of its column reduction, 0 when its rank is below n."""
-    pivots, _ = _column_reduce(coefficient_matrix(C))
+    pivots, _, _ = column_reduce(coefficient_matrix(C))
     if len(pivots) < C.n:
         return DeltaInvariant(0)
     g = prod(abs(v) for v in pivots)
-    factors, cof = trial_factor(g, factor_bound)
+    factors, cof = trial_factor(g, _FACTOR_BOUND)
     return DeltaInvariant(g, prime_factorization=factors,
                           unfactored_cofactor=cof)
 
@@ -201,7 +167,7 @@ def rank_census(C: CubicPolynomial, H: int, p: int | None = None,
     return RankCensus(H=H, counts=counts, p=p, exponent_fit=fit)
 
 
-def psi_good_report(C: CubicPolynomial, H_max: int, bound_const: float = 20.0,
+def psi_good_report(C: CubicPolynomial, H_max: int,
                     budget: int | None = None) -> dict:
     """Rank-census growth diagnostic over doubling box sizes.
 
@@ -226,12 +192,12 @@ def psi_good_report(C: CubicPolynomial, H_max: int, bound_const: float = 20.0,
             c = census.counts[r]
             raw = c / H ** (n - 14 + r)
             reg = c / H ** max(r, n - 14 + r)
-            if reg > bound_const:
+            if reg > _PSI_BOUND_CONST:
                 consistent = False
             rows.append({"H": H, "r": r, "count": c,
                          "ratio_raw": raw, "ratio": reg})
         H *= 2
-    return {"rows": rows, "bound_const": bound_const,
+    return {"rows": rows, "bound_const": _PSI_BOUND_CONST,
             "verdict": "consistent" if consistent else "inconsistent"}
 
 
@@ -242,7 +208,7 @@ class FullRankError(ValueError):
     pass
 
 
-def _lll(basis: list, delta_param: Fraction = Fraction(3, 4)) -> list:
+def _lll(basis: list) -> list:
     """Textbook LLL reduction of integer row vectors (exact rationals)."""
     b = [list(map(int, v)) for v in basis]
     k_max = len(b)
@@ -273,7 +239,7 @@ def _lll(basis: list, delta_param: Fraction = Fraction(3, 4)) -> list:
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 mu, norms = gram(b)
-        if norms[k] >= (delta_param - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
@@ -286,7 +252,7 @@ def integer_kernel_basis(A: list) -> list:
     """Basis of the full integer kernel lattice {x in Z^n : Ax = 0}: the
     U-columns of the unimodular column reduction that pair with zeroed-out
     A-columns, so they generate (not merely span rationally) the lattice."""
-    pivots, U = _column_reduce(A)
+    pivots, U, _ = column_reduce(A)
     return U[len(pivots):]
 
 

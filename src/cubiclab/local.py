@@ -8,18 +8,22 @@ q at every step, so int64 never overflows for the moduli the budget
 admits); beyond the budget, rho falls back to a stratified recursion:
 each non-singular root mod p contributes p^((k-1)(n-1)) and each singular
 root a is rescaled via psi_a(y) = phi(a + p y)/p and counted at level k-1.
+The recursion runs on term tables and never builds a CubicPolynomial.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
 
 import numpy as np
 
 from .budget import check_budget, BudgetExceeded, enumeration_budget
 from .invariants import delta, DeltaInvariant
 from .nt import primes_up_to, valuation
-from .polynomials import CubicPolynomial, _eval_terms, homogenize
+from .polynomials import (CubicPolynomial, _derivative, _eval_terms,
+                          _substitute, homogenize)
+
+_MAX_SINGULAR = 4096  # singular roots mod p one stratification step rescales
+_REPORT_P0 = 100  # the P0 of local_report's k_threshold
 
 
 class HenselPreconditionError(ValueError):
@@ -34,19 +38,18 @@ def _axes(q: int, n: int) -> list:
             for i in range(n)]
 
 
+def _grid(terms, q: int, n: int) -> np.ndarray:
+    """Read-only array of shape (q,)*n holding the (weight, index tuple)
+    table's value mod q (x_1 the slowest axis)."""
+    return np.broadcast_to(_eval_terms(terms, _axes(q, n), q), (q,) * n)
+
+
 def residue_values(phi: CubicPolynomial, q: int,
                    budget: int | None = None) -> np.ndarray:
     """Read-only array of shape (q,)*n holding phi(x) mod q (x_1 the
     slowest axis)."""
-    n = phi.n
-    check_budget(q**n, budget, what=f"residue grid mod {q}")
-    return np.broadcast_to(_eval_terms(phi.terms(), _axes(q, n), q), (q,) * n)
-
-
-def gradient_residue(phi: CubicPolynomial, i: int, q: int, X=None) -> np.ndarray:
-    """Read-only array of (grad phi)_i mod q over the residue grid."""
-    X = _axes(q, phi.n) if X is None else X
-    return np.broadcast_to(_eval_terms(phi.derivative(i), X, q), (q,) * phi.n)
+    check_budget(q**phi.n, budget, what=f"residue grid mod {q}")
+    return _grid(phi.terms(), q, phi.n)
 
 
 def value_distribution(phi: CubicPolynomial, q: int,
@@ -56,41 +59,30 @@ def value_distribution(phi: CubicPolynomial, q: int,
     return np.bincount(arr.ravel(), minlength=q)
 
 
-def _nonsingular_mask(phi: CubicPolynomial, q: int, mod: int) -> np.ndarray:
-    """Boolean grid: some gradient component is nonzero mod `mod`."""
-    n = phi.n
-    X = _axes(q, n)
+def _nonsingular_mask(terms, n: int, q: int, mod: int) -> np.ndarray:
+    """Boolean grid mod q: some gradient component of the table is nonzero
+    mod `mod`."""
     mask = np.zeros((q,) * n, dtype=bool)
     for i in range(n):
-        g = gradient_residue(phi, i, q, X)
-        mask |= (g % mod) != 0
+        mask |= _grid(_derivative(terms, i), q, n) % mod != 0
     return mask
 
 
 # -- rho / rho* -------------------------------------------------------------
 
 
-def _psi_rescale(phi: CubicPolynomial, p: int, a: list) -> CubicPolynomial:
-    """psi_a(y) = phi(a + p y) / p, integral whenever phi(a) = 0 mod p and
-    the gradient vanishes mod p at a."""
-    n = phi.n
-    val = phi.evaluate(a)
-    if val % p:
+def _psi_rescale(terms, p: int, a: list) -> list:
+    """The table of psi_a(y) = phi(a + p y) / p, integral whenever
+    phi(a) = 0 mod p: every coefficient of phi(a + p y) but the constant
+    carries a factor p."""
+    if _eval_terms(terms, a) % p:
         raise ValueError("a is not a root mod p")
-    grad = phi.gradient(a)
-    M = phi.hessian(a)
-    cubic = {t: p * p * c for t, c in phi.cubic.items()}
-    quad = {}
-    for i in range(n):
-        for j in range(i, n):
-            entry = p * (3 * M[i][j] + phi.q(i, j))
-            if entry:
-                quad[(i, j)] = entry
-    return CubicPolynomial(n, cubic=cubic, quad=quad, lin=grad, const=val // p)
+    pI = [[p * (i == j) for j in range(len(a))] for i in range(len(a))]
+    return [(c // p, idx) for idx, c in _substitute(terms, pI, a).items()]
 
 
-def rho(phi: CubicPolynomial, p: int, k: int, budget: int | None = None,
-        max_singular: int = 4096, _depth: int = 0) -> int:
+def rho(phi: CubicPolynomial, p: int, k: int,
+        budget: int | None = None) -> int:
     """Exact #{x mod p^k : phi(x) = 0 mod p^k}.
 
     Content reduction first: when p^c divides every weight of phi.terms(),
@@ -98,36 +90,37 @@ def rho(phi: CubicPolynomial, p: int, k: int, budget: int | None = None,
     c >= k.  The reduced table is counted on its residue grid when that
     fits the budget; otherwise phi is stratified at p.
     """
+    return _rho(phi.terms(), phi.n, p, k, enumeration_budget(budget), 0)
+
+
+def _rho(terms, n: int, p: int, k: int, cap: int, depth: int) -> int:
+    """rho on a (weight, index tuple) table; the stratified recursion
+    rescales each singular root mod p to the table of psi_a at level k-1."""
     if k == 0:
         return 1
-    n = phi.n
-    terms = phi.terms()
     c = min((valuation(w, p) for w, _ in terms), default=k)
     if c >= k:
         return p ** (k * n)
     q = p ** (k - c)
-    cap = enumeration_budget(budget)
     if q**n <= cap:
         reduced = [(w // p**c, idx) for w, idx in terms]
-        arr = np.broadcast_to(_eval_terms(reduced, _axes(q, n), q), (q,) * n)
-        return int(np.count_nonzero(arr == 0)) * p ** (c * n)
+        return int(np.count_nonzero(_grid(reduced, q, n) == 0)) * p ** (c * n)
     if p**n > cap:
         raise BudgetExceeded(
             f"rho({p}^{k}): even the level-1 grid {p}^{n} exceeds budget {cap}")
-    if _depth > 3 * k + 6:
+    if depth > 3 * k + 6:
         raise BudgetExceeded("rho stratification recursion too deep")
-    vals = residue_values(phi, p, budget)
-    sol = vals == 0
-    nonsing = _nonsingular_mask(phi, p, p) & sol
+    sol = _grid(terms, p, n) == 0
+    nonsing = _nonsingular_mask(terms, n, p, p) & sol
     count = int(np.count_nonzero(nonsing)) * p ** ((k - 1) * (n - 1))
     singular = np.argwhere(sol & ~nonsing)
-    if len(singular) > max_singular:
+    if len(singular) > _MAX_SINGULAR:
         raise BudgetExceeded(
             f"rho({p}^{k}): {len(singular)} singular roots mod {p} "
-            f"exceed stratification cap {max_singular}")
+            f"exceed stratification cap {_MAX_SINGULAR}")
     for a in singular:
-        psi = _psi_rescale(phi, p, [int(v) for v in a])
-        count += rho(psi, p, k - 1, budget, max_singular, _depth + 1)
+        psi = _psi_rescale(terms, p, [int(v) for v in a])
+        count += _rho(psi, n, p, k - 1, cap, depth + 1)
     return count
 
 
@@ -145,7 +138,7 @@ def rho_star(phi: CubicPolynomial, p: int, k: int,
     check_budget(q**n, budget, what=f"rho* grid mod {q}")
     arr = residue_values(phi, q, budget)
     t = p ** ((k + 1) // 2)
-    mask = _nonsingular_mask(phi, q, t)
+    mask = _nonsingular_mask(phi.terms(), n, q, t)
     return int(np.count_nonzero((arr == 0) & mask))
 
 
@@ -287,12 +280,12 @@ def ncc_certify(phi: CubicPolynomial, P0: int,
             k -= 1
         w = _first_root(phi, p**k, budget)
         if w is None:
-            # find the smallest violating power
-            for j in range(1, k + 1):
-                if _first_root(phi, p**j, budget) is None:
-                    return NCCCertificate(status="violation", P0=P0,
-                                          primes=tuple(certs),
-                                          violation=(p, j), delta_phi=dphi)
+            # the smallest violating power: p^k itself unless a lower one is
+            j = next((j for j in range(1, k)
+                      if _first_root(phi, p**j, budget) is None), k)
+            return NCCCertificate(status="violation", P0=P0,
+                                  primes=tuple(certs),
+                                  violation=(p, j), delta_phi=dphi)
         grad = phi.gradient(list(w))
         gv = min((valuation(g, p) for g in grad if g), default=None)
         certs.append(PrimeCertificate(
@@ -316,7 +309,7 @@ class LocalReport:
     witness: tuple | None = None
 
 
-def local_report(phi: CubicPolynomial, p: int, k_max: int, P0: int = 100,
+def local_report(phi: CubicPolynomial, p: int, k_max: int,
                  budget: int | None = None) -> LocalReport:
     form, _ = homogenize(phi)
     dphi = delta(form)
@@ -333,6 +326,6 @@ def local_report(phi: CubicPolynomial, p: int, k_max: int, P0: int = 100,
         except BudgetExceeded:
             break
     return LocalReport(p=p, v_delta=v, ell=ell,
-                       k_threshold=ncc_threshold(p, P0, v, ell),
+                       k_threshold=ncc_threshold(p, _REPORT_P0, v, ell),
                        rho=rhos, rho_star=stars,
                        witness=_first_root(phi, p, budget))

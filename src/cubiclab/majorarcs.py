@@ -11,16 +11,19 @@ whose integrand is smooth (the zero set of C is a removable sinc point).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, log, pi
+from math import pi
 
 import numpy as np
 from mpmath import iv
 
-from .budget import check_budget, enumeration_budget, BudgetExceeded
+from .budget import enumeration_budget, BudgetExceeded
 from .invariants import siegel_solve, FullRankError
-from .local import local_factor, rho, ncc_threshold
-from .nt import primes_up_to, valuation
+from .local import local_factor, ncc_threshold
+from .nt import primes_up_to
 from .polynomials import CubicPolynomial, _eval_terms
+
+_CALIBRATION = 1e3  # frozen slack of real_point's xi bracket
+_MAX_A_LOG2 = 10  # build_box gives up beyond A = 2^10
 
 
 # -- real non-singular point ------------------------------------------------
@@ -37,7 +40,7 @@ class RealPoint:
 
 
 def real_point(C: CubicPolynomial, mode: str = "n-variable",
-               h: int | None = None, calibration: float = 1e3) -> RealPoint:
+               h: int | None = None) -> RealPoint:
     """Constructive zero of C with large first partial derivative.
 
     Requires the leading normalization c_111 > 0.  Finds an integer y != 0
@@ -103,8 +106,8 @@ def real_point(C: CubicPolynomial, mode: str = "n-variable",
     hh = h if (mode == "h-invariant" and h) else n
     M = max(C.height, 2)
     if hh > 2:
-        lo = M ** (-1.0 - 2.0 / (hh - 2)) / calibration
-        hi = M ** (1.0 / (hh - 2)) * calibration
+        lo = M ** (-1.0 - 2.0 / (hh - 2)) / _CALIBRATION
+        hi = M ** (1.0 / (hh - 2)) * _CALIBRATION
         assert lo <= xi <= hi, f"xi = {xi} outside calibrated bracket [{lo}, {hi}]"
     else:
         lo = hi = None  # bracket exponent degenerates at h <= 2
@@ -137,7 +140,7 @@ class BoxRegion:
 
 
 def build_box(C: CubicPolynomial, z_tilde, n: int | None = None,
-              M: int | None = None, max_A_log2: int = 10) -> BoxRegion:
+              M: int | None = None) -> BoxRegion:
     """Scale z~ to z = A M^(3 + 8/(n-2)) z~ and certify the box floors.
 
     A is the smallest power of two >= 4 for which interval arithmetic
@@ -152,7 +155,7 @@ def build_box(C: CubicPolynomial, z_tilde, n: int | None = None,
     order = sorted(range(n), key=lambda i: -abs(grad0[i]))
     ax1, ax2 = order[0], (order[1] if n > 1 else order[0])
     A = 4
-    while A <= 2**max_A_log2:
+    while A <= 2**_MAX_A_LOG2:
         z = tuple(A * base * v for v in z_tilde)
         ivals = [iv.mpf([zi - 1.0, zi + 1.0]) for zi in z]
         g1 = _eval_terms(C.derivative(ax1), ivals)
@@ -171,7 +174,7 @@ def build_box(C: CubicPolynomial, z_tilde, n: int | None = None,
                              d1=d1, d2=d2, axis1=ax1, axis2=ax2, A=A)
         A *= 2
     raise RuntimeError(
-        f"box verification failed for every A <= 2^{max_A_log2}")
+        f"box verification failed for every A <= 2^{_MAX_A_LOG2}")
 
 
 # -- singular integral ------------------------------------------------------
@@ -226,7 +229,7 @@ def _sinc_kernel(C: CubicPolynomial, X: list, Z: float) -> np.ndarray:
     t *= 2.0 * Z
     t *= pi
     zero = t == 0
-    f = np.sin(t)
+    f = np.sin(t, out=np.empty_like(t))  # an array even for a constant C
     np.divide(f, t, out=f, where=~zero)
     f *= 2.0 * Z
     f[zero] = 2.0 * Z

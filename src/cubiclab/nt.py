@@ -126,3 +126,46 @@ def nearest_int_distance(x: Fraction | float):
 
 def ceil_fraction(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
+
+
+def column_reduce(A: list) -> tuple:
+    """Unimodular column reduction of the m x n integer matrix A.
+
+    Euclid each row in turn across the columns that hold no pivot yet,
+    mirroring every column operation on an identity matrix U and its
+    inverse row operation on an identity matrix V.  Returns (pivots, U, V),
+    U as its list of n columns and V = U^-1 as its list of n rows:
+    A U = [H | 0], H has one column per pivot, the first nonzero entry of
+    column j of H is pivots[j], and every entry above it is 0.  When every
+    row gets a pivot, H is lower triangular, so |prod pivots| = |det H| is
+    the gcd of the m x m minors of A (the index of its column lattice in
+    Z^m; Cohen, GTM 138, sec. 2.4).  The U-columns paired with the zero
+    columns generate the integer kernel lattice of A.
+    """
+    m, n = len(A), len(A[0]) if A else 0
+    cols = [[int(A[r][c]) for r in range(m)] for c in range(n)]
+    U = [[int(r == c) for r in range(n)] for c in range(n)]
+    V = [[int(r == c) for c in range(n)] for r in range(n)]
+    pivots = []
+    for row in range(m):
+        start = len(pivots)  # columns < start hold already-placed pivots
+        while True:
+            nz = [c for c in range(start, n) if cols[c][row]]
+            if len(nz) <= 1:
+                break
+            piv = min(nz, key=lambda c: abs(cols[c][row]))
+            a, u = cols[piv], U[piv]
+            for c in nz:
+                if c != piv:
+                    q = cols[c][row] // a[row]
+                    # column c -= q * column piv, so row piv += q * row c of V
+                    cols[c] = [x - q * y for x, y in zip(cols[c], a)]
+                    U[c] = [x - q * y for x, y in zip(U[c], u)]
+                    V[piv] = [x + q * y for x, y in zip(V[piv], V[c])]
+        if nz:
+            c = nz[0]
+            cols[start], cols[c] = cols[c], cols[start]
+            U[start], U[c] = U[c], U[start]
+            V[start], V[c] = V[c], V[start]
+            pivots.append(cols[start][row])
+    return pivots, U, V

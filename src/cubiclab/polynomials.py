@@ -11,12 +11,23 @@ All sums below use the *full* convention, i.e.
 so an off-diagonal stored entry contributes once per index permutation.
 Only entries with i <= j <= k (resp. i <= j) are stored; a single
 canonical accessor expands the symmetry.
+
+terms() lists phi as weighted monomials, one per stored entry, and
+_from_terms inverts it.  Evaluation reads that table, and so does every
+construction: symmetrize, homogenize, and each coordinate change
+phi(shift + U y) through _substitute (transform, and the p-adic rescaling
+psi_a of the local densities).
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import factorial, gcd, prod
 import json
+
+from .nt import column_reduce
+
+_NORMALIZE_HEIGHT = 3  # normalize_leading searches primitive t with |t| <= this
 
 
 class DimensionMismatch(ValueError):
@@ -27,17 +38,10 @@ class DegreeError(ValueError):
     pass
 
 
-def _mult3(i: int, j: int, k: int) -> int:
-    """Number of distinct permutations of the sorted triple (i, j, k)."""
-    if i == j == k:
-        return 1
-    if i == j or j == k:
-        return 3
-    return 6
-
-
-def _mult2(i: int, j: int) -> int:
-    return 1 if i == j else 2
+def _mult(idx: tuple) -> int:
+    """Number of distinct orderings of a sorted index tuple of length <= 3:
+    len! over the factorial of its one run of repeated indices."""
+    return factorial(len(idx)) // factorial(len(idx) - len(set(idx)) + 1)
 
 
 # w * x[i] * x[j] * x[k] for 0..3 indices, each one expression: numpy reuses
@@ -67,6 +71,28 @@ def _eval_terms(terms, x, mod=None):
     return total
 
 
+def _derivative(terms, m: int) -> list:
+    """d/dx_m of a (weight, index tuple) table: one pair per occurrence of
+    m in a term, the other indices in cyclic order."""
+    return [(w, idx[p + 1:] + idx[:p]) for w, idx in terms
+            for p, i in enumerate(idx) if i == m]
+
+
+def _substitute(terms, U, shift=None) -> dict:
+    """The merged table {sorted index tuple: coefficient} of phi(shift + U y)
+    for phi's (weight, index tuple) terms and an integer matrix U; zero
+    coefficients are dropped."""
+    factors = [[((j,), u) for j, u in enumerate(row) if u] for row in U]
+    if shift is not None:
+        factors = [([((), s)] if s else []) + f for s, f in zip(shift, factors)]
+    table = {}
+    for w, idx in terms:
+        for choice in product(*(factors[i] for i in idx)):
+            key = tuple(sorted(j for js, _ in choice for j in js))
+            table[key] = table.get(key, 0) + w * prod(u for _, u in choice)
+    return {key: c for key, c in table.items() if c}
+
+
 @dataclass(frozen=True)
 class CubicPolynomial:
     """Immutable integer cubic polynomial in n variables (0-based indices)."""
@@ -94,8 +120,8 @@ class CubicPolynomial:
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "const", int(self.const))
         terms = [(self.const, ())] if self.const else []
-        terms += [(_mult3(*t) * c, t) for t, c in cub.items()]
-        terms += [(_mult2(*t) * q, t) for t, q in qd.items()]
+        terms += [(_mult(t) * c, t) for part in (cub, qd)
+                  for t, c in part.items()]
         terms += [(li, (i,)) for i, li in enumerate(lin) if li]
         object.__setattr__(self, "_terms", tuple(terms))
 
@@ -133,10 +159,8 @@ class CubicPolynomial:
         return self._terms
 
     def derivative(self, m: int) -> list:
-        """d phi / d x_m as (weight, index tuple) pairs: one pair per
-        occurrence of m in a term, the other indices in cyclic order."""
-        return [(w, idx[p + 1:] + idx[:p]) for w, idx in self._terms
-                for p, i in enumerate(idx) if i == m]
+        """d phi / d x_m as (weight, index tuple) pairs."""
+        return _derivative(self._terms, m)
 
     def x1_slices(self) -> list:
         """[phi_0, phi_1, phi_2, phi_3] with phi(t, y) = sum t^d phi_d(y),
@@ -175,21 +199,10 @@ class CubicPolynomial:
         return M
 
     def bilinear(self, x, y) -> list:
-        """B_i(x, y) = sum_{j,k} c_{ijk} x_j y_k, for all i."""
+        """B_i(x, y) = sum_{j,k} c_{ijk} x_j y_k = (M(x) y)_i, for all i."""
         if len(x) != self.n or len(y) != self.n:
             raise DimensionMismatch("bilinear arguments must have dim n")
-        n = self.n
-        out = [0] * n
-        for i in range(n):
-            s = 0
-            for j in range(n):
-                if not x[j]:
-                    continue
-                for k in range(n):
-                    if y[k]:
-                        s += self.c(i, j, k) * x[j] * y[k]
-            out[i] = s
-        return out
+        return [sum(m * v for m, v in zip(row, y)) for row in self.hessian(x)]
 
     # -- serialization ------------------------------------------------------
 
@@ -231,7 +244,23 @@ class CubicPolynomial:
         return cls.from_json_dict(json.loads(s))
 
 
-# -- construction from raw monomial coefficients ----------------------------
+# -- construction: the inverse of terms() ----------------------------------
+
+
+def _from_terms(n: int, table: dict) -> CubicPolynomial:
+    """The polynomial whose term table is {sorted index tuple: weight}: each
+    weight divided by its permutation count.  Raises ValueError when a
+    division is not exact."""
+    parts = ({}, {}, {}, {})
+    for idx, w in table.items():
+        m = _mult(idx)
+        if w % m:
+            raise ValueError(f"weight {w} of {idx} is not a multiple of {m}")
+        parts[len(idx)][idx] = w // m
+    const, lin, quad, cubic = parts
+    return CubicPolynomial(n, cubic=cubic, quad=quad,
+                           lin=[lin.get((i,), 0) for i in range(n)],
+                           const=const.get((), 0))
 
 
 def symmetrize(n: int, cubic_monomials: dict | None = None,
@@ -244,56 +273,42 @@ def symmetrize(n: int, cubic_monomials: dict | None = None,
     Returns (poly, scale) where poly represents scale * (input polynomial);
     scale is 6 when some symmetric tensor entry would be fractional, else 1.
     """
-    cubic_monomials = cubic_monomials or {}
-    quad_monomials = quad_monomials or {}
     lin = list(lin) if lin is not None else [0] * n
-    for t in cubic_monomials:
-        if len(t) != 3:
-            raise DegreeError(f"cubic monomial {t} does not have degree 3")
-    for t in quad_monomials:
-        if len(t) != 2:
-            raise DegreeError(f"quad monomial {t} does not have degree 2")
-
-    cub_frac = {}
-    for t, a in cubic_monomials.items():
-        key = tuple(sorted(t))
-        cub_frac[key] = cub_frac.get(key, 0) + Fraction(a, _mult3(*key))
-    quad_frac = {}
-    for t, a in quad_monomials.items():
-        key = tuple(sorted(t))
-        quad_frac[key] = quad_frac.get(key, 0) + Fraction(a, _mult2(*key))
-
-    fractional = any(v.denominator != 1 for v in cub_frac.values())
-    fractional = fractional or any(v.denominator != 1 for v in quad_frac.values())
-    scale = 6 if fractional else 1
-    cubic = {t: int(v * scale) for t, v in cub_frac.items()}
-    quad = {t: int(v * scale) for t, v in quad_frac.items()}
-    poly = CubicPolynomial(n, cubic=cubic, quad=quad,
-                           lin=[scale * v for v in lin], const=scale * const)
-    return poly, scale
+    if len(lin) != n:
+        raise DimensionMismatch(f"lin has length {len(lin)}, expected {n}")
+    table = {}
+    for part, degree, monomials in (("cubic", 3, cubic_monomials),
+                                    ("quad", 2, quad_monomials)):
+        for t, a in (monomials or {}).items():
+            if len(t) != degree:
+                raise DegreeError(
+                    f"{part} monomial {t} does not have degree {degree}")
+            key = tuple(sorted(t))
+            table[key] = table.get(key, 0) + a
+    table.update({(i,): v for i, v in enumerate(lin)})
+    table[()] = const
+    try:
+        return _from_terms(n, table), 1
+    except ValueError:
+        return _from_terms(n, {t: 6 * a for t, a in table.items()}), 6
 
 
 def homogenize(phi: CubicPolynomial) -> tuple[CubicPolynomial, int]:
-    """Homogenize phi into a cubic form F in n+1 variables.
+    """Homogenize phi into a cubic form F in n+1 variables: index n is
+    appended to every term until it has degree 3.
 
     Returns (F, scale) with F(x, 1) == scale * phi(x); scale is the least
     factor (1 or 3) making the symmetric tensor of F integral.
     """
-    n, w = phi.n, phi.n  # w is the new variable index
-    need3 = any(v % 3 for v in phi.quad.values()) or any(v % 3 for v in phi.lin)
-    scale = 3 if need3 else 1
-    cubic = {t: scale * c for t, c in phi.cubic.items()}
-    for (i, j), qq in phi.quad.items():
-        cubic[(i, j, w)] = scale * qq // 3 if scale == 1 else qq
-    for i, li in enumerate(phi.lin):
-        if li:
-            cubic[(i, w, w)] = scale * li // 3 if scale == 1 else li
-    if phi.const:
-        cubic[(w, w, w)] = scale * phi.const
-    return CubicPolynomial(n + 1, cubic=cubic), scale
+    n = phi.n
+    table = {idx + (n,) * (3 - len(idx)): w for w, idx in phi.terms()}
+    try:
+        return _from_terms(n + 1, table), 1
+    except ValueError:
+        return _from_terms(n + 1, {t: 3 * w for t, w in table.items()}), 3
 
 
-# -- leading-coefficient normalization --------------------------------------
+# -- coordinate changes -----------------------------------------------------
 
 
 class NormalizationError(RuntimeError):
@@ -301,100 +316,40 @@ class NormalizationError(RuntimeError):
 
 
 def _extend_to_unimodular(t: list) -> list:
-    """Unimodular integer matrix whose first column is the primitive vector t."""
-    n = len(t)
-    if all(v == 0 for v in t):
+    """Unimodular integer matrix whose first column is the primitive vector t.
+
+    The column reduction of the row t^T gives t^T U = g e_1^T, so
+    t = g V^T e_1 with V = U^-1: V^T with its first column times g = +-1.
+    """
+    if not any(t):
         raise ValueError("zero vector cannot be a basis column")
-    vec = list(t)
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_add(dst, src, q):  # column dst += q * column src
-        for r in range(n):
-            U[r][dst] += q * U[r][src]
-
-    def col_swap(a, b):
-        for r in range(n):
-            U[r][a], U[r][b] = U[r][b], U[r][a]
-
-    def col_neg(a):
-        for r in range(n):
-            U[r][a] = -U[r][a]
-
-    # Euclid the vector down to +-e_1, mirroring each row op by the inverse
-    # column op on U so that U @ vec_current stays equal to t.
-    while True:
-        nz = [i for i, v in enumerate(vec) if v != 0]
-        if len(nz) == 1:
-            break
-        piv = min(nz, key=lambda i: abs(vec[i]))
-        for i in nz:
-            if i == piv:
-                continue
-            qq = vec[i] // vec[piv]
-            if qq:
-                vec[i] -= qq * vec[piv]
-                col_add(piv, i, qq)
-    pos = next(i for i, v in enumerate(vec) if v != 0)
-    if pos != 0:
-        vec[0], vec[pos] = vec[pos], vec[0]
-        col_swap(0, pos)
-    if vec[0] < 0:
-        vec[0] = -vec[0]
-        col_neg(0)
-    if vec[0] != 1:
-        raise ValueError(f"vector {t} is not primitive (gcd {vec[0]})")
-    return U
+    (g,), _, V = column_reduce([t])
+    if abs(g) != 1:
+        raise ValueError(f"vector {t} is not primitive (gcd {abs(g)})")
+    return [[g * col[0], *col[1:]] for col in zip(*V)]
 
 
 def transform(phi: CubicPolynomial, U: list) -> CubicPolynomial:
-    """phi(U y) for a unimodular integer matrix U (exact)."""
-    n = phi.n
-    cubic = {}
-    for a in range(n):
-        for b in range(a, n):
-            for cdx in range(b, n):
-                s = 0
-                for (i, j, k), cc in phi.cubic.items():
-                    # sum over all 6 (or fewer distinct) permutations
-                    perms = {(i, j, k), (i, k, j), (j, i, k), (j, k, i),
-                             (k, i, j), (k, j, i)}
-                    for (pi, pj, pk) in perms:
-                        s += cc * U[pi][a] * U[pj][b] * U[pk][cdx]
-                if s:
-                    cubic[(a, b, cdx)] = s
-    quad = {}
-    for a in range(n):
-        for b in range(a, n):
-            s = 0
-            for (i, j), qq in phi.quad.items():
-                perms = {(i, j), (j, i)}
-                for (pi, pj) in perms:
-                    s += qq * U[pi][a] * U[pj][b]
-            if s:
-                quad[(a, b)] = s
-    lin = [sum(phi.lin[i] * U[i][a] for i in range(n)) for a in range(n)]
-    return CubicPolynomial(n, cubic=cubic, quad=quad, lin=lin, const=phi.const)
+    """phi(U y) for an integer matrix U (exact)."""
+    return _from_terms(phi.n, _substitute(phi.terms(), U))
 
 
-def normalize_leading(phi: CubicPolynomial, height_bound: int = 3):
+def normalize_leading(phi: CubicPolynomial):
     """Coordinate change making the x_1^3 coefficient positive and large.
 
-    Searches primitive vectors t with |t| <= height_bound and picks the one
-    maximizing |C(t)|; requires |C(t)| >= M / (10 n^3).  Returns
-    (transformed phi, U) with phi'(y) = phi(U y).  Raises
-    NormalizationError when no such vector exists within the search height.
+    Searches primitive vectors t with |t| <= 3 and picks the one maximizing
+    |C(t)|; requires |C(t)| >= M / (10 n^3).  Returns (transformed phi, U)
+    with phi'(y) = phi(U y), U's first column t or -t, whichever has
+    C > 0.  Raises NormalizationError when no such vector exists within the
+    search height.
     """
-    from itertools import product
-
     n = phi.n
     C = phi.cubic_part()
     M = phi.height
     best_t, best_val = None, 0
-    for t in product(range(-height_bound, height_bound + 1), repeat=n):
-        g = 0
-        for v in t:
-            g = gcd(g, v)
-        if g != 1:
+    h = _NORMALIZE_HEIGHT
+    for t in product(range(-h, h + 1), repeat=n):
+        if gcd(*t) != 1:
             continue
         val = C.evaluate(t)
         if abs(val) > abs(best_val):
@@ -402,12 +357,9 @@ def normalize_leading(phi: CubicPolynomial, height_bound: int = 3):
     threshold = Fraction(M, 10 * n**3)
     if best_t is None or abs(best_val) < threshold:
         raise NormalizationError(
-            f"no primitive vector of height <= {height_bound} with "
+            f"no primitive vector of height <= {h} with "
             f"|C(t)| >= {threshold}")
+    if best_val < 0:
+        best_t = [-v for v in best_t]
     U = _extend_to_unimodular(best_t)
-    out = transform(phi, U)
-    if out.c(0, 0, 0) < 0:
-        neg = [[-U[i][j] if j == 0 else U[i][j] for j in range(n)] for i in range(n)]
-        U = neg
-        out = transform(phi, U)
-    return out, U
+    return transform(phi, U), U

@@ -9,6 +9,7 @@ nontrivial discriminant, and a form whose Hessian degenerates mod 3.
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from cubiclab import CubicPolynomial, symmetrize
 
@@ -133,3 +134,16 @@ def random_poly(rng: random.Random, n: int, coeff_bound: int = 5,
                 cubic.pop(key)
             quad.pop((0, 0), None)
     return CubicPolynomial(n, cubic=cubic, quad=quad, lin=lin, const=const)
+
+
+# a cubic in n variables that vanishes on {-1, 0, 1, 2}^n is identically 0
+CUBIC_UNISOLVENT = range(-1, 3)
+
+
+def full_poly_strategy(max_n=4, coeff_bound=4):
+    """random_poly in n <= max_n variables with all four parts, cubic,
+    quadratic, linear and constant, nonzero."""
+    return st.builds(
+        lambda n, seed: random_poly(random.Random(seed), n, coeff_bound),
+        st.integers(1, max_n), st.integers(0, 2**32 - 1)).filter(
+        lambda phi: phi.cubic and phi.quad and any(phi.lin) and phi.const)

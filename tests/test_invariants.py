@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 from cubiclab import (CubicPolynomial, delta, homogenize, rank_census,
                       psi_good_report, symmetrize)
 from cubiclab.budget import BudgetExceeded
-from cubiclab.invariants import (FullRankError, _column_reduce,
+from cubiclab.invariants import (FullRankError,
                                  coefficient_matrix, integer_kernel_basis,
                                  rank_mod_p, rank_rational, siegel_solve,
                                  small_subspace_solution_bound)
+from cubiclab.nt import column_reduce
 from cubiclab.polynomials import transform
 from conftest import random_poly
 from oracles import int_det
@@ -112,6 +113,23 @@ class TestLinearAlgebra:
     @given(integer_matrices())
     def test_rank_rational_matches_fraction_elimination(self, rows):
         assert rank_rational(rows) == fraction_rank(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_matrices())
+    def test_column_reduce_certificate(self, A):
+        # A U = [H | 0] in column echelon form, and U V = I
+        pivots, U, V = column_reduce(A)
+        n = len(U)
+        assert [[sum(U[c][i] * V[c][j] for c in range(n)) for j in range(n)]
+                for i in range(n)] == [[int(i == j) for j in range(n)]
+                                       for i in range(n)]
+        AU = [[sum(a * u for a, u in zip(row, col)) for row in A] for col in U]
+        assert len(pivots) == rank_rational(A)
+        assert not any(any(col) for col in AU[len(pivots):])
+        leads = [next(i for i, v in enumerate(col) if v)
+                 for col in AU[:len(pivots)]]
+        assert leads == sorted(set(leads))
+        assert [col[i] for col, i in zip(AU, leads)] == pivots
 
     def test_rank_rational_edge_cases(self):
         assert rank_rational([]) == 0
@@ -216,7 +234,7 @@ class TestDelta:
         # have the same gcd, which is |det H| for H lower triangular.
         A = coefficient_matrix(homogenize(wall14)[0])
         m, ncols = len(A), len(A[0])
-        pivots, U = _column_reduce(A)
+        pivots, U, _ = column_reduce(A)
         assert int_det([[U[c][r] for c in range(ncols)]
                         for r in range(ncols)]) in (1, -1)
         AU = [[sum(a * u for a, u in zip(row, U[c])) for c in range(ncols)]

@@ -13,8 +13,10 @@ from cubiclab import (CubicPolynomial, hensel_lift, lifting_level,
 from cubiclab import local
 from cubiclab.budget import BudgetExceeded
 from cubiclab.local import (HenselPreconditionError, local_report,
-                            residue_values, value_distribution, _first_root)
-from conftest import random_poly
+                            residue_values, value_distribution, _first_root,
+                            _psi_rescale)
+from cubiclab.polynomials import _eval_terms
+from conftest import CUBIC_UNISOLVENT, full_poly_strategy, random_poly
 
 
 X3_XY_1 = CubicPolynomial(2, cubic={(0, 0, 0): 1}, quad={(0, 1): 1}, const=1)
@@ -151,6 +153,23 @@ class TestRho:
     def test_content_reduction_matches_brute(self, rng, n, p, k, c, budget):
         phi = scaled(random_poly(rng, n), p**c)
         assert rho(phi, p, k, budget=budget) == brute_rho(phi, p, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(full_poly_strategy(), st.sampled_from([2, 3, 5]),
+           st.randoms(use_true_random=False))
+    def test_psi_rescale_is_substitution(self, poly, p, rng):
+        # shift the constant so that a random a is a root mod p
+        a = [rng.randrange(p) for _ in range(poly.n)]
+        const = poly.const - poly.evaluate(a) % p or p
+        phi = CubicPolynomial(poly.n, poly.cubic, poly.quad, poly.lin, const)
+        psi = _psi_rescale(phi.terms(), p, a)
+        for y in product(CUBIC_UNISOLVENT, repeat=phi.n):
+            x = [ai + p * yi for ai, yi in zip(a, y)]
+            assert p * _eval_terms(psi, y) == phi.evaluate(x)
+        off = CubicPolynomial(poly.n, poly.cubic, poly.quad, poly.lin,
+                              const + 1)
+        with pytest.raises(ValueError):
+            _psi_rescale(off.terms(), p, a)
 
     def test_rho_star_single_cube(self):
         phi = symmetrize(1, {(0, 0, 0): 1})[0]

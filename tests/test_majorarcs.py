@@ -147,6 +147,14 @@ class TestSingularIntegral:
             got = majorarcs._tensor_integral(C, bounds, Z, m)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
+    def test_constant_c_in_one_slab_row(self):
+        # a constant C evaluates to a 0-d array, one value for the whole slab
+        C = CubicPolynomial(1, const=2)
+        want = full_grid_integral(C, [(-1.0, 1.0)], 1.0, 16)
+        with mock.patch.object(majorarcs, "_SLAB_POINTS", 1):
+            got = majorarcs._tensor_integral(C, [(-1.0, 1.0)], 1.0, 16)
+        assert abs(got - want) <= 1e-13
+
     def test_unconverged_raises(self):
         # tol = 0 is never met: the grid budget, not a node cap, ends it
         C = symmetrize(1, {(0, 0, 0): 1})[0]

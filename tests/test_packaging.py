@@ -1,5 +1,6 @@
 """scipy serves only the tests, as a quadrature and root-finding reference:
-no library module imports it, and it is a test extra, not a dependency."""
+no library module imports it, and it is a test extra, not a dependency.
+Every name a library module imports is read in that module."""
 
 import ast
 import tomllib
@@ -20,6 +21,20 @@ def test_library_never_imports_scipy():
             else:
                 continue
             assert not any(m.split(".")[0] == "scipy" for m in names), path.name
+
+
+def test_every_import_is_read():
+    # __init__ imports to re-export, so it reads none of its names
+    sources = sorted((ROOT / "src" / "cubiclab").glob("*.py"))
+    for path in (p for p in sources if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert imported <= read, (path.name, sorted(imported - read))
 
 
 def test_scipy_is_a_test_extra_only():

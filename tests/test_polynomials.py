@@ -3,6 +3,7 @@ bilinear forms, homogenization, serialization and leading normalization."""
 
 import random
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
 from cubiclab import CubicPolynomial, symmetrize, homogenize, transform
-from cubiclab.local import gradient_residue, residue_values
+from cubiclab.local import _grid, residue_values
 from cubiclab.majorarcs import evaluate_array
 from cubiclab.polynomials import (DimensionMismatch, DegreeError,
                                   NormalizationError, normalize_leading,
                                   _eval_terms, _extend_to_unimodular)
-from conftest import random_poly
+from conftest import CUBIC_UNISOLVENT, full_poly_strategy, random_poly
 from oracles import int_det
 
 
@@ -150,7 +151,7 @@ class TestTermTable:
     @given(poly_strategy(max_n=3), st.sampled_from([2, 3, 4, 5, 7, 9]))
     def test_residue_grids_match_exact_mod_q(self, poly, q):
         vals = residue_values(poly, q)
-        grads = [gradient_residue(poly, i, q) for i in range(poly.n)]
+        grads = [_grid(poly.derivative(i), q, poly.n) for i in range(poly.n)]
         for x in product(range(q), repeat=poly.n):
             assert vals[x] == poly.evaluate(x) % q
             assert [g[x] for g in grads] == [v % q for v in poly.gradient(x)]
@@ -314,27 +315,38 @@ class TestNormalize:
             assert [U[i][0] for i in range(n)] == list(t)
             assert abs(int_det(U)) == 1
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.just(0) | st.integers(-3, 3)
+                    | st.integers(-2**40, 2**40), min_size=1, max_size=6),
+           st.integers(2, 9))
+    def test_unimodular_extension_random(self, v, m):
+        g = gcd(*v)
+        if g == 0:
+            with pytest.raises(ValueError):
+                _extend_to_unimodular(v)
+            return
+        t = [x // g for x in v]
+        U = _extend_to_unimodular(t)
+        assert [row[0] for row in U] == t
+        assert int_det(U) in (1, -1)
+        with pytest.raises(ValueError):
+            _extend_to_unimodular([m * x for x in t])
+
     def test_transform_identity(self, fermat):
         U = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
         assert transform(fermat, U) == fermat
 
-    @settings(max_examples=40, deadline=None)
-    @given(poly_strategy(max_n=3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    @given(full_poly_strategy(), st.integers(0, 2**32 - 1))
     def test_transform_is_substitution(self, poly, seed):
+        # any integer U, singular and non-unimodular ones included
         rng = random.Random(seed)
         n = poly.n
-        # random small unimodular matrix: product of elementary column ops
-        U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for _ in range(3):
-            a, b = rng.randrange(n), rng.randrange(n)
-            if a != b:
-                q = rng.randint(-2, 2)
-                for r in range(n):
-                    U[r][a] += q * U[r][b]
+        U = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         out = transform(poly, U)
-        y = [rng.randint(-4, 4) for _ in range(n)]
-        x = [sum(U[i][j] * y[j] for j in range(n)) for i in range(n)]
-        assert out.evaluate(y) == poly.evaluate(x)
+        for y in product(CUBIC_UNISOLVENT, repeat=n):
+            x = [sum(U[i][j] * y[j] for j in range(n)) for i in range(n)]
+            assert out.evaluate(y) == poly.evaluate(x)
 
     def test_normalize_leading(self, fermat):
         out, U = normalize_leading(fermat)
