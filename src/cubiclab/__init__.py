@@ -15,10 +15,9 @@ from .local import (rho, rho_star, hensel_lift, lifting_level, ncc_certify,
 from .expsums import (gauss_sum, a_of_q_exact, weyl_sum, bilinear_count,
                       shrinking_check, bootstrap_check, weyl_bound_probe)
 from .majorarcs import (real_point, build_box, singular_integral,
-                        slice_volume, singular_series, BoxRegion,
-                        SeriesTruncation)
-from .counting import (count_solutions, smallest_solution,
-                       asymptotic_compare, CountResult)
+                        slice_volume, singular_series, asymptotic_compare,
+                        BoxRegion, SeriesTruncation)
+from .counting import count_solutions, smallest_solution, CountResult
 from .exponents import (solve_parameters, psi_requirement, threshold_profile,
                         theorem_exponent_check, paper_exponents,
                         ExponentSystem)

@@ -1,5 +1,5 @@
-"""Exact lattice counting of phi = 0 in boxes, expanding-shell search for
-the smallest solution, and comparison against the circle-method prediction.
+"""Exact lattice counting of phi = 0 in boxes and expanding-shell search
+for the smallest solution.
 
 The counter walks the coordinates x_2..x_n of the box (the prefixes) in
 chunks; for each chunk it forms the coefficients of the univariate cubic
@@ -10,8 +10,7 @@ prove that nothing overflows, else Python ints in object arrays.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import prod
+from math import ceil, floor, prod
 
 import numpy as np
 
@@ -71,7 +70,6 @@ def _box_ranges(n: int, P: int, box=None) -> list:
     if box is None:
         return [(-P, P)] * n
     bounds = box.bounds if hasattr(box, "bounds") else list(box)
-    from math import ceil, floor
     return [(ceil(P * lo - 1e-12), floor(P * hi + 1e-12)) for lo, hi in bounds]
 
 
@@ -125,29 +123,3 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
             return SearchReport(found=min(found), shell=s, exhausted_to=None)
     return SearchReport(found=None, shell=None, exhausted_to=max_shell)
 
-
-def asymptotic_compare(phi: CubicPolynomial, box, P_list, P0: int, Z: float,
-                       budget: int | None = None) -> list:
-    """Rows (P, N(P), prediction frak-S(P0) * I(Z) * P^(n-3), ratio).
-
-    Purely diagnostic: the theorem's regime is far beyond enumeration, so
-    no assertion is made about the ratios.
-    """
-    from .local import ncc_certify
-    from .majorarcs import singular_series, singular_integral
-
-    n = phi.n
-    cert = ncc_certify(phi, P0, budget)
-    if cert.status == "violation":
-        series_val = Fraction(0)
-        integral = {"value": 0.0}
-    else:
-        series_val = singular_series(phi, P0, mode="euler", budget=budget).value
-        integral = singular_integral(phi, box, Z, budget=budget)
-    rows = []
-    for P in P_list:
-        res = count_solutions(phi, P, box=box, budget=budget)
-        pred = float(series_val) * integral["value"] * float(P) ** (n - 3)
-        rows.append({"P": P, "count": res.count, "prediction": pred,
-                     "ratio": res.count / pred if pred else None})
-    return rows

@@ -110,6 +110,16 @@ def weyl_sum(phi: CubicPolynomial, alpha, bounds, P: float = 1.0,
 # -- bilinear counting ------------------------------------------------------
 
 
+def _near_integer_count(L, scale, r: int, eps) -> int:
+    """#{u in [-r, r]^n : ||scale (L u)_i|| < eps for all i}, n = len(L);
+    exact for Fraction scale and eps."""
+    n = len(L)
+    return sum(
+        all(nearest_int_distance(scale * sum(L[i][j] * u[j] for j in range(n)))
+            < eps for i in range(n))
+        for u in product(range(-r, r + 1), repeat=n))
+
+
 def bilinear_count(C: CubicPolynomial, alpha, h, bound: int, eps,
                    budget: int | None = None) -> int:
     """#{d : |d| <= bound, ||6 alpha B_i(h, d)|| < eps for all i}.
@@ -117,30 +127,11 @@ def bilinear_count(C: CubicPolynomial, alpha, h, bound: int, eps,
     Exact when alpha and eps are rational (a value landing exactly on 1/2
     counts as distance 1/2 and fails the strict inequality).
     """
-    n = C.n
-    check_budget((2 * bound + 1) ** n, budget, what="bilinear count")
+    check_budget((2 * bound + 1) ** C.n, budget, what="bilinear count")
     M = C.hessian(h)  # B_i(h, d) = (M(h) d)_i
-    count = 0
     if isinstance(alpha, Fraction):
-        eps = Fraction(eps) if not isinstance(eps, Fraction) else eps
-        b = alpha.denominator
-        a6 = 6 * alpha.numerator
-        for d in product(range(-bound, bound + 1), repeat=n):
-            ok = True
-            for i in range(n):
-                num = a6 * sum(M[i][j] * d[j] for j in range(n)) % b
-                # distance to nearest integer of num/b is min(num, b-num)/b
-                if min(num, b - num) * eps.denominator >= eps.numerator * b:
-                    ok = False
-                    break
-            count += ok
-        return count
-    for d in product(range(-bound, bound + 1), repeat=n):
-        ok = all(
-            nearest_int_distance(6.0 * alpha * sum(M[i][j] * d[j] for j in range(n))) < eps
-            for i in range(n))
-        count += ok
-    return count
+        return _near_integer_count(M, 6 * alpha, bound, Fraction(eps))
+    return _near_integer_count(M, 6.0 * alpha, bound, eps)
 
 
 # -- shrinking lemma verifier ----------------------------------------------
@@ -148,20 +139,9 @@ def bilinear_count(C: CubicPolynomial, alpha, h, bound: int, eps,
 
 def shrinking_count(L, a, Z, budget: int | None = None) -> int:
     """N(Z) = #{u : |u| <= a Z, ||(L u)_i|| < a^-1 Z for all i}."""
-    n = len(L)
     r = floor(float(a) * float(Z) + 1e-12)
-    check_budget((2 * r + 1) ** n, budget, what="shrinking count")
-    thresh = float(Z) / float(a)
-    count = 0
-    for u in product(range(-r, r + 1), repeat=n):
-        ok = True
-        for i in range(n):
-            v = sum(L[i][j] * u[j] for j in range(n))
-            if not nearest_int_distance(v) < thresh:
-                ok = False
-                break
-        count += ok
-    return count
+    check_budget((2 * r + 1) ** len(L), budget, what="shrinking count")
+    return _near_integer_count(L, 1, r, float(Z) / float(a))
 
 
 def shrinking_check(L, a, Z, budget: int | None = None) -> dict:

@@ -2,13 +2,16 @@
 counts rho*(p^k), Hensel lifting, quantitative lifting levels, and the
 necessary-congruence-condition (NCC) certifier.
 
-Counting is exact.  rho first divides out the p-content of phi's term
-table.  Residue grids are enumerated with numpy (all arithmetic reduced mod
-q at every step, so int64 never overflows for the moduli the budget
-admits); beyond the budget, rho falls back to a stratified recursion:
-each non-singular root mod p contributes p^((k-1)(n-1)) and each singular
-root a is rescaled via psi_a(y) = phi(a + p y)/p and counted at level k-1.
-The recursion runs on term tables and never builds a CubicPolynomial.
+Counting is exact, and every quantity is computed at its true level or
+raises BudgetExceeded; ncc_levels is the one rule for that level.  rho
+first divides out the p-content of phi's term table, so only content-free
+tables are counted.  Residue grids are enumerated with numpy (all
+arithmetic reduced mod q at every step, so int64 never overflows for the
+moduli the budget admits); beyond the budget, rho alone falls back to a
+stratified recursion: each non-singular root mod p contributes
+p^((k-1)(n-1)) and each singular root a is rescaled via
+psi_a(y) = phi(a + p y)/p and counted at level k-1.  The recursion runs on
+term tables and never builds a CubicPolynomial.
 """
 
 from dataclasses import dataclass, field
@@ -87,8 +90,8 @@ def rho(phi: CubicPolynomial, p: int, k: int,
 
     Content reduction first: when p^c divides every weight of phi.terms(),
     rho(phi, p^k) = p^(cn) rho(phi / p^c, p^(k-c)), which is p^(kn) once
-    c >= k.  The reduced table is counted on its residue grid when that
-    fits the budget; otherwise phi is stratified at p.
+    c >= k.  Only a content-free table is counted, on its residue grid
+    when that fits the budget, else by stratification at p.
     """
     return _rho(phi.terms(), phi.n, p, k, enumeration_budget(budget), 0)
 
@@ -101,10 +104,11 @@ def _rho(terms, n: int, p: int, k: int, cap: int, depth: int) -> int:
     c = min((valuation(w, p) for w, _ in terms), default=k)
     if c >= k:
         return p ** (k * n)
-    q = p ** (k - c)
-    if q**n <= cap:
+    if c:
         reduced = [(w // p**c, idx) for w, idx in terms]
-        return int(np.count_nonzero(_grid(reduced, q, n) == 0)) * p ** (c * n)
+        return p ** (c * n) * _rho(reduced, n, p, k - c, cap, depth)
+    if (p**k) ** n <= cap:
+        return int(np.count_nonzero(_grid(terms, p**k, n) == 0))
     if p**n > cap:
         raise BudgetExceeded(
             f"rho({p}^{k}): even the level-1 grid {p}^{n} exceeds budget {cap}")
@@ -133,12 +137,10 @@ def rho_star(phi: CubicPolynomial, p: int, k: int,
     gradient must not vanish mod p^ceil(k/2) (documented choice; the
     source definition is only exercised where Hensel applies).
     """
-    n = phi.n
     q = p**k
-    check_budget(q**n, budget, what=f"rho* grid mod {q}")
     arr = residue_values(phi, q, budget)
     t = p ** ((k + 1) // 2)
-    mask = _nonsingular_mask(phi.terms(), n, q, t)
+    mask = _nonsingular_mask(phi.terms(), phi.n, q, t)
     return int(np.count_nonzero((arr == 0) & mask))
 
 
@@ -237,9 +239,15 @@ def _first_root(phi: CubicPolynomial, q: int, budget=None):
     return tuple(int(v) for v in np.unravel_index(int(flat[0]), arr.shape))
 
 
-def ncc_threshold(p: int, P0: int, v_delta: int, ell: int | None) -> int:
-    """k(p) = max(floor(log_p P0), 2 ell - 1 when p | Delta and the lifting
-    level is available; 1 otherwise)."""
+def ncc_levels(n: int, p: int, P0: int,
+               v_delta: int) -> tuple[int | None, int]:
+    """(ell, k(p)): the inhomogeneous lifting level (None below the
+    lemma's variable range) and k(p) = max(floor(log_p P0), 1), raised to
+    2 ell - 1 when p | Delta and ell is available."""
+    try:
+        ell = lifting_level("inhomogeneous", p, v_delta, n)
+    except ValueError:
+        ell = None
     k = 0
     q = 1
     while q * p <= P0:
@@ -248,7 +256,7 @@ def ncc_threshold(p: int, P0: int, v_delta: int, ell: int | None) -> int:
     k = max(k, 1)
     if v_delta > 0 and ell is not None:
         k = max(k, 2 * ell - 1)
-    return k
+    return ell, k
 
 
 def ncc_certify(phi: CubicPolynomial, P0: int,
@@ -257,27 +265,17 @@ def ncc_certify(phi: CubicPolynomial, P0: int,
 
     Requires Delta(phi) != 0 for the finite thresholds to be meaningful;
     a degenerate phi yields status "degenerate" (unbounded check required).
-    A non-singular witness additionally certifies all higher powers of p
-    by Hensel lifting.
+    Every prime is checked at its true k(p): a p^k(p) grid over the budget
+    raises BudgetExceeded.  A non-singular witness additionally certifies
+    all higher powers of p by Hensel lifting.
     """
     form, _scale = homogenize(phi)
     dphi = delta(form)
     if dphi.value == 0:
         return NCCCertificate(status="degenerate", P0=P0, delta_phi=dphi)
-    n = phi.n
     certs = []
     for p in primes_up_to(P0):
-        v = valuation(dphi.value, p)
-        try:
-            ell = lifting_level("inhomogeneous", p, v, n)
-        except ValueError:
-            ell = None  # below the lemma's variable range; log-threshold only
-        k = ncc_threshold(p, P0, v, ell)
-        # shrink k while the grid is out of budget; the reachable level is
-        # still reported honestly via the certificate's k field
-        cap = enumeration_budget(budget)
-        while k > 1 and (p**k) ** n > cap:
-            k -= 1
+        _, k = ncc_levels(phi.n, p, P0, valuation(dphi.value, p))
         w = _first_root(phi, p**k, budget)
         if w is None:
             # the smallest violating power: p^k itself unless a lower one is
@@ -314,10 +312,7 @@ def local_report(phi: CubicPolynomial, p: int, k_max: int,
     form, _ = homogenize(phi)
     dphi = delta(form)
     v = valuation(dphi.value, p) if dphi.value else 0
-    try:
-        ell = lifting_level("inhomogeneous", p, v, phi.n)
-    except ValueError:
-        ell = None
+    ell, k_threshold = ncc_levels(phi.n, p, _REPORT_P0, v)
     rhos, stars = {}, {}
     for k in range(1, k_max + 1):
         rhos[k] = rho(phi, p, k, budget)
@@ -326,6 +321,6 @@ def local_report(phi: CubicPolynomial, p: int, k_max: int,
         except BudgetExceeded:
             break
     return LocalReport(p=p, v_delta=v, ell=ell,
-                       k_threshold=ncc_threshold(p, _REPORT_P0, v, ell),
+                       k_threshold=k_threshold,
                        rho=rhos, rho_star=stars,
                        witness=_first_root(phi, p, budget))

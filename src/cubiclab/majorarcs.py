@@ -1,6 +1,7 @@
 """Major-arc machinery: constructive real zeros of the cubic form, scaled
 box regions with certified derivative floors, the singular integral via the
-sinc-kernel representation, and truncated singular series.
+sinc-kernel representation, truncated singular series, and the comparison
+of exact counts against the circle-method prediction.
 
 The singular integral is computed from the interchanged form
 
@@ -17,8 +18,10 @@ import numpy as np
 from mpmath import iv
 
 from .budget import enumeration_budget, BudgetExceeded
+from .counting import count_solutions, smallest_solution
+from .expsums import a_of_q_exact
 from .invariants import siegel_solve, FullRankError
-from .local import local_factor, ncc_threshold
+from .local import local_factor, ncc_certify, ncc_levels
 from .nt import primes_up_to
 from .polynomials import CubicPolynomial, _eval_terms
 
@@ -60,7 +63,6 @@ def real_point(C: CubicPolynomial, mode: str = "n-variable",
         raise ValueError("real_point needs n >= 2")
     if mode == "n-variable":
         # early exit: scan for a small nonzero integer solution first
-        from .counting import smallest_solution
         M0 = max(C.height, 2)
         shell_cap = max(1, int(round(M0 ** (1.0 / max(n - 2, 1)))) + 1)
         rep = smallest_solution(C, shell_cap, start_shell=1)
@@ -358,36 +360,32 @@ class SeriesTruncation:
     value: Fraction = Fraction(1)                # Euler product S(P0)
     frak_value: Fraction | None = None           # q-sum frak-S(P0)
     tail_bound: float = 0.0                      # Lemma-13-shape diagnostic
-    partial: bool = False                        # some prime hit the budget
+    partial: bool = False                        # q-sum stopped short of P0
 
 
 def singular_series(phi: CubicPolynomial, P0: int, mode: str = "both",
                     budget: int | None = None) -> SeriesTruncation:
     """Truncated singular series.
 
-    Euler mode: product over p <= P0 of p^(-k(n-1)) rho(p^k) with
-    k = k(p) shrunk to the enumeration budget; q-sum mode: sum of the
-    exact rational A(q) over q <= P0.  Both are exact rationals.
+    Euler mode: product over p <= P0 of p^(-k(n-1)) rho(p^k) at
+    k = k(p) = max(floor(log_p P0), 1) (rho stratifies where the grid
+    exceeds the budget, or raises BudgetExceeded); q-sum mode: sum of the
+    exact rational A(q) over q <= P0, stopped with `partial` set at the
+    first q whose grid exceeds the budget.  Both are exact rationals.
     """
-    from .expsums import a_of_q_exact
-
     n = phi.n
-    cap = enumeration_budget(budget)
     factors, k_used = {}, {}
     partial = False
     value = Fraction(1)
     if mode in ("euler", "both"):
         for p in primes_up_to(P0):
-            k = ncc_threshold(p, P0, 0, None)
-            while k > 1 and (p**k) ** n > cap:
-                k -= 1
-                partial = True
-            factors[p] = local_factor(phi, p, k, budget)
-            k_used[p] = k
+            _, k_used[p] = ncc_levels(n, p, P0, 0)
+            factors[p] = local_factor(phi, p, k_used[p], budget)
             value *= factors[p]
     frak = None
     if mode in ("qsum", "both"):
         frak = Fraction(0)
+        cap = enumeration_budget(budget)
         for q in range(1, P0 + 1):
             if q**n > cap:
                 partial = True
@@ -398,3 +396,27 @@ def singular_series(phi: CubicPolynomial, P0: int, mode: str = "both",
     return SeriesTruncation(P0=P0, factors=factors, k_used=k_used,
                             value=value, frak_value=frak,
                             tail_bound=tail, partial=partial)
+
+
+def asymptotic_compare(phi: CubicPolynomial, box, P_list, P0: int, Z: float,
+                       budget: int | None = None) -> list:
+    """Rows (P, N(P), prediction frak-S(P0) * I(Z) * P^(n-3), ratio).
+
+    Purely diagnostic: the theorem's regime is far beyond enumeration, so
+    no assertion is made about the ratios.
+    """
+    n = phi.n
+    cert = ncc_certify(phi, P0, budget)
+    if cert.status == "violation":
+        series_val = Fraction(0)
+        integral = {"value": 0.0}
+    else:
+        series_val = singular_series(phi, P0, mode="euler", budget=budget).value
+        integral = singular_integral(phi, box, Z, budget=budget)
+    rows = []
+    for P in P_list:
+        res = count_solutions(phi, P, box=box, budget=budget)
+        pred = float(series_val) * integral["value"] * float(P) ** (n - 3)
+        rows.append({"P": P, "count": res.count, "prediction": pred,
+                     "ratio": res.count / pred if pred else None})
+    return rows

@@ -21,6 +21,7 @@ psi_a of the local densities).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import factorial, gcd, prod
 import json
@@ -158,9 +159,14 @@ class CubicPolynomial:
         table, which is built once, with the polynomial."""
         return self._terms
 
+    @cached_property
+    def _gradient_terms(self) -> tuple:
+        """The n tables of d phi / d x_m, built on first use."""
+        return tuple(_derivative(self._terms, m) for m in range(self.n))
+
     def derivative(self, m: int) -> list:
         """d phi / d x_m as (weight, index tuple) pairs."""
-        return _derivative(self._terms, m)
+        return list(self._gradient_terms[m])
 
     def x1_slices(self) -> list:
         """[phi_0, phi_1, phi_2, phi_3] with phi(t, y) = sum t^d phi_d(y),
@@ -182,7 +188,7 @@ class CubicPolynomial:
         """nabla phi(x), exact."""
         if len(x) != self.n:
             raise DimensionMismatch(f"point has dim {len(x)}, expected {self.n}")
-        return [_eval_terms(self.derivative(m), x) for m in range(self.n)]
+        return [_eval_terms(t, x) for t in self._gradient_terms]
 
     # -- Hessian / bilinear forms ------------------------------------------
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from cubiclab.cli import main
-from conftest import make_fermat, make_watson5
+from conftest import make_diag5m2, make_fermat, make_watson5
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +20,13 @@ def fermat_json(tmp_path_factory):
 def watson_json(tmp_path_factory):
     path = tmp_path_factory.mktemp("polys") / "watson.json"
     path.write_text(json.dumps(make_watson5().to_json_dict()))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def diag5m2_json(tmp_path_factory):
+    path = tmp_path_factory.mktemp("polys") / "diag5m2.json"
+    path.write_text(json.dumps(make_diag5m2().to_json_dict()))
     return str(path)
 
 
@@ -80,6 +87,13 @@ class TestNcc:
         code, out = run(capsys, ["ncc", "--poly", str(path), "--p0", "5"])
         assert code == 1
         assert json.loads(out)["result"]["status"] == "degenerate"
+
+    def test_over_budget_level_is_operational(self, capsys, diag5m2_json):
+        code = main(["ncc", "--poly", diag5m2_json, "--p0", "4",
+                     "--budget", "500"])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out
+        assert "residue grid mod 4 needs 1024 points" in err
 
 
 class TestDensities:

@@ -7,10 +7,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubiclab import (CubicPolynomial, count_solutions, smallest_solution,
-                      symmetrize)
+from cubiclab import (CubicPolynomial, asymptotic_compare, count_solutions,
+                      smallest_solution, symmetrize)
 from cubiclab.budget import BudgetExceeded
-from cubiclab.counting import asymptotic_compare
 from conftest import random_poly
 from oracles import integer_roots_cubic, scan_zeros
 

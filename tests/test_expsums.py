@@ -128,6 +128,19 @@ class TestWeylSum:
 
 # -- bilinear counting ------------------------------------------------------
 
+def brute_bilinear_count(C, alpha, h, bound, eps):
+    """bilinear_count by direct enumeration, in the arithmetic of alpha."""
+    M = C.hessian(h)
+    n = C.n
+    want = 0
+    for d in product(range(-bound, bound + 1), repeat=n):
+        vals = [6 * alpha * sum(M[i][j] * d[j] for j in range(n))
+                for i in range(n)]
+        if all(nearest_int_distance(v) < eps for v in vals):
+            want += 1
+    return want
+
+
 class TestBilinearCount:
     def test_alpha_zero_full_box(self):
         C = symmetrize(3, {(0, 1, 2): 6})[0]
@@ -147,14 +160,20 @@ class TestBilinearCount:
             h = [rng.randint(-2, 2) for _ in range(2)]
             eps = Fraction(1, rng.randint(3, 6))
             got = bilinear_count(C, alpha, h, 4, eps)
-            M = C.hessian(h)
-            want = 0
-            for d in product(range(-4, 5), repeat=2):
-                vals = [6 * alpha * sum(M[i][j] * d[j] for j in range(2))
-                        for i in range(2)]
-                if all(nearest_int_distance(v) < eps for v in vals):
-                    want += 1
-            assert got == want
+            assert got == brute_bilinear_count(C, alpha, h, 4, eps)
+
+    def test_float_alpha_matches_brute_oracle(self):
+        rng = random.Random(7)
+        counts = set()
+        for _ in range(10):
+            C = random_poly(rng, 2).cubic_part()
+            alpha = rng.uniform(-1, 1)
+            h = [rng.randint(-2, 2) for _ in range(2)]
+            eps = rng.uniform(0.05, 0.45)
+            got = bilinear_count(C, alpha, h, 4, eps)
+            assert got == brute_bilinear_count(C, alpha, h, 4, eps)
+            counts.add(got)
+        assert len(counts) > 2  # neither always empty nor always full
 
     def test_half_ties_excluded(self):
         # 6 alpha B = d exactly at distance 1/2 for odd d: strict < fails

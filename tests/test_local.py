@@ -139,12 +139,27 @@ class TestRho:
         assert rho(watson5, 3, 3) == 1_476_225
         assert not rescale_calls
 
-    def test_reduced_grid_over_budget_stratifies(self, rescale_calls):
-        # content 2^1 at k = 3 leaves a 4^2-point grid; a budget of 2^2
-        # forces the stratified recursion instead
-        phi = scaled(random_poly(random.Random(6), 2), 2)
-        assert rho(phi, 2, 3, budget=4) == brute_rho(phi, 2, 3)
+    def test_reduced_grid_over_budget_stratifies(self, fermat, rescale_calls):
+        # 2 fermat has content 2, so rho counts fermat at level 3, whose
+        # 8^3 grid exceeds a budget of 8: the content-free table is
+        # stratified, and no table with content reaches the rescaling
+        phi = scaled(fermat, 2)
+        assert rho(phi, 2, 4, budget=8) == brute_rho(phi, 2, 4) == 896
         assert rescale_calls
+        assert all(any(w % 2 for w, _ in terms)
+                   for terms, _, _ in rescale_calls)
+
+    @pytest.mark.parametrize("name,k,budget,count,rescales", [
+        ("fermat", 8, 100, 180_224, 2), ("watson5", 6, 40_000, 31_457_280, 4)])
+    def test_stratification_reduces_content_first(
+            self, request, rescale_calls, name, k, budget, count, rescales):
+        # each rescaled table psi_a carries content again; stratifying it
+        # unreduced made every residue a singular root (641 and 512 rescales)
+        phi = request.getfixturevalue(name)
+        assert rho(phi, 2, k, budget=budget) == count
+        assert 0 < len(rescale_calls) <= rescales
+        assert all(any(w % 2 for w, _ in terms)
+                   for terms, _, _ in rescale_calls)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 2),
@@ -297,6 +312,12 @@ class TestNCC:
         assert cert.status == "certified" and cert.delta_phi.value == 2
         cert = ncc_certify(wall14, 3)
         assert cert.status == "violation" and cert.violation == (2, 1)
+
+    def test_over_budget_level_raises(self, diag5m2):
+        # k(2) = 2 at P0 = 4: the 4^5 grid exceeds 500, and no lower level
+        # may stand in for it
+        with pytest.raises(BudgetExceeded):
+            ncc_certify(diag5m2, 4, budget=500)
 
     def test_witness_is_lexicographically_first(self, fermat):
         w = _first_root(fermat, 3)

@@ -273,6 +273,14 @@ class TestSingularSeries:
         for p, k in tr.k_used.items():
             assert tr.factors[p] == local_factor(fermat, p, k)
 
+    def test_euler_factors_at_true_level_over_budget(self, watson5):
+        # the 8^5 grid mod 2^3 exceeds 20000: rho stratifies at k(2) = 3
+        # instead of the factor dropping to a lower level
+        small = singular_series(watson5, 10, mode="euler", budget=20_000)
+        assert small == singular_series(watson5, 10, mode="euler")
+        assert small.k_used == {2: 3, 3: 2, 5: 1, 7: 1}
+        assert small.value == Fraction(10406, 2205) and not small.partial
+
     def test_qsum_q1_term(self, fermat):
         tr = singular_series(fermat, 1, mode="qsum")
         assert tr.frak_value == 1

@@ -1,6 +1,7 @@
 """scipy serves only the tests, as a quadrature and root-finding reference:
 no library module imports it, and it is a test extra, not a dependency.
-Every name a library module imports is read in that module."""
+Every name a library module imports is read in that module, and every
+import sits at module level."""
 
 import ast
 import tomllib
@@ -41,3 +42,12 @@ def test_scipy_is_a_test_extra_only():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert "scipy" not in project["dependencies"]
     assert "scipy" in project["optional-dependencies"]["test"]
+
+
+def test_imports_are_module_level():
+    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [node for node in ast.walk(fn)
+                         if isinstance(node, (ast.Import, ast.ImportFrom))]
+                assert not inner, (path.name, fn.name)
