@@ -11,15 +11,18 @@ reduction of that matrix, never from a sample of minors.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import log, prod
+from math import prod
+
+import numpy as np
 
 from .budget import check_budget
-from .nt import column_reduce, trial_factor, ceil_fraction
+from .nt import column_reduce, trial_factor, ceil_fraction, is_prime
 from .polynomials import CubicPolynomial, DimensionMismatch
 
 _FACTOR_BOUND = 10**6  # trial division bound for the factorization of Delta
 _PSI_BOUND_CONST = 20.0  # largest regularized ratio psi_good_report accepts
 _LLL_DELTA = Fraction(3, 4)  # the Lovasz condition parameter of _lll
+_CHUNK_ENTRIES = 2**13  # Hessian entries rank_census holds per chunk
 
 
 # -- exact linear algebra helpers -------------------------------------------
@@ -42,30 +45,6 @@ def rank_rational(rows: list) -> int:
             y = a[i][col]
             a[i] = [(x * p - y * z) // prev for x, z in zip(a[i], pr)]
         prev = p
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def rank_mod_p(rows: list, p: int) -> int:
-    """Rank over F_p."""
-    a = [[v % p for v in r] for r in rows]
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pr = a[rank]
-        inv = pow(pr[col], -1, p)
-        for i in range(rank + 1, m):
-            f = a[i][col] * inv % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], pr)]
         rank += 1
         if rank == m:
             break
@@ -112,59 +91,103 @@ class RankCensus:
     H: int
     counts: dict            # rank r -> number of x with |x| < H, r(x) = r
     p: int | None = None    # None: rank over Q; else over F_p
-    exponent_fit: dict = field(default_factory=dict)  # r -> log count / log H
 
     @property
     def total(self) -> int:
         return sum(self.counts.values())
 
 
+def _large_primes():
+    """The primes below 2**31, largest first."""
+    return filter(is_prime, range(2**31 - 1, 2, -2))
+
+
+def _ranks_mod(M, q: int):
+    """Ranks over F_q, q < 2**31, of the (N, n, n) int64 stack M with
+    entries in [0, q), all matrices eliminated at once and in place.  In
+    each column a matrix pivots on its first row with a nonzero entry, and
+    on the later columns every row becomes s * row - a * pivot row (s the
+    pivot, a the row's entry): s is a unit, so no inverse is needed; the
+    pivot row becomes zero, so no row pivots twice; and every product
+    stays below q**2 < 2**62."""
+    N, n, _ = M.shape
+    rows = np.arange(N)
+    rank = np.zeros(N, dtype=np.int64)
+    for col in range(n):
+        a = M[:, :, col]
+        piv = (a != 0).argmax(axis=1)
+        s = a[rows, piv]
+        rank += s != 0
+        s = np.where(s != 0, s, 1)[:, None, None]
+        pivot_row = M[rows, piv, col + 1:][:, None, :]
+        M[:, :, col + 1:] = (s * M[:, :, col + 1:] % q
+                             - a[:, :, None] * pivot_row % q) % q
+    return rank
+
+
 def rank_census(C: CubicPolynomial, H: int, p: int | None = None,
                 budget: int | None = None) -> RankCensus:
-    """Exact rank statistics of M(x) over the box |x| < H.
+    """Exact rank statistics of M(x) = sum_k x_k M(e_k) over the box |x| < H.
 
-    Walks the lattice with an odometer, updating the Hessian incrementally
-    (M(x + e_k) = M(x) + M(e_k)) so each step costs O(n^2).
+    The box is cut into chunks of about _CHUNK_ENTRIES matrix entries, and
+    each chunk's stack of M(x) mod q is ranked at once by _ranks_mod.  Over
+    F_p that is one prime, q = p.  Over Q, rank_q <= rank_Q for every q:
+    a matrix whose largest rank so far is r has all its (r+1) x (r+1)
+    minors divisible by every prime tried, so once their product P exceeds
+    the Hadamard bound on those minors (the product of the r+1 largest
+    max(1, |row_i|) over the box), none is nonzero and rank_Q = r.  Primes
+    below 2**31 are tried, largest first, until every rank is settled.
     """
     if H < 1:
         raise ValueError("H must be >= 1")
+    if p is not None and not (p < 2**31 and is_prime(p)):
+        raise ValueError("p must be a prime below 2**31")
     n = C.n
     side = 2 * H - 1
-    check_budget(side**n, budget, what="rank census")
-    basis = []
-    for k in range(n):
-        e = [0] * n
-        e[k] = 1
-        basis.append(C.hessian(e))
-    lo = -(H - 1)
-    x = [lo] * n
-    M = [[sum(basis[k][i][j] * x[k] for k in range(n)) for j in range(n)]
-         for i in range(n)]
-    rank_of = (lambda rows: rank_mod_p(rows, p)) if p else rank_rational
-    counts: dict[int, int] = {}
-    while True:
-        r = rank_of(M)
-        counts[r] = counts.get(r, 0) + 1
-        # odometer step
-        k = 0
-        while k < n and x[k] == H - 1:
-            # roll coordinate k back to lo: subtract side-1 steps of e_k
-            for i in range(n):
-                row_b, row_m = basis[k][i], M[i]
-                for j in range(n):
-                    row_m[j] -= (side - 1) * row_b[j]
-            x[k] = lo
-            k += 1
-        if k == n:
-            break
-        x[k] += 1
-        for i in range(n):
-            row_b, row_m = basis[k][i], M[i]
-            for j in range(n):
-                row_m[j] += row_b[j]
-    fit = {r: (log(c) / log(H) if H > 1 and c > 0 else None)
-           for r, c in counts.items()}
-    return RankCensus(H=H, counts=counts, p=p, exponent_fit=fit)
+    points = side**n
+    check_budget(points, budget, what="rank census")
+    basis = [C.hessian([int(i == k) for i in range(n)]) for k in range(n)]
+    if p is None:
+        # |M(x)_ij| <= bound[i][j] on the box; squared row norms, largest first
+        bound = [[(H - 1) * sum(abs(b[i][j]) for b in basis) for j in range(n)]
+                 for i in range(n)]
+        rows_sq = sorted((max(1, sum(v * v for v in row)) for row in bound),
+                         reverse=True)
+        stages, P = [], 1
+        for q in _large_primes():
+            P *= q
+            # settled[r]: rank r after the primes so far is rank_Q
+            settled = [P * P > prod(rows_sq[:r + 1]) for r in range(n)]
+            settled.append(True)
+            stages.append((q, settled))
+            if all(settled):
+                break
+    else:
+        stages = [(p, [True] * (n + 1))]
+    # M(e_k) mod q, reduced in Python ints so big coefficients stay exact
+    stages = [(q, np.array([[[v % q for v in row] for row in b]
+                            for b in basis], dtype=np.int64),
+               np.array(settled)) for q, settled in stages]
+    place = side ** np.arange(n, dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // n**2)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, points, step):
+        t = np.arange(start, min(start + step, points), dtype=np.int64)
+        X = t[:, None] // place % side - (H - 1)
+        rank = np.zeros(len(t), dtype=np.int64)
+        live = np.arange(len(t))
+        for q, B, settled in stages:
+            Xq = X[live] % q
+            M = np.zeros((len(live), n, n), dtype=np.int64)
+            for k in range(n):
+                M = (M + Xq[:, k, None, None] * B[k]) % q
+            rank[live] = np.maximum(rank[live], _ranks_mod(M, q))
+            live = live[~settled[rank[live]]]
+            if not len(live):
+                break
+        counts += np.bincount(rank, minlength=n + 1)
+    return RankCensus(H=H, p=p,
+                      counts={r: int(c) for r, c in enumerate(counts) if c})
 
 
 def psi_good_report(C: CubicPolynomial, H_max: int,

@@ -54,6 +54,31 @@ def integer_roots_cubic(a: int, b: int, c: int, d: int):
     return "roots", sorted(set(roots))
 
 
+def rank_mod_p(rows: list, p: int) -> int:
+    """Rank over F_p by row reduction in Python ints: the reference for the
+    batched elimination of rank_census."""
+    a = [[v % p for v in r] for r in rows]
+    if not a:
+        return 0
+    m, n = len(a), len(a[0])
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pr = a[rank]
+        inv = pow(pr[col], -1, p)
+        for i in range(rank + 1, m):
+            f = a[i][col] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], pr)]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
 def int_det(rows: list) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination."""

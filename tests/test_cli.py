@@ -2,6 +2,10 @@
 exact rationals, and manifest determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +188,24 @@ class TestCensus:
         assert {row["r"] for row in rows} <= {0, 1, 2, 3}
         # strict box |x| < H has side 2H - 1
         assert sum(row["count"] for row in rows) == 3 ** 3
+
+    def test_bad_p_exits_one(self, capsys, fermat_json):
+        code = main(["census", "--poly", fermat_json, "--H", "2",
+                     "--p", "4"])
+        assert code == 1
+        assert "p must be a prime" in capsys.readouterr().err
+
+    def test_python_m_cubiclab(self, fermat_json):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubiclab", "census", "--poly",
+             fermat_json, "--H", "2"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)["result"]["rows"]
+        assert {row["r"]: row["count"] for row in rows} == {0: 1, 1: 6,
+                                                            2: 12, 3: 8}
 
     def test_psi_report_consistent(self, capsys, fermat_json):
         code, out = run(capsys, ["census", "--poly", fermat_json,

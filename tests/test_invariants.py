@@ -2,6 +2,8 @@
 Siegel-lemma kernel vectors."""
 
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, prod
@@ -11,15 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 from cubiclab import (CubicPolynomial, delta, homogenize, rank_census,
                       psi_good_report, symmetrize)
+from cubiclab import invariants
 from cubiclab.budget import BudgetExceeded
 from cubiclab.invariants import (FullRankError,
                                  coefficient_matrix, integer_kernel_basis,
-                                 rank_mod_p, rank_rational, siegel_solve,
+                                 rank_rational, siegel_solve,
                                  small_subspace_solution_bound)
 from cubiclab.nt import column_reduce
 from cubiclab.polynomials import transform
 from conftest import random_poly
-from oracles import int_det
+from oracles import int_det, rank_mod_p
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -81,11 +84,11 @@ def minor_gcd(mat: list) -> int:
 
 
 @st.composite
-def cubic_forms(draw, big=True):
-    """Cubic forms in n <= 4 variables: dense, sparse, diagonal, with a
+def cubic_forms(draw, big=True, n_max=4):
+    """Cubic forms in n <= n_max variables: dense, sparse, diagonal, with a
     common factor, or rank-deficient (a form in fewer linear forms, or
     free of a variable)."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, n_max))
     entry = st.integers(-3, 3)
     if big:
         entry = entry | st.integers(-2**40, 2**40)
@@ -265,6 +268,16 @@ class TestDelta:
 
 # -- rank census ------------------------------------------------------------
 
+FIRST_PRIME = 2**31 - 1  # the first prime of rank_census over Q
+
+
+def census_oracle(C: CubicPolynomial, H: int, p) -> dict:
+    """Rank counts over the box |x| < H, one exact rank per point."""
+    rank = rank_rational if p is None else (lambda M: rank_mod_p(M, p))
+    return dict(Counter(rank(C.hessian(list(x)))
+                        for x in product(range(1 - H, H), repeat=C.n)))
+
+
 class TestRankCensus:
     def test_triple_product(self):
         # brute-force derivation for 6 x1 x2 x3 over the 27 points |x| < 2:
@@ -298,6 +311,56 @@ class TestRankCensus:
                 direct[r] = direct.get(r, 0) + 1
             assert census.counts == direct
 
+    @settings(max_examples=50, deadline=None)
+    @given(cubic_forms(n_max=5), st.data())
+    def test_matches_per_point_oracle(self, C, data):
+        # boxes of at most 625 points; the scale FIRST_PRIME makes every
+        # M(x) vanish mod that prime, so only further primes see the rank
+        H = data.draw(st.integers(1, {1: 4, 2: 4, 3: 4, 4: 3, 5: 2}[C.n]))
+        cases = [(1, p) for p in (None, 2, 3, 5, 7)] + [(FIRST_PRIME, None)]
+        for scale, p in cases:
+            form = CubicPolynomial(C.n, cubic={t: scale * c
+                                               for t, c in C.cubic.items()})
+            assert (rank_census(form, H, p=p).counts
+                    == census_oracle(form, H, p))
+
+    @pytest.mark.parametrize("p", [None, 3])
+    def test_box_larger_than_a_chunk(self, selmer4, p):
+        C = selmer4.cubic_part()
+        assert 9**4 > invariants._CHUNK_ENTRIES // 4**2  # several chunks
+        assert rank_census(C, 5, p=p).counts == census_oracle(C, 5, p)
+
+    def test_residues_near_q_do_not_overflow(self):
+        # C = (u . x)^3, so M(x) = (u . x) u u^T has rank <= 1; the negative
+        # entries of M(e_k) and x have residues near q, and a sum of their
+        # products left unreduced would wrap in int64 and raise the rank
+        u = (1, -1, 2, -3, 5)
+        triples = combinations_with_replacement(range(5), 3)
+        C = CubicPolynomial(5, cubic={(i, j, k): u[i] * u[j] * u[k]
+                                      for i, j, k in triples})
+        counts = rank_census(C, 2).counts
+        assert counts == census_oracle(C, 2, None) == {0: 17, 1: 226}
+
+    def test_first_prime_is_not_trusted(self):
+        # M(x) = FIRST_PRIME * x: rank 0 mod that prime, rank 1 over Q
+        C = CubicPolynomial(1, cubic={(0, 0, 0): FIRST_PRIME})
+        assert rank_census(C, 3).counts == {0: 1, 1: 4}
+        assert rank_census(C, 3, p=FIRST_PRIME).counts == {0: 5}
+        # det M(2, 1) = 2a(2 + d) - 1 = FIRST_PRIME, with every entry of
+        # M(e_0) and M(e_1) below its square root: the bound must scale
+        # with the box, not only with M(e_k)
+        a, d = 2**15, 2**15 - 2
+        C = CubicPolynomial(2, cubic={(0, 0, 0): a, (0, 1, 1): 1,
+                                      (1, 1, 1): d})
+        assert rank_rational(C.hessian([2, 1])) == 2
+        assert rank_mod_p(C.hessian([2, 1]), FIRST_PRIME) == 1
+        assert rank_census(C, 3).counts == census_oracle(C, 3, None)
+
+    @pytest.mark.parametrize("p", [0, 4, -3, 2**31 + 11])
+    def test_rejects_bad_p(self, fermat, p):
+        with pytest.raises(ValueError, match="p must be a prime below"):
+            rank_census(fermat.cubic_part(), 2, p=p)
+
     def test_mod_p_census(self):
         C = symmetrize(3, {(0, 1, 2): 6})[0]
         census = rank_census(C, 2, p=2)
@@ -308,6 +371,18 @@ class TestRankCensus:
     def test_budget_guard(self, fermat):
         with pytest.raises(BudgetExceeded):
             rank_census(fermat.cubic_part(), 3, budget=10)
+
+    def test_budget_guard_allocates_nothing(self, wall14):
+        # 19999^14 points: refused before any point or matrix exists
+        C = wall14.cubic_part()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                rank_census(C, 10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestPsiGoodReport:
