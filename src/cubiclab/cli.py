@@ -170,6 +170,9 @@ def cmd_census(args) -> int:
     phi = _load_poly(args.poly)
     C = phi.cubic_part()
     if args.psi_report:
+        if args.p is not None:
+            raise ValueError("--p cannot be combined with --psi-report, "
+                             "which reports over Q")
         rep = psi_good_report(C, args.H, budget=args.budget)
         _emit({"manifest": _manifest(args), "result": _ser(rep)}, args)
         return 0 if rep["verdict"] == "consistent" else 2

@@ -108,8 +108,9 @@ def _ranks_mod(M, q: int):
     each column a matrix pivots on its first row with a nonzero entry, and
     on the later columns every row becomes s * row - a * pivot row (s the
     pivot, a the row's entry): s is a unit, so no inverse is needed; the
-    pivot row becomes zero, so no row pivots twice; and every product
-    stays below q**2 < 2**62."""
+    pivot row becomes zero, so no row pivots twice; and both products stay
+    below q**2 < 2**62, so their difference is exact in int64 and one % q
+    per entry suffices."""
     N, n, _ = M.shape
     rows = np.arange(N)
     rank = np.zeros(N, dtype=np.int64)
@@ -120,8 +121,8 @@ def _ranks_mod(M, q: int):
         rank += s != 0
         s = np.where(s != 0, s, 1)[:, None, None]
         pivot_row = M[rows, piv, col + 1:][:, None, :]
-        M[:, :, col + 1:] = (s * M[:, :, col + 1:] % q
-                             - a[:, :, None] * pivot_row % q) % q
+        M[:, :, col + 1:] = (s * M[:, :, col + 1:]
+                             - a[:, :, None] * pivot_row) % q
     return rank
 
 

@@ -12,6 +12,12 @@ stratified recursion: each non-singular root mod p contributes
 p^((k-1)(n-1)) and each singular root a is rescaled via
 psi_a(y) = phi(a + p y)/p and counted at level k-1.  The recursion runs on
 term tables and never builds a CubicPolynomial.
+
+NCC witnesses are not read off a whole grid: _first_root walks [0, q)^n in
+C order a block at a time and stops at the first root, so the budget caps
+the points it walks.  Roots are dense, so a certificate at k(p) usually
+costs one block however large q^n is; a violation still needs all q^n
+points.  The walk refuses q >= 2**31, where q^2 no longer fits int64.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +33,9 @@ from .polynomials import (CubicPolynomial, _derivative, _eval_terms,
 
 _MAX_SINGULAR = 4096  # singular roots mod p one stratification step rescales
 _REPORT_P0 = 100  # the P0 of local_report's k_threshold
+_WALK_BLOCK = 2**13  # residue points _first_root evaluates at once: an early
+                     # root costs little, a full walk stays at numpy speed
+_WALK_MAX_Q = 2**31  # _eval_terms mod q is exact in int64 while q**2 < 2**63
 
 
 class HenselPreconditionError(ValueError):
@@ -217,7 +226,8 @@ def lifting_level(kind: str, p: int, v_delta: int, n: int) -> int:
 class PrimeCertificate:
     p: int
     k: int
-    witness: tuple | None         # solution mod p^k, lexicographically first
+    witness: tuple | None         # lexicographically first root mod p^k, the
+                                  # first zero of the C-order walk
     grad_valuation: int | None    # min v_p of the gradient at the witness
     hensel_liftable: bool         # gradient nonzero mod p at the witness
 
@@ -232,11 +242,47 @@ class NCCCertificate:
 
 
 def _first_root(phi: CubicPolynomial, q: int, budget=None):
-    arr = residue_values(phi, q, budget)
-    flat = np.flatnonzero(arr == 0)
-    if not len(flat):
-        return None
-    return tuple(int(v) for v in np.unravel_index(int(flat[0]), arr.shape))
+    """The lexicographically first x mod q with phi(x) = 0 mod q, or None.
+
+    The grid [0, q)^n is walked in C order, one contiguous block of at most
+    _WALK_BLOCK points at a time: a batch of leading-coordinate prefixes,
+    decoded from a flat index, times the full trailing axes.  The walk
+    stops at the first block holding a zero.  The budget caps the points
+    walked, not q^n: a root among the first `budget` points is returned,
+    but a grid with no root there raises BudgetExceeded when q^n exceeds
+    the budget, since only the whole grid proves there is none.
+    """
+    if q >= _WALK_MAX_Q:
+        raise BudgetExceeded(
+            f"modulus {q} is too large for the int64 walk (q >= 2**31)")
+    n, terms = phi.n, phi.terms()
+    cap = enumeration_budget(budget)
+    size = q**n
+    limit = min(size, cap)
+    trail = 0  # trailing axes per prefix: the most whose q^trail fits a block
+    while trail < n and q ** (trail + 1) <= _WALK_BLOCK:
+        trail += 1
+    row, axes = q**trail, _axes(q, trail)
+    step = _WALK_BLOCK // row  # prefixes per block
+    prefixes = -(-limit // row)  # those holding the first limit points
+    for r0 in range(0, prefixes, step):
+        r1 = min(r0 + step, prefixes)
+        prefix, lead = np.arange(r0, r1, dtype=np.int64), []
+        for _ in range(n - trail):
+            prefix, digit = np.divmod(prefix, q)
+            lead.append(digit.reshape((-1,) + (1,) * trail))
+        vals = _eval_terms(terms, lead[::-1] + axes, q)
+        zero = np.broadcast_to(vals == 0, (r1 - r0,) + (q,) * trail)
+        zero = zero.ravel()[:limit - r0 * row]
+        hit = int(zero.argmax())
+        if zero[hit]:
+            flat, w = r0 * row + hit, []
+            for _ in range(n):
+                flat, digit = divmod(flat, q)
+                w.append(digit)
+            return tuple(w[::-1])
+    check_budget(size, cap, what=f"residue grid mod {q}")
+    return None
 
 
 def ncc_levels(n: int, p: int, P0: int,
@@ -265,9 +311,11 @@ def ncc_certify(phi: CubicPolynomial, P0: int,
 
     Requires Delta(phi) != 0 for the finite thresholds to be meaningful;
     a degenerate phi yields status "degenerate" (unbounded check required).
-    Every prime is checked at its true k(p): a p^k(p) grid over the budget
-    raises BudgetExceeded.  A non-singular witness additionally certifies
-    all higher powers of p by Hensel lifting.
+    Every prime is checked at its true k(p), never at a lower level: the
+    budget caps the points walked for each witness, and a level with no
+    root among them raises BudgetExceeded unless its whole grid was walked.
+    A non-singular witness additionally certifies all higher powers of p
+    by Hensel lifting.
     """
     form, _scale = homogenize(phi)
     dphi = delta(form)
@@ -313,9 +361,9 @@ def local_report(phi: CubicPolynomial, p: int, k_max: int,
     dphi = delta(form)
     v = valuation(dphi.value, p) if dphi.value else 0
     ell, k_threshold = ncc_levels(phi.n, p, _REPORT_P0, v)
-    rhos, stars = {}, {}
-    for k in range(1, k_max + 1):
-        rhos[k] = rho(phi, p, k, budget)
+    rhos = {k: rho(phi, p, k, budget) for k in range(1, k_max + 1)}
+    stars = {}
+    for k in rhos:
         try:
             stars[k] = rho_star(phi, p, k, budget)
         except BudgetExceeded:

@@ -26,6 +26,7 @@ from itertools import product
 from math import factorial, gcd, prod
 import json
 
+from .budget import check_budget
 from .nt import column_reduce
 
 _NORMALIZE_HEIGHT = 3  # normalize_leading searches primitive t with |t| <= this
@@ -347,13 +348,15 @@ def normalize_leading(phi: CubicPolynomial):
     |C(t)|; requires |C(t)| >= M / (10 n^3).  Returns (transformed phi, U)
     with phi'(y) = phi(U y), U's first column t or -t, whichever has
     C > 0.  Raises NormalizationError when no such vector exists within the
-    search height.
+    search height, and BudgetExceeded when its 7^n candidates exceed the
+    enumeration budget.
     """
     n = phi.n
+    h = _NORMALIZE_HEIGHT
+    check_budget((2 * h + 1) ** n, what="normalize_leading search")
     C = phi.cubic_part()
     M = phi.height
     best_t, best_val = None, 0
-    h = _NORMALIZE_HEIGHT
     for t in product(range(-h, h + 1), repeat=n):
         if gcd(*t) != 1:
             continue

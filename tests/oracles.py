@@ -6,11 +6,13 @@ from functools import lru_cache
 from itertools import product
 from math import fsum, gcd, isqrt, tau
 
+import numpy as np
 from scipy import integrate
 
 from cubiclab import CubicPolynomial, weyl_sum
 from cubiclab.budget import check_budget
 from cubiclab.expsums import _unit_roots
+from cubiclab.local import residue_values
 from cubiclab.nt import divisors
 from cubiclab.polynomials import _eval_terms
 
@@ -19,6 +21,16 @@ def scan_zeros(phi: CubicPolynomial, ranges) -> list:
     """Zeros in the box by evaluating every point, prefix-major."""
     return [(t, *y) for y in product(*ranges[1:]) for t in ranges[0]
             if phi.evaluate((t, *y)) == 0]
+
+
+def first_root(phi: CubicPolynomial, q: int):
+    """The lexicographically first root mod q, read off the whole residue
+    grid: the reference for the block walk of local._first_root."""
+    arr = residue_values(phi, q)
+    flat = np.flatnonzero(arr == 0)
+    if not len(flat):
+        return None
+    return tuple(int(v) for v in np.unravel_index(int(flat[0]), arr.shape))
 
 
 def integer_roots_cubic(a: int, b: int, c: int, d: int):

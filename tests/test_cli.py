@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cubiclab.cli import main
-from conftest import make_diag5m2, make_fermat, make_watson5
+from conftest import make_diag5m2, make_fermat, make_wall14, make_watson5
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +31,13 @@ def watson_json(tmp_path_factory):
 def diag5m2_json(tmp_path_factory):
     path = tmp_path_factory.mktemp("polys") / "diag5m2.json"
     path.write_text(json.dumps(make_diag5m2().to_json_dict()))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def wall14_json(tmp_path_factory):
+    path = tmp_path_factory.mktemp("polys") / "wall14.json"
+    path.write_text(json.dumps(make_wall14().to_json_dict()))
     return str(path)
 
 
@@ -92,12 +99,13 @@ class TestNcc:
         assert code == 1
         assert json.loads(out)["result"]["status"] == "degenerate"
 
-    def test_over_budget_level_is_operational(self, capsys, diag5m2_json):
-        code = main(["ncc", "--poly", diag5m2_json, "--p0", "4",
-                     "--budget", "500"])
+    def test_over_budget_level_is_operational(self, capsys, wall14_json):
+        # no root mod 2: only all 2^14 points prove it, which 10,000 cannot
+        code = main(["ncc", "--poly", wall14_json, "--p0", "3",
+                     "--budget", "10000"])
         out, err = capsys.readouterr()
         assert code == 1 and not out
-        assert "residue grid mod 4 needs 1024 points" in err
+        assert "residue grid mod 2 needs 16384 points, budget is 10000" in err
 
 
 class TestDensities:
@@ -206,6 +214,13 @@ class TestCensus:
         rows = json.loads(proc.stdout)["result"]["rows"]
         assert {row["r"]: row["count"] for row in rows} == {0: 1, 1: 6,
                                                             2: 12, 3: 8}
+
+    def test_psi_report_refuses_p(self, capsys, fermat_json):
+        code = main(["census", "--poly", fermat_json, "--H", "2",
+                     "--psi-report", "--p", "4"])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out
+        assert "--p" in err and "--psi-report" in err
 
     def test_psi_report_consistent(self, capsys, fermat_json):
         code, out = run(capsys, ["census", "--poly", fermat_json,

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -340,6 +341,22 @@ class TestRankCensus:
                                       for i, j, k in triples})
         counts = rank_census(C, 2).counts
         assert counts == census_oracle(C, 2, None) == {0: 17, 1: 226}
+
+    def test_ranks_mod_near_q(self):
+        # entries near q = 2^31 - 1, where s * row and a * pivot row are
+        # both near q^2: -(U V^T) mod q with small U, V of r columns has
+        # rank r, and a random stack near q - 1 is mostly full rank
+        q = FIRST_PRIME
+        rng = np.random.default_rng(5)
+        for n in (4, 14):
+            stacks = [q - 1 - rng.integers(0, 50, (40, n, n))]
+            for r in range(n + 1):
+                U = rng.integers(1, 4, (10, n, r))
+                stacks.append((-(U @ rng.integers(1, 4, (10, r, n)))) % q)
+            M = np.concatenate(stacks).astype(np.int64)
+            want = [rank_mod_p(m.tolist(), q) for m in M]
+            assert invariants._ranks_mod(M.copy(), q).tolist() == want
+            assert set(want) == set(range(n + 1))
 
     def test_first_prime_is_not_trusted(self):
         # M(x) = FIRST_PRIME * x: rank 0 mod that prime, rank 1 over Q

@@ -2,11 +2,14 @@
 necessary-congruence-condition certifier."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cubiclab import (CubicPolynomial, hensel_lift, lifting_level,
                       local_factor, ncc_certify, rho, rho_star, symmetrize)
@@ -17,6 +20,7 @@ from cubiclab.local import (HenselPreconditionError, local_report,
                             _psi_rescale)
 from cubiclab.polynomials import _eval_terms
 from conftest import CUBIC_UNISOLVENT, full_poly_strategy, random_poly
+from oracles import first_root
 
 
 X3_XY_1 = CubicPolynomial(2, cubic={(0, 0, 0): 1}, quad={(0, 1): 1}, const=1)
@@ -313,15 +317,78 @@ class TestNCC:
         cert = ncc_certify(wall14, 3)
         assert cert.status == "violation" and cert.violation == (2, 1)
 
-    def test_over_budget_level_raises(self, diag5m2):
-        # k(2) = 2 at P0 = 4: the 4^5 grid exceeds 500, and no lower level
-        # may stand in for it
-        with pytest.raises(BudgetExceeded):
-            ncc_certify(diag5m2, 4, budget=500)
+    def test_over_budget_level_raises(self, wall14):
+        # wall14 is odd everywhere: proving it has no root mod 2 needs all
+        # 2^14 points, so a budget of 10,000 raises instead of reporting a
+        # violation or certifying from part of the grid
+        with pytest.raises(BudgetExceeded,
+                           match="residue grid mod 2 needs 16384 points, "
+                                 "budget is 10000"):
+            ncc_certify(wall14, 3, budget=10_000)
+
+    def test_budget_caps_points_walked(self, diag5m2):
+        # k(2) = 2 at P0 = 4: the 4^5 grid exceeds 500 points, but its first
+        # root is the sixth point, so p = 2 is certified at k(2) itself
+        cert = ncc_certify(diag5m2, 4, budget=500)
+        assert cert.status == "certified"
+        c2 = cert.primes[0]
+        assert (c2.p, c2.k, c2.witness) == (2, 2, (0, 0, 0, 1, 1))
+        assert diag5m2.evaluate(list(c2.witness)) % 4 == 0
+
+    def test_wide_modulus_raises(self):
+        # q^2 must fit int64: q = 2^31 - 1 is walked exactly, even with
+        # weights near q, and q = 2^31 is refused rather than wrapped
+        q = 2**31 - 1
+        phi = CubicPolynomial(1, cubic={(0, 0, 0): q - 1}, const=8)
+        assert _first_root(phi, q) == (2,)
+        with pytest.raises(BudgetExceeded, match="too large"):
+            _first_root(phi, 2**31)
 
     def test_witness_is_lexicographically_first(self, fermat):
         w = _first_root(fermat, 3)
         assert w == (0, 0, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+               full_poly_strategy(),
+               st.builds(lambda n, s: CubicPolynomial(
+                   n, cubic={(0, 0, 0): 2 * s}, const=s),
+                   st.integers(1, 4), st.integers(1, 3))),
+           st.sampled_from([2, 3, 4, 8, 9, 25, 7]),
+           st.sampled_from([1, 2, 3, 5, 8, 30, 100, 2**13]),
+           st.none() | st.integers(0, 2**20))
+    def test_walk_matches_full_grid(self, phi, q, block, cap):
+        # blocks of many rows and blocks shorter than one row, and budgets
+        # from 1 to above q^n (None: exactly q^n); 2 s x^3 + s has no root
+        # mod 2, 4, 8 for odd s
+        size = q**phi.n
+        assume(size // block <= 4000)
+        cap = size if cap is None else 1 + cap % (size + 1)
+        expect = first_root(phi, q)
+        with mock.patch.object(local, "_WALK_BLOCK", block):
+            if expect is not None and (
+                    np.ravel_multi_index(expect, (q,) * phi.n) < cap):
+                assert _first_root(phi, q, cap) == expect
+            elif size <= cap:
+                assert _first_root(phi, q, cap) is None
+            else:
+                with pytest.raises(BudgetExceeded):
+                    _first_root(phi, q, cap)
+
+    def test_witness_search_stays_small(self, watson5):
+        # k(2) = 6 and k(3) = 4 at P0 = 100: grids of 2^30 and 3^20 points,
+        # of which the walk evaluates a few blocks
+        tracemalloc.start()
+        try:
+            cert = ncc_certify(watson5, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert cert.status == "certified"
+        assert len(cert.primes) == 25
+        for c in cert.primes:
+            assert watson5.evaluate(list(c.witness)) % c.p**c.k == 0
 
     def test_fourteen_variable_wall(self):
         # A 14-variable polynomial built so that every solution mod 3 is
@@ -347,3 +414,11 @@ class TestNCC:
         assert rep.rho_star[1] == 24
         assert rep.ell is None  # lifting lemma out of variable range at n=3
         assert rep.witness == (0, 0, 0)
+
+    def test_report_keeps_every_rho(self, watson5):
+        # rho_star(3^2) is over a budget of 3^5 points, but rho is not at
+        # any k: its content reduction and stratification reach k = 3, so
+        # only rho_star stops early
+        rep = local_report(watson5, 3, 3, budget=243)
+        assert rep.rho == {k: rho(watson5, 3, k) for k in (1, 2, 3)}
+        assert list(rep.rho_star) == [1]

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
 from cubiclab import CubicPolynomial, symmetrize, homogenize, transform
+from cubiclab.budget import BudgetExceeded
 from cubiclab.local import _grid, residue_values
 from cubiclab.majorarcs import evaluate_array
 from cubiclab.polynomials import (DimensionMismatch, DegreeError,
@@ -357,6 +358,11 @@ class TestNormalize:
         y = [rng.randint(-4, 4) for _ in range(3)]
         x = [sum(U[i][j] * y[j] for j in range(3)) for i in range(3)]
         assert out.evaluate(y) == fermat.evaluate(x)
+
+    def test_normalize_budget(self, wall14):
+        # 7^14 candidate vectors: refused before the search starts
+        with pytest.raises(BudgetExceeded, match="678223072849 points"):
+            normalize_leading(wall14)
 
     def test_normalize_failure_reported(self):
         # identically-zero cubic part: no vector can reach the threshold
