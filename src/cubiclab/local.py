@@ -17,7 +17,8 @@ NCC witnesses are not read off a whole grid: _first_root walks [0, q)^n in
 C order a block at a time and stops at the first root, so the budget caps
 the points it walks.  Roots are dense, so a certificate at k(p) usually
 costs one block however large q^n is; a violation still needs all q^n
-points.  The walk refuses q >= 2**31, where q^2 no longer fits int64.
+points, of p^k(p) or of the lower level that proves it.  The walk refuses
+q >= 2**31, where q^2 no longer fits int64.
 """
 
 from dataclasses import dataclass, field
@@ -285,6 +286,20 @@ def _first_root(phi: CubicPolynomial, q: int, budget=None):
     return None
 
 
+def _rootless_level(phi: CubicPolynomial, p: int, k: int,
+                    budget=None) -> int | None:
+    """The smallest j < k with no root of phi mod p^j, or None when every
+    level below k has a root or a level overruns the budget first: its
+    grid is too large to walk whole, and so is every higher level's."""
+    for j in range(1, k):
+        try:
+            if _first_root(phi, p**j, budget) is None:
+                return j
+        except BudgetExceeded:
+            return None
+    return None
+
+
 def ncc_levels(n: int, p: int, P0: int,
                v_delta: int) -> tuple[int | None, int]:
     """(ell, k(p)): the inhomogeneous lifting level (None below the
@@ -311,27 +326,38 @@ def ncc_certify(phi: CubicPolynomial, P0: int,
 
     Requires Delta(phi) != 0 for the finite thresholds to be meaningful;
     a degenerate phi yields status "degenerate" (unbounded check required).
-    Every prime is checked at its true k(p), never at a lower level: the
+    Every prime is certified at its true k(p), never at a lower level: the
     budget caps the points walked for each witness, and a level with no
     root among them raises BudgetExceeded unless its whole grid was walked.
-    A non-singular witness additionally certifies all higher powers of p
-    by Hensel lifting.
+    Only a violation may be read off a lower level: when p^k(p) is out of
+    reach, the first level j < k(p) whose whole grid has no root is
+    reported as the violation (p, j), and the BudgetExceeded stands when
+    there is none.  A non-singular witness additionally certifies all
+    higher powers of p by Hensel lifting.
     """
     form, _scale = homogenize(phi)
     dphi = delta(form)
     if dphi.value == 0:
         return NCCCertificate(status="degenerate", P0=P0, delta_phi=dphi)
     certs = []
+
+    def violation(p: int, j: int) -> NCCCertificate:
+        return NCCCertificate(status="violation", P0=P0, primes=tuple(certs),
+                              violation=(p, j), delta_phi=dphi)
+
     for p in primes_up_to(P0):
         _, k = ncc_levels(phi.n, p, P0, valuation(dphi.value, p))
-        w = _first_root(phi, p**k, budget)
+        try:
+            w = _first_root(phi, p**k, budget)
+        except BudgetExceeded:
+            # p^k is out of reach, but a lower level with no root still
+            # proves the violation
+            if (j := _rootless_level(phi, p, k, budget)) is None:
+                raise
+            return violation(p, j)
         if w is None:
             # the smallest violating power: p^k itself unless a lower one is
-            j = next((j for j in range(1, k)
-                      if _first_root(phi, p**j, budget) is None), k)
-            return NCCCertificate(status="violation", P0=P0,
-                                  primes=tuple(certs),
-                                  violation=(p, j), delta_phi=dphi)
+            return violation(p, _rootless_level(phi, p, k, budget) or k)
         grad = phi.gradient(list(w))
         gv = min((valuation(g, p) for g in grad if g), default=None)
         certs.append(PrimeCertificate(
@@ -352,6 +378,7 @@ class LocalReport:
     k_threshold: int
     rho: dict = field(default_factory=dict)
     rho_star: dict = field(default_factory=dict)
+    rho_star_skipped: tuple = ()  # levels whose rho* grid exceeds the budget
     witness: tuple | None = None
 
 
@@ -367,8 +394,10 @@ def local_report(phi: CubicPolynomial, p: int, k_max: int,
         try:
             stars[k] = rho_star(phi, p, k, budget)
         except BudgetExceeded:
-            break
+            break  # every higher level's grid is larger still
     return LocalReport(p=p, v_delta=v, ell=ell,
                        k_threshold=k_threshold,
                        rho=rhos, rho_star=stars,
+                       rho_star_skipped=tuple(k for k in rhos
+                                              if k not in stars),
                        witness=_first_root(phi, p, budget))

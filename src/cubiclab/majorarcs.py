@@ -8,8 +8,15 @@ The singular integral is computed from the interchanged form
     I(Z) = int_B sin(2 pi Z C(x)) / (pi C(x)) dx = int_B 2 Z sinc(2 Z C(x)) dx,
 
 whose integrand is smooth (the zero set of C is a removable sinc point).
+Its independent pieces, the axis-0 slabs of the tensor rule and the
+Monte-Carlo chunks, run on up to _WORKERS threads (numpy releases the GIL
+in the kernel's ufuncs); the pieces and the order their partial results
+are combined in do not depend on the worker count, so neither does any
+result, to the last bit.
 """
 
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import pi
@@ -212,6 +219,55 @@ def _cc_nodes(m: int, lo: float, hi: float):
     return (lo + hi) / 2 + half * x, half * w
 
 
+# Threads of the singular integral: one per CPU this process may run on,
+# capped to bound the slabs held in memory at once.
+_WORKERS = min(4, len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+
+def _map(fn, items) -> list:
+    """[fn(x) for x in items], the items shared among up to _WORKERS
+    threads.  Items are taken in order and a worker stops taking them once
+    any call has raised; the exception of the first item that raised is
+    re-raised here, as the serial loop would raise it.  With one worker or
+    one item the loop runs in the calling thread.
+
+    Each worker pins itself to its own CPU of the caller's affinity set:
+    left to the scheduler, two busy threads were seen sharing one CPU of a
+    2-CPU virtual machine for seconds at a time while the other idled."""
+    items = list(items)
+    workers = min(_WORKERS, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    cpus = (sorted(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else [])
+    out, errors = [None] * len(items), {}
+    lock, todo = threading.Lock(), iter(range(len(items)))
+
+    def work(w: int):
+        if cpus:
+            os.sched_setaffinity(0, {cpus[w % len(cpus)]})  # this thread only
+        while not errors:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                out[i] = fn(items[i])
+            except BaseException as exc:
+                errors[i] = exc
+
+    threads = [threading.Thread(target=work, args=(w,))
+               for w in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
 def evaluate_array(phi: CubicPolynomial, X: list) -> np.ndarray:
     """phi over broadcastable float arrays (one per coordinate)."""
     return np.asarray(_eval_terms(phi.terms(), X), dtype=float)
@@ -221,17 +277,24 @@ def evaluate_array(phi: CubicPolynomial, X: list) -> np.ndarray:
 # the grid in slabs of whole axis-0 rows, so memory stays O(_SLAB_POINTS)
 # instead of O((m + 1)^n).
 _SLAB_POINTS = 1 << 18
+# Monte-Carlo sample points per kernel call: the unit the sample is shared
+# among workers in, fixed so that results do not depend on _WORKERS.
+_MC_CHUNK = 1 << 16
 
 
-def _sinc_kernel(C: CubicPolynomial, X: list, Z: float) -> np.ndarray:
+def _sinc_kernel(C: CubicPolynomial, X: list, Z: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """2 Z sinc(2 Z C) over the broadcast of the coordinate arrays X, with
     the removable point C = 0 set to 2 Z.  Same arithmetic as np.sinc,
-    built in the buffer evaluate_array returns plus one more."""
+    built in the buffer evaluate_array returns plus `out` (a new array
+    when None)."""
     t = evaluate_array(C, X)
     t *= 2.0 * Z
     t *= pi
     zero = t == 0
-    f = np.sin(t, out=np.empty_like(t))  # an array even for a constant C
+    if out is None:
+        out = np.empty_like(t)  # an array even for a constant C
+    f = np.sin(t, out=out)
     np.divide(f, t, out=f, where=~zero)
     f *= 2.0 * Z
     f[zero] = 2.0 * Z
@@ -241,19 +304,23 @@ def _sinc_kernel(C: CubicPolynomial, X: list, Z: float) -> np.ndarray:
 def _tensor_integral(C: CubicPolynomial, bounds, Z: float, m: int) -> float:
     axes = [_cc_nodes(m, lo, hi) for lo, hi in bounds]
     n = len(bounds)
-    X = [axes[i][0].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
-         for i in range(n)]
+    rest = [axes[i][0].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+            for i in range(1, n)]
     x0, w0 = axes[0]
     rows = max(1, _SLAB_POINTS // (m + 1) ** (n - 1))
-    total = 0.0
-    for s in range(0, m + 1, rows):
-        X[0] = x0[s:s + rows].reshape((-1,) + (1,) * (n - 1))
+
+    def slab(s: int) -> float:
+        X0 = x0[s:s + rows].reshape((-1,) + (1,) * (n - 1))
         # a C free of some variable evaluates to a thinner array
-        f = np.broadcast_to(_sinc_kernel(C, X, Z),
-                            (len(X[0]),) + (m + 1,) * (n - 1))
+        f = np.broadcast_to(_sinc_kernel(C, [X0, *rest], Z),
+                            (len(X0),) + (m + 1,) * (n - 1))
         for _, w in reversed(axes[1:]):
             f = f @ w
-        total += float(w0[s:s + rows] @ f)
+        return float(w0[s:s + rows] @ f)
+
+    total = 0.0
+    for part in _map(slab, range(0, m + 1, rows)):
+        total += part  # in slab order, whatever thread computed it
     return total
 
 
@@ -292,7 +359,13 @@ def singular_integral(C: CubicPolynomial, box, Z: float,
     vol = 1.0
     for lo, hi in bounds:
         vol *= hi - lo
-    vals = _sinc_kernel(C, pts, Z)
+    vals = np.empty(N)
+
+    def chunk(c: int) -> None:
+        sl = slice(c, c + _MC_CHUNK)
+        _sinc_kernel(C, [p[sl] for p in pts], Z, out=vals[sl])
+
+    _map(chunk, range(0, N, _MC_CHUNK))
     est = vol * float(np.mean(vals))
     se = vol * float(np.std(vals) / np.sqrt(N))
     return {"value": est, "error": se, "nodes": N, "method": "monte-carlo"}

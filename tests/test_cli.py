@@ -108,6 +108,14 @@ class TestNcc:
         assert "residue grid mod 2 needs 16384 points, budget is 10000" in err
 
 
+    def test_violation_below_unreachable_level(self, capsys, wall14_json):
+        # the 4^14 grid of k(2) = 2 is over budget; the 2^14 one has no root
+        code, out = run(capsys, ["ncc", "--poly", wall14_json, "--p0", "5"])
+        assert code == 2
+        res = json.loads(out)["result"]
+        assert res["status"] == "violation" and res["violation"] == [2, 1]
+
+
 class TestDensities:
     def test_fermat_p2(self, capsys, fermat_json):
         code, out = run(capsys, ["densities", "--poly", fermat_json,
@@ -117,6 +125,17 @@ class TestDensities:
         assert res["rho"]["1"] == 4
         assert res["rho_star"]["1"] == 3
         assert res["k_threshold"] == 6
+        assert res["rho_star_skipped"] == []
+
+    def test_skipped_rho_star_levels_named(self, capsys, fermat_json):
+        # the 125^3 grid of rho*(5^3) is over budget; rho(5^3) stratifies
+        code, out = run(capsys, ["densities", "--poly", fermat_json, "--p",
+                                 "5", "--kmax", "3", "--budget", "20000"])
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert list(res["rho"]) == ["1", "2", "3"]
+        assert list(res["rho_star"]) == ["1", "2"]
+        assert res["rho_star_skipped"] == [3]
 
 
 class TestSeries:

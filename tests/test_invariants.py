@@ -447,6 +447,34 @@ class TestSiegel:
             assert max(abs(v) for v in x) <= (4 * max(maxentry, 1)) ** (2 / 2)
 
 
+    def test_combination_scan_is_budgeted(self, monkeypatch):
+        # a kernel basis far above the Siegel bound, which LLL is kept from
+        # reducing, forces the 7^9 combination scan: refused, not run
+        monkeypatch.delenv("CUBIC_LAB_BUDGET", raising=False)
+        A = [[1] * 10]
+        big = [[100 * v for v in b]
+               for b in invariants.integer_kernel_basis(A)]
+        monkeypatch.setattr(invariants, "integer_kernel_basis", lambda A: big)
+        monkeypatch.setattr(invariants, "_lll", lambda basis: basis)
+        with pytest.raises(BudgetExceeded,
+                           match="siegel_solve combination scan needs "
+                                 "40353607 points"):
+            siegel_solve(A)
+
+    def test_combination_scan_within_budget(self, monkeypatch):
+        # a skewed basis u = e1 + 3 e2, v = e2 + 3 u of the kernel of
+        # x + y + z: the scan over its 7^2 combinations finds e2 = v - 3 u
+        # within the bound; one point less of budget refuses the scan
+        A = [[1, 1, 1]]
+        monkeypatch.setattr(invariants, "integer_kernel_basis",
+                            lambda A: [[-4, 1, 3], [-13, 3, 10]])
+        monkeypatch.setattr(invariants, "_lll", lambda basis: basis)
+        x = siegel_solve(A, budget=49)
+        assert any(x) and sum(x) == 0 and max(map(abs, x)) <= 3 ** 0.5
+        with pytest.raises(BudgetExceeded):
+            siegel_solve(A, budget=48)
+
+
 class TestSubspaceBound:
     def test_headline_exponent(self):
         b = small_subspace_solution_bound(Fraction("1454.8"), 2)

@@ -326,6 +326,24 @@ class TestNCC:
                                  "budget is 10000"):
             ncc_certify(wall14, 3, budget=10_000)
 
+    def test_violation_at_lower_level_than_reachable(self, wall14):
+        # k(2) = 2 at P0 = 5: the 4^14 grid is out of reach, but the whole
+        # 2^14 grid has no root, which proves the violation (2, 1)
+        cert = ncc_certify(wall14, 5)
+        assert cert.status == "violation" and cert.violation == (2, 1)
+        assert cert.primes == ()
+
+    def test_lower_levels_with_roots_keep_the_error(self, wall14):
+        # 4 (x1^3 + ... + x10^3) + 2 has roots mod 2 but none mod 4, and
+        # the 4^10 grid is over budget: nothing is proven, p^k's error stands
+        phi = CubicPolynomial(10, cubic={(i, i, i): 4 for i in range(10)},
+                              const=2)
+        with pytest.raises(BudgetExceeded, match="residue grid mod 4 "):
+            ncc_certify(phi, 5, budget=10_000)
+        # and so it does when the rootless lower level is itself too large
+        with pytest.raises(BudgetExceeded, match="residue grid mod 4 "):
+            ncc_certify(wall14, 5, budget=10_000)
+
     def test_budget_caps_points_walked(self, diag5m2):
         # k(2) = 2 at P0 = 4: the 4^5 grid exceeds 500 points, but its first
         # root is the sixth point, so p = 2 is certified at k(2) itself
@@ -414,6 +432,7 @@ class TestNCC:
         assert rep.rho_star[1] == 24
         assert rep.ell is None  # lifting lemma out of variable range at n=3
         assert rep.witness == (0, 0, 0)
+        assert rep.rho_star_skipped == ()
 
     def test_report_keeps_every_rho(self, watson5):
         # rho_star(3^2) is over a budget of 3^5 points, but rho is not at
@@ -422,3 +441,4 @@ class TestNCC:
         rep = local_report(watson5, 3, 3, budget=243)
         assert rep.rho == {k: rho(watson5, 3, k) for k in (1, 2, 3)}
         assert list(rep.rho_star) == [1]
+        assert rep.rho_star_skipped == (2, 3)

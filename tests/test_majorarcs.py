@@ -1,7 +1,10 @@
 """Real-point construction, certified boxes, the singular integral, slice
 volumes, and truncated singular series."""
 
+import os
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 from math import pi
@@ -193,6 +196,179 @@ class TestSingularIntegral:
                                 budget=30_000_000)["value"]
         assert v8 > 0.1
         assert abs(v16 - v8) < 0.3 * v8
+
+
+def serial_slab_integral(C, bounds, Z, m):
+    """The slab loop of _tensor_integral run serially, each slab's partial
+    sum added in slab order: the reference its threaded form must match
+    bit for bit."""
+    axes = [_cc_nodes(m, lo, hi) for lo, hi in bounds]
+    n = len(bounds)
+    X = [axes[i][0].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+         for i in range(n)]
+    x0, w0 = axes[0]
+    rows = max(1, majorarcs._SLAB_POINTS // (m + 1) ** (n - 1))
+    total = 0.0
+    for s in range(0, m + 1, rows):
+        X[0] = x0[s:s + rows].reshape((-1,) + (1,) * (n - 1))
+        f = np.broadcast_to(majorarcs._sinc_kernel(C, X, Z),
+                            (len(X[0]),) + (m + 1,) * (n - 1))
+        for _, w in reversed(axes[1:]):
+            f = f @ w
+        total += float(w0[s:s + rows] @ f)
+    return total
+
+
+def per_worker_count(fn, counts=(1, 2, 3)):
+    """fn() with majorarcs._WORKERS patched to each count in turn."""
+    out = []
+    for w in counts:
+        with mock.patch.object(majorarcs, "_WORKERS", w):
+            out.append(fn())
+    return out
+
+
+class TestWorkers:
+    """The slabs and Monte-Carlo chunks of the singular integral are shared
+    among _WORKERS threads; no result may depend on the count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+               st.integers(0, 2**32 - 1), boxes(n))),
+           st.floats(0.5, 8), st.sampled_from([16, 32, 64]),
+           st.sampled_from([1, 7, 500, majorarcs._SLAB_POINTS]))
+    def test_tensor_rule_identical_per_worker_count(self, case, Z, m, slab):
+        seed, bounds = case
+        C = random_poly(random.Random(seed), len(bounds), 4)
+        with mock.patch.object(majorarcs, "_SLAB_POINTS", slab):
+            want = serial_slab_integral(C, bounds, Z, m)
+            got = per_worker_count(
+                lambda: majorarcs._tensor_integral(C, bounds, Z, m))
+        assert got == [want] * 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("slab", [1, 500, majorarcs._SLAB_POINTS])
+    def test_singular_integral_identical_per_worker_count(self, n, slab):
+        # converges at 65 nodes: up to 65 slabs, two at n = 3 by default
+        C = random_poly(random.Random(2), n, 2)
+        run = lambda: singular_integral(C, [(0.5, 1.0)] * n, 0.5)
+        with mock.patch.object(majorarcs, "_SLAB_POINTS", slab):
+            got = per_worker_count(run)
+        assert got[0]["method"] == "clenshaw-curtis"
+        assert got[0] == got[1] == got[2]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(4, 5), st.integers(0, 2**32 - 1),
+           st.integers(1, 3000), st.sampled_from([3, 1000, 1 << 16]))
+    def test_monte_carlo_identical_per_chunking(self, n, seed, N, chunk):
+        # N need not be a multiple of the chunk; one chunk of the whole
+        # sample is the unchunked kernel call
+        C = random_poly(random.Random(seed), n, 4)
+        box = [(0.5, 1.5)] * n
+        run = lambda: singular_integral(C, box, 4.0, budget=N, seed=seed)
+        with mock.patch.object(majorarcs, "_MC_CHUNK", N):
+            want = run()
+        with mock.patch.object(majorarcs, "_MC_CHUNK", chunk):
+            got = per_worker_count(run)
+        assert want["method"] == "monte-carlo" and want["nodes"] == N
+        assert got == [want] * 3
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_slab_exception_reaches_caller(self, workers):
+        # slabs 3 and 5 of 17 raise: the caller sees slab 3's error, never
+        # a partial sum with a slab missing
+        C = random_poly(random.Random(5), 2, 4)
+        x0 = _cc_nodes(16, 0.5, 1.5)[0]
+        kernel = majorarcs._sinc_kernel
+
+        def faulty(C, X, Z, out=None):
+            for s in (3, 5):
+                if X[0].flat[0] == x0[s]:
+                    raise MemoryError(f"slab {s}")
+            return kernel(C, X, Z, out)
+
+        with mock.patch.object(majorarcs, "_SLAB_POINTS", 17), \
+                mock.patch.object(majorarcs, "_sinc_kernel", faulty), \
+                mock.patch.object(majorarcs, "_WORKERS", workers), \
+                pytest.raises(MemoryError, match="slab 3"):
+            majorarcs._tensor_integral(C, [(0.5, 1.5)] * 2, 2.0, 16)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_map_keeps_order_and_first_error(self, workers):
+        with mock.patch.object(majorarcs, "_WORKERS", workers):
+            assert majorarcs._map(lambda x: x * x, range(50)) == [
+                x * x for x in range(50)]
+            assert majorarcs._map(abs, []) == []
+
+            def fn(x):
+                if x in (7, 30):
+                    raise ValueError(x)
+                return x
+
+            with pytest.raises(ValueError, match="^7$"):
+                majorarcs._map(fn, range(50))
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_map_raises_first_item_not_first_in_time(self, workers):
+        # item 3 raises first; item 2, already taken, raises after it
+        raised = threading.Event()
+
+        def fn(x):
+            if x == 2:
+                assert raised.wait(timeout=30)
+                raise ValueError(2)
+            if x == 3:
+                raised.set()
+                raise ValueError(3)
+            return x
+
+        with mock.patch.object(majorarcs, "_WORKERS", workers), \
+                pytest.raises(ValueError, match="^2$"):
+            majorarcs._map(fn, range(10))
+
+    def test_map_stress_each_item_once(self):
+        # more workers than cores and a short switch interval: every item
+        # is called exactly once and lands in its own slot
+        calls, lock, got = [], threading.Lock(), []
+
+        def fn(x):
+            with lock:
+                calls.append(x)
+            return -x
+
+        def run():
+            with mock.patch.object(majorarcs, "_WORKERS", 8):
+                got.append(majorarcs._map(fn, range(3000)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(target=run)
+            t.start()
+            t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not t.is_alive()
+        assert got == [[-x for x in range(3000)]]
+        assert sorted(calls) == list(range(3000))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_map_pins_workers_not_caller(self):
+        mask = os.sched_getaffinity(0)
+        with mock.patch.object(majorarcs, "_WORKERS", 2):
+            seen = majorarcs._map(lambda _: os.sched_getaffinity(0), range(8))
+        assert all(len(m) == 1 and m <= mask for m in seen)
+        assert os.sched_getaffinity(0) == mask
+
+    def test_map_serial_in_calling_thread(self):
+        me = threading.get_ident()
+        with mock.patch.object(majorarcs, "_WORKERS", 1):
+            assert majorarcs._map(lambda _: threading.get_ident(),
+                                  range(5)) == [me] * 5
+        with mock.patch.object(majorarcs, "_WORKERS", 4):
+            assert majorarcs._map(lambda _: threading.get_ident(),
+                                  [0]) == [me]
 
 
 class TestSliceVolume:

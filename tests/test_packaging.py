@@ -1,9 +1,13 @@
 """scipy serves only the tests, as a quadrature and root-finding reference:
 no library module imports it, and it is a test extra, not a dependency.
-Every name a library module imports is read in that module, and every
-import sits at module level."""
+Every name a library module imports is read in that module, every
+import sits at module level, and importing the CLI loads no pool
+machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -51,3 +55,15 @@ def test_imports_are_module_level():
                 inner = [node for node in ast.walk(fn)
                          if isinstance(node, (ast.Import, ast.ImportFrom))]
                 assert not inner, (path.name, fn.name)
+
+
+def test_cli_import_starts_no_pool_machinery():
+    # the singular integral's workers are plain threads: importing the CLI
+    # must not pull in concurrent.futures (and logging) or multiprocessing,
+    # whose import time every command would pay
+    code = ("import sys, cubiclab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
