@@ -280,12 +280,13 @@ def integer_kernel_basis(A: list) -> list:
     return U[len(pivots):]
 
 
-def siegel_solve(A: list, budget: int | None = None) -> list:
+def siegel_solve(A: list) -> list:
     """Nonzero integer kernel vector of the m x n matrix A, m < n, with
     |x|_inf <= (n * maxentry)^(m/(n-m)) (classical Siegel bound, asserted).
     When neither the kernel basis nor its LLL reduction meets the bound,
     the 7^len(basis) combinations with coefficients in [-3, 3] are scanned,
-    and BudgetExceeded is raised first when they exceed the budget."""
+    and BudgetExceeded is raised first when they exceed the enumeration
+    budget."""
     m = len(A)
     n = len(A[0])
     if any(len(r) != n for r in A):
@@ -304,7 +305,7 @@ def siegel_solve(A: list, budget: int | None = None) -> list:
     if max(abs(x) for x in cand) > bound:
         # last resort: small integer combinations of the (reduced) basis
         rng = range(-3, 4)
-        check_budget(len(rng) ** len(basis), budget,
+        check_budget(len(rng) ** len(basis),
                      what="siegel_solve combination scan")
         best = cand
         for coeffs in product(rng, repeat=len(basis)):

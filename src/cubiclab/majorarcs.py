@@ -232,9 +232,12 @@ def _map(fn, items) -> list:
     re-raised here, as the serial loop would raise it.  With one worker or
     one item the loop runs in the calling thread.
 
-    Each worker pins itself to its own CPU of the caller's affinity set:
-    left to the scheduler, two busy threads were seen sharing one CPU of a
-    2-CPU virtual machine for seconds at a time while the other idled."""
+    When there is one worker for each CPU of the caller's affinity set,
+    each worker pins itself to its own CPU: left to the scheduler, two busy
+    threads were seen sharing one CPU of a 2-CPU virtual machine for
+    seconds at a time while the other idled.  With fewer workers than CPUs
+    nothing is pinned, so that concurrent processes are not all held to
+    the same few CPUs.  Pinning is a hint only; a refused pin is ignored."""
     items = list(items)
     workers = min(_WORKERS, len(items))
     if workers <= 1:
@@ -245,8 +248,11 @@ def _map(fn, items) -> list:
     lock, todo = threading.Lock(), iter(range(len(items)))
 
     def work(w: int):
-        if cpus:
-            os.sched_setaffinity(0, {cpus[w % len(cpus)]})  # this thread only
+        if len(cpus) == workers:
+            try:
+                os.sched_setaffinity(0, {cpus[w]})  # this thread only
+            except OSError:
+                pass
         while not errors:
             with lock:
                 i = next(todo, None)

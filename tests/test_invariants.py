@@ -469,10 +469,12 @@ class TestSiegel:
         monkeypatch.setattr(invariants, "integer_kernel_basis",
                             lambda A: [[-4, 1, 3], [-13, 3, 10]])
         monkeypatch.setattr(invariants, "_lll", lambda basis: basis)
-        x = siegel_solve(A, budget=49)
+        monkeypatch.setenv("CUBIC_LAB_BUDGET", "49")
+        x = siegel_solve(A)
         assert any(x) and sum(x) == 0 and max(map(abs, x)) <= 3 ** 0.5
+        monkeypatch.setenv("CUBIC_LAB_BUDGET", "48")
         with pytest.raises(BudgetExceeded):
-            siegel_solve(A, budget=48)
+            siegel_solve(A)
 
 
 class TestSubspaceBound:

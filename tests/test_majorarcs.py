@@ -352,14 +352,53 @@ class TestWorkers:
         assert got == [[-x for x in range(3000)]]
         assert sorted(calls) == list(range(3000))
 
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                        reason="no CPU affinity on this platform")
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs CPU affinity and two CPUs")
     def test_map_pins_workers_not_caller(self):
+        # two workers on a two-CPU mask: each runs pinned to one of them
         mask = os.sched_getaffinity(0)
-        with mock.patch.object(majorarcs, "_WORKERS", 2):
-            seen = majorarcs._map(lambda _: os.sched_getaffinity(0), range(8))
-        assert all(len(m) == 1 and m <= mask for m in seen)
-        assert os.sched_getaffinity(0) == mask
+        two = set(sorted(mask)[:2])
+        os.sched_setaffinity(0, two)
+        try:
+            with mock.patch.object(majorarcs, "_WORKERS", 2):
+                seen = majorarcs._map(lambda _: os.sched_getaffinity(0),
+                                      range(8))
+            assert all(len(m) == 1 and m <= two for m in seen)
+            assert os.sched_getaffinity(0) == two
+        finally:
+            os.sched_setaffinity(0, mask)
+
+    @pytest.mark.parametrize("cpus, pins", [
+        ({4, 9}, [{4}, {9}]),  # one worker per CPU: each pinned
+        ({4, 9, 11}, []),      # fewer workers than CPUs: none pinned
+    ])
+    def test_map_pins_only_a_full_mask(self, cpus, pins):
+        pinned = []
+        with mock.patch.object(majorarcs, "_WORKERS", 2), \
+                mock.patch.object(os, "sched_getaffinity", create=True,
+                                  return_value=cpus), \
+                mock.patch.object(os, "sched_setaffinity", create=True,
+                                  side_effect=lambda _, m: pinned.append(m)):
+            assert majorarcs._map(abs, range(-6, 0)) == [6, 5, 4, 3, 2, 1]
+        assert sorted(pinned, key=min) == pins
+
+    def test_refused_pin_is_ignored(self):
+        # a pin the system refuses (a seccomp filter, a shrunken cpuset)
+        # leaves the workers unpinned, not dead: the Monte-Carlo sample is
+        # still filled in full and matches the serial result
+        C = random_poly(random.Random(3), 4, 4)
+        box = [(0.5, 1.5)] * 4
+        run = lambda: singular_integral(C, box, 4.0, budget=5000, seed=1)
+        with mock.patch.object(majorarcs, "_WORKERS", 1):
+            want = run()
+        with mock.patch.object(majorarcs, "_WORKERS", 2), \
+                mock.patch.object(majorarcs, "_MC_CHUNK", 1000), \
+                mock.patch.object(os, "sched_getaffinity", create=True,
+                                  return_value={0, 1}), \
+                mock.patch.object(os, "sched_setaffinity", create=True,
+                                  side_effect=OSError("denied")):
+            assert run() == want
 
     def test_map_serial_in_calling_thread(self):
         me = threading.get_ident()
