@@ -12,7 +12,7 @@ from .invariants import (delta, rank_census, psi_good_report, siegel_solve,
                          RankCensus)
 from .local import (rho, rho_star, hensel_lift, lifting_level, ncc_certify,
                     local_factor, LocalReport, NCCCertificate)
-from .expsums import (gauss_sum, a_of_q_exact, weyl_sum, bilinear_count,
+from .expsums import (gauss_sum, weyl_sum, bilinear_count,
                       shrinking_check, bootstrap_check, weyl_bound_probe)
 from .majorarcs import (real_point, build_box, singular_integral,
                         slice_volume, singular_series, asymptotic_compare,

@@ -1,7 +1,7 @@
-"""Exponential sums: complete Gauss sums S(q, a), their coprime averages
-A(q), Weyl sums over scaled boxes, the bilinear counting functions of the
-minor-arc analysis, and exact verifiers for the shrinking and bootstrap
-lemmas.
+"""Exponential sums: complete Gauss sums S(q, a), Weyl sums over scaled
+boxes, the bilinear counting functions of the minor-arc analysis, and
+exact verifiers for the shrinking and bootstrap lemmas.  The averages A(q)
+of the singular series are read off local densities instead (majorarcs).
 
 Implicit-constant policy: lemmas stated with << become probes that report
 ratios; only exact identities and divisibility statements are asserted.
@@ -16,7 +16,7 @@ import cmath
 
 from .budget import check_budget
 from .counting import _box_ranges
-from .nt import ramanujan_sum, nearest_int_distance
+from .nt import nearest_int_distance
 from .polynomials import CubicPolynomial, _eval_terms
 from .local import value_distribution
 
@@ -50,20 +50,6 @@ def gauss_sum(phi: CubicPolynomial, q: int, a: int,
     re = fsum(int(cnt[m]) * roots[a * m % q].real for m in range(q))
     im = fsum(int(cnt[m]) * roots[a * m % q].imag for m in range(q))
     return complex(re, im)
-
-
-def a_of_q_exact(phi: CubicPolynomial, q: int,
-                 budget: int | None = None) -> Fraction:
-    """A(q) = sum_(a;q)=1 S(q,a)/q^n as an exact rational.
-
-    Summing the coprime phases first gives A(q) = (sum_m counts[m] c_q(m)) /
-    q^n with c_q the Ramanujan sum, so the value is rational and exact.
-    """
-    if q == 1:
-        return Fraction(1)
-    cnt = value_distribution(phi, q, budget)
-    num = sum(int(cnt[m]) * ramanujan_sum(q, m) for m in range(q))
-    return Fraction(num, q**phi.n)
 
 
 # -- Weyl sums --------------------------------------------------------------

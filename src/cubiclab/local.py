@@ -5,11 +5,15 @@ necessary-congruence-condition (NCC) certifier.
 Counting is exact, and every quantity is computed at its true level or
 raises BudgetExceeded; ncc_levels is the one rule for that level.  rho
 first divides out the p-content of phi's term table, so only content-free
-tables are counted.  Residue grids are enumerated with numpy (all
-arithmetic reduced mod q at every step, so int64 never overflows for the
-moduli the budget admits); beyond the budget, rho alone falls back to a
-stratified recursion: each non-singular root mod p contributes
-p^((k-1)(n-1)) and each singular root a is rescaled via
+tables are counted.  At level 1 the slice kernel counts them: with
+phi(t, y) = sum_d t^d phi_d(y), each of the p^(n-1) prefixes y adds the
+number of distinct roots of its slice in t, deg gcd(f_y, t^p - t), so the
+budget counts prefixes, not the p^n points.  Above level 1, residue grids
+are enumerated with numpy (all arithmetic reduced mod q at every step, so
+int64 never overflows for the moduli the budget admits); beyond the
+budget, rho falls back to a stratified recursion: each non-singular root
+mod p (read off the level-1 grid, which the recursion needs point by
+point) contributes p^((k-1)(n-1)) and each singular root a is rescaled via
 psi_a(y) = phi(a + p y)/p and counted at level k-1.  The recursion runs on
 term tables and never builds a CubicPolynomial.
 
@@ -27,16 +31,18 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import check_budget, BudgetExceeded, enumeration_budget
-from .invariants import delta, DeltaInvariant
-from .nt import primes_up_to, valuation
+from .invariants import delta, DeltaInvariant, _ranks_mod
+from .nt import is_prime, primes_up_to, valuation
 from .polynomials import (CubicPolynomial, _derivative, _eval_terms,
-                          _substitute, homogenize)
+                          _substitute, _x1_slices, homogenize)
 
 _MAX_SINGULAR = 4096  # singular roots mod p one stratification step rescales
 _REPORT_P0 = 100  # the P0 of local_report's k_threshold
-_WALK_BLOCK = 2**13  # residue points _first_root evaluates at once: an early
+_WALK_BLOCK = 2**13  # points of a _blocks walk evaluated at once: an early
                      # root costs little, a full walk stays at numpy speed
 _WALK_MAX_Q = 2**31  # _eval_terms mod q is exact in int64 while q**2 < 2**63
+_SLICE_MAX_P = 2**19  # the slice kernel's packed keys (< p^3) and unreduced
+                      # sums (< 9 p^3) stay below 2**63
 
 
 class HenselPreconditionError(ValueError):
@@ -55,6 +61,28 @@ def _grid(terms, q: int, n: int) -> np.ndarray:
     """Read-only array of shape (q,)*n holding the (weight, index tuple)
     table's value mod q (x_1 the slowest axis)."""
     return np.broadcast_to(_eval_terms(terms, _axes(q, n), q), (q,) * n)
+
+
+def _blocks(q: int, n: int, points: int):
+    """The first `points` points of [0, q)^n in C order, at most
+    _WALK_BLOCK at a time: yields (first, shape, x) for each block, its
+    flat index, its shape (prefixes,) + (q,) * trail and its n coordinate
+    arrays, which broadcast to that shape: a batch of leading-coordinate
+    prefixes, decoded from a flat index, times the full trailing axes
+    (as many as fit a block).  The last block may run past `points`."""
+    trail = 0
+    while trail < n and q ** (trail + 1) <= _WALK_BLOCK:
+        trail += 1
+    row, axes = q**trail, _axes(q, trail)
+    step = _WALK_BLOCK // row  # prefixes per block
+    prefixes = -(-points // row)
+    for r0 in range(0, prefixes, step):
+        r1 = min(r0 + step, prefixes)
+        prefix, lead = np.arange(r0, r1, dtype=np.int64), []
+        for _ in range(n - trail):
+            prefix, digit = np.divmod(prefix, q)
+            lead.append(digit.reshape((-1,) + (1,) * trail))
+        yield r0 * row, (r1 - r0,) + (q,) * trail, lead[::-1] + axes
 
 
 def residue_values(phi: CubicPolynomial, q: int,
@@ -94,15 +122,103 @@ def _psi_rescale(terms, p: int, a: list) -> list:
     return [(c // p, idx) for idx, c in _substitute(terms, pI, a).items()]
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError("p must be a prime")
+
+
+def _times_t(v, m, p: int):
+    """t v mod t^d + m(t), for the (d, N) stacks v of residues of degree
+    < d and m of the lower coefficients of a monic modulus."""
+    return (np.concatenate((np.zeros_like(v[:1]), v[:-1])) - v[-1] * m) % p
+
+
+def _frobenius_roots(f, p: int) -> np.ndarray:
+    """The number of distinct roots in F_p of each column of the (d+1, N)
+    coefficient stack f (constant first, f[d] nonzero, d >= 2).
+
+    That number is deg gcd(f, t^p - t), which is d minus the rank of
+    multiplication by g = t^p - t on F_p[t]/(f): its image is the ideal of
+    the gcd.  With s = f_d t, f_d^(d-1) f(s / f_d) is monic with the same
+    number of roots; t^p is reached by square-and-multiply, each square's
+    coefficients of degree >= d folding back through t^(d+j) mod f, and
+    the rank comes from the batched elimination of invariants._ranks_mod.
+    """
+    d, N = len(f) - 1, f.shape[1]
+    m, scale = np.empty((d, N), dtype=np.int64), 1
+    for i in reversed(range(d)):
+        m[i] = f[i] * scale % p
+        scale = scale * f[d] % p
+    fold = [-m % p]  # fold[j] = t^(d+j) mod the monic modulus
+    for _ in range(d - 1):
+        fold.append(_times_t(fold[-1], m, p))
+    fold = np.stack(fold)
+    # the products r_i r_j in order of degree i + j, and where each begins
+    degree = [i + j for i in range(d) for j in range(d)]
+    order = np.argsort(degree, kind="stable")
+    starts = np.searchsorted(np.sort(degree), range(2 * d - 1))
+    r = np.zeros((d, N), dtype=np.int64)
+    r[1] = 1
+    for bit in bin(p)[3:]:
+        sq = np.add.reduceat((r[:, None] * r[None]).reshape(d * d, N)[order],
+                             starts)  # sq[e] = sum_(i+j=e) r_i r_j
+        if bit == "1":  # times t: degrees d-1.. fold, the rest shift up
+            low = np.concatenate((np.zeros_like(sq[:1]), sq[:d - 1]))
+            r = (low + (sq[d - 1:, None] * fold).sum(axis=0)) % p
+        else:
+            r = (sq[:d] + (sq[d:, None] * fold[:d - 1]).sum(axis=0)) % p
+    r[1] = (r[1] - 1) % p
+    cols = [r]
+    for _ in range(d - 1):
+        cols.append(_times_t(cols[-1], m, p))
+    return d - _ranks_mod(np.stack(cols).transpose(2, 1, 0), p)
+
+
+def _slice_roots(terms, n: int, p: int, cap: int) -> int:
+    """rho(p) of a (weight, index tuple) table, counted slice by slice.
+
+    With phi(t, y) = sum_d t^d phi_d(y), each prefix y in F_p^(n-1) adds
+    the number of roots t mod p of f_y = sum_d phi_d(y) t^d: p when f_y
+    vanishes identically, none when it is a nonzero constant, one when it
+    is linear, else _frobenius_roots.  The degree of f_y drops below 3
+    wherever p divides the x_1^3 weight, and below 2 where phi_2(y) = 0
+    too.  A block of prefixes is cut down to its distinct slices (np.unique
+    on phi_0..phi_2 packed base p; phi_3 is the constant x_1^3 weight)
+    before they are solved.  The budget counts the p^(n-1) prefixes.
+    """
+    size = p ** (n - 1)
+    check_budget(size, cap, what=f"slice prefixes mod {p}")
+    slices, total = _x1_slices(terms), 0
+    for _, shape, y in _blocks(p, n - 1, size):
+        key = np.zeros(shape, dtype=np.int64)
+        for part in reversed(slices[:3]):
+            key = key * p + _eval_terms(part, y, p)
+        key, mult = np.unique(key, return_counts=True)
+        f = np.empty((4, len(key)), dtype=np.int64)
+        f[3] = _eval_terms(slices[3], y, p)
+        for d in range(3):
+            key, f[d] = np.divmod(key, p)
+        nonzero = f != 0
+        deg = np.where(nonzero.any(axis=0), 3 - nonzero[::-1].argmax(axis=0), -1)
+        roots = np.where(deg == -1, p, deg == 1)  # zero, constant, linear
+        for d in (2, 3):
+            if (sel := deg == d).any():
+                roots[sel] = _frobenius_roots(f[:d + 1, sel], p)
+        total += int(roots @ mult)
+    return total
+
+
 def rho(phi: CubicPolynomial, p: int, k: int,
         budget: int | None = None) -> int:
-    """Exact #{x mod p^k : phi(x) = 0 mod p^k}.
+    """Exact #{x mod p^k : phi(x) = 0 mod p^k} for a prime p.
 
     Content reduction first: when p^c divides every weight of phi.terms(),
     rho(phi, p^k) = p^(cn) rho(phi / p^c, p^(k-c)), which is p^(kn) once
-    c >= k.  Only a content-free table is counted, on its residue grid
-    when that fits the budget, else by stratification at p.
+    c >= k.  Only a content-free table is counted: at level 1 by the slice
+    kernel (p < 2**19), else on its residue grid when that fits the budget,
+    else by stratification at p.
     """
+    _require_prime(p)
     return _rho(phi.terms(), phi.n, p, k, enumeration_budget(budget), 0)
 
 
@@ -117,6 +233,8 @@ def _rho(terms, n: int, p: int, k: int, cap: int, depth: int) -> int:
     if c:
         reduced = [(w // p**c, idx) for w, idx in terms]
         return p ** (c * n) * _rho(reduced, n, p, k - c, cap, depth)
+    if k == 1 and p < _SLICE_MAX_P:
+        return _slice_roots(terms, n, p, cap)
     if (p**k) ** n <= cap:
         return int(np.count_nonzero(_grid(terms, p**k, n) == 0))
     if p**n > cap:
@@ -147,6 +265,7 @@ def rho_star(phi: CubicPolynomial, p: int, k: int,
     gradient must not vanish mod p^ceil(k/2) (documented choice; the
     source definition is only exercised where Hensel applies).
     """
+    _require_prime(p)
     q = p**k
     arr = residue_values(phi, q, budget)
     t = p ** ((k + 1) // 2)
@@ -156,7 +275,7 @@ def rho_star(phi: CubicPolynomial, p: int, k: int,
 
 def local_factor(phi: CubicPolynomial, p: int, k: int,
                  budget: int | None = None) -> Fraction:
-    """Exact rational p^(-k(n-1)) * rho(p^k)."""
+    """Exact rational p^(-k(n-1)) * rho(p^k) for a prime p."""
     return Fraction(rho(phi, p, k, budget), p ** (k * (phi.n - 1)))
 
 
@@ -245,13 +364,12 @@ class NCCCertificate:
 def _first_root(phi: CubicPolynomial, q: int, budget=None):
     """The lexicographically first x mod q with phi(x) = 0 mod q, or None.
 
-    The grid [0, q)^n is walked in C order, one contiguous block of at most
-    _WALK_BLOCK points at a time: a batch of leading-coordinate prefixes,
-    decoded from a flat index, times the full trailing axes.  The walk
-    stops at the first block holding a zero.  The budget caps the points
-    walked, not q^n: a root among the first `budget` points is returned,
-    but a grid with no root there raises BudgetExceeded when q^n exceeds
-    the budget, since only the whole grid proves there is none.
+    The grid [0, q)^n is walked in C order, one block of _blocks at a
+    time, and the walk stops at the first block holding a zero.  The budget
+    caps the points walked, not q^n: a root among the first `budget`
+    points is returned, but a grid with no root there raises
+    BudgetExceeded when q^n exceeds the budget, since only the whole grid
+    proves there is none.
     """
     if q >= _WALK_MAX_Q:
         raise BudgetExceeded(
@@ -260,24 +378,12 @@ def _first_root(phi: CubicPolynomial, q: int, budget=None):
     cap = enumeration_budget(budget)
     size = q**n
     limit = min(size, cap)
-    trail = 0  # trailing axes per prefix: the most whose q^trail fits a block
-    while trail < n and q ** (trail + 1) <= _WALK_BLOCK:
-        trail += 1
-    row, axes = q**trail, _axes(q, trail)
-    step = _WALK_BLOCK // row  # prefixes per block
-    prefixes = -(-limit // row)  # those holding the first limit points
-    for r0 in range(0, prefixes, step):
-        r1 = min(r0 + step, prefixes)
-        prefix, lead = np.arange(r0, r1, dtype=np.int64), []
-        for _ in range(n - trail):
-            prefix, digit = np.divmod(prefix, q)
-            lead.append(digit.reshape((-1,) + (1,) * trail))
-        vals = _eval_terms(terms, lead[::-1] + axes, q)
-        zero = np.broadcast_to(vals == 0, (r1 - r0,) + (q,) * trail)
-        zero = zero.ravel()[:limit - r0 * row]
+    for first, shape, x in _blocks(q, n, limit):
+        zero = np.broadcast_to(_eval_terms(terms, x, q) == 0, shape)
+        zero = zero.ravel()[:limit - first]
         hit = int(zero.argmax())
         if zero[hit]:
-            flat, w = r0 * row + hit, []
+            flat, w = first + hit, []
             for _ in range(n):
                 flat, digit = divmod(flat, q)
                 w.append(digit)
@@ -384,6 +490,7 @@ class LocalReport:
 
 def local_report(phi: CubicPolynomial, p: int, k_max: int,
                  budget: int | None = None) -> LocalReport:
+    _require_prime(p)
     form, _ = homogenize(phi)
     dphi = delta(form)
     v = valuation(dphi.value, p) if dphi.value else 0

@@ -13,6 +13,11 @@ Monte-Carlo chunks, run on up to _WORKERS threads (numpy releases the GIL
 in the kernel's ufuncs); the pieces and the order their partial results
 are combined in do not depend on the worker count, so neither does any
 result, to the last bit.
+
+Both modes of the truncated singular series read one table of local
+densities rho(p^j), p^j <= P0: the Euler factors are its top levels, and
+the q-sum takes A(p^j) as a difference of two of its entries and A(q) as a
+product over the prime powers of q, so no composite q is put on a grid.
 """
 
 import os
@@ -26,9 +31,8 @@ from mpmath import iv
 
 from .budget import enumeration_budget, BudgetExceeded
 from .counting import count_solutions, smallest_solution
-from .expsums import a_of_q_exact
 from .invariants import siegel_solve, FullRankError
-from .local import local_factor, ncc_certify, ncc_levels
+from .local import ncc_certify, ncc_levels, rho
 from .nt import primes_up_to
 from .polynomials import CubicPolynomial, _eval_terms
 
@@ -444,32 +448,59 @@ class SeriesTruncation:
 
 def singular_series(phi: CubicPolynomial, P0: int, mode: str = "both",
                     budget: int | None = None) -> SeriesTruncation:
-    """Truncated singular series.
+    """Truncated singular series, exact rationals read off one table of
+    rho(p^j) for p <= P0, each entry counted once (local.rho).
 
     Euler mode: product over p <= P0 of p^(-k(n-1)) rho(p^k) at
-    k = k(p) = max(floor(log_p P0), 1) (rho stratifies where the grid
-    exceeds the budget, or raises BudgetExceeded); q-sum mode: sum of the
-    exact rational A(q) over q <= P0, stopped with `partial` set at the
-    first q whose grid exceeds the budget.  Both are exact rationals.
+    k = k(p) = max(floor(log_p P0), 1); a rho that overruns the budget
+    raises BudgetExceeded.  q-sum mode: sum of A(q) over q <= P0, with
+    A(p^j) = p^(j(1-n)) rho(p^j) - p^((j-1)(1-n)) rho(p^(j-1)) (the partial
+    sums of A over the powers of p are the local factors) and A
+    multiplicative, so A(q) is the product of A(p^e) over the prime powers
+    p^e exactly dividing q.  The first q to need a rho(p^j) that overruns
+    the budget is a prime power; the sum stops there with `partial` set.
+    The q-sum's top levels p^k(p) are the Euler levels, so in mode "both"
+    it adds only the levels below them.
     """
+    if P0 < 1:
+        raise ValueError("P0 must be >= 1")
     n = phi.n
+    rhos = {}
+
+    def density(p: int, j: int) -> Fraction:
+        """p^(-j(n-1)) rho(p^j), rho from the table."""
+        if (p, j) not in rhos:
+            rhos[p, j] = rho(phi, p, j, budget) if j else 1
+        return Fraction(rhos[p, j], p ** (j * (n - 1)))
+
     factors, k_used = {}, {}
     partial = False
     value = Fraction(1)
+    primes = primes_up_to(P0)
     if mode in ("euler", "both"):
-        for p in primes_up_to(P0):
+        for p in primes:
             _, k_used[p] = ncc_levels(n, p, P0, 0)
-            factors[p] = local_factor(phi, p, k_used[p], budget)
+            factors[p] = density(p, k_used[p])
             value *= factors[p]
     frak = None
     if mode in ("qsum", "both"):
-        frak = Fraction(0)
-        cap = enumeration_budget(budget)
-        for q in range(1, P0 + 1):
-            if q**n > cap:
+        spf = list(range(P0 + 1))  # smallest prime factor
+        for p in reversed(primes):
+            spf[p * p::p] = [p] * len(spf[p * p::p])
+        terms = [Fraction(0), Fraction(1)]  # terms[q] = A(q)
+        for q in range(2, P0 + 1):
+            p, m, j = spf[q], q, 0
+            while m % p == 0:
+                m, j = m // p, j + 1
+            if m > 1:  # q = p^j m with p prime to m
+                terms.append(terms[q // m] * terms[m])
+                continue
+            try:
+                terms.append(density(p, j) - density(p, j - 1))
+            except BudgetExceeded:
                 partial = True
                 break
-            frak += a_of_q_exact(phi, q, budget)
+        frak = sum(terms)
     M = max(phi.height, 2)
     tail = float(M) ** (7.0 / 3.0) * float(P0) ** (-1.0 / 3.0)
     return SeriesTruncation(P0=P0, factors=factors, k_used=k_used,

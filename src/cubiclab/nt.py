@@ -5,9 +5,8 @@ fractions.Fraction; no floating point.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
-from math import gcd, isqrt
+from math import isqrt
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -47,7 +46,10 @@ def is_prime(n: int) -> bool:
 
 
 def valuation(n: int, p: int) -> int:
-    """v_p(n) for n != 0; raises for n == 0 (the valuation is infinite)."""
+    """v_p(n) for n != 0 and p >= 2; raises for n == 0 (the valuation is
+    infinite) and for p < 2 (every n would be divisible forever)."""
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p}")
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     n = abs(n)
@@ -81,38 +83,6 @@ def trial_factor(n: int, bound: int = 10**6) -> tuple[dict[int, int], int]:
             factors[n] = factors.get(n, 0) + 1
             n = 1
     return factors, n
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of |n|, unsorted scan order."""
-    n = abs(n)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
-
-
-@lru_cache(maxsize=None)
-def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    factors, cof = trial_factor(n)
-    if cof != 1:
-        raise ValueError(f"could not factor {n} for mobius")
-    if any(e > 1 for e in factors.values()):
-        return 0
-    return -1 if len(factors) % 2 else 1
-
-
-def ramanujan_sum(q: int, m: int) -> int:
-    """c_q(m) = sum over a coprime to q of e(am/q); always an integer."""
-    g = gcd(m % q if q else m, q) if q > 1 else 1
-    if q == 1:
-        return 1
-    return sum(d * mobius(q // d) for d in divisors(q) if g % d == 0)
 
 
 def nearest_int_distance(x: Fraction | float):

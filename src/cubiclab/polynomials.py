@@ -80,6 +80,15 @@ def _derivative(terms, m: int) -> list:
             for p, i in enumerate(idx) if i == m]
 
 
+def _x1_slices(terms) -> list:
+    """The slices [phi_0, ..., phi_3] of a (weight, index tuple) table,
+    phi(t, y) = sum t^d phi_d(y) with t = x_1 and y = (x_2..x_n)."""
+    parts = [[], [], [], []]
+    for w, idx in terms:
+        parts[idx.count(0)].append((w, tuple(i - 1 for i in idx if i)))
+    return parts
+
+
 def _substitute(terms, U, shift=None) -> dict:
     """The merged table {sorted index tuple: coefficient} of phi(shift + U y)
     for phi's (weight, index tuple) terms and an integer matrix U; zero
@@ -172,10 +181,7 @@ class CubicPolynomial:
     def x1_slices(self) -> list:
         """[phi_0, phi_1, phi_2, phi_3] with phi(t, y) = sum t^d phi_d(y),
         y = (x_2..x_n), each as (weight, index tuple) pairs over y."""
-        parts = [[], [], [], []]
-        for w, idx in self._terms:
-            parts[idx.count(0)].append((w, tuple(i - 1 for i in idx if i)))
-        return parts
+        return _x1_slices(self._terms)
 
     # -- evaluation ---------------------------------------------------------
 

@@ -2,6 +2,7 @@
 command reaches any of them."""
 
 import cmath
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import fsum, gcd, isqrt, tau
@@ -12,9 +13,57 @@ from scipy import integrate
 from cubiclab import CubicPolynomial, weyl_sum
 from cubiclab.budget import check_budget
 from cubiclab.expsums import _unit_roots
-from cubiclab.local import residue_values
-from cubiclab.nt import divisors
+from cubiclab.local import residue_values, value_distribution
+from cubiclab.nt import trial_factor
 from cubiclab.polynomials import _eval_terms
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of |n|, unsorted scan order."""
+    n = abs(n)
+    small, large = [], []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+    return small + large[::-1]
+
+
+@lru_cache(maxsize=None)
+def mobius(n: int) -> int:
+    if n == 1:
+        return 1
+    factors, cof = trial_factor(n)
+    if cof != 1:
+        raise ValueError(f"could not factor {n} for mobius")
+    if any(e > 1 for e in factors.values()):
+        return 0
+    return -1 if len(factors) % 2 else 1
+
+
+def ramanujan_sum(q: int, m: int) -> int:
+    """c_q(m) = sum over a coprime to q of e(am/q); always an integer."""
+    g = gcd(m % q if q else m, q) if q > 1 else 1
+    if q == 1:
+        return 1
+    return sum(d * mobius(q // d) for d in divisors(q) if g % d == 0)
+
+
+def a_of_q_exact(phi: CubicPolynomial, q: int,
+                 budget: int | None = None) -> Fraction:
+    """A(q) = sum_(a;q)=1 S(q,a)/q^n as an exact rational, from the whole
+    residue grid mod q: the reference for singular_series, which reads A(q)
+    off the local densities rho(p^j) instead.
+
+    Summing the coprime phases first gives A(q) = (sum_m counts[m] c_q(m)) /
+    q^n with c_q the Ramanujan sum, so the value is rational and exact.
+    """
+    if q == 1:
+        return Fraction(1)
+    cnt = value_distribution(phi, q, budget)
+    num = sum(int(cnt[m]) * ramanujan_sum(q, m) for m in range(q))
+    return Fraction(num, q**phi.n)
 
 
 def scan_zeros(phi: CubicPolynomial, ranges) -> list:

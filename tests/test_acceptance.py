@@ -31,11 +31,11 @@ from cubiclab import (bootstrap_check, count_solutions, hensel_lift,
                       solve_parameters, psi_requirement,
                       theorem_exponent_check, paper_exponents, symmetrize)
 from cubiclab.exponents import present
-from cubiclab.expsums import a_of_q_exact, gauss_sum
+from cubiclab.expsums import gauss_sum
 from cubiclab.invariants import small_subspace_solution_bound
 from cubiclab.nt import nearest_int_distance
 from conftest import random_poly
-from oracles import gauss_sum_direct, scan_zeros
+from oracles import a_of_q_exact, gauss_sum_direct, scan_zeros
 
 
 def _report(k: int, body) -> None:

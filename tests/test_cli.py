@@ -127,6 +127,14 @@ class TestDensities:
         assert res["k_threshold"] == 6
         assert res["rho_star_skipped"] == []
 
+    @pytest.mark.parametrize("p", ["1", "4"])
+    def test_non_prime_p_exits_one(self, capsys, fermat_json, p):
+        code = main(["densities", "--poly", fermat_json, "--p", p,
+                     "--kmax", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out
+        assert err == "error: p must be a prime\n"
+
     def test_skipped_rho_star_levels_named(self, capsys, fermat_json):
         # the 125^3 grid of rho*(5^3) is over budget; rho(5^3) stratifies
         code, out = run(capsys, ["densities", "--poly", fermat_json, "--p",
@@ -139,6 +147,13 @@ class TestDensities:
 
 
 class TestSeries:
+    @pytest.mark.parametrize("p0", ["0", "-3"])
+    def test_p0_below_one_exits_one(self, capsys, fermat_json, p0):
+        code = main(["series", "--poly", fermat_json, "--p0", p0])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out
+        assert err == "error: P0 must be >= 1\n"
+
     def test_rational_serialization(self, capsys, fermat_json):
         code, out = run(capsys, ["series", "--poly", fermat_json,
                                  "--p0", "3", "--mode", "qsum"])

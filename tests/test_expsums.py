@@ -10,12 +10,12 @@ from math import gcd, tau
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubiclab import (a_of_q_exact, bilinear_count, bootstrap_check,
-                      gauss_sum, rho, shrinking_check, symmetrize, weyl_sum)
+from cubiclab import (bilinear_count, bootstrap_check, gauss_sum, rho,
+                      shrinking_check, symmetrize, weyl_sum)
 from cubiclab.expsums import shrinking_count, weyl_bound_probe
 from cubiclab.nt import nearest_int_distance
 from conftest import random_poly
-from oracles import a_of_q, euler_comparison, gauss_sum_direct
+from oracles import a_of_q, a_of_q_exact, euler_comparison, gauss_sum_direct
 
 
 # -- Gauss sums -------------------------------------------------------------

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cubiclab import (CubicPolynomial, hensel_lift, lifting_level,
-                      local_factor, ncc_certify, rho, rho_star, symmetrize)
+from cubiclab import (CubicPolynomial, delta, hensel_lift, homogenize,
+                      lifting_level, local_factor, ncc_certify, rho, rho_star,
+                      symmetrize)
 from cubiclab import local
 from cubiclab.budget import BudgetExceeded
 from cubiclab.local import (HenselPreconditionError, local_report,
@@ -207,6 +208,108 @@ class TestRho:
     def test_budget_guard(self, watson5):
         with pytest.raises(BudgetExceeded):
             rho_star(watson5, 3, 3, budget=1000)
+
+
+def one_variable(*coeffs):
+    """The table of sum_d coeffs[d] x^d in one variable."""
+    return [(c, (0,) * d) for d, c in enumerate(coeffs) if c]
+
+
+def brute_table_rho(terms, n, p):
+    return sum(1 for x in product(range(p), repeat=n)
+               if _eval_terms(terms, x) % p == 0)
+
+
+class TestSliceKernel:
+    """rho(p) as the roots of the slices phi(t, y) in t, summed over y."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4),
+           st.sampled_from([2, 3, 5, 7]), st.booleans())
+    def test_matches_brute(self, rng, n, p, degenerate):
+        # force_degenerate_leading drops the x_1^3 term, and half the time
+        # every cubic term in x_1 and x_1^2: slices of degree <= 2 and <= 1
+        phi = random_poly(rng, n, force_degenerate_leading=degenerate)
+        count = brute_rho(phi, p, 1)
+        assert local._slice_roots(phi.terms(), n, p, 10**6) == count
+        assert rho(phi, p, 1) == count
+
+    @pytest.mark.parametrize("name", ["fermat", "selmer4", "triple_product",
+                                      "watson5", "diag5m2"])
+    def test_primes_dividing_delta(self, request, name):
+        phi = request.getfixturevalue(name)
+        d = delta(homogenize(phi)[0]).value
+        primes = [p for p in (2, 3, 5, 7) if d % p == 0]
+        assert primes
+        for p in primes:
+            assert rho(phi, p, 1) == brute_rho(phi, p, 1)
+
+    @pytest.mark.parametrize("coeffs,p,roots", [
+        ((0, -1, 0, 1), 7, 3),        # t^3 - t: 0, 1, -1
+        ((0, -1, 0, 1), 3, 3),        # t^3 - t = t^p - t: every t
+        ((-2, 5, -4, 1), 7, 2),       # (t - 1)^2 (t - 2): a double root
+        ((-1, 3, -3, 1), 5, 1),       # (t - 1)^3: a triple root
+        ((-1, -1, 0, 1), 3, 0),       # t^3 - t - 1: irreducible mod 3
+        ((0, 1, 0, 1), 3, 1),         # t (t^2 + 1): irreducible quadratic
+        ((-1, 0, 1, 7), 7, 2),        # degree drops to t^2 - 1
+        ((4, -4, 1, 5), 5, 1),        # degree drops to (t - 2)^2
+        ((1, 1, 0, 1), 2, 0),         # t^3 + t + 1: irreducible mod 2
+        ((1, 2, 3, 3), 3, 1),         # degree drops to 2 t + 1
+        ((1, 2, 2, 2), 2, 0),         # degree drops to the constant 1
+        ((0, 3, 0, 3), 3, 3),         # vanishes identically mod 3
+    ])
+    def test_hand_built_slices(self, coeffs, p, roots):
+        terms = one_variable(*coeffs)
+        assert local._slice_roots(terms, 1, p, 1) == roots \
+            == brute_table_rho(terms, 1, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_slice_degree_varies_with_prefix(self, p):
+        # index 0 is t, index 1 is y
+        tables = [
+            # p t^3 + (y - 1)(t^2 + y t + 1): degree 2 but at y = 1, where
+            # the slice vanishes identically
+            [(p, (0, 0, 0)), (1, (0, 0, 1)), (-1, (0, 0)), (1, (0, 1, 1)),
+             (-1, (0, 1)), (1, (1,)), (-1, ())],
+            # t^3 + y t^2 - y^2 t + y^3 - 1: always a cubic
+            [(1, (0, 0, 0)), (1, (0, 0, 1)), (-1, (0, 1, 1)), (1, (1, 1, 1)),
+             (-1, ())],
+            # 2 y t + y^3 - 1: linear or constant, zero at p = 2, y = 1
+            [(2, (0, 1)), (1, (1, 1, 1)), (-1, ())],
+        ]
+        for terms in tables:
+            assert local._slice_roots(terms, 2, p, p) \
+                == brute_table_rho(terms, 2, p)
+
+    def test_budget_counts_prefixes(self):
+        phi = random_poly(random.Random(4), 4)
+        assert rho(phi, 7, 1, budget=7**3) == brute_rho(phi, 7, 1)
+        with pytest.raises(BudgetExceeded, match="slice prefixes mod 7"):
+            rho(phi, 7, 1, budget=7**3 - 1)
+
+    def test_level_one_beyond_the_grid(self, watson5):
+        # the 23^5 grid exceeds the default budget; its 23^4 prefixes do not.
+        # Reference: the grid mod 23 counted one value of x_1 at a time
+        p, axes = 23, local._axes(23, 4)
+        assert p**5 > 6_000_000
+        count = sum(int(np.count_nonzero(np.broadcast_to(
+            _eval_terms(watson5.terms(), [np.int64(t)] + axes, p),
+            (p,) * 4) == 0)) for t in range(p))
+        assert rho(watson5, p, 1) == count == 279_335
+
+    def test_primes_past_the_kernel_use_the_grid(self):
+        # x^3 - 2 has one root mod p = 2 mod 3; p >= 2**19 counts the grid
+        phi = CubicPolynomial(1, cubic={(0, 0, 0): 1}, const=-2)
+        assert local._SLICE_MAX_P < 524_309
+        assert rho(phi, 524_309, 1) == rho(phi, 5, 1) == 1
+
+    @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9])
+    def test_non_prime_refused(self, fermat, p):
+        for call in (lambda: rho(fermat, p, 1), lambda: rho_star(fermat, p, 1),
+                     lambda: local_factor(fermat, p, 1),
+                     lambda: local_report(fermat, p, 1)):
+            with pytest.raises(ValueError, match="p must be a prime"):
+                call()
 
 
 class TestLocalFactor:

@@ -18,12 +18,13 @@ from scipy.optimize import brentq
 from cubiclab import (BoxRegion, CubicPolynomial, build_box, real_point,
                       singular_integral, singular_series, slice_volume,
                       symmetrize)
-from cubiclab import majorarcs
+from cubiclab import local, majorarcs
 from cubiclab.budget import BudgetExceeded
-from cubiclab.expsums import a_of_q_exact
 from cubiclab.local import local_factor
 from cubiclab.majorarcs import _cc_nodes, evaluate_array
-from conftest import random_poly
+from cubiclab.nt import trial_factor
+from conftest import full_poly_strategy, random_poly
+from oracles import a_of_q_exact
 
 
 # -- real point -------------------------------------------------------------
@@ -505,6 +506,70 @@ class TestSingularSeries:
         direct = sum((a_of_q_exact(fermat, q) for q in range(1, 7)),
                      Fraction(0))
         assert tr.frak_value == direct
+
+    @settings(max_examples=40, deadline=None)
+    @given(full_poly_strategy(max_n=4, coeff_bound=3), st.booleans(),
+           st.sampled_from([1, 2, 3, 6]), st.integers(1, 12))
+    def test_qsum_matches_oracle(self, poly, form, scale, P0):
+        # scale gives the table p-content at 2 and 3
+        phi = poly.cubic_part() if form else poly
+        phi = CubicPolynomial(
+            phi.n, cubic={t: scale * c for t, c in phi.cubic.items()},
+            quad={t: scale * c for t, c in phi.quad.items()},
+            lin=[scale * v for v in phi.lin], const=scale * phi.const)
+        tr = singular_series(phi, P0, mode="qsum")
+        assert not tr.partial
+        assert tr.frak_value == sum(a_of_q_exact(phi, q)
+                                    for q in range(1, P0 + 1))
+
+    def test_grids_are_prime_powers(self, fermat, monkeypatch):
+        moduli, grid = [], local._grid
+
+        def spy(terms, q, n):
+            moduli.append(q)
+            return grid(terms, q, n)
+
+        monkeypatch.setattr(local, "_grid", spy)
+        singular_series(fermat, 30, mode="both")
+        assert moduli
+        assert all(len(trial_factor(q)[0]) == 1 for q in moduli)
+
+    def test_qsum_payload_has_no_euler_data(self, watson5):
+        tr = singular_series(watson5, 10, mode="qsum")
+        assert tr.factors == {} and tr.k_used == {} and tr.value == 1
+
+    @pytest.mark.parametrize("name", ["watson5", "selmer4", "fermat",
+                                      "diag5m2"])
+    def test_euler_factors_sum_prime_power_terms(self, request, name):
+        # at P0 = p^k the factor of p sits at level k, and
+        # sum_(j <= k) A(p^j) = p^(k(1-n)) rho(p^k); the oracle walks the
+        # whole p^(kn) grid, so levels past 2^20 points are left out
+        phi = request.getfixturevalue(name)
+        for p in (2, 3, 5, 7):
+            for k in (1, 2):
+                if p ** (k * phi.n) > 2**20:
+                    continue
+                tr = singular_series(phi, p**k, mode="euler")
+                assert tr.k_used[p] == k
+                assert tr.factors[p] == sum(a_of_q_exact(phi, p**j)
+                                            for j in range(k + 1))
+
+    def test_watson5_beyond_level_one_grids(self, watson5):
+        # 23^5 and 29^5 exceed the default budget: rho(23) and rho(29)
+        # count 23^4 and 29^4 slice prefixes instead
+        tr = singular_series(watson5, 30, mode="both")
+        assert not tr.partial
+        assert tr.k_used == {2: 4, 3: 3, 5: 2, 7: 1, 11: 1, 13: 1, 17: 1,
+                             19: 1, 23: 1, 29: 1}
+        for p in (2, 3, 5, 7):
+            assert tr.factors[p] == local_factor(watson5, p, tr.k_used[p])
+        assert singular_series(watson5, 12, mode="qsum").frak_value == sum(
+            a_of_q_exact(watson5, q) for q in range(1, 13))
+
+    @pytest.mark.parametrize("P0", [0, -3])
+    def test_p0_below_one_refused(self, fermat, P0):
+        with pytest.raises(ValueError, match="P0 must be >= 1"):
+            singular_series(fermat, P0)
 
     def test_violation_gives_zero_factor(self):
         phi = symmetrize(1, {(0, 0, 0): 2}, const=1)[0]  # 2x^3 + 1

@@ -1,6 +1,8 @@
-"""Trial division against a plain factorisation oracle."""
+"""Trial division against a plain factorisation oracle, and valuations."""
 
-from cubiclab.nt import is_prime, trial_factor
+import pytest
+
+from cubiclab.nt import is_prime, trial_factor, valuation
 
 
 def plain_factor(n: int) -> dict:
@@ -28,3 +30,12 @@ def test_unsplit_cofactor():
     assert trial_factor(p * q) == ({}, p * q)
     assert trial_factor(12 * p * q) == ({2: 2, 3: 1}, p * q)
     assert trial_factor(101 * 103, bound=10) == ({}, 101 * 103)
+
+
+def test_valuation():
+    assert valuation(-48, 2) == 4 and valuation(7, 3) == 0
+    for p in (1, 0, -2):  # every n is divisible by 1 forever
+        with pytest.raises(ValueError, match="base p >= 2"):
+            valuation(12, p)
+    with pytest.raises(ValueError, match="infinite"):
+        valuation(0, 5)
