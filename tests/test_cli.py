@@ -272,6 +272,24 @@ class TestProbe:
         assert row["|S|"] >= 0 and row["bound"] > 0
 
 
+class TestIntegral:
+    @pytest.mark.parametrize("budget", ["0", "1"])
+    def test_monte_carlo_budget_below_two_points_exits_one(
+            self, capsys, watson_json, budget):
+        code = main(["integral", "--poly", watson_json, "--Z", "4",
+                     "--budget", budget])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out
+        assert "at least 2 points" in err
+
+    def test_first_grid_over_budget_exits_one(self, capsys, fermat_json):
+        code = main(["integral", "--poly", fermat_json, "--Z", "4",
+                     "--budget", "100"])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out
+        assert "quadrature grid (17)^3 exceeds budget" in err
+
+
 class TestDeterminism:
     def test_repeat_byte_identical(self, capsys, fermat_json, tmp_path):
         box = tmp_path / "box.json"

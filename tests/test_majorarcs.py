@@ -6,7 +6,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import pi
 from unittest import mock
 
@@ -23,6 +23,7 @@ from cubiclab.budget import BudgetExceeded
 from cubiclab.local import local_factor
 from cubiclab.majorarcs import _cc_nodes, evaluate_array
 from cubiclab.nt import trial_factor
+from cubiclab.polynomials import _eval_terms
 from conftest import full_poly_strategy, random_poly
 from oracles import a_of_q_exact
 
@@ -137,6 +138,146 @@ def boxes(draw, n):
     return [(c - h, c + h) for c, h in zip(centres, halves)]
 
 
+@st.composite
+def block_forms(draw, n):
+    """A polynomial on disjoint variable blocks, C = C_1(x_U) + C_2(x_V) +
+    ...: 0..n-1 shuffled and cut into blocks (all of size one for a
+    diagonal form), each with cubic, quadratic and linear terms in its own
+    variables only, plus a constant."""
+    order = draw(st.permutations(range(n)))
+    if draw(st.booleans()) or n == 1:
+        cuts = list(range(1, n))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    coeff = st.integers(-4, 4)
+    cubic, quad, lin = {}, {}, [0] * n
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        block = sorted(order[a:b])
+        for t in combinations_with_replacement(block, 3):
+            cubic[t] = draw(coeff)
+        for t in combinations_with_replacement(block, 2):
+            quad[t] = draw(coeff)
+        for v in block:
+            lin[v] = draw(coeff)
+    return symmetrize(n, cubic, quad, lin, draw(coeff))[0]
+
+
+def grid(bounds, m):
+    """The Clenshaw-Curtis nodes of a box, one broadcastable axis each."""
+    n = len(bounds)
+    return [_cc_nodes(m, *b)[0].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+            for i, b in enumerate(bounds)]
+
+
+def one_table_kernel(C, X, Z):
+    """2 Z sinc(2 Z C) from C's whole term table: t = 2 pi Z C and np.sinc's
+    arithmetic on it, the integrand before C was split by variable block."""
+    t = evaluate_array(C, X)
+    t *= 2.0 * Z
+    t *= pi
+    zero = t == 0
+    f = np.sin(t, out=np.empty_like(t))
+    np.divide(f, t, out=f, where=~zero)
+    f *= 2.0 * Z
+    f[zero] = 2.0 * Z
+    return f
+
+
+def block_kernel(C, X, Z):
+    """The production kernel on C's variable blocks."""
+    blocks = majorarcs._variable_blocks(C.terms())
+    return majorarcs._sinc_kernel(C, blocks, X, Z)
+
+
+def check_block_kernel(C, X, Z):
+    """The kernel on C's variable blocks against one_table_kernel: equal
+    bit for bit where |t| < 1, t = 2 pi Z C, and elsewhere within a few
+    eps (T + 1) 2 Z, T = 2 pi Z sum |w prod x_i| over C's terms.  T bounds
+    sum |2 pi Z C_k|, and it is T that bounds the rounding of a block whose
+    terms cancel (6 x2^3 + 6 x1 x2 - 6 x2^2 near its zeros): the two ways
+    of summing t differ by eps T there.  Returns the near-set size."""
+    want = one_table_kernel(C, X, Z)
+    got = block_kernel(C, X, Z)
+    assert got.shape == want.shape
+    t = evaluate_array(C, X) * (2.0 * Z) * pi
+    near = np.abs(t) < 1
+    assert np.array_equal(got[near], want[near])
+    scale = _eval_terms([(abs(w), idx) for w, idx in C.terms()],
+                        [np.abs(x) for x in X])
+    eps = np.finfo(float).eps
+    bound = 8 * eps * (2 * pi * Z * scale + 1) * 2 * Z
+    assert np.all(np.abs(got - want) <= bound)
+    return int(np.count_nonzero(near))
+
+
+class TestVariableBlocks:
+    def test_diagonal_form_one_block_per_variable(self):
+        C, _ = symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): -1},
+                          const=5)
+        assert majorarcs._variable_blocks(C.terms()) == [
+            [(5, ()), (1, (0, 0, 0))], [(1, (1, 1, 1))], [(-1, (2, 2, 2))]]
+
+    def test_terms_join_their_variables(self):
+        # x0 x1 x3 and x1 x4 link 0, 1, 3, 4; x2 stands alone
+        C, _ = symmetrize(5, {(0, 1, 3): 1, (2, 2, 2): 1},
+                          {(1, 4): 2}, lin=[0, 0, 3, 0, 0])
+        blocks = majorarcs._variable_blocks(C.terms())
+        assert [sorted({i for _, idx in b for i in idx}) for b in blocks] == [
+            [0, 1, 3, 4], [2]]
+        assert sorted(sum(blocks, [])) == sorted(C.terms())
+
+    def test_connected_and_constant_tables_are_one_block(self):
+        chain, _ = symmetrize(3, {(0, 0, 1): 1, (1, 2, 2): 1})
+        assert majorarcs._variable_blocks(chain.terms()) == [
+            list(chain.terms())]
+        const = CubicPolynomial(2, const=3)
+        assert majorarcs._variable_blocks(const.terms()) == [[(3, ())]]
+        zero = CubicPolynomial(2)
+        assert majorarcs._variable_blocks(zero.terms()) == [[]]
+        assert majorarcs._tensor_integral(zero, [(0.0, 1.0)] * 2, 3.0,
+                                          4) == pytest.approx(6.0)
+
+
+class TestBlockKernel:
+    """The kernel factored by variable block against the one-table
+    integrand it replaces for decomposable forms."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+               block_forms(n), boxes(n))),
+           st.floats(0.5, 64), st.sampled_from([4, 16, 32]))
+    def test_matches_one_table(self, case, Z, m):
+        C, bounds = case
+        check_block_kernel(C, grid(bounds, m), Z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(*[st.integers(-4, 4)] * 3).filter(any),
+           st.floats(-2, 2), st.floats(0.05, 1), st.floats(0.5, 64),
+           st.sampled_from([4, 16, 32]))
+    def test_on_and_near_the_zero_set(self, coeffs, centre, half, Z, m):
+        # C = P(x0) - P(x1) vanishes where x0 = x1: axis 1 holds the nodes
+        # of axis 0 and the same nodes moved by 2^-40 of their size
+        a, b, c = coeffs
+        C, _ = symmetrize(2, {(0, 0, 0): a, (1, 1, 1): -a},
+                          {(0, 0): b, (1, 1): -b}, lin=[c, -c])
+        x = _cc_nodes(m, centre - half, centre + half)[0]
+        X = [x.reshape(-1, 1), np.concatenate([x, x * (1 + 2**-40)])[None]]
+        assert len(majorarcs._variable_blocks(C.terms())) == 2
+        assert check_block_kernel(C, X, Z) >= m + 1
+        assert np.all(np.diag(block_kernel(C, X, Z)) == 2 * Z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+               st.integers(0, 2**32 - 1), boxes(n))),
+           st.floats(0.5, 8), st.sampled_from([16, 32]))
+    def test_connected_forms_unchanged(self, case, Z, m):
+        seed, bounds = case
+        C = random_poly(random.Random(seed), len(bounds), 4)
+        assume(len(majorarcs._variable_blocks(C.terms())) == 1)
+        want = serial_slab_integral(C, bounds, Z, m, kernel=one_table_kernel)
+        assert majorarcs._tensor_integral(C, bounds, Z, m) == want
+
+
 class TestSingularIntegral:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
@@ -186,6 +327,65 @@ class TestSingularIntegral:
         assert a["method"] == "monte-carlo"
         assert a["value"] == b["value"]
 
+    @pytest.mark.parametrize("budget", [-1, 0, 1])
+    def test_monte_carlo_below_two_points_raises(self, budget):
+        # one point has no standard error, none has no mean
+        C = random_poly(random.Random(3), 4, 4)
+        with pytest.raises(BudgetExceeded, match="at least 2 points"):
+            singular_integral(C, [(0.5, 1.5)] * 4, 4.0, budget=budget)
+        out = singular_integral(C, [(0.5, 1.5)] * 4, 4.0, budget=2)
+        assert out["nodes"] == 2 and out["error"] > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_first_grid_checked_before_it_is_built(self, n):
+        C = random_poly(random.Random(4), n, 4)
+        with mock.patch.object(majorarcs, "_tensor_integral") as rule, \
+                pytest.raises(BudgetExceeded, match=rf"\(17\)\^{n}"):
+            singular_integral(C, [(0.5, 1.5)] * n, 2.0, budget=17 ** n - 1)
+        rule.assert_not_called()
+
+    def test_budget_admits_exactly_the_grids_built(self):
+        # 17^3 fits, 33^3 does not: one grid is built, then the next raises
+        C = random_poly(random.Random(4), 3, 4)
+        with mock.patch.object(majorarcs, "_tensor_integral",
+                               return_value=0.0) as rule, \
+                pytest.raises(BudgetExceeded, match=r"\(33\)\^3"):
+            singular_integral(C, [(0.5, 1.5)] * 3, 2.0, tol=0.0,
+                              budget=17 ** 3)
+        assert [c.args[3] for c in rule.call_args_list] == [16]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(4, 5), st.integers(0, 2**32 - 1),
+           st.integers(2, 3000), st.sampled_from([3, 1000, 1 << 16]))
+    def test_monte_carlo_matches_one_serial_draw(self, n, seed, N, chunk):
+        # every axis drawn whole from default_rng(seed) before any kernel
+        # call, and the one-table integrand: the estimate to the last bit
+        C = random_poly(random.Random(seed), n, 4)
+        box = [(0.5, 1.5), (-1.0, 0.25)] + [(0.5, 1.5)] * (n - 2)
+        rng = np.random.default_rng(seed)
+        vals = one_table_kernel(C, [rng.uniform(lo, hi, N) for lo, hi in box],
+                                4.0)
+        vol = 1.0 * 1.25
+        with mock.patch.object(majorarcs, "_MC_CHUNK", chunk):
+            out = singular_integral(C, box, 4.0, budget=N, seed=seed)
+        assert out == {"value": vol * float(np.mean(vals)),
+                       "error": vol * float(np.std(vals) / np.sqrt(N)),
+                       "nodes": N, "method": "monte-carlo"}
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    def test_sample_chunks_are_slices_of_one_draw(self, seed):
+        # a numpy change to PCG64 or to uniform() shows up here, not as a
+        # moved Monte-Carlo value
+        box = [(0.5, 1.5), (-3.0, 2.0), (0.0, 1e-3), (5.0, 6.0), (-1.0, 1.0)]
+        N, chunk = 400_000, 1 << 16
+        rng = np.random.default_rng(seed)
+        whole = [rng.uniform(lo, hi, N) for lo, hi in box]
+        for c in range(0, N, chunk):
+            size = min(chunk, N - c)
+            got = majorarcs._sample_chunk(seed, box, N, c, size)
+            for axis, g in zip(whole, got):
+                assert np.array_equal(g, axis[c:c + size]), c
+
     def test_transverse_zero_stabilizes(self):
         # C = x^3 - 2 y^3 with the zero sheet x = 2^(1/3) y through the box
         C, _ = symmetrize(2, {(0, 0, 0): 1, (1, 1, 1): -2})
@@ -199,7 +399,7 @@ class TestSingularIntegral:
         assert abs(v16 - v8) < 0.3 * v8
 
 
-def serial_slab_integral(C, bounds, Z, m):
+def serial_slab_integral(C, bounds, Z, m, kernel=block_kernel):
     """The slab loop of _tensor_integral run serially, each slab's partial
     sum added in slab order: the reference its threaded form must match
     bit for bit."""
@@ -212,7 +412,7 @@ def serial_slab_integral(C, bounds, Z, m):
     total = 0.0
     for s in range(0, m + 1, rows):
         X[0] = x0[s:s + rows].reshape((-1,) + (1,) * (n - 1))
-        f = np.broadcast_to(majorarcs._sinc_kernel(C, X, Z),
+        f = np.broadcast_to(kernel(C, X, Z),
                             (len(X[0]),) + (m + 1,) * (n - 1))
         for _, w in reversed(axes[1:]):
             f = f @ w
@@ -235,12 +435,14 @@ class TestWorkers:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
-               st.integers(0, 2**32 - 1), boxes(n))),
+               st.one_of(st.integers(0, 2**32 - 1).map(
+                   lambda seed: random_poly(random.Random(seed), n, 4)),
+                         block_forms(n)),
+               boxes(n))),
            st.floats(0.5, 8), st.sampled_from([16, 32, 64]),
            st.sampled_from([1, 7, 500, majorarcs._SLAB_POINTS]))
     def test_tensor_rule_identical_per_worker_count(self, case, Z, m, slab):
-        seed, bounds = case
-        C = random_poly(random.Random(seed), len(bounds), 4)
+        C, bounds = case
         with mock.patch.object(majorarcs, "_SLAB_POINTS", slab):
             want = serial_slab_integral(C, bounds, Z, m)
             got = per_worker_count(
@@ -260,7 +462,7 @@ class TestWorkers:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(4, 5), st.integers(0, 2**32 - 1),
-           st.integers(1, 3000), st.sampled_from([3, 1000, 1 << 16]))
+           st.integers(2, 3000), st.sampled_from([3, 1000, 1 << 16]))
     def test_monte_carlo_identical_per_chunking(self, n, seed, N, chunk):
         # N need not be a multiple of the chunk; one chunk of the whole
         # sample is the unchunked kernel call
@@ -282,11 +484,11 @@ class TestWorkers:
         x0 = _cc_nodes(16, 0.5, 1.5)[0]
         kernel = majorarcs._sinc_kernel
 
-        def faulty(C, X, Z, out=None):
+        def faulty(C, blocks, X, Z, out=None):
             for s in (3, 5):
                 if X[0].flat[0] == x0[s]:
                     raise MemoryError(f"slab {s}")
-            return kernel(C, X, Z, out)
+            return kernel(C, blocks, X, Z, out)
 
         with mock.patch.object(majorarcs, "_SLAB_POINTS", 17), \
                 mock.patch.object(majorarcs, "_sinc_kernel", faulty), \
