@@ -10,30 +10,27 @@ rational, so the only floating-point step is the final root of unity.
 """
 
 from fractions import Fraction
-from itertools import product
-from math import fsum, gcd, tau, floor
+from math import fsum, gcd, tau, floor, prod
 import cmath
+
+import numpy as np
 
 from .budget import check_budget
 from .counting import _box_ranges
 from .nt import nearest_int_distance
-from .polynomials import CubicPolynomial, _eval_terms
+from .polynomials import CubicPolynomial, _CHUNK, _eval_terms, _walk
 from .local import value_distribution
 
 
-def _unit_roots(q: int) -> list:
-    """e(m/q) for m = 0..q-1 with the upper half mirrored from the lower,
-    so root[q - m] is *exactly* the conjugate of root[m] and conjugate
+def _unit_root(m: int, q: int) -> complex:
+    """e(m/q) for 0 <= m < q, the upper half mirrored from the lower, so
+    e((q - m)/q) is *exactly* the conjugate of e(m/q) and conjugate
     symmetries of the sums hold to the last bit."""
-    roots: list = [None] * q
-    for m in range(q // 2 + 1):
-        roots[m] = cmath.exp(1j * tau * m / q)
-    if q % 2 == 0:
-        # e(1/2) = -1 exactly; this root is its own conjugate partner
-        roots[q // 2] = complex(-1.0, 0.0)
-    for m in range(q // 2 + 1, q):
-        roots[m] = roots[q - m].conjugate()
-    return roots
+    if 2 * m > q:
+        return _unit_root(q - m, q).conjugate()
+    if 2 * m == q:
+        return complex(-1.0, 0.0)  # e(1/2) = -1 exactly, its own conjugate
+    return cmath.exp(1j * tau * m / q)
 
 
 # -- Gauss sums -------------------------------------------------------------
@@ -46,9 +43,9 @@ def gauss_sum(phi: CubicPolynomial, q: int, a: int,
     if gcd(a, q) != 1:
         raise ValueError(f"a = {a} not coprime to q = {q}")
     cnt = value_distribution(phi, q, budget)
-    roots = _unit_roots(q)
-    re = fsum(int(cnt[m]) * roots[a * m % q].real for m in range(q))
-    im = fsum(int(cnt[m]) * roots[a * m % q].imag for m in range(q))
+    roots = [_unit_root(a * m % q, q) for m in range(q)]
+    re = fsum(int(c) * z.real for c, z in zip(cnt, roots))
+    im = fsum(int(c) * z.imag for c, z in zip(cnt, roots))
     return complex(re, im)
 
 
@@ -59,51 +56,60 @@ def weyl_sum(phi: CubicPolynomial, alpha, bounds, P: float = 1.0,
              budget: int | None = None) -> complex:
     """S(alpha) = sum_{x in P.box} e(alpha phi(x)).
 
-    bounds is a list of (lo, hi) per coordinate (the unscaled box).  For
-    rational alpha the phase index is computed in exact integers; otherwise
-    phases are accumulated in compensated (fsum) summation with documented
-    error <= 1e-8 * point count.
+    bounds is a list of (lo, hi) per coordinate (the unscaled box).  The
+    points are grouped by an exact integer key, a phi(x) mod q for
+    rational alpha = a/q (phase e(key/q)), else phi(x) (phase
+    cmath.exp(2 pi i ((alpha key) mod 1))).  The phases times their counts
+    are summed exactly and rounded once, as fsum over the points would.
     """
-    rng = _box_ranges(phi.n, P, bounds)
-    counts = [hi - lo + 1 for lo, hi in rng]
-    if any(c <= 0 for c in counts):
+    ranges = _box_ranges(phi.n, P, bounds)
+    npts = prod(len(r) for r in ranges)
+    if not npts:
         return 0j
-    npts = 1
-    for c in counts:
-        npts *= c
     check_budget(npts, budget, what="Weyl sum lattice")
-    rational = isinstance(alpha, Fraction)
     terms = phi.terms()
+    rational = isinstance(alpha, Fraction)
     if rational:
-        q = alpha.denominator
-        a = alpha.numerator
-        roots = _unit_roots(q)
-        re_parts, im_parts = [], []
-        for x in product(*(range(lo, hi + 1) for lo, hi in rng)):
-            m = a * _eval_terms(terms, x) % q
-            re_parts.append(roots[m].real)
-            im_parts.append(roots[m].imag)
-        return complex(fsum(re_parts), fsum(im_parts))
-    re_parts, im_parts = [], []
-    for x in product(*(range(lo, hi + 1) for lo, hi in rng)):
-        ph = (alpha * _eval_terms(terms, x)) % 1.0
-        z = cmath.exp(1j * tau * ph)
-        re_parts.append(z.real)
-        im_parts.append(z.imag)
-    return complex(fsum(re_parts), fsum(im_parts))
+        q, a = alpha.denominator, alpha.numerator % alpha.denominator
+    groups = []  # (distinct keys, their counts) per chunk
+    for _, shape, x in _walk(ranges, _CHUNK, terms):
+        key = np.broadcast_to(_eval_terms(terms, x), shape)
+        if rational:  # in Python ints once a * key may pass 2**63
+            key = (key % q).astype(object if q * q >= 2**63 else np.int64)
+            key = key * a % q
+        groups.append(np.unique(key, return_counts=True))
+    keys, mults = (np.concatenate(g) for g in zip(*groups))
+    keys, inverse = np.unique(keys, return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, inverse, mults)
+    phases = [_unit_root(k, q) if rational
+              else cmath.exp(1j * tau * ((alpha * k) % 1.0))
+              for k in keys.tolist()]
+    re = sum(c * Fraction(z.real) for c, z in zip(counts.tolist(), phases))
+    im = sum(c * Fraction(z.imag) for c, z in zip(counts.tolist(), phases))
+    return complex(float(re), float(im))
 
 
 # -- bilinear counting ------------------------------------------------------
 
 
 def _near_integer_count(L, scale, r: int, eps) -> int:
-    """#{u in [-r, r]^n : ||scale (L u)_i|| < eps for all i}, n = len(L);
-    exact for Fraction scale and eps."""
-    n = len(L)
-    return sum(
-        all(nearest_int_distance(scale * sum(L[i][j] * u[j] for j in range(n)))
-            < eps for i in range(n))
-        for u in product(range(-r, r + 1), repeat=n))
+    """#{u in [-r, r]^n : ||scale (L u)_i|| < eps for all i}, n = len(L),
+    over chunks of the box.  Each value is formed in the order and the
+    arithmetic of one point's scale * sum_j L[i][j] u[j]: exact for int and
+    Fraction entries, IEEE double once a float enters; its distance to the
+    nearest integer is taken as nt.nearest_int_distance takes it."""
+    rows = [[(w, (j,)) for j, w in enumerate(row)] for row in L]
+    height = [(max(1, abs(scale)) * w, idx) for row in rows for w, idx in row]
+    count = 0
+    for _, shape, u in _walk([range(-r, r + 1)] * len(L), _CHUNK, height):
+        near = True
+        for row in rows:
+            x = scale * _eval_terms(row, u)
+            frac = x - x // 1
+            near = near & (np.minimum(frac, 1 - frac) < eps)
+        count += int(np.count_nonzero(np.broadcast_to(near, shape)))
+    return count
 
 
 def bilinear_count(C: CubicPolynomial, alpha, h, bound: int, eps,
@@ -185,6 +191,9 @@ def weyl_bound_probe(C: CubicPolynomial, q: int, a: int, theta: float,
                      budget: int | None = None) -> dict:
     """|S(alpha)| against the Weyl-differencing right-hand side (epsilon
     dropped, implicit constant unknown: reported, never asserted)."""
+    if q < 1 or P < 1 or gcd(a, q) != 1:
+        raise ValueError(f"need q >= 1, P >= 1 and gcd(a, q) = 1, got "
+                         f"q = {q}, a = {a}, P = {P}")
     n = C.n
     if bounds is None:
         bounds = [(-1.0, 1.0)] * n

@@ -10,19 +10,19 @@ reduction of that matrix, never from a sample of minors.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import prod
 
 import numpy as np
 
 from .budget import check_budget
 from .nt import column_reduce, trial_factor, ceil_fraction, is_prime
-from .polynomials import CubicPolynomial, DimensionMismatch
+from .polynomials import (CubicPolynomial, DimensionMismatch, _CHUNK,
+                          _eval_terms, _walk)
 
 _FACTOR_BOUND = 10**6  # trial division bound for the factorization of Delta
 _PSI_BOUND_CONST = 20.0  # largest regularized ratio psi_good_report accepts
 _LLL_DELTA = Fraction(3, 4)  # the Lovasz condition parameter of _lll
-_CHUNK_ENTRIES = 2**13  # Hessian entries rank_census holds per chunk
+_CHUNK_ENTRIES = 2**14  # Hessian entries a rank_census chunk holds at most
 
 
 # -- exact linear algebra helpers -------------------------------------------
@@ -130,23 +130,22 @@ def rank_census(C: CubicPolynomial, H: int, p: int | None = None,
                 budget: int | None = None) -> RankCensus:
     """Exact rank statistics of M(x) = sum_k x_k M(e_k) over the box |x| < H.
 
-    The box is cut into chunks of about _CHUNK_ENTRIES matrix entries, and
-    each chunk's stack of M(x) mod q is ranked at once by _ranks_mod.  Over
-    F_p that is one prime, q = p.  Over Q, rank_q <= rank_Q for every q:
-    a matrix whose largest rank so far is r has all its (r+1) x (r+1)
-    minors divisible by every prime tried, so once their product P exceeds
-    the Hadamard bound on those minors (the product of the r+1 largest
-    max(1, |row_i|) over the box), none is nonzero and rank_Q = r.  Primes
-    below 2**31 are tried, largest first, until every rank is settled.
+    The box is walked in chunks of whole trailing axes, at most
+    _CHUNK_ENTRIES matrix entries, and each chunk's stack of M(x) mod q is
+    ranked at once by _ranks_mod.  Over F_p that is one prime, q = p.
+    Over Q, rank_q <= rank_Q for every q: a matrix whose largest rank so
+    far is r has all its (r+1) x (r+1) minors divisible by every prime
+    tried, so once their product P exceeds the Hadamard bound on those
+    minors (the product of the r+1 largest max(1, |row_i|) over the box),
+    none is nonzero and rank_Q = r.  Primes below 2**31 are tried, largest
+    first, until every rank is settled.
     """
     if H < 1:
         raise ValueError("H must be >= 1")
     if p is not None and not (p < 2**31 and is_prime(p)):
         raise ValueError("p must be a prime below 2**31")
     n = C.n
-    side = 2 * H - 1
-    points = side**n
-    check_budget(points, budget, what="rank census")
+    check_budget((2 * H - 1) ** n, budget, what="rank census")
     basis = [C.hessian([int(i == k) for i in range(n)]) for k in range(n)]
     if p is None:
         # |M(x)_ij| <= bound[i][j] on the box; squared row norms, largest first
@@ -169,14 +168,11 @@ def rank_census(C: CubicPolynomial, H: int, p: int | None = None,
     stages = [(q, np.array([[[v % q for v in row] for row in b]
                             for b in basis], dtype=np.int64),
                np.array(settled)) for q, settled in stages]
-    place = side ** np.arange(n, dtype=np.int64)
-    step = max(1, _CHUNK_ENTRIES // n**2)
     counts = np.zeros(n + 1, dtype=np.int64)
-    for start in range(0, points, step):
-        t = np.arange(start, min(start + step, points), dtype=np.int64)
-        X = t[:, None] // place % side - (H - 1)
-        rank = np.zeros(len(t), dtype=np.int64)
-        live = np.arange(len(t))
+    for _, shape, x in _walk([range(1 - H, H)] * n, _CHUNK_ENTRIES // n**2):
+        X = np.stack([np.broadcast_to(c, shape).ravel() for c in x], axis=1)
+        rank = np.zeros(len(X), dtype=np.int64)
+        live = np.arange(len(X))
         for q, B, settled in stages:
             Xq = X[live] % q
             M = np.zeros((len(live), n, n), dtype=np.int64)
@@ -284,9 +280,9 @@ def siegel_solve(A: list) -> list:
     """Nonzero integer kernel vector of the m x n matrix A, m < n, with
     |x|_inf <= (n * maxentry)^(m/(n-m)) (classical Siegel bound, asserted).
     When neither the kernel basis nor its LLL reduction meets the bound,
-    the 7^len(basis) combinations with coefficients in [-3, 3] are scanned,
-    and BudgetExceeded is raised first when they exceed the enumeration
-    budget."""
+    the 7^len(basis) combinations with coefficients in [-3, 3] are scanned
+    for the first, in C order, of least norm; BudgetExceeded is raised
+    first when they exceed the enumeration budget."""
     m = len(A)
     n = len(A[0])
     if any(len(r) != n for r in A):
@@ -304,18 +300,19 @@ def siegel_solve(A: list) -> list:
         basis = red
     if max(abs(x) for x in cand) > bound:
         # last resort: small integer combinations of the (reduced) basis
-        rng = range(-3, 4)
-        check_budget(len(rng) ** len(basis),
-                     what="siegel_solve combination scan")
-        best = cand
-        for coeffs in product(rng, repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            v = [sum(c * bv[i] for c, bv in zip(coeffs, basis))
-                 for i in range(n)]
-            if any(v) and max(abs(x) for x in v) < max(abs(x) for x in best):
-                best = v
-        cand = best
+        check_budget(7 ** len(basis), what="siegel_solve combination scan")
+        # v_i = sum_j c_j basis[j][i]: coordinate i as a linear table in c
+        cols = [[(bv[i], (j,)) for j, bv in enumerate(basis)]
+                for i in range(n)]
+        norm = max(abs(x) for x in cand)
+        for _, shape, c in _walk([range(-3, 4)] * len(basis), _CHUNK,
+                                 [t for col in cols for t in col]):
+            v = [np.broadcast_to(_eval_terms(col, c), shape) for col in cols]
+            size = np.abs(np.stack(v)).max(axis=0)
+            size = np.where(size > 0, size, norm)
+            at = np.unravel_index(size.argmin(), shape)
+            if size[at] < norm:
+                cand, norm = [int(vi[at]) for vi in v], size[at]
     norm = max(abs(x) for x in cand)
     assert norm <= bound, (
         f"Siegel bound violated: |x| = {norm} > {bound}")

@@ -34,11 +34,11 @@ from .budget import check_budget, BudgetExceeded, enumeration_budget
 from .invariants import delta, DeltaInvariant, _ranks_mod
 from .nt import is_prime, primes_up_to, valuation
 from .polynomials import (CubicPolynomial, _derivative, _eval_terms,
-                          _substitute, _x1_slices, homogenize)
+                          _substitute, _walk, _x1_slices, homogenize)
 
 _MAX_SINGULAR = 4096  # singular roots mod p one stratification step rescales
 _REPORT_P0 = 100  # the P0 of local_report's k_threshold
-_WALK_BLOCK = 2**13  # points of a _blocks walk evaluated at once: an early
+_WALK_BLOCK = 2**13  # points of a mod-q _walk evaluated at once: an early
                      # root costs little, a full walk stays at numpy speed
 _WALK_MAX_Q = 2**31  # _eval_terms mod q is exact in int64 while q**2 < 2**63
 _SLICE_MAX_P = 2**19  # the slice kernel's packed keys (< p^3) and unreduced
@@ -52,37 +52,11 @@ class HenselPreconditionError(ValueError):
 # -- residue grids ----------------------------------------------------------
 
 
-def _axes(q: int, n: int) -> list:
-    return [np.arange(q, dtype=np.int64).reshape((1,) * i + (q,) + (1,) * (n - 1 - i))
-            for i in range(n)]
-
-
 def _grid(terms, q: int, n: int) -> np.ndarray:
     """Read-only array of shape (q,)*n holding the (weight, index tuple)
     table's value mod q (x_1 the slowest axis)."""
-    return np.broadcast_to(_eval_terms(terms, _axes(q, n), q), (q,) * n)
-
-
-def _blocks(q: int, n: int, points: int):
-    """The first `points` points of [0, q)^n in C order, at most
-    _WALK_BLOCK at a time: yields (first, shape, x) for each block, its
-    flat index, its shape (prefixes,) + (q,) * trail and its n coordinate
-    arrays, which broadcast to that shape: a batch of leading-coordinate
-    prefixes, decoded from a flat index, times the full trailing axes
-    (as many as fit a block).  The last block may run past `points`."""
-    trail = 0
-    while trail < n and q ** (trail + 1) <= _WALK_BLOCK:
-        trail += 1
-    row, axes = q**trail, _axes(q, trail)
-    step = _WALK_BLOCK // row  # prefixes per block
-    prefixes = -(-points // row)
-    for r0 in range(0, prefixes, step):
-        r1 = min(r0 + step, prefixes)
-        prefix, lead = np.arange(r0, r1, dtype=np.int64), []
-        for _ in range(n - trail):
-            prefix, digit = np.divmod(prefix, q)
-            lead.append(digit.reshape((-1,) + (1,) * trail))
-        yield r0 * row, (r1 - r0,) + (q,) * trail, lead[::-1] + axes
+    x = np.ix_(*[np.arange(q)] * n)
+    return np.broadcast_to(_eval_terms(terms, x, q), (q,) * n)
 
 
 def residue_values(phi: CubicPolynomial, q: int,
@@ -186,10 +160,9 @@ def _slice_roots(terms, n: int, p: int, cap: int) -> int:
     on phi_0..phi_2 packed base p; phi_3 is the constant x_1^3 weight)
     before they are solved.  The budget counts the p^(n-1) prefixes.
     """
-    size = p ** (n - 1)
-    check_budget(size, cap, what=f"slice prefixes mod {p}")
+    check_budget(p ** (n - 1), cap, what=f"slice prefixes mod {p}")
     slices, total = _x1_slices(terms), 0
-    for _, shape, y in _blocks(p, n - 1, size):
+    for _, shape, y in _walk([range(p)] * (n - 1), _WALK_BLOCK):
         key = np.zeros(shape, dtype=np.int64)
         for part in reversed(slices[:3]):
             key = key * p + _eval_terms(part, y, p)
@@ -364,12 +337,11 @@ class NCCCertificate:
 def _first_root(phi: CubicPolynomial, q: int, budget=None):
     """The lexicographically first x mod q with phi(x) = 0 mod q, or None.
 
-    The grid [0, q)^n is walked in C order, one block of _blocks at a
-    time, and the walk stops at the first block holding a zero.  The budget
-    caps the points walked, not q^n: a root among the first `budget`
-    points is returned, but a grid with no root there raises
-    BudgetExceeded when q^n exceeds the budget, since only the whole grid
-    proves there is none.
+    The grid [0, q)^n is walked in C order, _WALK_BLOCK points at a time,
+    and the walk stops at the first block holding a zero.  The budget caps
+    the points walked, not q^n: a root among the first `budget` points is
+    returned, but a grid with no root there raises BudgetExceeded when q^n
+    exceeds the budget, since only the whole grid proves there is none.
     """
     if q >= _WALK_MAX_Q:
         raise BudgetExceeded(
@@ -378,16 +350,15 @@ def _first_root(phi: CubicPolynomial, q: int, budget=None):
     cap = enumeration_budget(budget)
     size = q**n
     limit = min(size, cap)
-    for first, shape, x in _blocks(q, n, limit):
+    for first, shape, x in _walk([range(q)] * n, _WALK_BLOCK):
+        if first >= limit:
+            break
         zero = np.broadcast_to(_eval_terms(terms, x, q) == 0, shape)
         zero = zero.ravel()[:limit - first]
         hit = int(zero.argmax())
         if zero[hit]:
-            flat, w = first + hit, []
-            for _ in range(n):
-                flat, digit = divmod(flat, q)
-                w.append(digit)
-            return tuple(w[::-1])
+            at = np.unravel_index(hit, shape)
+            return tuple(int(c.ravel()[at[len(shape) - c.ndim]]) for c in x)
     check_budget(size, cap, what=f"residue grid mod {q}")
     return None
 

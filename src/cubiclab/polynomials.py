@@ -23,13 +23,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import factorial, gcd, prod
+from math import factorial, prod
 import json
+
+import numpy as np
 
 from .budget import check_budget
 from .nt import column_reduce
 
 _NORMALIZE_HEIGHT = 3  # normalize_leading searches primitive t with |t| <= this
+_CHUNK = 1 << 15  # points per _walk chunk; bounds peak memory
 
 
 class DimensionMismatch(ValueError):
@@ -71,6 +74,43 @@ def _eval_terms(terms, x, mod=None):
                 w = w * x[i] % mod
             total = (total + w) % mod
     return total
+
+
+def _walk(ranges, points: int, terms=()):
+    """The box prod(ranges) in C order (the last axis fastest), about
+    `points` points at a time.  Yields (first, shape, x) per chunk: its
+    flat index, its shape (prefixes,) + the trailing axis lengths, and one
+    coordinate array per range: a batch of leading prefixes, decoded from
+    the flat index, times as many full trailing axes as fit `points`.  The
+    arrays broadcast to shape, each varying along its first axis only,
+    axis len(shape) - ndim of the chunk.  They are int64, or Python ints
+    in object arrays where evaluating the (weight, index tuple) table
+    `terms` on the box could overflow int64: every partial sum is at most
+    sum |w| B^deg and every coordinate step at most 2B, B the largest
+    |coordinate|."""
+    sizes = [len(r) for r in ranges]
+    if not all(sizes):
+        return
+    B = max([1] + [abs(v) for r in ranges for v in (r[0], r[-1])])
+    wide = 2 * B + sum(abs(w) * B ** len(idx) for w, idx in terms) >= 2 ** 63
+    dtype = object if wide else np.int64
+    lead, row = len(ranges), 1
+    while lead and row * sizes[lead - 1] <= points:
+        lead -= 1
+        row *= sizes[lead]
+    trail = len(ranges) - lead
+    tail = [np.arange(r.start, r.stop, r.step, dtype=dtype)
+            .reshape((-1,) + (1,) * (trail - 1 - i))
+            for i, r in enumerate(ranges[lead:])]
+    prefixes, step = prod(sizes[:lead]), max(1, points // row)
+    for p0 in range(0, prefixes, step):
+        flat, x = np.arange(p0, min(p0 + step, prefixes)), []
+        for r in reversed(ranges[:lead]):
+            flat, digit = np.divmod(flat, len(r))
+            x.append((digit.astype(dtype, copy=False) * r.step + r.start)
+                     .reshape((-1,) + (1,) * trail))
+        yield (p0 * row, (min(step, prefixes - p0), *sizes[lead:]),
+               x[::-1] + tail)
 
 
 def _derivative(terms, m: int) -> list:
@@ -350,26 +390,27 @@ def transform(phi: CubicPolynomial, U: list) -> CubicPolynomial:
 def normalize_leading(phi: CubicPolynomial):
     """Coordinate change making the x_1^3 coefficient positive and large.
 
-    Searches primitive vectors t with |t| <= 3 and picks the one maximizing
-    |C(t)|; requires |C(t)| >= M / (10 n^3).  Returns (transformed phi, U)
-    with phi'(y) = phi(U y), U's first column t or -t, whichever has
-    C > 0.  Raises NormalizationError when no such vector exists within the
-    search height, and BudgetExceeded when its 7^n candidates exceed the
-    enumeration budget.
+    Searches primitive vectors t with |t| <= 3 and picks the first, in C
+    order, maximizing |C(t)|; requires |C(t)| >= M / (10 n^3).  Returns
+    (transformed phi, U) with phi'(y) = phi(U y), U's first column t or
+    -t, whichever has C > 0.  Raises NormalizationError when no such
+    vector exists within the search height, and BudgetExceeded when its
+    7^n candidates exceed the enumeration budget.
     """
     n = phi.n
     h = _NORMALIZE_HEIGHT
     check_budget((2 * h + 1) ** n, what="normalize_leading search")
-    C = phi.cubic_part()
-    M = phi.height
+    terms = phi.cubic_part().terms()
     best_t, best_val = None, 0
-    for t in product(range(-h, h + 1), repeat=n):
-        if gcd(*t) != 1:
-            continue
-        val = C.evaluate(t)
-        if abs(val) > abs(best_val):
-            best_t, best_val = list(t), val
-    threshold = Fraction(M, 10 * n**3)
+    for _, shape, t in _walk([range(-h, h + 1)] * n, _CHUNK, terms):
+        val = np.broadcast_to(_eval_terms(terms, t), shape)
+        primitive = np.gcd.reduce(np.broadcast_arrays(*t), initial=0) == 1
+        size = np.where(primitive, abs(val), 0)
+        at = np.unravel_index(size.argmax(), shape)
+        if size[at] > abs(best_val):
+            best_t = [int(c.ravel()[at[len(shape) - c.ndim]]) for c in t]
+            best_val = int(val[at])
+    threshold = Fraction(phi.height, 10 * n**3)
     if best_t is None or abs(best_val) < threshold:
         raise NormalizationError(
             f"no primitive vector of height <= {h} with "

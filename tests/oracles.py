@@ -5,16 +5,17 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import fsum, gcd, isqrt, tau
+from math import floor, fsum, gcd, isqrt, tau
 
 import numpy as np
 from scipy import integrate
 
 from cubiclab import CubicPolynomial, weyl_sum
 from cubiclab.budget import check_budget
-from cubiclab.expsums import _unit_roots
+from cubiclab.counting import _box_ranges
+from cubiclab.expsums import _unit_root
 from cubiclab.local import residue_values, value_distribution
-from cubiclab.nt import trial_factor
+from cubiclab.nt import nearest_int_distance, trial_factor
 from cubiclab.polynomials import _eval_terms
 
 
@@ -180,7 +181,7 @@ def gauss_sum_direct(phi: CubicPolynomial, q: int, a: int,
                      budget: int | None = None) -> complex:
     """S(q, a) by direct summation over residues (exact Python evaluation)."""
     check_budget(q**phi.n, budget, what=f"Gauss sum mod {q}")
-    roots = _unit_roots(q)
+    roots = [_unit_root(m, q) for m in range(q)]
     counts = _exact_residue_profile(phi.to_json(), q)
     re = fsum(counts[m] * roots[a * m % q].real for m in range(q))
     im = fsum(counts[m] * roots[a * m % q].imag for m in range(q))
@@ -228,3 +229,62 @@ def euler_comparison(phi: CubicPolynomial, lam: float, bounds,
     I = complex(re, im)
     R = max(hi - lo for lo, hi in bounds) / 2.0
     return {"sum": S, "integral": I, "diff": abs(S - I), "R": R}
+
+
+# -- per-point references of the chunked box walks ---------------------------
+
+
+def weyl_sum_direct(phi: CubicPolynomial, alpha, bounds,
+                    P: float = 1.0) -> complex:
+    """weyl_sum by one exact evaluation per point of the box, in
+    itertools.product order, and fsum over the points' phases: e(m/q) of
+    _unit_root for rational alpha = a/q, m = a phi(x) mod q, else
+    cmath.exp(2 pi i ((alpha phi(x)) mod 1))."""
+    re_parts, im_parts = [], []
+    terms = phi.terms()
+    for x in product(*_box_ranges(phi.n, P, bounds)):
+        v = _eval_terms(terms, x)
+        if isinstance(alpha, Fraction):
+            q = alpha.denominator
+            z = _unit_root(alpha.numerator * v % q, q)
+        else:
+            z = cmath.exp(1j * tau * ((alpha * v) % 1.0))
+        re_parts.append(z.real)
+        im_parts.append(z.imag)
+    return complex(fsum(re_parts), fsum(im_parts))
+
+
+def shrinking_count_direct(L, a, Z) -> int:
+    """shrinking_count point by point: #{u : |u| <= a Z, ||(L u)_i|| <
+    Z / a for all i}, each (L u)_i summed in index order in Python."""
+    r = floor(float(a) * float(Z) + 1e-12)
+    eps = float(Z) / float(a)
+    n = len(L)
+    return sum(
+        all(nearest_int_distance(sum(L[i][j] * u[j] for j in range(n))) < eps
+            for i in range(n))
+        for u in product(range(-r, r + 1), repeat=n))
+
+
+def normalize_direction_direct(phi: CubicPolynomial):
+    """(t, C(t)) for the first primitive t in itertools.product order over
+    [-3, 3]^n with the largest |C(t)| > 0, C the cubic part; (None, 0) when
+    C vanishes on all of them."""
+    C = phi.cubic_part()
+    best_t, best_val = None, 0
+    for t in product(range(-3, 4), repeat=phi.n):
+        if gcd(*t) == 1 and abs(C.evaluate(t)) > abs(best_val):
+            best_t, best_val = list(t), C.evaluate(t)
+    return best_t, best_val
+
+
+def siegel_scan_direct(basis: list, best: list) -> list:
+    """The first nonzero combination sum c_j basis[j], c in [-3, 3]^k in
+    itertools.product order, whose sup norm is smallest and below that of
+    `best`; `best` itself when there is none."""
+    n = len(basis[0])
+    for coeffs in product(range(-3, 4), repeat=len(basis)):
+        v = [sum(c * bv[i] for c, bv in zip(coeffs, basis)) for i in range(n)]
+        if any(v) and max(map(abs, v)) < max(map(abs, best)):
+            best = v
+    return best

@@ -271,6 +271,19 @@ class TestProbe:
         row = json.loads(out)["result"]["rows"][0]
         assert row["|S|"] >= 0 and row["bound"] > 0
 
+    @pytest.mark.parametrize("args,message", [
+        (["--q", "0", "--a", "1"], "q = 0, a = 1, P = 10"),
+        (["--q", "-3", "--a", "1"], "q = -3, a = 1, P = 10"),
+        (["--q", "3", "--a", "3"], "q = 3, a = 3, P = 10"),
+        (["--q", "7", "--a", "2", "--P", "0"], "q = 7, a = 2, P = 0"),
+        (["--q", "7", "--a", "2", "--P", "-2"], "q = 7, a = 2, P = -2")])
+    def test_bad_input_exits_one(self, capsys, fermat_json, args, message):
+        code = main(["probe", "--poly", fermat_json, *args])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out
+        assert err == ("error: need q >= 1, P >= 1 and gcd(a, q) = 1, "
+                       f"got {message}\n")
+
 
 class TestIntegral:
     @pytest.mark.parametrize("budget", ["0", "1"])

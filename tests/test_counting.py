@@ -3,12 +3,14 @@ comparison table."""
 
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubiclab import (CubicPolynomial, asymptotic_compare, count_solutions,
                       smallest_solution, symmetrize)
+from cubiclab import counting
 from cubiclab.budget import BudgetExceeded
 from conftest import random_poly
 from oracles import integer_roots_cubic, scan_zeros
@@ -180,6 +182,18 @@ class TestCountSolutions:
         phi, P, box, ranges, keep = case
         ref = scan_zeros(phi, ranges)
         res = count_solutions(phi, P, box=box, keep=keep)
+        assert res.count == len(ref)
+        assert res.solutions_sample == tuple(ref[:keep])
+
+    @settings(max_examples=60, deadline=None)
+    @given(counting_cases(heights=[5, 2**70]), st.sampled_from([1, 2, 5, 13]))
+    def test_any_chunk_size_walks_the_same_zeros(self, case, chunk):
+        # a chunk shorter than the x_1 axis decodes every coordinate from
+        # the flat index; a longer one takes trailing axes whole
+        phi, P, box, ranges, keep = case
+        ref = scan_zeros(phi, ranges)
+        with mock.patch.object(counting, "_CHUNK", chunk):
+            res = count_solutions(phi, P, box=box, keep=keep)
         assert res.count == len(ref)
         assert res.solutions_sample == tuple(ref[:keep])
 

@@ -3,19 +3,23 @@ shrinking/bootstrap lemma verifiers."""
 
 import cmath
 import random
+from unittest import mock
 from fractions import Fraction
 from itertools import product
 from math import gcd, tau
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cubiclab import (bilinear_count, bootstrap_check, gauss_sum, rho,
-                      shrinking_check, symmetrize, weyl_sum)
+from cubiclab import (CubicPolynomial, bilinear_count, bootstrap_check,
+                      gauss_sum, rho, shrinking_check, symmetrize, weyl_sum)
+from cubiclab import expsums
 from cubiclab.expsums import shrinking_count, weyl_bound_probe
 from cubiclab.nt import nearest_int_distance
-from conftest import random_poly
-from oracles import a_of_q, a_of_q_exact, euler_comparison, gauss_sum_direct
+from cubiclab.polynomials import _walk
+from conftest import full_poly_strategy, make_watson5, random_poly
+from oracles import (a_of_q, a_of_q_exact, euler_comparison, gauss_sum_direct,
+                     shrinking_count_direct, weyl_sum_direct)
 
 
 # -- Gauss sums -------------------------------------------------------------
@@ -126,6 +130,61 @@ class TestWeylSum:
         assert weyl_sum(fermat, Fraction(0), [(2, 1)] * 3, P=1) == 0
 
 
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+# alpha = a/q with small q, with q >= 2**31 (q**2 beyond int64 from about
+# 2**31.5 on), and float alpha
+ALPHAS = st.one_of(
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 40)),
+    st.builds(Fraction, st.integers(-2**45, 2**45), st.integers(2**31, 2**45)),
+    st.floats(-3, 3, allow_nan=False))
+
+
+class TestWeylSumOracle:
+    """weyl_sum walks the box in chunks and sums each distinct phase once,
+    times its multiplicity: bit for bit the per-point fsum."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(full_poly_strategy(max_n=3), ALPHAS,
+           st.lists(st.tuples(st.integers(-3, 1), st.integers(-1, 3)),
+                    min_size=3, max_size=3), st.integers(1, 3),
+           st.sampled_from([3, 40, 1 << 15]))
+    @example(symmetrize(2, {(0, 0, 1): 1, (1, 1, 1): 2})[0],
+             Fraction(5, 2**33 + 1), [(-2, 2)] * 2, 3, 1 << 15)
+    @example(symmetrize(2, {(0, 0, 1): 1})[0], Fraction(1, 2), [(1, -1)] * 2,
+             2, 1 << 15)
+    def test_matches_per_point_sum(self, phi, alpha, bounds, P, chunk):
+        # unit bounds scaled by P; lo > hi on some axis gives an empty box
+        bounds = [(lo / 2, hi / 2) for lo, hi in bounds[:phi.n]]
+        with mock.patch.object(expsums, "_CHUNK", chunk):
+            got = weyl_sum(phi, alpha, bounds, P)
+        assert _bits(got) == _bits(weyl_sum_direct(phi, alpha, bounds, P))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), ALPHAS)
+    def test_object_dtype_table(self, seed, alpha):
+        # coefficients near 2**61: the values on the box overflow int64,
+        # so the walk evaluates in Python ints
+        rng = random.Random(seed)
+        phi = CubicPolynomial(2, cubic={(0, 0, 1): rng.randint(2**60, 2**61),
+                                        (1, 1, 1): -rng.randint(2**60, 2**61)},
+                              lin=[rng.randint(-9, 9), 1], const=2**62)
+        bounds = [(-1, 1)] * 2
+        _, _, x = next(_walk([range(-3, 4)] * 2, 49, phi.terms()))
+        assert x[0].dtype == object
+        assert _bits(weyl_sum(phi, alpha, bounds, 3)) == \
+            _bits(weyl_sum_direct(phi, alpha, bounds, 3))
+
+    @pytest.mark.parametrize("alpha", [Fraction(2, 7), 2 / 7 + 0.0])
+    def test_watson5_probe_box(self, alpha):
+        C = make_watson5().cubic_part()
+        bounds = [(-1.0, 1.0)] * 5
+        assert _bits(weyl_sum(C, alpha, bounds, 6)) == \
+            _bits(weyl_sum_direct(C, alpha, bounds, 6))
+
+
 # -- bilinear counting ------------------------------------------------------
 
 def brute_bilinear_count(C, alpha, h, bound, eps):
@@ -185,7 +244,25 @@ class TestBilinearCount:
 
 # -- shrinking lemma --------------------------------------------------------
 
+MATRIX_ENTRIES = {
+    "int": st.integers(-3, 3),
+    "float": st.floats(-2, 2, allow_nan=False),
+    "fraction": st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)),
+}
+
+
 class TestShrinking:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(MATRIX_ENTRIES)),
+           st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), 1]),
+           st.sampled_from([2, 9, 1 << 15]))
+    def test_matches_per_point_oracle(self, data, kind, n, a, Z, chunk):
+        L = data.draw(st.lists(st.lists(MATRIX_ENTRIES[kind], min_size=n,
+                                        max_size=n), min_size=n, max_size=n))
+        with mock.patch.object(expsums, "_CHUNK", chunk):
+            assert shrinking_count(L, a, Z) == shrinking_count_direct(L, a, Z)
+
     def test_identity_matrix(self):
         rep = shrinking_check([[1, 0], [0, 1]], 1, Fraction(1, 2))
         assert rep["NZ"] == 1 and rep["N1"] == 9
@@ -295,6 +372,12 @@ class TestProbes:
         out = weyl_bound_probe(fermat.cubic_part(), 1, 0, 0.0, P=3, psi=1.0)
         assert out["S_abs"] == pytest.approx(7**3)
         assert out["ratio"] > 0
+
+    @pytest.mark.parametrize("q,a,P", [(0, 1, 3), (-3, 1, 3), (3, 3, 3),
+                                       (4, 2, 3), (7, 2, 0), (7, 2, -2)])
+    def test_weyl_bound_probe_rejects_bad_input(self, fermat, q, a, P):
+        with pytest.raises(ValueError):
+            weyl_bound_probe(fermat.cubic_part(), q, a, 0.0, P=P, psi=1.0)
 
     def test_weyl_bound_probe_sequence(self):
         C = symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 1})[0]

@@ -10,6 +10,8 @@ from math import gcd, prod
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 from cubiclab import (CubicPolynomial, delta, homogenize, rank_census,
@@ -23,7 +25,7 @@ from cubiclab.invariants import (FullRankError,
 from cubiclab.nt import column_reduce
 from cubiclab.polynomials import transform
 from conftest import random_poly
-from oracles import int_det, rank_mod_p
+from oracles import int_det, rank_mod_p, siegel_scan_direct
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -475,6 +477,29 @@ class TestSiegel:
         monkeypatch.setenv("CUBIC_LAB_BUDGET", "48")
         with pytest.raises(BudgetExceeded):
             siegel_solve(A)
+
+
+    def test_combination_scan_matches_product_order(self):
+        # every basis T (a, b) of the kernel of x + y + z, a = e1 - e2,
+        # b = e2 - e3 and T in [-3, 3]^(2x2) unimodular, whose vectors both
+        # exceed the Siegel bound 3^(1/2): the scan runs, and the norm-1
+        # vectors +-a, +-b, +-(a + b) tie, so the first minimum in product
+        # order is what is compared
+        scanned = 0
+        for T in product(range(-3, 4), repeat=4):
+            basis = [[x, y - x, -y] for x, y in (T[:2], T[2:])]
+            cand = min(basis, key=lambda v: max(map(abs, v)))
+            if abs(T[0] * T[3] - T[1] * T[2]) != 1 or max(map(abs, cand)) < 2:
+                continue
+            want = siegel_scan_direct(basis, cand)
+            for chunk in (1, 5, 49):  # ties across chunks, then in one
+                with mock.patch.object(invariants, "integer_kernel_basis",
+                                       lambda A: basis), \
+                        mock.patch.object(invariants, "_lll", lambda b: b), \
+                        mock.patch.object(invariants, "_CHUNK", chunk):
+                    assert siegel_solve([[1, 1, 1]]) == want
+            scanned += 1
+        assert scanned == 96
 
 
 class TestSubspaceBound:

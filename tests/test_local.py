@@ -290,7 +290,7 @@ class TestSliceKernel:
     def test_level_one_beyond_the_grid(self, watson5):
         # the 23^5 grid exceeds the default budget; its 23^4 prefixes do not.
         # Reference: the grid mod 23 counted one value of x_1 at a time
-        p, axes = 23, local._axes(23, 4)
+        p, axes = 23, list(np.ix_(*[np.arange(23)] * 4))
         assert p**5 > 6_000_000
         count = sum(int(np.count_nonzero(np.broadcast_to(
             _eval_terms(watson5.terms(), [np.int64(t)] + axes, p),

@@ -1,8 +1,8 @@
 """scipy serves only the tests, as a quadrature and root-finding reference:
 no library module imports it, and it is a test extra, not a dependency.
 Every name a library module imports is read in that module, every
-import sits at module level, and importing the CLI loads no pool
-machinery."""
+import sits at module level, importing the CLI loads no pool machinery,
+and no library code walks points with itertools.product."""
 
 import ast
 import os
@@ -40,6 +40,26 @@ def test_every_import_is_read():
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         assert imported <= read, (path.name, sorted(imported - read))
+
+
+def test_itertools_product_only_expands_substitutions():
+    # integer boxes are walked in chunks by polynomials._walk; the one
+    # itertools.product left expands the factor choices of _substitute
+    importers, callers = [], set()
+    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert "itertools" not in [a.name for a in node.names], path.name
+            elif (isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                  and "product" in [a.name for a in node.names]):
+                importers.append(path.name)
+        callers |= {fn.name for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn) if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "product"}
+    assert importers == ["polynomials.py"]
+    assert callers == {"_substitute"}
 
 
 def test_scipy_is_a_test_extra_only():

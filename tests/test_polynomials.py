@@ -2,8 +2,10 @@
 bilinear forms, homogenization, serialization and leading normalization."""
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
 from cubiclab import CubicPolynomial, symmetrize, homogenize, transform
+from cubiclab import polynomials
 from cubiclab.budget import BudgetExceeded
 from cubiclab.local import _grid, residue_values
 from cubiclab.majorarcs import evaluate_array
@@ -18,7 +21,7 @@ from cubiclab.polynomials import (DimensionMismatch, DegreeError,
                                   NormalizationError, normalize_leading,
                                   _eval_terms, _extend_to_unimodular)
 from conftest import CUBIC_UNISOLVENT, full_poly_strategy, random_poly
-from oracles import int_det
+from oracles import int_det, normalize_direction_direct
 
 
 # -- strategies -------------------------------------------------------------
@@ -363,6 +366,39 @@ class TestNormalize:
         # 7^14 candidate vectors: refused before the search starts
         with pytest.raises(BudgetExceeded, match="678223072849 points"):
             normalize_leading(wall14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 6, 50, 1 << 15]))
+    def test_normalize_direction_matches_product_order(self, n, seed, chunk):
+        # coefficients in {-1, 0, 1} tie many maxima of |C(t)|, so the
+        # first maximum in product order is what is compared, also when
+        # the ties fall in different chunks
+        phi = random_poly(random.Random(seed), n, coeff_bound=1)
+        t, val = normalize_direction_direct(phi)
+        with mock.patch.object(polynomials, "_CHUNK", chunk):
+            if t is None or abs(val) < Fraction(phi.height, 10 * n**3):
+                with pytest.raises(NormalizationError):
+                    normalize_leading(phi)
+                return
+            _, U = normalize_leading(phi)
+        assert [row[0] for row in U] == (t if val > 0 else [-v for v in t])
+
+    def test_normalize_direction_in_python_ints(self):
+        # weights near 2**62 overflow int64 on [-3, 3]^3: object arrays
+        phi = CubicPolynomial(3, cubic={(0, 0, 1): 2**62, (0, 1, 2): 5,
+                                        (1, 2, 2): 3 - 2**61})
+        t, val = normalize_direction_direct(phi)
+        _, U = normalize_leading(phi)
+        assert [row[0] for row in U] == (t if val > 0 else [-v for v in t])
+
+    def test_normalize_ties_take_the_first(self, fermat):
+        # x^3 + y^3 - z^3: |C(t)| = 62 at +-(3, 3, -2), +-(3, 2, -3) and
+        # +-(2, 3, -3); (-3, -3, 2) comes first in product order, and its
+        # sign flips so that C > 0
+        assert normalize_direction_direct(fermat) == ([-3, -3, 2], -62)
+        _, U = normalize_leading(fermat)
+        assert [row[0] for row in U] == [3, 3, -2]
 
     def test_normalize_failure_reported(self):
         # identically-zero cubic part: no vector can reach the threshold
