@@ -20,7 +20,7 @@ from .exponents import (solve_parameters, psi_requirement, present,
 from .invariants import delta, rank_census, psi_good_report
 from .local import ncc_certify, local_report
 from .majorarcs import singular_integral, singular_series
-from .polynomials import CubicPolynomial, homogenize
+from .polynomials import CubicPolynomial, DimensionMismatch, homogenize
 from .expsums import weyl_bound_probe
 
 
@@ -61,11 +61,15 @@ def _load_box(path: str | None, n: int):
     with open(path) as fh:
         d = json.load(fh)
     if "bounds" in d:
-        return [tuple(b) for b in d["bounds"]]
-    if "center" in d:
+        bounds = [tuple(b) for b in d["bounds"]]
+    elif "center" in d:
         w = d.get("width", 1.0)
-        return [(c - w, c + w) for c in d["center"]]
-    raise ValueError("box JSON: need field 'bounds' or 'center'")
+        bounds = [(c - w, c + w) for c in d["center"]]
+    else:
+        raise ValueError("box JSON: need field 'bounds' or 'center'")
+    if len(bounds) != n:
+        raise DimensionMismatch(f"box has dim {len(bounds)}, expected {n}")
+    return bounds
 
 
 def _emit(payload: dict, args) -> None:

@@ -15,7 +15,8 @@ from math import ceil, floor, prod
 import numpy as np
 
 from .budget import check_budget
-from .polynomials import CubicPolynomial, _CHUNK, _eval_terms, _walk
+from .polynomials import (CubicPolynomial, DimensionMismatch, _CHUNK,
+                          _eval_terms, _walk)
 
 
 def _zeros(phi: CubicPolynomial, t_range: range, ranges: list):
@@ -50,6 +51,8 @@ def _box_ranges(n: int, P: int, box=None) -> list:
     if box is None:
         return [range(-P, P + 1)] * n
     bounds = box.bounds if hasattr(box, "bounds") else list(box)
+    if len(bounds) != n:
+        raise DimensionMismatch(f"box has dim {len(bounds)}, expected {n}")
     return [range(ceil(P * lo - 1e-12), floor(P * hi + 1e-12) + 1)
             for lo, hi in bounds]
 
@@ -59,7 +62,10 @@ def count_solutions(phi: CubicPolynomial, P: int, box=None,
     """Exact N(P) over the integer box (default [-P, P]^n).
 
     The budget counts the prefixes (x_2..x_n); solutions_sample holds the
-    first `keep` zeros in prefix order, x_1 ascending within a prefix."""
+    first `keep` zeros in prefix order, x_1 ascending within a prefix.
+    P < 0 and a box of another dimension than phi's are refused."""
+    if P < 0:
+        raise ValueError("P must be >= 0")
     rng = _box_ranges(phi.n, P, box)
     check_budget(prod(len(r) for r in rng[1:]), budget, what="solution count")
     count, sample = 0, []

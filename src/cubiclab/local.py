@@ -462,6 +462,8 @@ class LocalReport:
 def local_report(phi: CubicPolynomial, p: int, k_max: int,
                  budget: int | None = None) -> LocalReport:
     _require_prime(p)
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     form, _ = homogenize(phi)
     dphi = delta(form)
     v = valuation(dphi.value, p) if dphi.value else 0

@@ -135,6 +135,14 @@ class TestDensities:
         assert code == 1 and not out
         assert err == "error: p must be a prime\n"
 
+    @pytest.mark.parametrize("kmax", ["0", "-1"])
+    def test_kmax_below_one_exits_one(self, capsys, fermat_json, kmax):
+        code = main(["densities", "--poly", fermat_json, "--p", "2",
+                     "--kmax", kmax])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out
+        assert err == "error: k_max must be >= 1\n"
+
     def test_skipped_rho_star_levels_named(self, capsys, fermat_json):
         # the 125^3 grid of rho*(5^3) is over budget; rho(5^3) stratifies
         code, out = run(capsys, ["densities", "--poly", fermat_json, "--p",
@@ -168,6 +176,32 @@ class TestCount:
         code, out = run(capsys, ["count", "--poly", fermat_json, "--P", "10"])
         assert code == 0
         assert json.loads(out)["result"]["count"] == 61
+
+    @pytest.mark.parametrize("P", ["-1", "-3"])
+    def test_negative_p_exits_one(self, capsys, fermat_json, P):
+        code = main(["count", "--poly", fermat_json, "--P", P])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out
+        assert err == "error: P must be >= 0\n"
+
+
+@pytest.fixture(scope="module")
+def box4_json(tmp_path_factory):
+    path = tmp_path_factory.mktemp("boxes") / "box_unit4.json"
+    path.write_text(json.dumps({"bounds": [[0.5, 1.5]] * 4}))
+    return str(path)
+
+
+class TestBoxDimension:
+    @pytest.mark.parametrize("argv", [["count", "--P", "4"],
+                                      ["integral", "--Z", "4"]])
+    def test_box_of_other_dimension_exits_one(self, capsys, watson_json,
+                                              box4_json, argv):
+        # watson5 has n = 5, the box 4 axes
+        code = main([*argv, "--poly", watson_json, "--box", box4_json])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out
+        assert err == "error: box has dim 4, expected 5\n"
 
 
 class TestSearch:

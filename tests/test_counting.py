@@ -12,6 +12,7 @@ from cubiclab import (CubicPolynomial, asymptotic_compare, count_solutions,
                       smallest_solution, symmetrize)
 from cubiclab import counting
 from cubiclab.budget import BudgetExceeded
+from cubiclab.polynomials import DimensionMismatch
 from conftest import random_poly
 from oracles import integer_roots_cubic, scan_zeros
 
@@ -162,6 +163,15 @@ class TestCountSolutions:
     def test_budget_guard(self, fermat):
         with pytest.raises(BudgetExceeded):
             count_solutions(fermat, 1000, budget=100)
+
+    def test_box_of_other_dimension_refused(self, fermat):
+        with pytest.raises(DimensionMismatch, match="dim 2, expected 3"):
+            count_solutions(fermat, 4, box=[(-1, 1)] * 2)
+
+    def test_negative_p_refused(self, fermat):
+        assert count_solutions(fermat, 0).count == 1  # the origin
+        with pytest.raises(ValueError, match="P must be >= 0"):
+            count_solutions(fermat, -1)
 
     def test_empty_ranges(self, fermat):
         assert count_solutions(fermat, 4, box=[(0.5, 0.2), (-1, 1), (-1, 1)]).count == 0

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from cubiclab import (BoxRegion, CubicPolynomial, build_box, real_point,
@@ -23,7 +23,7 @@ from cubiclab.budget import BudgetExceeded
 from cubiclab.local import local_factor
 from cubiclab.majorarcs import _cc_nodes, evaluate_array
 from cubiclab.nt import trial_factor
-from cubiclab.polynomials import _eval_terms
+from cubiclab.polynomials import DimensionMismatch, _eval_terms
 from conftest import full_poly_strategy, random_poly
 from oracles import a_of_q_exact
 
@@ -183,31 +183,68 @@ def one_table_kernel(C, X, Z):
     return f
 
 
-def block_kernel(C, X, Z):
-    """The production kernel on C's variable blocks."""
+def split_slab_sums(C, bounds, Z, m):
+    """Each slab's sum from the production rule for C's variable blocks,
+    next to the same slab summed from one_table_kernel, and the bound
+    between them: the per-point bound 8 eps (T + 1) 2 Z, T = 2 pi Z sum
+    |w prod x_i| over C's terms, at its largest on the slab, times the sum
+    of |weights| there.  T bounds sum |2 pi Z C_k|, and it is T that bounds
+    the rounding of a block whose terms cancel (6 x2^3 + 6 x1 x2 - 6 x2^2
+    near its zeros): the two ways of summing t differ by eps T there."""
+    n = len(bounds)
     blocks = majorarcs._variable_blocks(C.terms())
-    return majorarcs._sinc_kernel(C, blocks, X, Z)
-
-
-def check_block_kernel(C, X, Z):
-    """The kernel on C's variable blocks against one_table_kernel: equal
-    bit for bit where |t| < 1, t = 2 pi Z C, and elsewhere within a few
-    eps (T + 1) 2 Z, T = 2 pi Z sum |w prod x_i| over C's terms.  T bounds
-    sum |2 pi Z C_k|, and it is T that bounds the rounding of a block whose
-    terms cancel (6 x2^3 + 6 x1 x2 - 6 x2^2 near its zeros): the two ways
-    of summing t differ by eps T there.  Returns the near-set size."""
-    want = one_table_kernel(C, X, Z)
-    got = block_kernel(C, X, Z)
-    assert got.shape == want.shape
-    t = evaluate_array(C, X) * (2.0 * Z) * pi
-    near = np.abs(t) < 1
-    assert np.array_equal(got[near], want[near])
-    scale = _eval_terms([(abs(w), idx) for w, idx in C.terms()],
-                        [np.abs(x) for x in X])
+    assert len(blocks) > 1
+    axes = [_cc_nodes(m, lo, hi) for lo, hi in bounds]
+    cuts = majorarcs._slab_cuts(m, n)
+    slab = majorarcs._split_slab(C, blocks, axes, Z,
+                                 max(np.diff(cuts)))
+    X = grid(bounds, m)
+    shape = (m + 1,) * n
+    f = np.broadcast_to(one_table_kernel(C, X, Z), shape)
+    T = 2 * pi * Z * np.broadcast_to(_eval_terms(
+        [(abs(w), idx) for w, idx in C.terms()], [np.abs(x) for x in X]),
+        shape)
+    W = np.ones(())
+    for _, w in axes:
+        W = np.multiply.outer(W, w)
     eps = np.finfo(float).eps
-    bound = 8 * eps * (2 * pi * Z * scale + 1) * 2 * Z
-    assert np.all(np.abs(got - want) <= bound)
-    return int(np.count_nonzero(near))
+    out = []
+    for s, e in zip(cuts[:-1], cuts[1:]):
+        want = f[s:e]
+        for _, w in reversed(axes[1:]):
+            want = want @ w
+        bound = (8 * eps * (T[s:e].max() + 1) * 2 * Z
+                 * np.abs(W[s:e]).sum())
+        out.append((slab((s, e)), float(axes[0][1][s:e] @ want), bound))
+    return out
+
+
+def sinc_points(fn):
+    """fn() with every point handed to majorarcs._sinc_kernel recorded: the
+    result and the list of (coordinate arrays, values) per call."""
+    kernel, seen = majorarcs._sinc_kernel, []
+
+    def spy(C, X, Z, out=None):
+        f = kernel(C, X, Z, out)
+        seen.append(([np.array(x, copy=True) for x in X], f.copy()))
+        return f
+
+    with mock.patch.object(majorarcs, "_sinc_kernel", spy):
+        return fn(), seen
+
+
+def assert_near_set_exact(C, bounds, Z, m, seen):
+    """Every node with |t| < 1, t = 2 pi Z C from C's whole table, went to
+    _sinc_kernel (seen as sinc_points records it), so its value there is
+    bit for bit one_table_kernel's."""
+    X = grid(bounds, m)
+    t = np.broadcast_to(evaluate_array(C, X) * (2.0 * Z) * pi,
+                        (m + 1,) * len(bounds))
+    near = {tuple(float(X[i].flat[j]) for i, j in enumerate(ix))
+            for ix in zip(*np.nonzero(np.abs(t) < 1))}
+    points = {tuple(map(float, p)) for Y, _ in seen
+              for p in zip(*np.broadcast_arrays(*Y))}
+    assert near <= points
 
 
 class TestVariableBlocks:
@@ -238,33 +275,81 @@ class TestVariableBlocks:
                                           4) == pytest.approx(6.0)
 
 
+FREE_BOX = [(0.5, 1.5), (0.2, 1.1), (0.3, 1.2)]
+
+
 class TestBlockKernel:
-    """The kernel factored by variable block against the one-table
-    integrand it replaces for decomposable forms."""
+    """The tensor rule for C = A(x_O) + B(x_L), contracted over L's points
+    slab by slab, against the same slabs summed from the one-table
+    integrand."""
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
                block_forms(n), boxes(n))),
-           st.floats(0.5, 64), st.sampled_from([4, 16, 32]))
-    def test_matches_one_table(self, case, Z, m):
+           st.floats(0.5, 64), st.sampled_from([4, 16, 32]),
+           st.sampled_from([1, 7, 500, majorarcs._SLAB_POINTS]))
+    # C free of x0 (A = 0), of x1 (an axis of L) and of x2
+    @example((symmetrize(3, {(1, 1, 1): 1, (2, 2, 2): -2})[0], FREE_BOX),
+             5.0, 16, 500)
+    @example((symmetrize(3, {(0, 0, 0): 1, (2, 2, 2): -2})[0], FREE_BOX),
+             30.0, 16, 500)
+    @example((symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): -1})[0], FREE_BOX),
+             0.7, 16, 500)
+    def test_matches_one_table(self, case, Z, m, slab):
+        # single- and multi-axis L: a block of one or more variables, or
+        # the union of several blocks
         C, bounds = case
-        check_block_kernel(C, grid(bounds, m), Z)
+        assume(len(majorarcs._variable_blocks(C.terms())) > 1)
+        with mock.patch.object(majorarcs, "_SLAB_POINTS", slab):
+            sums, seen = sinc_points(
+                lambda: split_slab_sums(C, bounds, Z, m))
+        for got, want, bound in sums:
+            assert abs(got - want) <= bound
+        assert_near_set_exact(C, bounds, Z, m, seen)
 
     @settings(max_examples=40, deadline=None)
     @given(st.tuples(*[st.integers(-4, 4)] * 3).filter(any),
            st.floats(-2, 2), st.floats(0.05, 1), st.floats(0.5, 64),
            st.sampled_from([4, 16, 32]))
     def test_on_and_near_the_zero_set(self, coeffs, centre, half, Z, m):
-        # C = P(x0) - P(x1) vanishes where x0 = x1: axis 1 holds the nodes
-        # of axis 0 and the same nodes moved by 2^-40 of their size
+        # C = P(x0) - P(x1) is exactly 0 on the diagonal of a square box:
+        # 1 / 0 in the slab, which the near set overwrites, and every
+        # diagonal node goes to the one-table kernel
         a, b, c = coeffs
         C, _ = symmetrize(2, {(0, 0, 0): a, (1, 1, 1): -a},
                           {(0, 0): b, (1, 1): -b}, lin=[c, -c])
-        x = _cc_nodes(m, centre - half, centre + half)[0]
-        X = [x.reshape(-1, 1), np.concatenate([x, x * (1 + 2**-40)])[None]]
-        assert len(majorarcs._variable_blocks(C.terms())) == 2
-        assert check_block_kernel(C, X, Z) >= m + 1
-        assert np.all(np.diag(block_kernel(C, X, Z)) == 2 * Z)
+        bounds = [(centre - half, centre + half)] * 2
+        x = _cc_nodes(m, *bounds[0])[0]
+        sums, seen = sinc_points(
+            lambda: split_slab_sums(C, bounds, Z, m))
+        for got, want, bound in sums:
+            assert abs(got - want) <= bound
+        assert_near_set_exact(C, bounds, Z, m, seen)
+        zeros = {(u, v) for X, f in seen for u, v, y in zip(*X, f)
+                 if y == 2 * Z}
+        assert {(v, v) for v in x} <= zeros
+
+    def test_every_node_near(self):
+        # |2 pi Z C| < 1 on the whole box: every node goes to the one-table
+        # kernel, and the rule is 2 Z sinc(2 Z C) summed, about 2 Z vol
+        C, _ = symmetrize(2, {(0, 0, 0): 1, (1, 1, 1): -2})
+        bounds, Z, m = [(0.5, 1.5), (0.0, 1.0)], 1e-3, 16
+        sums, seen = sinc_points(
+            lambda: split_slab_sums(C, bounds, Z, m))
+        assert sum(len(f) for _, f in seen) == (m + 1) ** 2
+        for got, want, bound in sums:
+            assert abs(got - want) <= bound
+        total = majorarcs._tensor_integral(C, bounds, Z, m)
+        assert total == pytest.approx(2 * Z, rel=1e-4)
+
+    def test_far_from_the_zero_set_no_kernel_call(self):
+        # x^3 + y^3 > 0 on the box: every slab skips the near search
+        C, _ = symmetrize(2, {(0, 0, 0): 1, (1, 1, 1): 1})
+        got, seen = sinc_points(lambda: majorarcs._tensor_integral(
+            C, [(1.0, 2.0), (1.0, 2.0)], 8.0, 32))
+        assert seen == []
+        want = serial_slab_integral(C, [(1.0, 2.0)] * 2, 8.0, 32)
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
@@ -299,6 +384,12 @@ class TestSingularIntegral:
         with mock.patch.object(majorarcs, "_SLAB_POINTS", 1):
             got = majorarcs._tensor_integral(C, [(-1.0, 1.0)], 1.0, 16)
         assert abs(got - want) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_box_of_other_dimension_refused(self, dim):
+        C = random_poly(random.Random(4), 3, 4)
+        with pytest.raises(DimensionMismatch, match=f"dim {dim}, expected 3"):
+            singular_integral(C, [(0.5, 1.5)] * dim, 2.0)
 
     def test_unconverged_raises(self):
         # tol = 0 is never met: the grid budget, not a node cap, ends it
@@ -399,24 +490,27 @@ class TestSingularIntegral:
         assert abs(v16 - v8) < 0.3 * v8
 
 
-def serial_slab_integral(C, bounds, Z, m, kernel=block_kernel):
-    """The slab loop of _tensor_integral run serially, each slab's partial
-    sum added in slab order: the reference its threaded form must match
-    bit for bit."""
+def serial_slab_integral(C, bounds, Z, m, kernel=one_table_kernel):
+    """The slab loop of _tensor_integral for a connected C run serially,
+    each slab's partial sum added in slab order: the reference its threaded
+    form must match bit for bit.  Slabs are as few as keep each within
+    _SLAB_POINTS points, their row counts as equal as they can be."""
     axes = [_cc_nodes(m, lo, hi) for lo, hi in bounds]
     n = len(bounds)
     X = [axes[i][0].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
          for i in range(n)]
     x0, w0 = axes[0]
     rows = max(1, majorarcs._SLAB_POINTS // (m + 1) ** (n - 1))
+    k = -(-(m + 1) // rows)
+    cuts = [(m + 1) * i // k for i in range(k + 1)]
+    assert max(np.diff(cuts)) - min(np.diff(cuts)) <= 1
     total = 0.0
-    for s in range(0, m + 1, rows):
-        X[0] = x0[s:s + rows].reshape((-1,) + (1,) * (n - 1))
-        f = np.broadcast_to(kernel(C, X, Z),
-                            (len(X[0]),) + (m + 1,) * (n - 1))
+    for s, e in zip(cuts[:-1], cuts[1:]):
+        X[0] = x0[s:e].reshape((-1,) + (1,) * (n - 1))
+        f = np.broadcast_to(kernel(C, X, Z), (e - s,) + (m + 1,) * (n - 1))
         for _, w in reversed(axes[1:]):
             f = f @ w
-        total += float(w0[s:s + rows] @ f)
+        total += float(w0[s:e] @ f)
     return total
 
 
@@ -442,12 +536,16 @@ class TestWorkers:
            st.floats(0.5, 8), st.sampled_from([16, 32, 64]),
            st.sampled_from([1, 7, 500, majorarcs._SLAB_POINTS]))
     def test_tensor_rule_identical_per_worker_count(self, case, Z, m, slab):
+        # a connected C matches the serial slab loop bit for bit; the
+        # contracted rule of a decomposable C is checked against it in
+        # TestBlockKernel, here only against itself
         C, bounds = case
         with mock.patch.object(majorarcs, "_SLAB_POINTS", slab):
-            want = serial_slab_integral(C, bounds, Z, m)
             got = per_worker_count(
                 lambda: majorarcs._tensor_integral(C, bounds, Z, m))
-        assert got == [want] * 3
+            if len(majorarcs._variable_blocks(C.terms())) == 1:
+                assert got[0] == serial_slab_integral(C, bounds, Z, m)
+        assert got == [got[0]] * 3
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("slab", [1, 500, majorarcs._SLAB_POINTS])
@@ -484,11 +582,11 @@ class TestWorkers:
         x0 = _cc_nodes(16, 0.5, 1.5)[0]
         kernel = majorarcs._sinc_kernel
 
-        def faulty(C, blocks, X, Z, out=None):
+        def faulty(C, X, Z, out=None):
             for s in (3, 5):
                 if X[0].flat[0] == x0[s]:
                     raise MemoryError(f"slab {s}")
-            return kernel(C, blocks, X, Z, out)
+            return kernel(C, X, Z, out)
 
         with mock.patch.object(majorarcs, "_SLAB_POINTS", 17), \
                 mock.patch.object(majorarcs, "_sinc_kernel", faulty), \
