@@ -198,85 +198,73 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _with_poly(*specs) -> tuple:
+    """The --poly, --budget and --csv specs, then a command's own."""
+    return (("--poly", {"required": True}),
+            ("--budget", {"type": int, "default": None}),
+            ("--csv", {"action": "store_true"})) + specs
+
+
+# command name -> (handler, (flag, add_argument keywords) in help order)
+COMMANDS = {
+    "analyze": (cmd_analyze, _with_poly()),
+    "ncc": (cmd_ncc, _with_poly(("--p0", {"type": int, "required": True}))),
+    "densities": (cmd_densities, _with_poly(
+        ("--p", {"type": int, "required": True}),
+        ("--kmax", {"type": int, "default": 2}))),
+    "series": (cmd_series, _with_poly(
+        ("--p0", {"type": int, "required": True}),
+        ("--mode", {"choices": ["euler", "qsum", "both"],
+                    "default": "both"}))),
+    "integral": (cmd_integral, _with_poly(
+        ("--Z", {"type": float, "required": True}),
+        ("--box", {"default": None}),
+        ("--seed", {"type": int, "default": 0}))),
+    "count": (cmd_count, _with_poly(
+        ("--P", {"type": int, "required": True}),
+        ("--box", {"default": None}))),
+    "search": (cmd_search, _with_poly(
+        ("--max-shell", {"type": int, "default": 50}))),
+    "exponents": (cmd_exponents, (
+        ("--T", {"type": Fraction, "default": Fraction(84)}),
+        ("--psi", {"default": None}),
+        ("--delta", {"default": None}),
+        ("--theorem", {"choices": ["h14"], "default": None}),
+        ("--n", {"type": int, "default": None}),
+        ("--csv", {"action": "store_true"}))),
+    "census": (cmd_census, _with_poly(
+        ("--H", {"type": int, "required": True}),
+        ("--p", {"type": int, "default": None}),
+        ("--psi-report", {"action": "store_true"}))),
+    "probe": (cmd_probe, _with_poly(
+        ("--q", {"type": int, "required": True}),
+        ("--a", {"type": int, "required": True}),
+        ("--theta", {"type": float, "default": 0.0}),
+        ("--P", {"type": int, "default": 10}),
+        ("--psi-good", {"type": float, "default": 1.0}))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the named one only."""
     ap = argparse.ArgumentParser(prog="cubiclab")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, poly=True):
-        if poly:
-            p.add_argument("--poly", required=True)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--csv", action="store_true")
-
-    p = sub.add_parser("analyze")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("ncc")
-    common(p)
-    p.add_argument("--p0", type=int, required=True)
-    p.set_defaults(func=cmd_ncc)
-
-    p = sub.add_parser("densities")
-    common(p)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=2)
-    p.set_defaults(func=cmd_densities)
-
-    p = sub.add_parser("series")
-    common(p)
-    p.add_argument("--p0", type=int, required=True)
-    p.add_argument("--mode", choices=["euler", "qsum", "both"],
-                   default="both")
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("integral")
-    common(p)
-    p.add_argument("--Z", type=float, required=True)
-    p.add_argument("--box", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_integral)
-
-    p = sub.add_parser("count")
-    common(p)
-    p.add_argument("--P", type=int, required=True)
-    p.add_argument("--box", default=None)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("search")
-    common(p)
-    p.add_argument("--max-shell", type=int, default=50)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("exponents")
-    p.add_argument("--T", type=Fraction, default=Fraction(84))
-    p.add_argument("--psi", default=None)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--theorem", choices=["h14"], default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_exponents)
-
-    p = sub.add_parser("census")
-    common(p)
-    p.add_argument("--H", type=int, required=True)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--psi-report", action="store_true")
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("probe")
-    common(p)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--P", type=int, default=10)
-    p.add_argument("--psi-good", type=float, default=1.0)
-    p.set_defaults(func=cmd_probe)
+    if command is not None:  # the usage line still lists every command
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+    for name, (func, specs) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name)
+            for flag, kwargs in specs:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a call naming a command builds only that command's parser; --help,
+    # no command or an unknown one needs the full table
+    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = ap.parse_args(argv)
     try:
         return args.func(args)

@@ -10,7 +10,7 @@ rational, so the only floating-point step is the final root of unity.
 """
 
 from fractions import Fraction
-from math import fsum, gcd, tau, floor, prod
+from math import gcd, tau, floor, prod
 import cmath
 
 import numpy as np
@@ -33,20 +33,26 @@ def _unit_root(m: int, q: int) -> complex:
     return cmath.exp(1j * tau * m / q)
 
 
+def _sum_once(counts, phases) -> complex:
+    """sum count * phase, summed exactly in Fractions and rounded once:
+    to the last bit the fsum of the phase over every counted point."""
+    re = sum(c * Fraction(z.real) for c, z in zip(counts, phases))
+    im = sum(c * Fraction(z.imag) for c, z in zip(counts, phases))
+    return complex(float(re), float(im))
+
+
 # -- Gauss sums -------------------------------------------------------------
 
 
 def gauss_sum(phi: CubicPolynomial, q: int, a: int,
               budget: int | None = None) -> complex:
     """S(q, a) = sum_(r mod q) e(a phi(r)/q) for gcd(a, q) = 1, from the
-    value distribution of phi mod q."""
+    value distribution of phi mod q: count times root is summed exactly and
+    rounded once, as in weyl_sum."""
     if gcd(a, q) != 1:
         raise ValueError(f"a = {a} not coprime to q = {q}")
     cnt = value_distribution(phi, q, budget)
-    roots = [_unit_root(a * m % q, q) for m in range(q)]
-    re = fsum(int(c) * z.real for c, z in zip(cnt, roots))
-    im = fsum(int(c) * z.imag for c, z in zip(cnt, roots))
-    return complex(re, im)
+    return _sum_once(cnt.tolist(), [_unit_root(a * m % q, q) for m in range(q)])
 
 
 # -- Weyl sums --------------------------------------------------------------
@@ -85,9 +91,7 @@ def weyl_sum(phi: CubicPolynomial, alpha, bounds, P: float = 1.0,
     phases = [_unit_root(k, q) if rational
               else cmath.exp(1j * tau * ((alpha * k) % 1.0))
               for k in keys.tolist()]
-    re = sum(c * Fraction(z.real) for c, z in zip(counts.tolist(), phases))
-    im = sum(c * Fraction(z.imag) for c, z in zip(counts.tolist(), phases))
-    return complex(float(re), float(im))
+    return _sum_once(counts.tolist(), phases)
 
 
 # -- bilinear counting ------------------------------------------------------

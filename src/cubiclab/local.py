@@ -412,6 +412,8 @@ def ncc_certify(phi: CubicPolynomial, P0: int,
     there is none.  A non-singular witness additionally certifies all
     higher powers of p by Hensel lifting.
     """
+    if P0 < 1:
+        raise ValueError("P0 must be >= 1")
     form, _scale = homogenize(phi)
     dphi = delta(form)
     if dphi.value == 0:

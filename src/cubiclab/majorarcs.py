@@ -32,10 +32,9 @@ import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import pi
+from math import inf, nextafter, pi
 
 import numpy as np
-from mpmath import iv
 
 from .budget import enumeration_budget, BudgetExceeded
 from .counting import count_solutions, smallest_solution
@@ -160,14 +159,47 @@ class BoxRegion:
         return [(z - self.width, z + self.width) for z in self.center]
 
 
+@dataclass(frozen=True)
+class _Interval:
+    """[lo, hi] with exact Fraction endpoints, closed under the + and * of
+    _eval_terms (a number is the interval [x, x]), so a term table
+    evaluated on intervals encloses its exact range on the box."""
+    lo: Fraction
+    hi: Fraction
+
+    def __add__(self, other):
+        other = _as_interval(other)
+        return _Interval(self.lo + other.lo, self.hi + other.hi)
+
+    def __mul__(self, other):
+        other = _as_interval(other)
+        ends = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        return _Interval(min(ends), max(ends))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _as_interval(x) -> _Interval:
+    return x if isinstance(x, _Interval) else _Interval(Fraction(x), Fraction(x))
+
+
+def _to_float(x: Fraction, up: bool) -> float:
+    """x rounded to a float towards +inf (up) or -inf."""
+    f = float(x)
+    if (Fraction(f) < x) if up else (Fraction(f) > x):
+        f = nextafter(f, inf if up else -inf)
+    return f
+
+
 def build_box(C: CubicPolynomial, z_tilde, n: int | None = None,
               M: int | None = None) -> BoxRegion:
     """Scale z~ to z = A M^(3 + 8/(n-2)) z~ and certify the box floors.
 
-    A is the smallest power of two >= 4 for which interval arithmetic
-    certifies both derivative floors positive on all of B; it is frozen
-    into the region.  Axes are relabeled (axis1/axis2 fields) so the
-    dominant derivative comes first.
+    A is the smallest power of two >= 4 for which exact interval
+    arithmetic on the box bounds certifies both derivatives of one sign on
+    all of B; it is frozen into the region.  The floors d1, d2 are rounded
+    down to floats and the bound sigma of |C| up.  Axes are relabeled
+    (axis1/axis2 fields) so the dominant derivative comes first.
     """
     n = n if n is not None else C.n
     M = M if M is not None else max(C.height, 2)
@@ -178,19 +210,15 @@ def build_box(C: CubicPolynomial, z_tilde, n: int | None = None,
     A = 4
     while A <= 2**_MAX_A_LOG2:
         z = tuple(A * base * v for v in z_tilde)
-        ivals = [iv.mpf([zi - 1.0, zi + 1.0]) for zi in z]
-        g1 = _eval_terms(C.derivative(ax1), ivals)
-        g2 = _eval_terms(C.derivative(ax2), ivals)
-        lo1 = float(iv.mpf(g1).a)
-        lo2 = float(iv.mpf(g2).a)
-        ok_sign = lo1 > 0 or float(iv.mpf(g1).b) < 0
-        ok_sign2 = lo2 > 0 or float(iv.mpf(g2).b) < 0
-        origin_ok = max(abs(zi) for zi in z) >= 2.0
-        if ok_sign and ok_sign2 and origin_ok:
-            d1 = min(abs(lo1), abs(float(iv.mpf(g1).b)))
-            d2 = min(abs(lo2), abs(float(iv.mpf(g2).b)))
-            cv = _eval_terms(C.terms(), ivals)
-            sigma = max(abs(float(cv.a)), abs(float(cv.b)))
+        ivals = [_Interval(Fraction(zi - 1.0), Fraction(zi + 1.0)) for zi in z]
+        g1, g2 = (_as_interval(_eval_terms(C.derivative(ax), ivals))
+                  for ax in (ax1, ax2))
+        if (all(g.lo > 0 or g.hi < 0 for g in (g1, g2))
+                and max(abs(zi) for zi in z) >= 2.0):
+            d1, d2 = (_to_float(min(abs(g.lo), abs(g.hi)), up=False)
+                      for g in (g1, g2))
+            cv = _as_interval(_eval_terms(C.terms(), ivals))
+            sigma = _to_float(max(abs(cv.lo), abs(cv.hi)), up=True)
             return BoxRegion(center=z, width=1.0, sigma=sigma,
                              d1=d1, d2=d2, axis1=ax1, axis2=ax2, A=A)
         A *= 2

@@ -62,8 +62,9 @@ _MONOMIAL = (lambda w, x, idx: w,
 
 def _eval_terms(terms, x, mod=None):
     """sum w * prod x[i] over (weight, index tuple) terms, for x of exact
-    numbers, numpy arrays or mpmath intervals.  With mod, every product and
-    partial sum is reduced mod q, so int64 residue grids never overflow."""
+    numbers, numpy arrays or the exact intervals of majorarcs.  With mod,
+    every product and partial sum is reduced mod q, so int64 residue grids
+    never overflow."""
     total = 0
     for w, idx in terms:
         if mod is None:

@@ -179,13 +179,14 @@ def _exact_residue_profile(poly_json: str, q: int) -> tuple:
 
 def gauss_sum_direct(phi: CubicPolynomial, q: int, a: int,
                      budget: int | None = None) -> complex:
-    """S(q, a) by direct summation over residues (exact Python evaluation)."""
+    """S(q, a) by direct summation over residues (exact Python evaluation);
+    count times root is summed exactly in Fractions and rounded once."""
     check_budget(q**phi.n, budget, what=f"Gauss sum mod {q}")
     roots = [_unit_root(m, q) for m in range(q)]
     counts = _exact_residue_profile(phi.to_json(), q)
-    re = fsum(counts[m] * roots[a * m % q].real for m in range(q))
-    im = fsum(counts[m] * roots[a * m % q].imag for m in range(q))
-    return complex(re, im)
+    re = sum(counts[m] * Fraction(roots[a * m % q].real) for m in range(q))
+    im = sum(counts[m] * Fraction(roots[a * m % q].imag) for m in range(q))
+    return complex(float(re), float(im))
 
 
 def a_of_q(phi: CubicPolynomial, q: int, budget: int | None = None) -> complex:

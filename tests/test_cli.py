@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from cubiclab.cli import main
+from cubiclab import cli
+from cubiclab.cli import COMMANDS, build_parser, main
 from conftest import make_diag5m2, make_fermat, make_wall14, make_watson5
 
 
@@ -114,6 +115,13 @@ class TestNcc:
         assert code == 2
         res = json.loads(out)["result"]
         assert res["status"] == "violation" and res["violation"] == [2, 1]
+
+    @pytest.mark.parametrize("p0", ["0", "-3"])
+    def test_p0_below_one_exits_one(self, capsys, watson_json, p0):
+        code = main(["ncc", "--poly", watson_json, "--p0", p0])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out
+        assert err == "error: P0 must be >= 1\n"
 
 
 class TestDensities:
@@ -379,3 +387,57 @@ class TestDeterminism:
                                "--p", "3", "--kmax", "3",
                                "--budget", "100"])
         assert code == 1
+
+
+def exit_of(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestParser:
+    # main builds only the named command's parser; what it prints must be
+    # what the parser of every command prints
+    @pytest.mark.parametrize("cmd", list(COMMANDS))
+    @pytest.mark.parametrize("tail", [["--help"], [], ["--bogus"],
+                                      ["--budget", "x"]],
+                             ids=["help", "missing", "unknown", "bad-value"])
+    def test_one_command_parser_prints_the_same(self, capsys, cmd, tail):
+        if cmd == "exponents" and not tail:
+            tail = ["--T"]  # it requires no argument: a missing value
+        argv = [cmd, *tail]
+        full = exit_of(capsys, build_parser().parse_args, argv)
+        assert full[0] in (0, 2)
+        assert exit_of(capsys, main, argv) == full
+
+    @pytest.mark.parametrize("argv,code,text", [
+        ([], 2, "error: the following arguments are required: command\n"),
+        (["bogus"], 2, "invalid choice: 'bogus' (choose from 'analyze', "
+                       "'ncc', 'densities', 'series', 'integral', 'count', "
+                       "'search', 'exponents', 'census', 'probe')\n"),
+        (["--help"], 0, "{analyze,ncc,densities,series,integral,count,"
+                        "search,exponents,census,probe}\n")],
+        ids=["none", "unknown", "help"])
+    def test_no_command_builds_every_parser(self, capsys, argv, code, text):
+        got = exit_of(capsys, main, argv)
+        assert got == exit_of(capsys, build_parser().parse_args, argv)
+        assert got[0] == code
+        assert text in got[1] + got[2]
+
+    def test_a_named_command_builds_one_parser(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: (
+            built.append(command) or build_parser(command)))
+        for argv in (["ncc", "--help"], ["bogus"], []):
+            exit_of(capsys, main, argv)
+        assert built == ["ncc", None, None]
+
+    def test_every_handler_listed_once(self):
+        handlers = {f for name, f in vars(cli).items()
+                    if name.startswith("cmd_")}
+        listed = [func for func, _ in COMMANDS.values()]
+        assert len(listed) == len(set(listed)) and set(listed) == handlers
+        assert all(COMMANDS[name][0].__name__ == f"cmd_{name}"
+                   for name in COMMANDS)

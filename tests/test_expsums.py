@@ -55,6 +55,16 @@ class TestGaussSum:
             if gcd(a, q) == 1:
                 assert gauss_sum(phi, q, a) == gauss_sum_direct(phi, q, a)
 
+    def test_same_rounding_as_weyl_sum(self, fermat, selmer4, watson5):
+        # both sum count * root exactly and round once, so the complete
+        # Weyl sum over [0, q)^n is the Gauss sum to the last bit
+        for phi in (fermat, selmer4, watson5):
+            for q in range(1, 14):
+                for a in range(q):
+                    if gcd(a, q) == 1:
+                        assert gauss_sum(phi, q, a) == weyl_sum(
+                            phi, Fraction(a, q), [(0, q - 1)] * phi.n)
+
     def test_conjugate_symmetry(self, fermat, triple_product):
         for phi in (fermat, triple_product):
             for q in range(2, 13):

@@ -7,7 +7,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import pi
+from math import inf, nextafter, pi
 from unittest import mock
 
 import numpy as np
@@ -21,10 +21,11 @@ from cubiclab import (BoxRegion, CubicPolynomial, build_box, real_point,
 from cubiclab import local, majorarcs
 from cubiclab.budget import BudgetExceeded
 from cubiclab.local import local_factor
-from cubiclab.majorarcs import _cc_nodes, evaluate_array
+from cubiclab.majorarcs import _Interval, _cc_nodes, evaluate_array
 from cubiclab.nt import trial_factor
 from cubiclab.polynomials import DimensionMismatch, _eval_terms
-from conftest import full_poly_strategy, random_poly
+from conftest import (full_poly_strategy, make_fermat, make_selmer4,
+                      random_poly)
 from oracles import a_of_q_exact
 
 
@@ -62,6 +63,19 @@ class TestRealPoint:
             real_point(C, mode="h-invariant")
 
 
+def _certified_boxes():
+    """(C, box) for the toy form, fermat (an axis through 0) and selmer4."""
+    toy, _ = symmetrize(2, {(0, 0, 0): 2, (0, 1, 1): 3, (1, 1, 1): -1})
+    out = [(toy, build_box(toy, real_point(toy, mode="h-invariant",
+                                           h=3).point))]
+    for C in (make_fermat(), make_selmer4()):
+        out.append((C, build_box(C, real_point(C).point)))
+    return out
+
+
+_BOXES = _certified_boxes()
+
+
 class TestBuildBox:
     def test_toy_box_certified(self):
         C, _ = symmetrize(2, {(0, 0, 0): 2, (0, 1, 1): 3, (1, 1, 1): -1})
@@ -78,6 +92,49 @@ class TestBuildBox:
     def test_bounds_shape(self):
         box = BoxRegion(center=(5.0, -3.0))
         assert box.bounds == [(4.0, 6.0), (-4.0, -2.0)]
+
+    def test_toy_scale_and_center_pinned(self):
+        _, box = _BOXES[0]
+        assert box.A == 4 and box.center == (2563.34569045388, 8192.0)
+
+
+def _enclosures(C, box):
+    """The exact intervals of dC/dx_axis1, dC/dx_axis2 and C on the box."""
+    ivals = [_Interval(Fraction(lo), Fraction(hi)) for lo, hi in box.bounds]
+    return [_eval_terms(t, ivals) for t in
+            (C.derivative(box.axis1), C.derivative(box.axis2), C.terms())]
+
+
+class TestBoxCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(range(len(_BOXES))),
+           st.lists(st.fractions(0, 1, max_denominator=2**12),
+                    min_size=4, max_size=4))
+    def test_points_of_the_box_obey_it(self, which, ts):
+        C, box = _BOXES[which]
+        x = [Fraction(lo) + t * (Fraction(hi) - Fraction(lo))
+             for (lo, hi), t in zip(box.bounds, ts)]
+        g1, g2, cv = _enclosures(C, box)
+        grad, value = C.gradient(x), C.evaluate(x)
+        for g, v, floor in ((g1, grad[box.axis1], box.d1),
+                            (g2, grad[box.axis2], box.d2)):
+            assert g.lo <= v <= g.hi
+            assert abs(v) >= floor > 0
+        assert cv.lo <= value <= cv.hi
+        assert abs(value) <= box.sigma
+
+    @pytest.mark.parametrize("which", range(len(_BOXES)))
+    def test_floats_rounded_outward(self, which):
+        C, box = _BOXES[which]
+        g1, g2, cv = _enclosures(C, box)
+        # the largest float below each exact floor, the smallest above the
+        # exact bound of |C|
+        for g, floor in ((g1, box.d1), (g2, box.d2)):
+            exact = min(abs(g.lo), abs(g.hi))
+            assert Fraction(floor) <= exact < Fraction(nextafter(floor, inf))
+        exact = max(abs(cv.lo), abs(cv.hi))
+        assert (Fraction(nextafter(box.sigma, -inf)) < exact
+                <= Fraction(box.sigma))
 
 
 # -- Clenshaw-Curtis rule ---------------------------------------------------

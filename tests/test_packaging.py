@@ -1,8 +1,9 @@
-"""scipy serves only the tests, as a quadrature and root-finding reference:
-no library module imports it, and it is a test extra, not a dependency.
-Every name a library module imports is read in that module, every
-import sits at module level, importing the CLI loads no pool machinery,
-and no library code walks points with itertools.product."""
+"""scipy and mpmath serve only the tests, as quadrature, root-finding and
+interval references: no library module imports them, and they are test
+extras, not dependencies.  Every name a library module imports is read in
+that module, every import sits at module level, importing the CLI loads no
+pool machinery and no mpmath, and no library code walks points with
+itertools.product."""
 
 import ast
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_library_never_imports_scipy():
+def assert_library_never_imports(package: str) -> None:
     sources = sorted((ROOT / "src" / "cubiclab").glob("*.py"))
     assert sources
     for path in sources:
@@ -25,7 +26,21 @@ def test_library_never_imports_scipy():
                 names = [node.module]
             else:
                 continue
-            assert not any(m.split(".")[0] == "scipy" for m in names), path.name
+            assert not any(m.split(".")[0] == package for m in names), path.name
+
+
+def assert_test_extra_only(package: str) -> None:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert package not in project["dependencies"]
+    assert package in project["optional-dependencies"]["test"]
+
+
+def test_library_never_imports_scipy():
+    assert_library_never_imports("scipy")
+
+
+def test_library_never_imports_mpmath():
+    assert_library_never_imports("mpmath")
 
 
 def test_every_import_is_read():
@@ -63,9 +78,11 @@ def test_itertools_product_only_expands_substitutions():
 
 
 def test_scipy_is_a_test_extra_only():
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    assert "scipy" not in project["dependencies"]
-    assert "scipy" in project["optional-dependencies"]["test"]
+    assert_test_extra_only("scipy")
+
+
+def test_mpmath_is_a_test_extra_only():
+    assert_test_extra_only("mpmath")
 
 
 def test_imports_are_module_level():
@@ -80,9 +97,10 @@ def test_imports_are_module_level():
 def test_cli_import_starts_no_pool_machinery():
     # the singular integral's workers are plain threads: importing the CLI
     # must not pull in concurrent.futures (and logging) or multiprocessing,
-    # whose import time every command would pay
+    # whose import time every command would pay, nor mpmath
     code = ("import sys, cubiclab.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+            "if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing', 'mpmath')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
