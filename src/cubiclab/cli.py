@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 mathematical negative result (NCC violation,
 failed assumption tags, exhausted search), 1 operational error (bad input,
 budget exceeded).  Output is JSON by default (--csv for tabular commands);
 exact rationals are serialized as strings "p/q".
+
+Each `cmd_*` handler takes the loaded --poly (None for exponents) and the
+parsed arguments and returns (result, exit code); `main` alone loads,
+serialises and prints, and the JSON it prints is strict (no NaN).
 """
 
 import argparse
@@ -43,11 +47,12 @@ def _ser(obj):
     return obj
 
 
-def _manifest(args, seed: int | None = None) -> dict:
+def _manifest(args) -> dict:
     inputs = {k: v for k, v in vars(args).items()
               if k not in ("func", "csv") and v is not None}
     return {"command": args.command, "inputs": _ser(inputs),
-            "seed": seed, "versions": {"cubiclab": __version__}}
+            "seed": getattr(args, "seed", None),
+            "versions": {"cubiclab": __version__}}
 
 
 def _load_poly(path: str) -> CubicPolynomial:
@@ -72,130 +77,100 @@ def _load_box(path: str | None, n: int):
     return bounds
 
 
-def _emit(payload: dict, args) -> None:
-    if getattr(args, "csv", False) and "rows" in payload.get("result", {}):
-        rows = payload["result"]["rows"]
+def _emit(result, args) -> None:
+    """The rows as CSV under --csv, else the payload as strict JSON (a NaN
+    or an infinity raises ValueError before anything is printed)."""
+    if args.csv and "rows" in result:
+        rows = result["rows"]
         if rows:
             cols = list(rows[0])
             print(",".join(cols))
             for r in rows:
                 print(",".join(str(r[c]) for c in cols))
         return
-    print(json.dumps(payload, indent=2))
+    print(json.dumps({"manifest": _manifest(args), "result": result},
+                     indent=2, allow_nan=False))
 
 
-def cmd_analyze(args) -> int:
-    phi = _load_poly(args.poly)
+def cmd_analyze(phi, args) -> tuple:
     form, scale = homogenize(phi)
-    dC = delta(phi.cubic_part())
-    dphi = delta(form)
-    result = {"n": phi.n, "height": phi.height, "is_form": phi.is_form,
-              "delta_C": dC.value, "delta_phi": dphi.value,
-              "delta_phi_factorization": dphi.prime_factorization,
-              "homogenization_scale": scale}
-    _emit({"manifest": _manifest(args), "result": _ser(result)}, args)
-    return 0
+    dC, dphi = delta(phi.cubic_part()), delta(form)
+    return {"n": phi.n, "height": phi.height, "is_form": phi.is_form,
+            "delta_C": dC.value, "delta_phi": dphi.value,
+            "delta_phi_factorization": dphi.prime_factorization,
+            "homogenization_scale": scale}, 0
 
 
-def cmd_ncc(args) -> int:
-    phi = _load_poly(args.poly)
+def cmd_ncc(phi, args) -> tuple:
     cert = ncc_certify(phi, args.p0, budget=args.budget)
-    _emit({"manifest": _manifest(args), "result": _ser(cert)}, args)
-    return {"certified": 0, "violation": 2, "degenerate": 1}[cert.status]
+    return cert, {"certified": 0, "violation": 2, "degenerate": 1}[cert.status]
 
 
-def cmd_densities(args) -> int:
-    phi = _load_poly(args.poly)
-    rep = local_report(phi, args.p, args.kmax, budget=args.budget)
-    _emit({"manifest": _manifest(args), "result": _ser(rep)}, args)
-    return 0
+def cmd_densities(phi, args) -> tuple:
+    return local_report(phi, args.p, args.kmax, budget=args.budget), 0
 
 
-def cmd_series(args) -> int:
-    phi = _load_poly(args.poly)
-    tr = singular_series(phi, args.p0, mode=args.mode, budget=args.budget)
-    _emit({"manifest": _manifest(args), "result": _ser(tr)}, args)
-    return 0
+def cmd_series(phi, args) -> tuple:
+    return singular_series(phi, args.p0, mode=args.mode,
+                           budget=args.budget), 0
 
 
-def cmd_integral(args) -> int:
-    phi = _load_poly(args.poly)
-    bounds = _load_box(args.box, phi.n)
-    out = singular_integral(phi, bounds, args.Z, budget=args.budget,
-                            seed=args.seed)
-    _emit({"manifest": _manifest(args, seed=args.seed),
-           "result": _ser(out)}, args)
-    return 0
+def cmd_integral(phi, args) -> tuple:
+    return singular_integral(phi, _load_box(args.box, phi.n), args.Z,
+                             budget=args.budget, seed=args.seed), 0
 
 
-def cmd_count(args) -> int:
-    phi = _load_poly(args.poly)
+def cmd_count(phi, args) -> tuple:
     box = _load_box(args.box, phi.n) if args.box else None
-    res = count_solutions(phi, args.P, box=box, budget=args.budget)
-    _emit({"manifest": _manifest(args), "result": _ser(res)}, args)
-    return 0
+    return count_solutions(phi, args.P, box=box, budget=args.budget), 0
 
 
-def cmd_search(args) -> int:
-    phi = _load_poly(args.poly)
+def cmd_search(phi, args) -> tuple:
     rep = smallest_solution(phi, args.max_shell, budget=args.budget)
-    _emit({"manifest": _manifest(args), "result": _ser(rep)}, args)
-    return 0 if rep.found is not None else 2
+    return rep, 0 if rep.found is not None else 2
 
 
-def cmd_exponents(args) -> int:
+def cmd_exponents(phi, args) -> tuple:
     if args.theorem:
         rows = [theorem_exponent_check(n) for n in
                 ([args.n] if args.n else range(14, 101))]
         ok = all(r["ok"] for r in rows)
-        _emit({"manifest": _manifest(args),
-               "result": {"rows": _ser(rows), "all_ok": ok}}, args)
-        return 0 if ok else 2
+        return {"rows": rows, "all_ok": ok}, 0 if ok else 2
     psi = Fraction(str(args.psi)) if args.psi is not None else None
     dlt = Fraction(str(args.delta)) if args.delta is not None else None
     sys_ = solve_parameters(args.T, psi=psi, delta=dlt, n=args.n or 14)
     p = sys_.params
-    result = {
-        "exp_u": present(p["u"]), "exp_P0": present(p["P0"]),
-        "exp_P": present(p["P"]), "exp_Q": present(p["Q"]),
-        "exact": {k: v for k, v in p.items()},
-        "ceil_exp_P": -((-p["P"].numerator) // p["P"].denominator),
-        "tags": [t.as_dict() for t in sys_.tags],
-    }
+    result = {"exp_u": present(p["u"]), "exp_P0": present(p["P0"]),
+              "exp_P": present(p["P"]), "exp_Q": present(p["Q"]), "exact": p,
+              "ceil_exp_P": -((-p["P"].numerator) // p["P"].denominator),
+              "tags": [t.as_dict() for t in sys_.tags]}
     if psi is not None:
         req = psi_requirement(args.T, delta=dlt)
         result["psi_min"] = present(req["psi_min"])
         result["psi_binding"] = req["binding"]
-    _emit({"manifest": _manifest(args), "result": _ser(result)}, args)
-    return 0 if sys_.all_pass else 2
+    return result, 0 if sys_.all_pass else 2
 
 
-def cmd_census(args) -> int:
-    phi = _load_poly(args.poly)
+def cmd_census(phi, args) -> tuple:
     C = phi.cubic_part()
     if args.psi_report:
         if args.p is not None:
             raise ValueError("--p cannot be combined with --psi-report, "
                              "which reports over Q")
         rep = psi_good_report(C, args.H, budget=args.budget)
-        _emit({"manifest": _manifest(args), "result": _ser(rep)}, args)
-        return 0 if rep["verdict"] == "consistent" else 2
+        return rep, 0 if rep["verdict"] == "consistent" else 2
     census = rank_census(C, args.H, p=args.p, budget=args.budget)
-    rows = [{"H": census.H, "r": r, "count": c,
-             "ratio": c / census.H ** max(r, phi.n - 14 + r)}
-            for r, c in sorted(census.counts.items())]
-    _emit({"manifest": _manifest(args), "result": {"rows": _ser(rows)}}, args)
-    return 0
+    return {"rows": [{"H": census.H, "r": r, "count": c,
+                      "ratio": c / census.H ** max(r, phi.n - 14 + r)}
+                     for r, c in sorted(census.counts.items())]}, 0
 
 
-def cmd_probe(args) -> int:
-    phi = _load_poly(args.poly)
+def cmd_probe(phi, args) -> tuple:
     out = weyl_bound_probe(phi.cubic_part(), args.q, args.a, args.theta,
                            args.P, args.psi_good, budget=args.budget)
-    row = {"P": args.P, "q": args.q, "a": args.a, "theta": args.theta,
-           "|S|": out["S_abs"], "bound": out["rhs"], "ratio": out["ratio"]}
-    _emit({"manifest": _manifest(args), "result": {"rows": [_ser(row)]}}, args)
-    return 0
+    return {"rows": [{"P": args.P, "q": args.q, "a": args.a,
+                      "theta": args.theta, "|S|": out["S_abs"],
+                      "bound": out["rhs"], "ratio": out["ratio"]}]}, 0
 
 
 def _with_poly(*specs) -> tuple:
@@ -267,7 +242,10 @@ def main(argv=None) -> int:
     ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        phi = _load_poly(args.poly) if "poly" in args else None
+        result, code = args.func(phi, args)
+        _emit(_ser(result), args)
+        return code
     except (ValueError, OSError, BudgetExceeded, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

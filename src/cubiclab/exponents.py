@@ -133,7 +133,11 @@ def solve_parameters(T, psi=None, delta=None, n: int = 14,
                               note="psi-free replacement cutoff P0 >> M^"
                                    + str(req)))
     else:
-        if delta is not None:
+        pole = "14/(14-6 delta) is undefined at delta = 7/3"
+        if delta is not None and 6 * delta == 14:
+            tags.append(TagResult("S1", None, 1 + 3 * psi, None, False,
+                                  note=pole))
+        elif delta is not None:
             s1_mid = 14 / (14 - 6 * delta)
             ok = 0 < s1_mid < 1 + 3 * psi
             tags.append(TagResult("S1", s1_mid, 1 + 3 * psi,
@@ -149,6 +153,9 @@ def solve_parameters(T, psi=None, delta=None, n: int = 14,
             if delta <= 2:
                 tags.append(TagResult("S4", None, None, None, False,
                                       note="needs delta > 2"))
+            elif 6 * delta == 14:
+                tags.append(TagResult("S4", None, None, None, False,
+                                      note=pole))
             else:
                 req = (84 + 14 * delta / (14 - 6 * delta)) / (delta - 2)
                 tags.append(TagResult("S4", req, e_P0, e_P0 - req,
@@ -196,24 +203,17 @@ def psi_requirement(T, params: dict | None = None,
     """Minimal admissible psi across every psi-dependent tag.
 
     m9 is expected to bind at the paper's exponents; the per-tag minima
-    are reported alongside the binding constraint.
+    are reported alongside the binding constraint.  Each psi-dependent
+    slack s of solve_parameters is affine in psi, so its root is
+    -s(0) / (s(1) - s(0)).  S1 counts only for delta in (2, 7/3).
     """
-    T = _frac(T)
-    p = params or paper_exponents(T)
-    e_P0, e_P, e_Q = p["P0"], p["P"], p["Q"]
-    B = 2 * T + 17
-    mins = {
-        "m9": (116 * e_P + 91 * B + 130) / 175,
-        "m4": (5 * e_P + 2 * T + 17) / 13,
-        "m5": (3 * e_P + 2 * e_Q + 2 * T + 16) / 14,
-        "m12": Fraction(2, 7) * (3 * e_P - e_Q + (117 * B + 192) / 17),
-        "S2": (e_P0 - 1) / 3,
-        "S3": Fraction(23),
-    }
-    if delta is not None:
-        d = _frac(delta)
-        if 2 < d < Fraction(7, 3):
-            mins["S1"] = (14 / (14 - 6 * d) - 1) / 3
+    if delta is not None and not 2 < _frac(delta) < Fraction(7, 3):
+        delta = None
+    s0, s1 = ({t.tag: t.slack for t in solve_parameters(
+        T, psi=psi, delta=delta, params=params).tags} for psi in (0, 1))
+    mins = {tag: -s0[tag] / (s1[tag] - s0[tag])
+            for tag in ("m9", "m4", "m5", "m12", "S2", "S3", "S1")
+            if s0[tag] is not None}
     binding = max(mins, key=lambda k: mins[k])
     return {"psi_min": mins[binding], "binding": binding, "per_tag": mins}
 

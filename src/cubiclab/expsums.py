@@ -10,7 +10,7 @@ rational, so the only floating-point step is the final root of unity.
 """
 
 from fractions import Fraction
-from math import gcd, tau, floor, prod
+from math import gcd, tau, floor, isfinite, prod
 import cmath
 
 import numpy as np
@@ -198,6 +198,9 @@ def weyl_bound_probe(C: CubicPolynomial, q: int, a: int, theta: float,
     if q < 1 or P < 1 or gcd(a, q) != 1:
         raise ValueError(f"need q >= 1, P >= 1 and gcd(a, q) = 1, got "
                          f"q = {q}, a = {a}, P = {P}")
+    if not (isfinite(theta) and isfinite(psi)):
+        raise ValueError(f"theta and psi must be finite, got theta = "
+                         f"{theta}, psi = {psi}")
     n = C.n
     if bounds is None:
         bounds = [(-1.0, 1.0)] * n

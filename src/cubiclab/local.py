@@ -410,7 +410,8 @@ def ncc_certify(phi: CubicPolynomial, P0: int,
     reach, the first level j < k(p) whose whole grid has no root is
     reported as the violation (p, j), and the BudgetExceeded stands when
     there is none.  A non-singular witness additionally certifies all
-    higher powers of p by Hensel lifting.
+    higher powers of p by Hensel lifting.  The sieve up to P0 counts P0
+    points against the budget.
     """
     if P0 < 1:
         raise ValueError("P0 must be >= 1")
@@ -424,6 +425,7 @@ def ncc_certify(phi: CubicPolynomial, P0: int,
         return NCCCertificate(status="violation", P0=P0, primes=tuple(certs),
                               violation=(p, j), delta_phi=dphi)
 
+    check_budget(P0, budget, what="primes up to P0")
     for p in primes_up_to(P0):
         _, k = ncc_levels(phi.n, p, P0, valuation(dphi.value, p))
         try:

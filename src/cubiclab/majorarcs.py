@@ -32,11 +32,11 @@ import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, nextafter, pi
+from math import inf, isfinite, nextafter, pi
 
 import numpy as np
 
-from .budget import enumeration_budget, BudgetExceeded
+from .budget import check_budget, enumeration_budget, BudgetExceeded
 from .counting import count_solutions, smallest_solution
 from .invariants import siegel_solve, FullRankError
 from .local import ncc_certify, ncc_levels, rho
@@ -533,12 +533,15 @@ def singular_integral(C: CubicPolynomial, box, Z: float,
     before any (m + 1)^n grid that would exceed it, so also when not even
     the first 17^n grid fits, and when it admits fewer than two Monte-Carlo
     points, which leave no standard error.  A box of another dimension
-    than C's raises DimensionMismatch.
+    than C's raises DimensionMismatch, and a Z that is not finite
+    ValueError.
     """
     bounds = box.bounds if isinstance(box, BoxRegion) else list(box)
     n = len(bounds)
     if n != C.n:
         raise DimensionMismatch(f"box has dim {n}, expected {C.n}")
+    if not isfinite(Z):
+        raise ValueError(f"Z must be finite, got {Z}")
     cap = enumeration_budget(budget)
     if n <= 3:
         m, prev = 16, None
@@ -653,7 +656,8 @@ def singular_series(phi: CubicPolynomial, P0: int, mode: str = "both",
     p^e exactly dividing q.  The first q to need a rho(p^j) that overruns
     the budget is a prime power; the sum stops there with `partial` set.
     The q-sum's top levels p^k(p) are the Euler levels, so in mode "both"
-    it adds only the levels below them.
+    it adds only the levels below them.  The sieve up to P0 counts P0
+    points against the budget.
     """
     if P0 < 1:
         raise ValueError("P0 must be >= 1")
@@ -669,6 +673,7 @@ def singular_series(phi: CubicPolynomial, P0: int, mode: str = "both",
     factors, k_used = {}, {}
     partial = False
     value = Fraction(1)
+    check_budget(P0, budget, what="primes up to P0")
     primes = primes_up_to(P0)
     if mode in ("euler", "both"):
         for p in primes:

@@ -58,6 +58,15 @@ def run(capsys, argv):
     return code, out
 
 
+def refused(capsys, argv):
+    """The stderr of a run that must exit 1 with one error line only."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
 class TestAnalyze:
     def test_fermat(self, capsys, fermat_json):
         code, out = run(capsys, ["analyze", "--poly", fermat_json])
@@ -262,6 +271,18 @@ class TestExponents:
         assert lines[0].split(",")[0] == "n"
         assert lines[1].split(",")[0] == "14"
 
+    def test_delta_seven_thirds_fails_s1_and_s4(self, capsys):
+        # 14 - 6 delta = 0: both tags fail with a note, nothing divides
+        code = main(["exponents", "--psi", "100", "--delta", "7/3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and not err
+        res = json.loads(out)["result"]
+        assert len(res["tags"]) == 21
+        tags = {t["tag"]: t for t in res["tags"]}
+        for tag in ("S1", "S4"):
+            assert not tags[tag]["pass"] and "delta = 7/3" in tags[tag]["note"]
+        assert res["psi_binding"] == "m9"
+
 
 class TestCensus:
     def test_rows(self, capsys, fermat_json):
@@ -326,6 +347,14 @@ class TestProbe:
         assert err == ("error: need q >= 1, P >= 1 and gcd(a, q) = 1, "
                        f"got {message}\n")
 
+    @pytest.mark.parametrize("flag", ["--theta", "--psi-good"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input_exits_one(self, capsys, fermat_json, flag,
+                                        value):
+        err = refused(capsys, ["probe", "--poly", fermat_json, "--q", "3",
+                               "--a", "1", f"{flag}={value}"])
+        assert err.startswith("error: theta and psi must be finite")
+
 
 class TestIntegral:
     @pytest.mark.parametrize("budget", ["0", "1"])
@@ -343,6 +372,24 @@ class TestIntegral:
         out, err = capsys.readouterr()
         assert code == 1 and not out
         assert "quadrature grid (17)^3 exceeds budget" in err
+
+    @pytest.mark.parametrize("poly", ["fermat_json", "watson_json"],
+                             ids=["cc", "mc"])
+    @pytest.mark.parametrize("Z", ["nan", "inf", "-inf"])
+    def test_non_finite_z_exits_one(self, capsys, request, poly, Z):
+        err = refused(capsys, ["integral", "--poly",
+                               request.getfixturevalue(poly), f"--Z={Z}"])
+        assert err == f"error: Z must be finite, got {float(Z)}\n"
+
+
+class TestSieveBudget:
+    # the sieve up to P0 is charged before it is built
+    @pytest.mark.parametrize("cmd", ["ncc", "series"])
+    def test_p0_over_budget_exits_one(self, capsys, watson_json, cmd):
+        err = refused(capsys, [cmd, "--poly", watson_json, "--p0",
+                               "1000000000", "--budget", "20000"])
+        assert err == ("error: primes up to P0 needs 1000000000 points, "
+                       "budget is 20000\n")
 
 
 class TestDeterminism:
@@ -441,3 +488,55 @@ class TestParser:
         assert len(listed) == len(set(listed)) and set(listed) == handlers
         assert all(COMMANDS[name][0].__name__ == f"cmd_{name}"
                    for name in COMMANDS)
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-JSON constant {name} in the payload")
+
+
+class TestStrictJson:
+    CASES = {
+        "analyze": ("watson_json", []),
+        "ncc": ("watson_json", ["--p0", "7"]),
+        "densities": ("watson_json", ["--p", "3", "--kmax", "2"]),
+        "series": ("watson_json", ["--p0", "10"]),
+        "integral": ("watson_json", ["--Z", "4", "--budget", "2000"]),
+        "count": ("fermat_json", ["--P", "10"]),
+        "search": ("fermat_json", ["--max-shell", "3"]),
+        "exponents": (None, ["--psi", "1454.8", "--delta", "2.23"]),
+        "census": ("fermat_json", ["--H", "3"]),
+        "probe": ("fermat_json", ["--q", "5", "--a", "2"]),
+    }
+
+    def test_every_command_has_a_case(self):
+        assert set(self.CASES) == set(COMMANDS)
+
+    @pytest.mark.parametrize("cmd", list(CASES))
+    def test_payload_is_strict_json(self, capsys, request, cmd):
+        poly, tail = self.CASES[cmd]
+        argv = [cmd, *tail]
+        if poly:
+            argv[1:1] = ["--poly", request.getfixturevalue(poly)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2) and not err
+        payload = json.loads(out, parse_constant=_no_constant)
+        assert payload["manifest"]["command"] == cmd
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_result_exits_one(self, capsys, monkeypatch,
+                                         fermat_json, value):
+        # main serialises every handler's result: a NaN or an infinity is
+        # refused before anything is printed
+        specs = COMMANDS["analyze"][1]
+        monkeypatch.setitem(COMMANDS, "analyze", (
+            lambda phi, args: ({"value": value}, 0), specs))
+        err = refused(capsys, ["analyze", "--poly", fermat_json])
+        assert "not JSON compliant" in err
+
+    def test_handler_returns_without_printing(self, capsys, fermat_json):
+        args = build_parser("count").parse_args(
+            ["count", "--poly", fermat_json, "--P", "10"])
+        result, code = args.func(cli._load_poly(fermat_json), args)
+        assert code == 0 and result.count == 61
+        assert capsys.readouterr() == ("", "")

@@ -79,6 +79,15 @@ class TestSolveParameters:
         s4 = next(t for t in sys_.tags if t.tag == "S4")
         assert not s4.passes
 
+    def test_delta_seven_thirds_fails_without_dividing(self):
+        # 14 - 6 delta = 0: S1's 14/(14 - 6 delta) and S4's requirement
+        # are undefined, and both tags fail
+        sys_ = solve_parameters(T84, psi=100, delta=Fraction(7, 3))
+        by_tag = {t.tag: t for t in sys_.tags}
+        for tag in ("S1", "S4"):
+            assert not by_tag[tag].passes and by_tag[tag].slack is None
+            assert "delta = 7/3" in by_tag[tag].note
+
     def test_theorem_scale_psi_free(self):
         n = 15
         sys_ = solve_parameters(292 * (n * n - 1), n=n)
@@ -98,6 +107,32 @@ class TestPsiRequirement:
     def test_all_minima_below_binding(self):
         req = psi_requirement(T84)
         assert all(v <= req["psi_min"] for v in req["per_tag"].values())
+
+    @pytest.mark.parametrize("T", [0, 1, 84, Fraction(169, 2), 500,
+                                   292 * (15 * 15 - 1)])
+    def test_matches_hand_formulas(self, T):
+        # the minima solved by hand from each tag of solve_parameters
+        p = paper_exponents(T)
+        e_P0, e_P, e_Q = p["P0"], p["P"], p["Q"]
+        B = 2 * Fraction(T) + 17
+        for d in [None, 2, Fraction(21, 10), Fraction("2.23"),
+                  Fraction(7, 3) - Fraction(1, 1000), Fraction(7, 3), 3]:
+            want = {
+                "m9": (116 * e_P + 91 * B + 130) / 175,
+                "m4": (5 * e_P + 2 * T + 17) / 13,
+                "m5": (3 * e_P + 2 * e_Q + 2 * T + 16) / 14,
+                "m12": Fraction(2, 7) * (3 * e_P - e_Q
+                                         + (117 * B + 192) / 17),
+                "S2": (e_P0 - 1) / 3,
+                "S3": Fraction(23),
+            }
+            if d is not None and 2 < d < Fraction(7, 3):
+                want["S1"] = (14 / (14 - 6 * Fraction(d)) - 1) / 3
+            req = psi_requirement(T, delta=d)
+            assert list(req["per_tag"].items()) == list(want.items())
+            binding = max(want, key=lambda k: want[k])
+            assert (req["binding"], req["psi_min"]) == (binding,
+                                                       want[binding])
 
 
 class TestTheoremExponent:
