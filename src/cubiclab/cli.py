@@ -6,15 +6,18 @@ budget exceeded).  Output is JSON by default (--csv for tabular commands);
 exact rationals are serialized as strings "p/q".
 
 Each `cmd_*` handler takes the loaded --poly (None for exponents) and the
-parsed arguments and returns (result, exit code); `main` alone loads,
-serialises and prints, and the JSON it prints is strict (no NaN).
+parsed arguments and returns (result, exit code); `main` alone parses,
+loads, serialises and prints, and the JSON it prints is strict (no NaN).
+The command line is `CMD --flag VALUE ...` (or `--flag=VALUE`), read by
+`parse_args` against the command's specs in `COMMANDS`; a malformed one
+exits 1 with one `error:` line.
 """
 
-import argparse
 import json
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .budget import BudgetExceeded
@@ -33,7 +36,7 @@ def _ser(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _ser(asdict(obj))
+        return {f.name: _ser(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _ser(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -180,7 +183,9 @@ def _with_poly(*specs) -> tuple:
             ("--csv", {"action": "store_true"})) + specs
 
 
-# command name -> (handler, (flag, add_argument keywords) in help order)
+# command name -> (handler, (flag, keywords) in help order); the keywords are
+# type, choices, required, default and action="store_true" (a flag that
+# takes no value), as parse_args reads them
 COMMANDS = {
     "analyze": (cmd_analyze, _with_poly()),
     "ncc": (cmd_ncc, _with_poly(("--p0", {"type": int, "required": True}))),
@@ -220,29 +225,98 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the named one only."""
-    ap = argparse.ArgumentParser(prog="cubiclab")
-    sub = ap.add_subparsers(dest="command", required=True)
-    if command is not None:  # the usage line still lists every command
-        sub.metavar = "{" + ",".join(COMMANDS) + "}"
-    for name, (func, specs) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name)
-            for flag, kwargs in specs:
-                p.add_argument(flag, **kwargs)
-            p.set_defaults(func=func)
-    return ap
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _metavar(flag: str, kwargs: dict) -> str:
+    if "choices" in kwargs:
+        return "{" + ",".join(kwargs["choices"]) + "}"
+    return _dest(flag).upper()
+
+
+def usage(command: str) -> str:
+    """One command's usage line: its required flags, then the others, each
+    in table order."""
+    specs = COMMANDS[command][1]
+    parts = [f"{flag} {_metavar(flag, kw)}"
+             for flag, kw in specs if kw.get("required")]
+    parts += [f"[{flag}]" if kw.get("action") == "store_true"
+              else f"[{flag} {_metavar(flag, kw)}]"
+              for flag, kw in specs if not kw.get("required")]
+    return " ".join(["cubiclab", command, *parts])
+
+
+def _typed(command: str, flag: str, kwargs: dict, value: str):
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(f"{command}: {flag}: invalid choice {value!r} "
+                         f"(choose from {', '.join(kwargs['choices'])})")
+    kind = kwargs.get("type")
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{command}: {flag}: invalid {kind.__name__} "
+                         f"value {value!r}") from None
+
+
+def parse_args(argv: list) -> SimpleNamespace | None:
+    """`CMD` then `--flag VALUE` or `--flag=VALUE` pairs (a store_true flag
+    takes no value), typed and checked by the command's specs in COMMANDS.
+
+    The namespace holds `command`, every spec's value in table order (a
+    repeated flag keeps its last value) and `func`; None means --help.  A
+    value is the next token unless that begins with `--`, so `--a -1` reads
+    -1.  A malformed line raises ValueError."""
+    command, *rest = argv
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r} (choose from "
+                         f"{', '.join(COMMANDS)})")
+    func, specs = COMMANDS[command]
+    table = dict(specs)
+    given = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        flag, eq, value = token.partition("=")
+        if flag not in table:
+            raise ValueError(f"{command}: unrecognized argument {token!r}")
+        kwargs = table[flag]
+        if kwargs.get("action") == "store_true":
+            if eq:
+                raise ValueError(f"{command}: {flag} takes no value")
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{command}: {flag}: expected a value")
+        given[flag] = _typed(command, flag, kwargs, value)
+    missing = [flag for flag, kw in specs
+               if kw.get("required") and flag not in given]
+    if missing:
+        raise ValueError(f"{command}: required: {', '.join(missing)}")
+    args = SimpleNamespace(command=command)
+    for flag, kwargs in specs:
+        setattr(args, _dest(flag), given.get(flag, kwargs.get(
+            "default", False if kwargs.get("action") else None)))
+    args.func = func
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a call naming a command builds only that command's parser; --help,
-    # no command or an unknown one needs the full table
-    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = ap.parse_args(argv)
+    if not argv or argv[0] in ("-h", "--help"):
+        print("usage: " + "\n       ".join(map(usage, COMMANDS)))
+        return 0 if argv else 1
     try:
-        phi = _load_poly(args.poly) if "poly" in args else None
+        args = parse_args(argv)
+        if args is None:
+            print("usage: " + usage(argv[0]))
+            return 0
+        phi = _load_poly(args.poly) if hasattr(args, "poly") else None
         result, code = args.func(phi, args)
         _emit(_ser(result), args)
         return code

@@ -10,7 +10,7 @@ rational, so the only floating-point step is the final root of unity.
 """
 
 from fractions import Fraction
-from math import gcd, tau, floor, isfinite, prod
+from math import gcd, tau, floor, inf, isfinite, prod
 import cmath
 
 import numpy as np
@@ -204,14 +204,21 @@ def weyl_bound_probe(C: CubicPolynomial, q: int, a: int, theta: float,
     n = C.n
     if bounds is None:
         bounds = [(-1.0, 1.0)] * n
+    M = max(C.height, 1)
+    th = abs(float(theta))
+    try:
+        inner = 1.0 / P**2 + M * q * th + q / P**3
+        inner += (1.0 / q) * min(float(M), 1.0 / (th * P**3)) if th \
+            else float(M) / q
+        inner += float(M) ** (-2.0 * psi)
+        rhs = P**n * inner ** (7.0 / 4.0)
+    except OverflowError:
+        rhs = inf
+    if not isfinite(rhs):
+        raise ValueError(f"the Weyl bound is not a finite float at q = {q}, "
+                         f"theta = {theta}, P = {P}, psi = {psi}")
     alpha = Fraction(a, q) + Fraction(theta) if isinstance(theta, Fraction) \
         else a / q + theta
     S = weyl_sum(C, alpha, bounds, P, budget)
-    M = max(C.height, 1)
-    th = abs(float(theta))
-    inner = 1.0 / P**2 + M * q * th + q / P**3
-    inner += (1.0 / q) * min(float(M), 1.0 / (th * P**3)) if th else float(M) / q
-    inner += float(M) ** (-2.0 * psi)
-    rhs = P**n * inner ** (7.0 / 4.0)
     return {"S_abs": abs(S), "rhs": rhs,
             "ratio": abs(S) / rhs if rhs else float("inf")}

@@ -468,6 +468,7 @@ def local_report(phi: CubicPolynomial, p: int, k_max: int,
     _require_prime(p)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    check_budget(k_max, budget, what="levels up to k_max")
     form, _ = homogenize(phi)
     dphi = delta(form)
     v = valuation(dphi.value, p) if dphi.value else 0

@@ -5,12 +5,16 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubiclab import cli
-from cubiclab.cli import COMMANDS, build_parser, main
+from cubiclab.cli import COMMANDS, main, parse_args, usage
 from conftest import make_diag5m2, make_fermat, make_wall14, make_watson5
 
 
@@ -159,6 +163,19 @@ class TestDensities:
         out, err = capsys.readouterr()
         assert code == 1 and not out
         assert err == "error: k_max must be >= 1\n"
+
+    def test_kmax_over_budget_exits_one(self, capsys, watson_json):
+        # the levels are charged before the level loop starts
+        err = refused(capsys, ["densities", "--poly", watson_json, "--p", "3",
+                               "--kmax", "1000000000", "--budget", "20000"])
+        assert err == ("error: levels up to k_max needs 1000000000 points, "
+                       "budget is 20000\n")
+
+    def test_kmax_within_budget_completes(self, capsys, watson_json):
+        code, out = run(capsys, ["densities", "--poly", watson_json, "--p",
+                                 "3", "--kmax", "1000", "--budget", "20000"])
+        assert code == 0
+        assert len(json.loads(out)["result"]["rho"]) == 1000
 
     def test_skipped_rho_star_levels_named(self, capsys, fermat_json):
         # the 125^3 grid of rho*(5^3) is over budget; rho(5^3) stratifies
@@ -356,6 +373,13 @@ class TestProbe:
         assert err.startswith("error: theta and psi must be finite")
 
 
+    def test_bound_past_float_exits_one(self, capsys, fermat_json):
+        err = refused(capsys, ["probe", "--poly", fermat_json, "--q", "3",
+                               "--a", "1", "--theta", "1e300",
+                               "--budget", "20000"])
+        assert err.startswith("error: the Weyl bound is not a finite float")
+
+
 class TestIntegral:
     @pytest.mark.parametrize("budget", ["0", "1"])
     def test_monte_carlo_budget_below_two_points_exits_one(
@@ -436,50 +460,101 @@ class TestDeterminism:
         assert code == 1
 
 
-def exit_of(capsys, parse, argv):
-    """(exit code, stdout, stderr) of a parse that ends the program."""
-    with pytest.raises(SystemExit) as exc:
-        parse(argv)
-    out, err = capsys.readouterr()
-    return exc.value.code, out, err
+def outcome(argv):
+    """(exit code, stdout, stderr) of one in-process run of main."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestParser:
-    # main builds only the named command's parser; what it prints must be
-    # what the parser of every command prints
+    # what main prints for one command line is what the parser says: the
+    # command's usage line under --help (the same line the usage of every
+    # command lists), else exit 1 with the parser's error as the one line
     @pytest.mark.parametrize("cmd", list(COMMANDS))
     @pytest.mark.parametrize("tail", [["--help"], [], ["--bogus"],
                                       ["--budget", "x"]],
                              ids=["help", "missing", "unknown", "bad-value"])
-    def test_one_command_parser_prints_the_same(self, capsys, cmd, tail):
+    def test_one_command_parser_prints_the_same(self, cmd, tail):
         if cmd == "exponents" and not tail:
             tail = ["--T"]  # it requires no argument: a missing value
         argv = [cmd, *tail]
-        full = exit_of(capsys, build_parser().parse_args, argv)
-        assert full[0] in (0, 2)
-        assert exit_of(capsys, main, argv) == full
+        code, out, err = outcome(argv)
+        if tail == ["--help"]:
+            assert (code, out, err) == (0, f"usage: {usage(cmd)}\n", "")
+            assert f" {usage(cmd)}\n" in outcome(["--help"])[1]
+            return
+        with pytest.raises(ValueError) as exc:
+            parse_args(argv)
+        assert (code, out, err) == (1, "", f"error: {exc.value}\n")
+        assert err.startswith(f"error: {cmd}: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv,code,text", [
-        ([], 2, "error: the following arguments are required: command\n"),
-        (["bogus"], 2, "invalid choice: 'bogus' (choose from 'analyze', "
-                       "'ncc', 'densities', 'series', 'integral', 'count', "
-                       "'search', 'exponents', 'census', 'probe')\n"),
-        (["--help"], 0, "{analyze,ncc,densities,series,integral,count,"
-                        "search,exponents,census,probe}\n")],
-        ids=["none", "unknown", "help"])
-    def test_no_command_builds_every_parser(self, capsys, argv, code, text):
-        got = exit_of(capsys, main, argv)
-        assert got == exit_of(capsys, build_parser().parse_args, argv)
-        assert got[0] == code
-        assert text in got[1] + got[2]
+    @pytest.mark.parametrize("argv,code", [([], 1), (["bogus"], 1),
+                                           (["--help"], 0), (["-h"], 0)],
+                             ids=["none", "unknown", "help", "h"])
+    def test_no_command_builds_every_parser(self, argv, code):
+        got, out, err = outcome(argv)
+        assert got == code
+        if argv == ["bogus"]:
+            assert not out and err == (
+                "error: unknown command 'bogus' (choose from analyze, ncc, "
+                "densities, series, integral, count, search, exponents, "
+                "census, probe)\n")
+            return
+        assert not err
+        assert out.splitlines() == [("usage: " if i == 0 else " " * 7)
+                                    + usage(name)
+                                    for i, name in enumerate(COMMANDS)]
 
-    def test_a_named_command_builds_one_parser(self, capsys, monkeypatch):
-        built = []
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: (
-            built.append(command) or build_parser(command)))
-        for argv in (["ncc", "--help"], ["bogus"], []):
-            exit_of(capsys, main, argv)
-        assert built == ["ncc", None, None]
+    def test_usage_lines(self):
+        assert usage("count") == ("cubiclab count --poly POLY --P P "
+                                  "[--budget BUDGET] [--csv] [--box BOX]")
+        assert usage("series") == (
+            "cubiclab series --poly POLY --p0 P0 [--budget BUDGET] [--csv] "
+            "[--mode {euler,qsum,both}]")
+        assert usage("search").endswith("[--max-shell MAX_SHELL]")
+
+    def test_a_named_command_builds_one_parser(self, monkeypatch,
+                                               fermat_json):
+        # a call naming a command reads that command's specs only
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("another command's specs were read")
+
+        for name, (func, _) in list(COMMANDS.items()):
+            if name != "count":
+                monkeypatch.setitem(COMMANDS, name, (func, Unread()))
+        assert outcome(["count", "--poly", fermat_json, "--P", "2"])[0] == 0
+        assert outcome(["count", "--help"])[0] == 0
+        assert outcome(["count", "--P", "x"])[0] == 1
+
+    @pytest.mark.parametrize("argv,value", [
+        (["--a", "-1", "--theta", "-0.5"], (-1, -0.5)),
+        (["--a=-1", "--theta=-0.5"], (-1, -0.5)),
+        (["--a", "3", "--a", "-4", "--theta", "1e-3"], (-4, 0.001))])
+    def test_negative_and_repeated_values(self, argv, value):
+        args = parse_args(["probe", "--poly", "f", "--q", "5", *argv])
+        assert (args.a, args.theta) == value
+
+    @pytest.mark.parametrize("argv,error", [
+        (["search", "--poly", "f", "--max", "3"],
+         "search: unrecognized argument '--max'"),
+        (["count", "--poly", "f", "--P", "1", "--csv=yes"],
+         "count: --csv takes no value"),
+        (["count", "--poly", "f", "--P", "--csv"],
+         "count: --P: expected a value"),
+        (["count", "--poly", "f", "--P", "abc"],
+         "count: --P: invalid int value 'abc'"),
+        (["count", "--budget", "2"], "count: required: --poly, --P"),
+        (["series", "--poly", "f", "--p0", "3", "--mode", "sum"],
+         "series: --mode: invalid choice 'sum' (choose from euler, qsum, "
+         "both)"),
+        (["exponents", "--T", "1/0"], "exponents: --T: invalid Fraction value "
+                                      "'1/0'"),
+        (["count", "f.json"], "count: unrecognized argument 'f.json'")])
+    def test_malformed_line_names_its_fault(self, argv, error):
+        assert outcome(argv) == (1, "", f"error: {error}\n")
 
     def test_every_handler_listed_once(self):
         handlers = {f for name, f in vars(cli).items()
@@ -488,6 +563,139 @@ class TestParser:
         assert len(listed) == len(set(listed)) and set(listed) == handlers
         assert all(COMMANDS[name][0].__name__ == f"cmd_{name}"
                    for name in COMMANDS)
+
+
+# -- the parser contract, drawn from the specs ------------------------------
+
+SPECS = {name: specs for name, (_, specs) in COMMANDS.items()}
+BAD_VALUES = {int: ["abc", "1.5", "", "0x10"], float: ["abc", "1/2", ""],
+              Fraction: ["abc", "1/0", "1.2.3"]}
+
+
+def _token_and_value(kwargs):
+    """A strategy of (command-line text, the typed value it must parse to)."""
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"]).map(lambda v: (v, v))
+    kind = kwargs.get("type")
+    if kind is int:
+        values = st.integers(-10**12, 10**12)
+    elif kind is float:
+        values = st.floats(allow_nan=False, allow_infinity=False)
+    elif kind is Fraction:
+        values = st.fractions(max_denominator=10**6)
+    else:  # a path or an exact decimal
+        return st.text("ab/._=-0179", min_size=1, max_size=10).filter(
+            lambda t: not t.startswith("--")).map(lambda v: (v, v))
+    return values.map(lambda v: (repr(v) if kind is float else str(v), v))
+
+
+@st.composite
+def command_lines(draw):
+    """(command, token groups, expected values): each group is one flag
+    and its value, in random order, in both `--f v` and `--f=v` form."""
+    name = draw(st.sampled_from(list(SPECS)))
+    chosen = [(flag, kw) for flag, kw in SPECS[name]
+              if kw.get("required") or draw(st.booleans())]
+    groups, values = [], {}
+    for flag, kw in draw(st.permutations(chosen)):
+        if kw.get("action") == "store_true":
+            groups.append([flag])
+            values[flag] = True
+            continue
+        text, values[flag] = draw(_token_and_value(kw))
+        groups.append([f"{flag}={text}"] if draw(st.booleans())
+                      else [flag, text])
+    return name, groups, values
+
+
+@st.composite
+def defective_lines(draw):
+    """A well-formed line with one defect injected."""
+    name, groups, _ = draw(command_lines())
+    specs = dict(SPECS[name])
+    flags = [g[0].partition("=")[0] for g in groups]
+    valued = [i for i, f in enumerate(flags)
+              if specs[f].get("action") != "store_true"]
+    defects = ["unknown flag", "store_true value"]
+    if any(kw.get("required") for kw in specs.values()):
+        defects.append("dropped required flag")
+    if valued:
+        defects.append("dropped value")
+    if any(specs[flags[i]].get("type") in BAD_VALUES for i in valued):
+        defects.append("untypeable value")
+    if any("choices" in specs[flags[i]] for i in valued):
+        defects.append("out-of-choice value")
+    defect = draw(st.sampled_from(defects))
+    if defect == "unknown flag":
+        bogus = draw(st.sampled_from(["--bogus", "--Poly", "-x", "--max",
+                                      "stray", "--q=3" if name != "probe"
+                                      else "--H=3"]))
+        groups.insert(draw(st.integers(0, len(groups))), [bogus])
+    elif defect == "store_true value":
+        groups.insert(draw(st.integers(0, len(groups))), ["--csv=1"])
+    elif defect == "dropped required flag":
+        required = [f for f, kw in specs.items() if kw.get("required")]
+        drop = draw(st.sampled_from(required))
+        groups = [g for g, f in zip(groups, flags) if f != drop]
+    else:
+        pick = [i for i in valued
+                if defect == "dropped value"
+                or (defect == "untypeable value"
+                    and specs[flags[i]].get("type") in BAD_VALUES)
+                or (defect == "out-of-choice value"
+                    and "choices" in specs[flags[i]])]
+        i = draw(st.sampled_from(pick))
+        kw = specs[flags[i]]
+        if defect == "dropped value":
+            bad = None
+        elif defect == "untypeable value":
+            bad = draw(st.sampled_from(BAD_VALUES[kw["type"]]))
+        else:
+            bad = "bogus"
+        groups[i] = [flags[i]] if bad is None else [flags[i], bad]
+    return [name, *(t for g in groups for t in g)], defect
+
+
+def record_handlers(mp):
+    """Replace every handler by one that records its arguments, and the
+    polynomial loader by a stub; returns (the recorder, its calls)."""
+    calls = []
+
+    def record(phi, args):
+        calls.append(args)
+        return {}, 0
+
+    for name, (_, specs) in list(COMMANDS.items()):
+        mp.setitem(COMMANDS, name, (record, specs))
+    mp.setattr(cli, "_load_poly", lambda path: None)
+    return record, calls
+
+
+class TestParserContract:
+    @settings(max_examples=300, deadline=None)
+    @given(line=command_lines())
+    def test_well_formed_line_reaches_its_handler(self, line):
+        name, groups, values = line
+        with pytest.MonkeyPatch.context() as mp:
+            record, calls = record_handlers(mp)
+            code, _, err = outcome([name, *(t for g in groups for t in g)])
+        assert (code, err) == (0, "")
+        [args] = calls
+        expected = [("command", name)] + [
+            (cli._dest(flag), values.get(flag, kw.get(
+                "default", False if kw.get("action") else None)))
+            for flag, kw in SPECS[name]] + [("func", record)]
+        assert list(vars(args).items()) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=defective_lines())
+    def test_defective_line_exits_one(self, line):
+        argv, _ = line
+        with pytest.MonkeyPatch.context() as mp:
+            _, calls = record_handlers(mp)
+            code, out, err = outcome(argv)
+        assert (code, out, calls) == (1, "", [])
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _no_constant(name):
@@ -535,8 +743,7 @@ class TestStrictJson:
         assert "not JSON compliant" in err
 
     def test_handler_returns_without_printing(self, capsys, fermat_json):
-        args = build_parser("count").parse_args(
-            ["count", "--poly", fermat_json, "--P", "10"])
+        args = parse_args(["count", "--poly", fermat_json, "--P", "10"])
         result, code = args.func(cli._load_poly(fermat_json), args)
         assert code == 0 and result.count == 61
         assert capsys.readouterr() == ("", "")

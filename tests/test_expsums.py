@@ -389,6 +389,16 @@ class TestProbes:
         with pytest.raises(ValueError):
             weyl_bound_probe(fermat.cubic_part(), q, a, 0.0, P=P, psi=1.0)
 
+    @pytest.mark.parametrize("theta,P,psi", [(1e300, 10, 1.0),
+                                             (0.0, 10**200, 1.0),
+                                             (0.0, 10, -1e300)])
+    def test_weyl_bound_probe_refuses_a_bound_past_float(self, theta, P,
+                                                         psi):
+        # a height-2 form, so M^(-2 psi) overflows at psi = -1e300
+        C = symmetrize(3, {(0, 0, 0): 2, (1, 1, 1): 1, (2, 2, 2): 1})[0]
+        with pytest.raises(ValueError, match="not a finite float"):
+            weyl_bound_probe(C, 3, 1, theta, P=P, psi=psi, budget=1)
+
     def test_weyl_bound_probe_sequence(self):
         C = symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 1})[0]
         ratios = [weyl_bound_probe(C, 3, 1, 0.0, P=P, psi=1.0)["ratio"]

@@ -545,3 +545,10 @@ class TestNCC:
         assert rep.rho == {k: rho(watson5, 3, k) for k in (1, 2, 3)}
         assert list(rep.rho_star) == [1]
         assert rep.rho_star_skipped == (2, 3)
+
+    def test_report_charges_its_levels(self, watson5):
+        # one level loop per k: k_max past the budget is refused before
+        # any level is computed, as the sieve up to P0 is in ncc
+        with pytest.raises(BudgetExceeded, match="levels up to k_max needs "
+                           "1000000000 points, budget is 20000"):
+            local_report(watson5, 3, 10**9, budget=20000)

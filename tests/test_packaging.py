@@ -105,3 +105,16 @@ def test_cli_import_starts_no_pool_machinery():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_run_loads_no_argument_parser():
+    # cli.parse_args reads the command line: argparse, and the gettext and
+    # locale it loads on first use, cost about 3 ms of every command
+    code = ("import sys, cubiclab.cli; "
+            "cubiclab.cli.main(['exponents', '--theorem', 'h14']); "
+            "print(sorted(m for m in sys.modules "
+            "if m in ('argparse', 'gettext', 'locale')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
