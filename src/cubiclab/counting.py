@@ -1,40 +1,126 @@
 """Exact lattice counting of phi = 0 in boxes and expanding-shell search
 for the smallest solution.
 
-The counter walks the prefixes (x_2..x_n) of the box in chunks; for each
-chunk it forms the coefficients of the univariate cubic in x_1 in numpy
-and evaluates it exactly, by Horner, at every x_1 of the box.  Degenerate
-slices (quadratic, linear, constant, identically zero) need no special
-case.  The arithmetic is int64 when the height and the box prove that
-nothing overflows, else Python ints in object arrays.
+phi splits at x_1 into phi(x) = A(x_O) + B(x_L): O the variable block that
+holds x_1 and L every other variable (polynomials._x1_split); a connected
+phi has L empty and B = 0.  The zeros are the pairs of an O point and an L
+point with A = -B, found by a join: the side with fewer points is
+evaluated whole and sorted, and the other is walked in chunks, each value
+looked up in that table by searchsorted.  A split phi so costs
+|O box| + |L box| plus a sort, not their product.
+
+The O side is walked with x_1 last: for each chunk of prefixes it forms
+the coefficients of the univariate cubic A in x_1 in numpy and evaluates
+it exactly, by Horner, at every x_1 of the box, so degenerate slices
+(quadratic, linear, constant, identically zero) need no special case.  The
+L side evaluates -B's terms.  The arithmetic is int64 when the height and
+the box prove that nothing overflows, else Python ints in object arrays.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from math import ceil, floor, prod
 
 import numpy as np
 
 from .budget import check_budget
 from .polynomials import (CubicPolynomial, DimensionMismatch, _CHUNK,
-                          _eval_terms, _walk)
+                          _eval_terms, _variable_blocks, _walk, _x1_slices,
+                          _x1_split)
 
 
-def _zeros(phi: CubicPolynomial, t_range: range, ranges: list):
-    """Zeros of phi with x_1 in t_range and (x_2..x_n) in the product of
-    `ranges`, as (k, n) integer arrays, one per chunk of the C-order walk of
-    (x_2, .., x_n, x_1): prefixes lexicographic, x_1 ascending in each."""
-    slices = phi.x1_slices()
-    for _, shape, (*y, t) in _walk([*ranges, t_range], _CHUNK, phi.terms()):
-        d, c, b, a = (_eval_terms(part, y) for part in slices)
+def _size(r: range) -> int:
+    """The points of a range of positive step, in integer arithmetic (len()
+    of a range longer than sys.maxsize raises OverflowError)."""
+    return max(0, (r.stop - r.start + r.step - 1) // r.step)
+
+
+def _o_walk(A, n: int, axes: list, ranges: list):
+    """The table A, whose variables are x_1 and the others of `axes`, on
+    the box of `ranges`, the ranges of `axes` with x_1 last, in chunks: per
+    chunk the values and the coordinate arrays in the order of `axes`."""
+    slices = _x1_slices(A)
+    for _, shape, x in _walk(ranges, _CHUNK, A):
+        X = [None] * n
+        for i, c in zip(axes, x):
+            X[i] = c
+        t = X[0]
+        d, c, b, a = (_eval_terms(part, X[1:]) for part in slices)
         # Horner in place, so that a chunk holds one array of its shape
         h = np.add(a * t, b, out=np.empty(shape, t.dtype))
         for e in (c, d):
             h *= t
             h += e
-        hit = np.nonzero(h == 0)
-        if len(hit[0]):
-            yield np.column_stack([np.broadcast_to(col, shape)[hit]
-                                   for col in (t, *y)])
+        yield h, x
+
+
+def _l_walk(B, n: int, axes: list, ranges: list):
+    """The table B, whose variables are in `axes`, as _o_walk walks A."""
+    for _, shape, x in _walk(ranges, _CHUNK, B):
+        X = [None] * n
+        for i, c in zip(axes, x):
+            X[i] = c
+        yield np.broadcast_to(_eval_terms(B, X), shape), x
+
+
+def _split(phi: CubicPolynomial) -> list:
+    """The two sides of the join, each (axes, walk): the variables a side
+    walks, in its walk order, and its walk of them.  The O side walks A
+    with x_1 last, the L side -B."""
+    O, A, L, B = _x1_split(_variable_blocks(phi.terms()), phi.n)
+    return [([*O[1:], 0], partial(_o_walk, A, phi.n)),
+            (L, partial(_l_walk, [(-w, idx) for w, idx in B], phi.n))]
+
+
+def _coords(flat, ranges) -> list:
+    """The coordinates of flat C-order indices into the box prod(ranges),
+    Python ints where a coordinate could leave int64."""
+    wide = any(max(-r.start, r.stop) >= 2**62 for r in ranges)
+    digits = np.unravel_index(flat, [_size(r) for r in ranges])
+    return [d.astype(object if wide else np.int64) * r.step + r.start
+            for d, r in zip(digits, ranges)]
+
+
+def _zeros(sides: list, box: list):
+    """Zeros of phi in the box prod(box), box[i] the range of x_(i+1), as
+    (k, n) integer arrays of at most _CHUNK rows, in no particular order;
+    sides is _split(phi).  The held side's values are sorted once; each
+    chunk of the streamed side keeps the values within the table's range,
+    counts each one's matches by two searchsorted calls and expands the
+    (streamed point, held point) pairs _CHUNK at a time."""
+    sides = [(axes, walk, [box[i] for i in axes]) for axes, walk in sides]
+    sizes = [prod(map(_size, ranges)) for _, _, ranges in sides]
+    if not all(sizes):
+        return
+    (h_axes, h_walk, h_ranges), (s_axes, s_walk, s_ranges) = (
+        sides if sizes[0] < sizes[1] else sides[::-1])
+    values = np.concatenate([v.ravel() for v, _ in h_walk(h_axes, h_ranges)])
+    order = np.argsort(values, kind="stable")
+    table = values[order]
+    low, high = table[0], table[-1]
+    for v, x in s_walk(s_axes, s_ranges):
+        flat = v.reshape(-1)
+        # one comparison for a one-valued table, such as a connected phi's
+        hit = (flat == low if low == high
+               else (flat >= low) & (flat <= high))
+        cand = np.flatnonzero(hit)
+        if not len(cand):
+            continue
+        lo = np.searchsorted(table, flat[cand], "left")
+        cnt = np.searchsorted(table, flat[cand], "right") - lo
+        ends, total = np.cumsum(cnt), int(cnt.sum())
+        # match m pairs streamed point cand[k] with held point
+        # order[lo[k] + m - first match of k], k the point whose run holds m
+        for m0 in range(0, total, _CHUNK):
+            m = np.arange(m0, min(m0 + _CHUNK, total))
+            k = np.searchsorted(ends, m, "right")
+            at = np.unravel_index(cand[k], v.shape)
+            cols = dict(zip(s_axes, (np.broadcast_to(c, v.shape)[at]
+                                     for c in x)))
+            if h_axes:
+                held = order[lo[k] + m - ends[k] + cnt[k]]
+                cols.update(zip(h_axes, _coords(held, h_ranges)))
+            yield np.column_stack([cols[i] for i in range(len(box))])
 
 
 @dataclass(frozen=True)
@@ -57,6 +143,14 @@ def _box_ranges(n: int, P: int, box=None) -> list:
             for lo, hi in bounds]
 
 
+def _first(sample, z, keep: int):
+    """The first `keep` rows of sample and z by the key (x_2..x_n, x_1)."""
+    both = np.concatenate([sample, z])
+    # np.lexsort sorts by its last key first
+    key = both.T[[0, *range(both.shape[1] - 1, 0, -1)]]
+    return both[np.lexsort(key)[:keep]]
+
+
 def count_solutions(phi: CubicPolynomial, P: int, box=None,
                     budget: int | None = None, keep: int = 100) -> CountResult:
     """Exact N(P) over the integer box (default [-P, P]^n).
@@ -67,13 +161,14 @@ def count_solutions(phi: CubicPolynomial, P: int, box=None,
     if P < 0:
         raise ValueError("P must be >= 0")
     rng = _box_ranges(phi.n, P, box)
-    check_budget(prod(len(r) for r in rng[1:]), budget, what="solution count")
-    count, sample = 0, []
-    for z in _zeros(phi, rng[0], rng[1:]):
+    check_budget(prod(map(_size, rng[1:])), budget, what="solution count")
+    count, sample = 0, np.empty((0, phi.n), dtype=np.int64)
+    for z in _zeros(_split(phi), rng):
         count += len(z)
-        sample += z[:keep - len(sample)].tolist()
+        if keep > 0:
+            sample = _first(sample, z, keep)
     return CountResult(P=P, count=count,
-                       solutions_sample=tuple(map(tuple, sample)))
+                       solutions_sample=tuple(map(tuple, sample.tolist())))
 
 
 @dataclass(frozen=True)
@@ -91,8 +186,11 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
 
     Only the new shell is enumerated: prefixes (x_2..x_n) of sup-norm s take
     every x_1 in [-s, s], the others x_1 = -s and s.  The budget counts the
-    (2s + 1)^(n-1) prefixes of the shell's box."""
-    n = phi.n
+    (2s + 1)^(n-1) prefixes of the shell's box.  max_shell < 0 is
+    refused."""
+    if max_shell < 0:
+        raise ValueError("max_shell must be >= 0")
+    n, sides = phi.n, _split(phi)
     for s in range(start_shell, max_shell + 1):
         if s == 0:
             if phi.evaluate([0] * n) == 0:
@@ -102,11 +200,10 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
         inner, full = range(1 - s, s), range(-s, s + 1)
         ends = range(-s, s + 1, 2 * s)
         # face j: |x_(j+2)| = s, the prefix coordinates before it below s
-        faces = [(full, [inner] * j + [ends] + [full] * (n - 2 - j))
-                 for j in range(n - 1)] + [(ends, [inner] * (n - 1))]
+        faces = [[full, *[inner] * j, ends, *[full] * (n - 2 - j)]
+                 for j in range(n - 1)] + [[ends, *[inner] * (n - 1)]]
         found = [min(map(tuple, z.tolist()))
-                 for t, ys in faces for z in _zeros(phi, t, ys)]
+                 for face in faces for z in _zeros(sides, face)]
         if found:
             return SearchReport(found=min(found), shell=s, exhausted_to=None)
     return SearchReport(found=None, shell=None, exhausted_to=max_shell)
-

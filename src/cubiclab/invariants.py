@@ -17,7 +17,7 @@ import numpy as np
 from .budget import check_budget
 from .nt import column_reduce, trial_factor, ceil_fraction, is_prime
 from .polynomials import (CubicPolynomial, DimensionMismatch, _CHUNK,
-                          _eval_terms, _walk)
+                          _eval_terms, _variable_blocks, _walk)
 
 _FACTOR_BOUND = 10**6  # trial division bound for the factorization of Delta
 _PSI_BOUND_CONST = 20.0  # largest regularized ratio psi_good_report accepts
@@ -126,9 +126,9 @@ def _ranks_mod(M, q: int):
     return rank
 
 
-def rank_census(C: CubicPolynomial, H: int, p: int | None = None,
-                budget: int | None = None) -> RankCensus:
-    """Exact rank statistics of M(x) = sum_k x_k M(e_k) over the box |x| < H.
+def _block_census(basis: list, H: int, p: int | None):
+    """Rank counts over |x| < H, as an int64 array indexed by rank, of
+    M(x) = sum_k x_k basis[k] for n x n integer matrices basis[k], n >= 1.
 
     The box is walked in chunks of whole trailing axes, at most
     _CHUNK_ENTRIES matrix entries, and each chunk's stack of M(x) mod q is
@@ -138,15 +138,8 @@ def rank_census(C: CubicPolynomial, H: int, p: int | None = None,
     tried, so once their product P exceeds the Hadamard bound on those
     minors (the product of the r+1 largest max(1, |row_i|) over the box),
     none is nonzero and rank_Q = r.  Primes below 2**31 are tried, largest
-    first, until every rank is settled.
-    """
-    if H < 1:
-        raise ValueError("H must be >= 1")
-    if p is not None and not (p < 2**31 and is_prime(p)):
-        raise ValueError("p must be a prime below 2**31")
-    n = C.n
-    check_budget((2 * H - 1) ** n, budget, what="rank census")
-    basis = [C.hessian([int(i == k) for i in range(n)]) for k in range(n)]
+    first, until every rank is settled."""
+    n = len(basis)
     if p is None:
         # |M(x)_ij| <= bound[i][j] on the box; squared row norms, largest first
         bound = [[(H - 1) * sum(abs(b[i][j]) for b in basis) for j in range(n)]
@@ -183,6 +176,35 @@ def rank_census(C: CubicPolynomial, H: int, p: int | None = None,
             if not len(live):
                 break
         counts += np.bincount(rank, minlength=n + 1)
+    return counts
+
+
+def rank_census(C: CubicPolynomial, H: int, p: int | None = None,
+                budget: int | None = None) -> RankCensus:
+    """Exact rank statistics of M(x) = sum_k x_k M(e_k) over the box |x| < H.
+
+    M(x) is block diagonal over the variable blocks of C's cubic terms
+    (polynomials._variable_blocks), each block a function of its own
+    variables, and the rank of a block-diagonal matrix is the sum of its
+    blocks' ranks, over Q and over F_p.  So the census is the convolution
+    of the blocks' rank histograms, each by _block_census over that
+    block's own box; the variables in no cubic term are one rank-0 block.
+    The budget counts the (2H - 1)^n points of the whole box.
+    """
+    if H < 1:
+        raise ValueError("H must be >= 1")
+    if p is not None and not (p < 2**31 and is_prime(p)):
+        raise ValueError("p must be a prime below 2**31")
+    n = C.n
+    check_budget((2 * H - 1) ** n, budget, what="rank census")
+    basis = [C.hessian([int(i == k) for i in range(n)]) for k in range(n)]
+    blocks = [sorted({i for _, idx in b for i in idx}) for b in
+              _variable_blocks([t for t in C.terms() if len(t[1]) == 3])]
+    free = n - sum(map(len, blocks))
+    counts = np.array([(2 * H - 1) ** free], dtype=np.int64)
+    for U in filter(None, blocks):
+        sub = [[[basis[k][i][j] for j in U] for i in U] for k in U]
+        counts = np.convolve(counts, _block_census(sub, H, p))
     return RankCensus(H=H, p=p,
                       counts={r: int(c) for r, c in enumerate(counts) if c})
 

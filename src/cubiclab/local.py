@@ -192,12 +192,13 @@ def rho(phi: CubicPolynomial, p: int, k: int,
     else by stratification at p.
     """
     _require_prime(p)
-    return _rho(phi.terms(), phi.n, p, k, enumeration_budget(budget), 0)
+    return _rho(phi.terms(), phi.n, p, k, enumeration_budget(budget))
 
 
-def _rho(terms, n: int, p: int, k: int, cap: int, depth: int) -> int:
+def _rho(terms, n: int, p: int, k: int, cap: int) -> int:
     """rho on a (weight, index tuple) table; the stratified recursion
-    rescales each singular root mod p to the table of psi_a at level k-1."""
+    rescales each singular root mod p to the table of psi_a at level k-1.
+    Every call it makes is at a lower level, so it nests at most k deep."""
     if k == 0:
         return 1
     c = min((valuation(w, p) for w, _ in terms), default=k)
@@ -205,7 +206,7 @@ def _rho(terms, n: int, p: int, k: int, cap: int, depth: int) -> int:
         return p ** (k * n)
     if c:
         reduced = [(w // p**c, idx) for w, idx in terms]
-        return p ** (c * n) * _rho(reduced, n, p, k - c, cap, depth)
+        return p ** (c * n) * _rho(reduced, n, p, k - c, cap)
     if k == 1 and p < _SLICE_MAX_P:
         return _slice_roots(terms, n, p, cap)
     if (p**k) ** n <= cap:
@@ -213,8 +214,6 @@ def _rho(terms, n: int, p: int, k: int, cap: int, depth: int) -> int:
     if p**n > cap:
         raise BudgetExceeded(
             f"rho({p}^{k}): even the level-1 grid {p}^{n} exceeds budget {cap}")
-    if depth > 3 * k + 6:
-        raise BudgetExceeded("rho stratification recursion too deep")
     sol = _grid(terms, p, n) == 0
     nonsing = _nonsingular_mask(terms, n, p, p) & sol
     count = int(np.count_nonzero(nonsing)) * p ** ((k - 1) * (n - 1))
@@ -225,7 +224,7 @@ def _rho(terms, n: int, p: int, k: int, cap: int, depth: int) -> int:
             f"exceed stratification cap {_MAX_SINGULAR}")
     for a in singular:
         psi = _psi_rescale(terms, p, [int(v) for v in a])
-        count += _rho(psi, n, p, k - 1, cap, depth + 1)
+        count += _rho(psi, n, p, k - 1, cap)
     return count
 
 

@@ -41,7 +41,8 @@ from .counting import count_solutions, smallest_solution
 from .invariants import siegel_solve, FullRankError
 from .local import ncc_certify, ncc_levels, rho
 from .nt import primes_up_to
-from .polynomials import CubicPolynomial, DimensionMismatch, _eval_terms
+from .polynomials import (CubicPolynomial, DimensionMismatch, _eval_terms,
+                          _variable_blocks, _x1_split)
 
 _CALIBRATION = 1e3  # frozen slack of real_point's xi bracket
 _MAX_A_LOG2 = 10  # build_box gives up beyond A = 2^10
@@ -328,29 +329,6 @@ _SLAB_POINTS = 1 << 18
 _MC_CHUNK = 1 << 16
 
 
-def _variable_blocks(terms) -> list:
-    """A (weight, index tuple) table split into the tables of its connected
-    variable blocks, C = C_1(x_U) + C_2(x_V) + ...: two variables share a
-    block when some term holds both.  Blocks are ordered by their first
-    term, and terms keep their order within a block; the constant joins the
-    first block, and a table with no variable is one block."""
-    root = {}
-
-    def find(i: int) -> int:
-        while root.setdefault(i, i) != i:
-            i = root[i]
-        return i
-
-    for _, idx in terms:
-        for i in idx[1:]:
-            root[find(i)] = find(idx[0])
-    first = next((idx[0] for _, idx in terms if idx), None)
-    blocks = {}
-    for w, idx in terms:
-        blocks.setdefault(find(idx[0] if idx else first), []).append((w, idx))
-    return list(blocks.values()) or [[]]
-
-
 def _sinc_kernel(C: CubicPolynomial, X: list, Z: float,
                  out: np.ndarray | None = None) -> np.ndarray:
     """2 Z sinc(2 Z C) = 2 Z sin(t) / t, t = 2 pi Z C, over the broadcast of
@@ -419,9 +397,7 @@ def _split_slab(C: CubicPolynomial, blocks: list, axes: list, Z: float,
     absolute error of a few eps (T' + 1), T' = 2 pi Z times the sum of
     |w prod x_i| over C's terms, divided by |t| >= 1."""
     n, m1 = len(axes), len(axes[0][0])
-    head = next((b for b in blocks if any(0 in idx for _, idx in b)), [])
-    O = sorted({0}.union(*(idx for _, idx in head)))
-    L = [i for i in range(n) if i not in O]
+    O, head, L, rest = _x1_split(blocks, n)
 
     def phase(table, dims):
         """2 pi Z table over the grid of the axes dims, flat in C order."""
@@ -433,7 +409,7 @@ def _split_slab(C: CubicPolynomial, blocks: list, axes: list, Z: float,
         return np.broadcast_to(v, (m1,) * len(dims)).ravel()
 
     T = phase(head, O)
-    u = phase([term for b in blocks if b is not head for term in b], L)
+    u = phase(rest, L)
     wL = np.ones(())
     for i in L:
         wL = np.multiply.outer(wL, axes[i][1])

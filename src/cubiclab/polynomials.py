@@ -114,6 +114,40 @@ def _walk(ranges, points: int, terms=()):
                x[::-1] + tail)
 
 
+def _variable_blocks(terms) -> list:
+    """A (weight, index tuple) table split into the tables of its connected
+    variable blocks, C = C_1(x_U) + C_2(x_V) + ...: two variables share a
+    block when some term holds both.  Blocks are ordered by their first
+    term, and terms keep their order within a block; the constant joins the
+    first block, and a table with no variable is one block."""
+    root = {}
+
+    def find(i: int) -> int:
+        while root.setdefault(i, i) != i:
+            i = root[i]
+        return i
+
+    for _, idx in terms:
+        for i in idx[1:]:
+            root[find(i)] = find(idx[0])
+    first = next((idx[0] for _, idx in terms if idx), None)
+    blocks = {}
+    for w, idx in terms:
+        blocks.setdefault(find(idx[0] if idx else first), []).append((w, idx))
+    return list(blocks.values()) or [[]]
+
+
+def _x1_split(blocks: list, n: int) -> tuple:
+    """(O, A, L, B) with phi(x) = A(x_O) + B(x_L) for phi's table split by
+    _variable_blocks: A the block that holds x_1 and O its variables (x_1
+    alone when no term holds it), B the terms of every other block and L
+    every variable not in O.  A connected table has L empty and B = []."""
+    head = next((b for b in blocks if any(0 in idx for _, idx in b)), [])
+    O = sorted({0}.union(*(idx for _, idx in head)))
+    L = [i for i in range(n) if i not in O]
+    return O, head, L, [t for b in blocks if b is not head for t in b]
+
+
 def _derivative(terms, m: int) -> list:
     """d/dx_m of a (weight, index tuple) table: one pair per occurrence of
     m in a term, the other indices in cyclic order."""

@@ -177,6 +177,14 @@ class TestDensities:
         assert code == 0
         assert len(json.loads(out)["result"]["rho"]) == 1000
 
+    def test_deep_stratified_levels_complete(self, capsys, fermat_json):
+        # rho(3^80) stratifies about 26 levels deep at the origin: each step
+        # lowers the level by 3, one level and a 3-content of 2
+        code, out = run(capsys, ["densities", "--poly", fermat_json, "--p",
+                                 "3", "--kmax", "80", "--budget", "20000"])
+        assert code == 0
+        assert len(json.loads(out)["result"]["rho"]) == 80
+
     def test_skipped_rho_star_levels_named(self, capsys, fermat_json):
         # the 125^3 grid of rho*(5^3) is over budget; rho(5^3) stratifies
         code, out = run(capsys, ["densities", "--poly", fermat_json, "--p",
@@ -218,6 +226,13 @@ class TestCount:
         assert code == 1 and not out
         assert err == "error: P must be >= 0\n"
 
+    def test_huge_p_refused_by_the_budget(self, capsys, fermat_json):
+        # (2P + 1)^2 prefixes, sized without len() of a range past sys.maxsize
+        err = refused(capsys, ["count", "--poly", fermat_json, "--P",
+                               "99999999999999999999", "--budget", "100"])
+        assert err == (f"error: solution count needs {(2 * 10**20 - 1)**2} "
+                       "points, budget is 100\n")
+
 
 @pytest.fixture(scope="module")
 def box4_json(tmp_path_factory):
@@ -250,6 +265,11 @@ class TestSearch:
         assert code == 2
         res = json.loads(out)["result"]
         assert res["found"] is None and res["exhausted_to"] == 8
+
+    def test_negative_max_shell_exits_one(self, capsys, fermat_json):
+        err = refused(capsys, ["search", "--poly", fermat_json,
+                               "--max-shell", "-3"])
+        assert err == "error: max_shell must be >= 0\n"
 
 
 class TestExponents:

@@ -12,7 +12,7 @@ from cubiclab import (CubicPolynomial, asymptotic_compare, count_solutions,
                       smallest_solution, symmetrize)
 from cubiclab import counting
 from cubiclab.budget import BudgetExceeded
-from cubiclab.polynomials import DimensionMismatch
+from cubiclab.polynomials import DimensionMismatch, _from_terms, _substitute
 from conftest import random_poly
 from oracles import integer_roots_cubic, scan_zeros
 
@@ -60,17 +60,42 @@ def plant_zero(phi, z) -> CubicPolynomial:
                            lin=phi.lin, const=phi.const - phi.evaluate(z))
 
 
+def direct_sum(n, parts) -> CubicPolynomial:
+    """The sum of the polynomials phi(x_axes) over the (phi, axes) parts,
+    phi's variable i renamed to variable axes[i] of n."""
+    table = {}
+    for phi, axes in parts:
+        U = [[int(j == a) for j in range(n)] for a in axes]
+        for idx, w in _substitute(phi.terms(), U).items():
+            table[idx] = table.get(idx, 0) + w
+    return _from_terms(n, table)
+
+
+@st.composite
+def lattice_polys(draw, n, heights):
+    """Polynomials in n variables: random_poly, perhaps with a zero x_1^3
+    coefficient or free of x_1 (identically zero slices), or a split
+    A(x_U) + B(x_V) on a random partition of the variables, x_1 in U, in V
+    or in no term, each block of its own height."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        phi = random_poly(rng, n, coeff_bound=draw(st.sampled_from(heights)),
+                          force_degenerate_leading=draw(st.booleans()))
+        return drop_x1(phi) if draw(st.booleans()) else phi
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    blocks = [[i for i in range(n) if side[i] == s] for s in (True, False)]
+    phi = direct_sum(n, [(random_poly(rng, len(axes), coeff_bound=draw(
+        st.sampled_from(heights))), axes) for axes in blocks if axes])
+    return drop_x1(phi) if draw(st.booleans()) else phi
+
+
 @st.composite
 def counting_cases(draw, heights):
-    """(phi, P, box, integer ranges of the box, keep) for n = 1..4: boxes
-    with empty ranges, zero leading coefficients, x_1-free polynomials
-    (identically zero slices) and a planted zero when the box has points."""
+    """(phi, P, box, integer ranges of the box, keep) for n = 1..4: the
+    polynomials of lattice_polys, boxes with empty ranges, and a planted
+    zero when the box has points."""
     n = draw(st.integers(1, 4))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    phi = random_poly(rng, n, coeff_bound=draw(st.sampled_from(heights)),
-                      force_degenerate_leading=draw(st.booleans()))
-    if draw(st.booleans()):
-        phi = drop_x1(phi)
+    phi = draw(lattice_polys(n, heights))
     span = {1: 12, 2: 6, 3: 3, 4: 2}[n]
     P = draw(st.integers(1, span))
     if draw(st.booleans()):
@@ -215,6 +240,15 @@ class TestCountSolutions:
         res = count_solutions(phi, 3)
         assert res.count == 7 == len(scan_zeros(phi, [range(-3, 4)] * 2))
         assert res.solutions_sample == tuple((t, t) for t in range(-3, 4))
+        # coordinates past int64: the held side's points are decoded from
+        # their flat indices in Python ints
+        fermat = symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): -1})[0]
+        for P, box, zero in [(2**63, [(1, 1), (0, 0), (1, 1)],
+                              (2**63, 0, 2**63)),
+                             (2**62, [(0, 0), (1, 1), (1, 1)],
+                              (0, 2**62, 2**62))]:
+            res = count_solutions(fermat, P, box=box)
+            assert res.solutions_sample == (zero,)
 
 
 class TestSmallestSolution:
@@ -241,14 +275,12 @@ class TestSmallestSolution:
         assert smallest_solution(fermat, 2).found == (0, 0, 0)
 
     @settings(max_examples=120, deadline=None)
-    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans(),
-           st.booleans(), st.integers(0, 3), st.integers(0, 3),
+    @given(st.integers(1, 4).flatmap(
+               lambda n: lattice_polys(n, heights=[5, 2**70])),
+           st.integers(0, 3), st.integers(0, 3),
            st.lists(st.integers(-3, 3), min_size=4, max_size=4))
-    def test_matches_shell_reference(self, n, seed, degenerate, x1_free,
-                                     start, max_shell, z):
-        phi = random_poly(random.Random(seed), n,
-                          force_degenerate_leading=degenerate)
-        phi = plant_zero(drop_x1(phi) if x1_free else phi, z[:n])
+    def test_matches_shell_reference(self, phi, start, max_shell, z):
+        phi = plant_zero(phi, z[:phi.n])
         rep = smallest_solution(phi, max_shell, start_shell=start)
         found, shell = shell_reference(phi, max_shell, start)
         assert (rep.found, rep.shell) == (found, shell)

@@ -327,6 +327,28 @@ class TestRankCensus:
             assert (rank_census(form, H, p=p).counts
                     == census_oracle(form, H, p))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.randoms(use_true_random=False))
+    def test_split_form_matches_per_point_oracle(self, data, rng):
+        # C_1 + C_2 + ... on disjoint blocks of shuffled variables, n <= 5,
+        # some variables in no cubic term: the census convolves the
+        # blocks' histograms, the oracle ranks every whole M(x)
+        parts, left = [], 5
+        while left and (not parts or data.draw(st.booleans())):
+            parts.append(data.draw(cubic_forms(n_max=min(3, left))))
+            left -= parts[-1].n
+        n = 5 - left + data.draw(st.integers(0, min(2, left)))
+        axes = rng.sample(range(n), n)
+        cubic = {}
+        for C in parts:
+            cubic.update({tuple(sorted(axes[i] for i in t)): c
+                          for t, c in C.cubic.items()})
+            axes = axes[C.n:]
+        C = CubicPolynomial(n, cubic=cubic)
+        H = data.draw(st.integers(1, {1: 4, 2: 4, 3: 3}.get(n, 2)))
+        for p in (None, 2, 3, 5):
+            assert rank_census(C, H, p=p).counts == census_oracle(C, H, p)
+
     @pytest.mark.parametrize("p", [None, 3])
     def test_box_larger_than_a_chunk(self, selmer4, p):
         C = selmer4.cubic_part()

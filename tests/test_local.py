@@ -166,6 +166,15 @@ class TestRho:
         assert all(any(w % 2 for w, _ in terms)
                    for terms, _, _ in rescale_calls)
 
+    def test_deep_stratification_matches_grid(self, fermat, rescale_calls):
+        # 2 x^3 + x^2 at the origin mod 2 rescales to 8 y^3 + 2 y^2, content
+        # 1, so each step lowers the level by 2: rho(2^20) stratifies ten
+        # steps deep under a budget of 2, and the grid of 2^20 agrees
+        phi = CubicPolynomial(1, cubic={(0, 0, 0): 2}, quad={(0, 0): 1})
+        assert rho(phi, 2, 20, budget=2) == rho(phi, 2, 20, 2**20) == 2**10
+        assert len(rescale_calls) == 10
+        assert rho(fermat, 3, 4, budget=27) == rho(fermat, 3, 4, 81**3)
+
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 2),
            st.sampled_from([2, 3]), st.integers(1, 3), st.integers(0, 3),

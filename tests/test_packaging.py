@@ -118,3 +118,18 @@ def test_cli_run_loads_no_argument_parser():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_lattice_kernels_do_not_load_majorarcs():
+    # majorarcs imports counting and invariants, which share the variable
+    # blocks with it through polynomials: loaded without the package's
+    # __init__, which imports every module, neither pulls majorarcs in
+    for module in ("counting", "invariants"):
+        code = ("import sys, types; pkg = types.ModuleType('cubiclab'); "
+                f"pkg.__path__ = [{str(ROOT / 'src' / 'cubiclab')!r}]; "
+                "sys.modules['cubiclab'] = pkg; "
+                f"import cubiclab.{module}; "
+                "print('cubiclab.majorarcs' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False", module

@@ -193,6 +193,49 @@ class TestTermTable:
                    for d, part in enumerate(parts)) == poly.evaluate(x)
 
 
+# -- variable blocks: the split the slab, the counter and the census share --
+
+class TestVariableBlocks:
+    def test_constant_joins_the_first_block(self):
+        # the first term with a variable is x1^3, so {x1, x3} is block 1
+        phi = CubicPolynomial(3, cubic={(1, 1, 1): 1, (0, 2, 2): 2},
+                              lin=(0, 4, 0), const=5)
+        assert polynomials._variable_blocks(phi.terms()) == [
+            [(5, ()), (1, (1, 1, 1)), (4, (1,))], [(6, (0, 2, 2))]]
+
+    def test_table_with_no_variable_is_one_block(self):
+        const = CubicPolynomial(2, const=3)
+        assert polynomials._variable_blocks(const.terms()) == [[(3, ())]]
+        assert polynomials._variable_blocks([]) == [[]]
+        O, A, L, B = polynomials._x1_split([[(3, ())]], 2)
+        assert (O, A, L, B) == ([0], [], [1], [(3, ())])
+
+    def test_x1_block_and_the_rest(self):
+        # x2 x3^2 and x1^3 + x1 x4: O = {x1, x4}, L = {x2, x3, x5}
+        phi = CubicPolynomial(5, cubic={(1, 2, 2): 1, (0, 0, 0): 2},
+                              quad={(0, 3): 1}, const=7)
+        O, A, L, B = polynomials._x1_split(
+            polynomials._variable_blocks(phi.terms()), 5)
+        assert (O, L) == ([0, 3], [1, 2, 4])
+        assert A == [(2, (0, 0, 0)), (2, (0, 3))]
+        assert B == [(7, ()), (3, (1, 2, 2))]
+
+    def test_free_x1(self):
+        # no term holds x1: O is x1 alone, A is empty, B is all of phi
+        phi = CubicPolynomial(3, cubic={(1, 1, 1): 1, (2, 2, 2): -1},
+                              const=2)
+        O, A, L, B = polynomials._x1_split(
+            polynomials._variable_blocks(phi.terms()), 3)
+        assert (O, A, L) == ([0], [], [1, 2])
+        assert sorted(B) == sorted(phi.terms())
+
+    def test_connected_table_has_no_rest(self):
+        phi, _ = symmetrize(3, {(0, 0, 1): 1, (1, 2, 2): 1})
+        O, A, L, B = polynomials._x1_split(
+            polynomials._variable_blocks(phi.terms()), 3)
+        assert (O, A, L, B) == ([0, 1, 2], list(phi.terms()), [], [])
+
+
 # -- Hessian and bilinear forms ---------------------------------------------
 
 class TestHessianBilinear:
