@@ -131,16 +131,22 @@ class CountResult:
     solutions_sample: tuple = ()
 
 
+def _box_bounds(n: int, box) -> list:
+    """The (lo, hi) pairs of a box, a BoxRegion or a list of pairs; a box
+    of another dimension than n raises DimensionMismatch."""
+    bounds = box.bounds if hasattr(box, "bounds") else list(box)
+    if len(bounds) != n:
+        raise DimensionMismatch(f"box has dim {len(bounds)}, expected {n}")
+    return bounds
+
+
 def _box_ranges(n: int, P: int, box=None) -> list:
     """Ranges of the integers [ceil(P lo), floor(P hi)] per axis of the box
     scaled by P (default [-P, P]^n); count_solutions and weyl_sum walk them."""
     if box is None:
         return [range(-P, P + 1)] * n
-    bounds = box.bounds if hasattr(box, "bounds") else list(box)
-    if len(bounds) != n:
-        raise DimensionMismatch(f"box has dim {len(bounds)}, expected {n}")
     return [range(ceil(P * lo - 1e-12), floor(P * hi + 1e-12) + 1)
-            for lo, hi in bounds]
+            for lo, hi in _box_bounds(n, box)]
 
 
 def _first(sample, z, keep: int):

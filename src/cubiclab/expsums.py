@@ -19,7 +19,6 @@ from .budget import check_budget
 from .counting import _box_ranges
 from .nt import nearest_int_distance
 from .polynomials import CubicPolynomial, _CHUNK, _eval_terms, _walk
-from .local import value_distribution
 
 
 def _unit_root(m: int, q: int) -> complex:
@@ -46,13 +45,11 @@ def _sum_once(counts, phases) -> complex:
 
 def gauss_sum(phi: CubicPolynomial, q: int, a: int,
               budget: int | None = None) -> complex:
-    """S(q, a) = sum_(r mod q) e(a phi(r)/q) for gcd(a, q) = 1, from the
-    value distribution of phi mod q: count times root is summed exactly and
-    rounded once, as in weyl_sum."""
+    """S(q, a) = sum_(r mod q) e(a phi(r)/q) for gcd(a, q) = 1: the
+    complete Weyl sum at alpha = a/q over the box [0, q - 1]^n."""
     if gcd(a, q) != 1:
         raise ValueError(f"a = {a} not coprime to q = {q}")
-    cnt = value_distribution(phi, q, budget)
-    return _sum_once(cnt.tolist(), [_unit_root(a * m % q, q) for m in range(q)])
+    return weyl_sum(phi, Fraction(a, q), [(0, q - 1)] * phi.n, budget=budget)
 
 
 # -- Weyl sums --------------------------------------------------------------

@@ -25,32 +25,6 @@ _LLL_DELTA = Fraction(3, 4)  # the Lovasz condition parameter of _lll
 _CHUNK_ENTRIES = 2**14  # Hessian entries a rank_census chunk holds at most
 
 
-# -- exact linear algebra helpers -------------------------------------------
-
-
-def rank_rational(rows: list) -> int:
-    """Rank over Q of an integer matrix by fraction-free (Bareiss)
-    elimination: every division by the previous pivot is exact."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    rank, prev = 0, 1
-    for col in range(len(a[0]) if a else 0):
-        piv = next((i for i in range(rank, m) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pr = a[rank]
-        p = pr[col]
-        for i in range(rank + 1, m):
-            y = a[i][col]
-            a[i] = [(x * p - y * z) // prev for x, z in zip(a[i], pr)]
-        prev = p
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
 # -- Delta ------------------------------------------------------------------
 
 
@@ -309,9 +283,9 @@ def siegel_solve(A: list) -> list:
     n = len(A[0])
     if any(len(r) != n for r in A):
         raise DimensionMismatch("ragged matrix")
-    if rank_rational(A) >= n:
-        raise FullRankError("kernel is trivial: matrix has full column rank")
     basis = integer_kernel_basis(A)
+    if not basis:
+        raise FullRankError("kernel is trivial: matrix has full column rank")
     maxentry = max((abs(v) for row in A for v in row), default=0)
     bound = float(n * max(maxentry, 1)) ** (m / (n - m))
     cand = min(basis, key=lambda v: max(abs(x) for x in v))

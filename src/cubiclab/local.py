@@ -3,26 +3,30 @@ counts rho*(p^k), Hensel lifting, quantitative lifting levels, and the
 necessary-congruence-condition (NCC) certifier.
 
 Counting is exact, and every quantity is computed at its true level or
-raises BudgetExceeded; ncc_levels is the one rule for that level.  rho
-first divides out the p-content of phi's term table, so only content-free
-tables are counted.  At level 1 the slice kernel counts them: with
-phi(t, y) = sum_d t^d phi_d(y), each of the p^(n-1) prefixes y adds the
-number of distinct roots of its slice in t, deg gcd(f_y, t^p - t), so the
-budget counts prefixes, not the p^n points.  Above level 1, residue grids
-are enumerated with numpy (all arithmetic reduced mod q at every step, so
-int64 never overflows for the moduli the budget admits); beyond the
-budget, rho falls back to a stratified recursion: each non-singular root
-mod p (read off the level-1 grid, which the recursion needs point by
-point) contributes p^((k-1)(n-1)) and each singular root a is rescaled via
+raises BudgetExceeded; ncc_levels is the one rule for that level.  Every
+count mod q walks [0, q)^n through one generator, _residues: _walk's
+chunks in C order, each with its term tables' values mod q (every
+product and partial sum reduced mod q, so int64 never overflows; it
+refuses q >= 2**31, where q^2 no longer fits int64); no whole grid is
+built.
+
+rho first divides out the p-content of phi's term table, so only
+content-free tables are counted.  At level 1 the slice kernel counts them:
+with phi(t, y) = sum_d t^d phi_d(y), each of the p^(n-1) prefixes y adds
+the number of distinct roots of its slice in t, deg gcd(f_y, t^p - t), so
+the budget counts prefixes, not the p^n points.  Above level 1 the walk
+mod p^k counts the zeros; beyond the budget, rho falls back to a
+stratified recursion: each non-singular root mod p (read off the walk mod
+p with the gradient tables, which the recursion needs point by point)
+contributes p^((k-1)(n-1)) and each singular root a is rescaled via
 psi_a(y) = phi(a + p y)/p and counted at level k-1.  The recursion runs on
 term tables and never builds a CubicPolynomial.
 
-NCC witnesses are not read off a whole grid: _first_root walks [0, q)^n in
-C order a block at a time and stops at the first root, so the budget caps
-the points it walks.  Roots are dense, so a certificate at k(p) usually
-costs one block however large q^n is; a violation still needs all q^n
-points, of p^k(p) or of the lower level that proves it.  The walk refuses
-q >= 2**31, where q^2 no longer fits int64.
+NCC witnesses come from the same walk: _first_root takes it a block at a
+time and stops at the first root, so the budget caps the points it walks.
+Roots are dense, so a certificate at k(p) usually costs one block however
+large q^n is; a violation still needs all q^n points, of p^k(p) or of the
+lower level that proves it.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +37,7 @@ import numpy as np
 from .budget import check_budget, BudgetExceeded, enumeration_budget
 from .invariants import delta, DeltaInvariant, _ranks_mod
 from .nt import is_prime, primes_up_to, valuation
-from .polynomials import (CubicPolynomial, _derivative, _eval_terms,
+from .polynomials import (CubicPolynomial, _CHUNK, _derivative, _eval_terms,
                           _substitute, _walk, _x1_slices, homogenize)
 
 _MAX_SINGULAR = 4096  # singular roots mod p one stratification step rescales
@@ -49,38 +53,22 @@ class HenselPreconditionError(ValueError):
     pass
 
 
-# -- residue grids ----------------------------------------------------------
+# -- residue walk -----------------------------------------------------------
 
 
-def _grid(terms, q: int, n: int) -> np.ndarray:
-    """Read-only array of shape (q,)*n holding the (weight, index tuple)
-    table's value mod q (x_1 the slowest axis)."""
-    x = np.ix_(*[np.arange(q)] * n)
-    return np.broadcast_to(_eval_terms(terms, x, q), (q,) * n)
-
-
-def residue_values(phi: CubicPolynomial, q: int,
-                   budget: int | None = None) -> np.ndarray:
-    """Read-only array of shape (q,)*n holding phi(x) mod q (x_1 the
-    slowest axis)."""
-    check_budget(q**phi.n, budget, what=f"residue grid mod {q}")
-    return _grid(phi.terms(), q, phi.n)
-
-
-def value_distribution(phi: CubicPolynomial, q: int,
-                       budget: int | None = None) -> np.ndarray:
-    """counts[m] = #{x mod q : phi(x) = m mod q}; sums to q^n."""
-    arr = residue_values(phi, q, budget)
-    return np.bincount(arr.ravel(), minlength=q)
-
-
-def _nonsingular_mask(terms, n: int, q: int, mod: int) -> np.ndarray:
-    """Boolean grid mod q: some gradient component of the table is nonzero
-    mod `mod`."""
-    mask = np.zeros((q,) * n, dtype=bool)
-    for i in range(n):
-        mask |= _grid(_derivative(terms, i), q, n) % mod != 0
-    return mask
+def _residues(tables, n: int, q: int, points: int):
+    """[0, q)^n walked in C order by _walk, about `points` points at a time.
+    Yields (first, shape, x, values) per chunk: its flat index, its shape,
+    its coordinate arrays and the value mod q of each (weight, index tuple)
+    table in `tables`, broadcast to shape.  Every product and partial sum
+    is reduced mod q, which is exact in int64 while q**2 < 2**63: a modulus
+    q >= 2**31 raises BudgetExceeded before any point is walked."""
+    if q >= _WALK_MAX_Q:
+        raise BudgetExceeded(
+            f"modulus {q} is too large for the int64 walk (q >= 2**31)")
+    for first, shape, x in _walk([range(q)] * n, points):
+        yield first, shape, x, [np.broadcast_to(_eval_terms(t, x, q), shape)
+                                for t in tables]
 
 
 # -- rho / rho* -------------------------------------------------------------
@@ -162,13 +150,13 @@ def _slice_roots(terms, n: int, p: int, cap: int) -> int:
     """
     check_budget(p ** (n - 1), cap, what=f"slice prefixes mod {p}")
     slices, total = _x1_slices(terms), 0
-    for _, shape, y in _walk([range(p)] * (n - 1), _WALK_BLOCK):
-        key = np.zeros(shape, dtype=np.int64)
-        for part in reversed(slices[:3]):
-            key = key * p + _eval_terms(part, y, p)
+    for _, _, _, parts in _residues(slices[:3], n - 1, p, _WALK_BLOCK):
+        key = 0
+        for part in reversed(parts):
+            key = key * p + part
         key, mult = np.unique(key, return_counts=True)
         f = np.empty((4, len(key)), dtype=np.int64)
-        f[3] = _eval_terms(slices[3], y, p)
+        f[3] = _eval_terms(slices[3], (), p)
         for d in range(3):
             key, f[d] = np.divmod(key, p)
         nonzero = f != 0
@@ -210,21 +198,28 @@ def _rho(terms, n: int, p: int, k: int, cap: int) -> int:
     if k == 1 and p < _SLICE_MAX_P:
         return _slice_roots(terms, n, p, cap)
     if (p**k) ** n <= cap:
-        return int(np.count_nonzero(_grid(terms, p**k, n) == 0))
+        return sum(int(np.count_nonzero(v == 0))
+                   for *_, (v,) in _residues([terms], n, p**k, _CHUNK))
     if p**n > cap:
         raise BudgetExceeded(
             f"rho({p}^{k}): even the level-1 grid {p}^{n} exceeds budget {cap}")
-    sol = _grid(terms, p, n) == 0
-    nonsing = _nonsingular_mask(terms, n, p, p) & sol
-    count = int(np.count_nonzero(nonsing)) * p ** ((k - 1) * (n - 1))
-    singular = np.argwhere(sol & ~nonsing)
+    grad = [_derivative(terms, i) for i in range(n)]
+    count, singular = 0, []
+    for _, shape, x, (v, *dv) in _residues([terms, *grad], n, p, _CHUNK):
+        sol = v == 0
+        nonsing = sol & np.any(dv, axis=0)
+        count += int(np.count_nonzero(nonsing))
+        sing = sol & ~nonsing  # its roots' coordinates, in C order
+        singular.append(np.column_stack(
+            [np.broadcast_to(c, shape)[sing] for c in x]))
+    singular = np.concatenate(singular).tolist()
+    count *= p ** ((k - 1) * (n - 1))
     if len(singular) > _MAX_SINGULAR:
         raise BudgetExceeded(
             f"rho({p}^{k}): {len(singular)} singular roots mod {p} "
             f"exceed stratification cap {_MAX_SINGULAR}")
     for a in singular:
-        psi = _psi_rescale(terms, p, [int(v) for v in a])
-        count += _rho(psi, n, p, k - 1, cap)
+        count += _rho(_psi_rescale(terms, p, a), n, p, k - 1, cap)
     return count
 
 
@@ -238,11 +233,14 @@ def rho_star(phi: CubicPolynomial, p: int, k: int,
     source definition is only exercised where Hensel applies).
     """
     _require_prime(p)
-    q = p**k
-    arr = residue_values(phi, q, budget)
-    t = p ** ((k + 1) // 2)
-    mask = _nonsingular_mask(phi.terms(), phi.n, q, t)
-    return int(np.count_nonzero((arr == 0) & mask))
+    n, q, t = phi.n, p**k, p ** ((k + 1) // 2)
+    check_budget(q**n, budget, what=f"residue grid mod {q}")
+    tables = [phi.terms(), *map(phi.derivative, range(n))]
+    count = 0
+    for *_, (v, *dv) in _residues(tables, n, q, _CHUNK):
+        nonsing = np.any([d % t != 0 for d in dv], axis=0)
+        count += int(np.count_nonzero((v == 0) & nonsing))
+    return count
 
 
 def local_factor(phi: CubicPolynomial, p: int, k: int,
@@ -342,18 +340,14 @@ def _first_root(phi: CubicPolynomial, q: int, budget=None):
     returned, but a grid with no root there raises BudgetExceeded when q^n
     exceeds the budget, since only the whole grid proves there is none.
     """
-    if q >= _WALK_MAX_Q:
-        raise BudgetExceeded(
-            f"modulus {q} is too large for the int64 walk (q >= 2**31)")
-    n, terms = phi.n, phi.terms()
     cap = enumeration_budget(budget)
-    size = q**n
+    size = q**phi.n
     limit = min(size, cap)
-    for first, shape, x in _walk([range(q)] * n, _WALK_BLOCK):
+    for first, shape, x, (v,) in _residues([phi.terms()], phi.n, q,
+                                           _WALK_BLOCK):
         if first >= limit:
             break
-        zero = np.broadcast_to(_eval_terms(terms, x, q) == 0, shape)
-        zero = zero.ravel()[:limit - first]
+        zero = (v == 0).ravel()[:limit - first]
         hit = int(zero.argmax())
         if zero[hit]:
             at = np.unravel_index(hit, shape)

@@ -37,12 +37,12 @@ from math import inf, isfinite, nextafter, pi
 import numpy as np
 
 from .budget import check_budget, enumeration_budget, BudgetExceeded
-from .counting import count_solutions, smallest_solution
+from .counting import _box_bounds, count_solutions, smallest_solution
 from .invariants import siegel_solve, FullRankError
 from .local import ncc_certify, ncc_levels, rho
 from .nt import primes_up_to
-from .polynomials import (CubicPolynomial, DimensionMismatch, _eval_terms,
-                          _variable_blocks, _x1_split)
+from .polynomials import (CubicPolynomial, _eval_terms, _variable_blocks,
+                          _x1_split)
 
 _CALIBRATION = 1e3  # frozen slack of real_point's xi bracket
 _MAX_A_LOG2 = 10  # build_box gives up beyond A = 2^10
@@ -316,8 +316,10 @@ def _map(fn, items) -> list:
 
 
 def evaluate_array(phi: CubicPolynomial, X: list) -> np.ndarray:
-    """phi over broadcastable float arrays (one per coordinate)."""
-    return np.asarray(_eval_terms(phi.terms(), X), dtype=float)
+    """phi over broadcastable float arrays (one per coordinate): one value
+    per point of their broadcast, whichever variables phi reads."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in X))
+    return np.broadcast_to(_eval_terms(phi.terms(), X), shape).astype(float)
 
 
 # Grid points whose integrand is held at once: _tensor_integral works through
@@ -333,9 +335,10 @@ def _sinc_kernel(C: CubicPolynomial, X: list, Z: float,
                  out: np.ndarray | None = None) -> np.ndarray:
     """2 Z sinc(2 Z C) = 2 Z sin(t) / t, t = 2 pi Z C, over the broadcast of
     the coordinate arrays X, with the removable point t = 0 set to 2 Z: the
-    arithmetic of np.sinc, built in the buffer evaluate_array returns plus
-    `out` (a new array when None)."""
-    t = evaluate_array(C, X)
+    arithmetic of np.sinc, built in the buffer of C's values (thinner than
+    X's broadcast where C is free of a variable) plus `out` (a new array
+    when None)."""
+    t = np.asarray(_eval_terms(C.terms(), X), dtype=float)
     t *= 2.0 * Z
     t *= pi
     zero = t == 0
@@ -509,15 +512,14 @@ def singular_integral(C: CubicPolynomial, box, Z: float,
     before any (m + 1)^n grid that would exceed it, so also when not even
     the first 17^n grid fits, and when it admits fewer than two Monte-Carlo
     points, which leave no standard error.  A box of another dimension
-    than C's raises DimensionMismatch, and a Z that is not finite
-    ValueError.
+    than C's raises DimensionMismatch, and a Z that is not finite and
+    positive ValueError.
     """
-    bounds = box.bounds if isinstance(box, BoxRegion) else list(box)
+    bounds = _box_bounds(C.n, box)
     n = len(bounds)
-    if n != C.n:
-        raise DimensionMismatch(f"box has dim {n}, expected {C.n}")
-    if not isfinite(Z):
-        raise ValueError(f"Z must be finite, got {Z}")
+    if not (isfinite(Z) and Z > 0):
+        raise ValueError(
+            f"Z must be {'positive' if isfinite(Z) else 'finite'}, got {Z}")
     cap = enumeration_budget(budget)
     if n <= 3:
         m, prev = 16, None
@@ -562,9 +564,10 @@ def slice_volume(C: CubicPolynomial, box, grid: int = 128) -> dict:
     positive certified floor for dC/dx_1 (axis1) makes that root unique; for
     a plain bounds list (axis 0) the caller guarantees at most one root per
     slice.  Returns a float value, 0 with the empty flag when C has no zero
-    in the box.
+    in the box.  A box of another dimension than C's raises
+    DimensionMismatch.
     """
-    bounds = box.bounds if isinstance(box, BoxRegion) else list(box)
+    bounds = _box_bounds(C.n, box)
     ax = box.axis1 if isinstance(box, BoxRegion) else 0
     n = len(bounds)
     lo1, hi1 = bounds[ax]

@@ -8,10 +8,12 @@ nontrivial discriminant, and a form whose Hessian degenerates mod 3.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from cubiclab import CubicPolynomial, symmetrize
+from cubiclab.local import _residues
 
 
 def make_fermat() -> CubicPolynomial:
@@ -147,3 +149,19 @@ def full_poly_strategy(max_n=4, coeff_bound=4):
         lambda n, seed: random_poly(random.Random(seed), n, coeff_bound),
         st.integers(1, max_n), st.integers(0, 2**32 - 1)).filter(
         lambda phi: phi.cubic and phi.quad and any(phi.lin) and phi.const)
+
+
+def residue_walk(phi: CubicPolynomial, q: int, points: int) -> list:
+    """(x, phi(x) mod q, [d phi / d x_i (x) mod q]) for every point that
+    local._residues yields with phi's table and its gradient tables, in the
+    order it yields them; each chunk's flat index is the number of points
+    before it."""
+    tables = [phi.terms(), *map(phi.derivative, range(phi.n))]
+    out = []
+    for first, shape, x, values in _residues(tables, phi.n, q, points):
+        assert first == len(out)
+        coords = [np.broadcast_to(c, shape).ravel().tolist() for c in x]
+        v, *grad = [t.ravel().tolist() for t in values]
+        out += [(x, w, list(g))
+                for x, w, g in zip(zip(*coords), v, zip(*grad))]
+    return out

@@ -14,7 +14,6 @@ from cubiclab import CubicPolynomial, weyl_sum
 from cubiclab.budget import check_budget
 from cubiclab.counting import _box_ranges
 from cubiclab.expsums import _unit_root
-from cubiclab.local import residue_values, value_distribution
 from cubiclab.nt import nearest_int_distance, trial_factor
 from cubiclab.polynomials import _eval_terms
 
@@ -67,6 +66,21 @@ def a_of_q_exact(phi: CubicPolynomial, q: int,
     return Fraction(num, q**phi.n)
 
 
+def residue_grid(phi: CubicPolynomial, q: int) -> np.ndarray:
+    """Read-only array of shape (q,)*n holding phi(x) mod q (x_1 the
+    slowest axis), from one np.ix_ open mesh: the whole-grid reference for
+    the chunked residue walk of cubiclab.local."""
+    x = np.ix_(*[np.arange(q)] * phi.n)
+    return np.broadcast_to(_eval_terms(phi.terms(), x, q), (q,) * phi.n)
+
+
+def value_distribution(phi: CubicPolynomial, q: int,
+                       budget: int | None = None) -> np.ndarray:
+    """counts[m] = #{x mod q : phi(x) = m mod q}; sums to q^n."""
+    check_budget(q**phi.n, budget, what=f"residue grid mod {q}")
+    return np.bincount(residue_grid(phi, q).ravel(), minlength=q)
+
+
 def scan_zeros(phi: CubicPolynomial, ranges) -> list:
     """Zeros in the box by evaluating every point, prefix-major."""
     return [(t, *y) for y in product(*ranges[1:]) for t in ranges[0]
@@ -76,7 +90,7 @@ def scan_zeros(phi: CubicPolynomial, ranges) -> list:
 def first_root(phi: CubicPolynomial, q: int):
     """The lexicographically first root mod q, read off the whole residue
     grid: the reference for the block walk of local._first_root."""
-    arr = residue_values(phi, q)
+    arr = residue_grid(phi, q)
     flat = np.flatnonzero(arr == 0)
     if not len(flat):
         return None
@@ -135,6 +149,29 @@ def rank_mod_p(rows: list, p: int) -> int:
             f = a[i][col] * inv % p
             if f:
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], pr)]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def rank_rational(rows: list) -> int:
+    """Rank over Q of an integer matrix by fraction-free (Bareiss)
+    elimination: every division by the previous pivot is exact."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    rank, prev = 0, 1
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pr = a[rank]
+        p = pr[col]
+        for i in range(rank + 1, m):
+            y = a[i][col]
+            a[i] = [(x * p - y * z) // prev for x, z in zip(a[i], pr)]
+        prev = p
         rank += 1
         if rank == m:
             break

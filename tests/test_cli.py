@@ -425,6 +425,11 @@ class TestIntegral:
                                request.getfixturevalue(poly), f"--Z={Z}"])
         assert err == f"error: Z must be finite, got {float(Z)}\n"
 
+    @pytest.mark.parametrize("Z", ["0", "-4"])
+    def test_non_positive_z_exits_one(self, capsys, fermat_json, Z):
+        err = refused(capsys, ["integral", "--poly", fermat_json, "--Z", Z])
+        assert err == f"error: Z must be positive, got {float(Z)}\n"
+
 
 class TestSieveBudget:
     # the sieve up to P0 is charged before it is built

@@ -20,12 +20,11 @@ from cubiclab import invariants
 from cubiclab.budget import BudgetExceeded
 from cubiclab.invariants import (FullRankError,
                                  coefficient_matrix, integer_kernel_basis,
-                                 rank_rational, siegel_solve,
-                                 small_subspace_solution_bound)
+                                 siegel_solve, small_subspace_solution_bound)
 from cubiclab.nt import column_reduce
 from cubiclab.polynomials import transform
 from conftest import random_poly
-from oracles import int_det, rank_mod_p, siegel_scan_direct
+from oracles import int_det, rank_mod_p, rank_rational, siegel_scan_direct
 
 
 # -- exact linear algebra ---------------------------------------------------

@@ -17,11 +17,12 @@ from cubiclab import (CubicPolynomial, delta, hensel_lift, homogenize,
 from cubiclab import local
 from cubiclab.budget import BudgetExceeded
 from cubiclab.local import (HenselPreconditionError, local_report,
-                            residue_values, value_distribution, _first_root,
-                            _psi_rescale)
+                            _first_root, _psi_rescale)
+from cubiclab.nt import is_prime
 from cubiclab.polynomials import _eval_terms
-from conftest import CUBIC_UNISOLVENT, full_poly_strategy, random_poly
-from oracles import first_root
+from conftest import (CUBIC_UNISOLVENT, full_poly_strategy, random_poly,
+                      residue_walk)
+from oracles import first_root, value_distribution
 
 
 X3_XY_1 = CubicPolynomial(2, cubic={(0, 0, 0): 1}, quad={(0, 1): 1}, const=1)
@@ -56,22 +57,45 @@ def brute_rho(phi, p, k):
                if phi.evaluate(x) % q == 0)
 
 
-# -- residue grids ----------------------------------------------------------
+# -- residue walk -----------------------------------------------------------
 
 class TestResidueGrids:
     def test_grid_matches_direct_evaluation(self):
+        # chunks of whole rows, of part of a row and of the whole grid
         rng = random.Random(0)
         for _ in range(10):
             n = rng.randint(1, 3)
             phi = random_poly(rng, n)
             q = rng.choice([2, 3, 4, 5, 7, 9])
-            arr = residue_values(phi, q)
-            for x in product(range(q), repeat=n):
-                assert arr[x] == phi.evaluate(list(x)) % q
+            for points in (1, 5, q, q**n):
+                walk = residue_walk(phi, q, points)
+                assert [x for x, _, _ in walk] \
+                    == list(product(range(q), repeat=n))
+                for x, v, grad in walk:
+                    assert v == phi.evaluate(list(x)) % q
+                    assert grad == [g % q for g in phi.gradient(list(x))]
 
     def test_value_distribution_sums(self, fermat):
         cnt = value_distribution(fermat, 7)
         assert cnt.sum() == 7**3
+        walk = residue_walk(fermat, 7, 10)
+        assert cnt.tolist() == np.bincount([v for _, v, _ in walk],
+                                           minlength=7).tolist()
+
+    def test_wide_prime_refused_before_walking(self, monkeypatch):
+        # the budget admits all p points of x^3 - 2 mod p, but p^2 passes
+        # int64: rho and rho_star refuse before _walk yields a point
+        p = 2**31 + 11
+        assert is_prime(p)
+        phi = CubicPolynomial(1, cubic={(0, 0, 0): 1}, const=-2)
+
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(local, "_walk", walk)
+        for count in (rho, rho_star):
+            with pytest.raises(BudgetExceeded, match="too large"):
+                count(phi, p, 1, budget=p + 1)
 
 
 # -- rho / rho* -------------------------------------------------------------

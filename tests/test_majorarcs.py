@@ -834,6 +834,13 @@ class TestSliceVolume:
         assert got["empty"] == (not hit)
         assert got["value"] == pytest.approx(total, rel=1e-10)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_box_of_other_dimension_refused(self, fermat, dim):
+        # an extra axis used to multiply V(0) by its length, and a missing
+        # one to raise IndexError
+        with pytest.raises(DimensionMismatch, match=f"dim {dim}, expected 3"):
+            slice_volume(fermat, [(0.5, 1.5)] * dim)
+
 
 # -- singular series --------------------------------------------------------
 
@@ -880,13 +887,13 @@ class TestSingularSeries:
                                     for q in range(1, P0 + 1))
 
     def test_grids_are_prime_powers(self, fermat, monkeypatch):
-        moduli, grid = [], local._grid
+        moduli, walk = [], local._residues
 
-        def spy(terms, q, n):
+        def spy(tables, n, q, points):
             moduli.append(q)
-            return grid(terms, q, n)
+            return walk(tables, n, q, points)
 
-        monkeypatch.setattr(local, "_grid", spy)
+        monkeypatch.setattr(local, "_residues", spy)
         singular_series(fermat, 30, mode="both")
         assert moduli
         assert all(len(trial_factor(q)[0]) == 1 for q in moduli)

@@ -3,7 +3,7 @@ interval references: no library module imports them, and they are test
 extras, not dependencies.  Every name a library module imports is read in
 that module, every import sits at module level, importing the CLI loads no
 pool machinery and no mpmath, and no library code walks points with
-itertools.product."""
+itertools.product or builds an np.ix_ mesh."""
 
 import ast
 import os
@@ -75,6 +75,15 @@ def test_itertools_product_only_expands_substitutions():
                     and getattr(node.func, "id", None) == "product"}
     assert importers == ["polynomials.py"]
     assert callers == {"_substitute"}
+
+
+def test_walk_is_the_only_box_enumerator():
+    # residue grids mod q are walked in chunks by polynomials._walk too: no
+    # library module builds a whole open mesh with np.ix_
+    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "ix_"
+                       for node in ast.walk(tree)), path.name
 
 
 def test_scipy_is_a_test_extra_only():

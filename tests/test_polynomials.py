@@ -9,18 +9,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import iv
 
 from cubiclab import CubicPolynomial, symmetrize, homogenize, transform
 from cubiclab import polynomials
 from cubiclab.budget import BudgetExceeded
-from cubiclab.local import _grid, residue_values
 from cubiclab.majorarcs import evaluate_array
 from cubiclab.polynomials import (DimensionMismatch, DegreeError,
                                   NormalizationError, normalize_leading,
                                   _eval_terms, _extend_to_unimodular)
-from conftest import CUBIC_UNISOLVENT, full_poly_strategy, random_poly
+from conftest import (CUBIC_UNISOLVENT, full_poly_strategy, random_poly,
+                      residue_walk)
 from oracles import int_det, normalize_direction_direct
 
 
@@ -154,14 +154,18 @@ class TestTermTable:
     @settings(max_examples=40, deadline=None)
     @given(poly_strategy(max_n=3), st.sampled_from([2, 3, 4, 5, 7, 9]))
     def test_residue_grids_match_exact_mod_q(self, poly, q):
-        vals = residue_values(poly, q)
-        grads = [_grid(poly.derivative(i), q, poly.n) for i in range(poly.n)]
-        for x in product(range(q), repeat=poly.n):
-            assert vals[x] == poly.evaluate(x) % q
-            assert [g[x] for g in grads] == [v % q for v in poly.gradient(x)]
+        # every point of [0, q)^n once, in C order, with phi and its
+        # gradient mod q
+        walk = residue_walk(poly, q, 7)
+        assert [x for x, _, _ in walk] \
+            == list(product(range(q), repeat=poly.n))
+        for x, v, grad in walk:
+            assert v == poly.evaluate(x) % q
+            assert grad == [g % q for g in poly.gradient(x)]
 
     @settings(max_examples=80, deadline=None)
     @given(poly_strategy(), st.integers(0, 2**32 - 1))
+    @example(CubicPolynomial(1, const=4), 0)  # one value per point
     def test_float_arrays_exact_at_small_integers(self, poly, seed):
         rng = random.Random(seed)
         pts = [[rng.randint(-6, 6) for _ in range(poly.n)] for _ in range(5)]
