@@ -13,6 +13,7 @@ The command line is `CMD --flag VALUE ...` (or `--flag=VALUE`), read by
 exits 1 with one `error:` line.
 """
 
+import gc
 import json
 import sys
 from dataclasses import fields, is_dataclass
@@ -29,6 +30,12 @@ from .local import ncc_certify, local_report
 from .majorarcs import singular_integral, singular_series
 from .polynomials import CubicPolynomial, DimensionMismatch, homogenize
 from .expsums import weyl_bound_probe
+
+# What the imports left lives as long as the process: moved out of every
+# collection, it puts no op in a cold process behind a gen-1 collection
+# that the imports made due.  Done once, here, not in main, so in-process
+# callers keep collecting their own objects.
+gc.freeze()
 
 
 def _ser(obj):

@@ -38,17 +38,21 @@ class DeltaInvariant:
         return self.prime_factorization.get(p, 0)
 
 
-def coefficient_matrix(C: CubicPolynomial) -> list:
-    """The n x binom(n+1,2) matrix (c_{ijk})_{i, (j<=k)}."""
-    n = C.n
-    pairs = [(j, k) for j in range(n) for k in range(j, n)]
-    return [[C.c(i, j, k) for (j, k) in pairs] for i in range(n)]
-
-
 def delta(C: CubicPolynomial) -> DeltaInvariant:
     """gcd of all n x n minors of the coefficient matrix: the product of the
-    pivots of its column reduction, 0 when its rank is below n."""
-    pivots, _, _ = column_reduce(coefficient_matrix(C))
+    pivots of its column reduction, 0 when its rank is below n.
+
+    Only the nonzero columns are built, from the stored entries C.cubic, and
+    reduced, in the order of their pairs: a zero column adds no vector to
+    the column lattice, so neither its index nor the rank changes (wall14's
+    homogenised form, n = 15, has 31 nonzero columns of 120)."""
+    cols = {}
+    for (a, b, c), v in C.cubic.items():
+        for i, pair in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
+            cols.setdefault(pair, [0] * C.n)[i] = v
+    pairs = sorted(cols)
+    pivots, _, _ = column_reduce([[cols[jk][i] for jk in pairs]
+                                  for i in range(C.n)])
     if len(pivots) < C.n:
         return DeltaInvariant(0)
     g = prod(abs(v) for v in pivots)

@@ -5,21 +5,23 @@ necessary-congruence-condition (NCC) certifier.
 Counting is exact, and every quantity is computed at its true level or
 raises BudgetExceeded; ncc_levels is the one rule for that level.  Every
 count mod q walks [0, q)^n through one generator, _residues: _walk's
-chunks in C order, each with its term tables' values mod q (every
-product and partial sum reduced mod q, so int64 never overflows; it
-refuses q >= 2**31, where q^2 no longer fits int64); no whole grid is
-built.
+chunks in C order, each with its term tables' values mod q (computed in
+int64, reduced mod q where a running bound says the next product or sum
+could overflow and once at the end, so below q = 2**15 usually once per
+table; it refuses q >= 2**31, where q^2 no longer fits int64); no whole
+grid is built.
 
 rho first divides out the p-content of phi's term table, so only
 content-free tables are counted.  At level 1 the slice kernel counts them:
 with phi(t, y) = sum_d t^d phi_d(y), each of the p^(n-1) prefixes y adds
-the number of distinct roots of its slice in t, deg gcd(f_y, t^p - t), so
-the budget counts prefixes, not the p^n points.  Above level 1 the walk
-mod p^k counts the zeros; beyond the budget, rho falls back to a
-stratified recursion: each non-singular root mod p (read off the walk mod
-p with the gradient tables, which the recursion needs point by point)
-contributes p^((k-1)(n-1)) and each singular root a is rescaled via
-psi_a(y) = phi(a + p y)/p and counted at level k-1.  The recursion runs on
+the number of distinct roots of its slice in t (found by evaluating the
+slice at every t mod p where that is small, else as deg gcd(f_y,
+t^p - t)), so the budget counts prefixes, not the p^n points.  Above
+level 1 the walk mod p^k counts the zeros; beyond the budget, rho falls
+back to a stratified recursion: each non-singular root mod p (read off
+the walk mod p with the gradient tables, which the recursion needs point
+by point) contributes p^((k-1)(n-1)) and each singular root a is rescaled
+via psi_a(y) = phi(a + p y)/p and counted at level k-1.  The recursion runs on
 term tables and never builds a CubicPolynomial.
 
 NCC witnesses come from the same walk: _first_root takes it a block at a
@@ -60,9 +62,10 @@ def _residues(tables, n: int, q: int, points: int):
     """[0, q)^n walked in C order by _walk, about `points` points at a time.
     Yields (first, shape, x, values) per chunk: its flat index, its shape,
     its coordinate arrays and the value mod q of each (weight, index tuple)
-    table in `tables`, broadcast to shape.  Every product and partial sum
-    is reduced mod q, which is exact in int64 while q**2 < 2**63: a modulus
-    q >= 2**31 raises BudgetExceeded before any point is walked."""
+    table in `tables`, broadcast to shape.  The values come from
+    _eval_terms, which reduces mod q only where its running bound could
+    pass int64, and that needs q**2 < 2**63: a modulus q >= 2**31 raises
+    BudgetExceeded before any point is walked."""
     if q >= _WALK_MAX_Q:
         raise BudgetExceeded(
             f"modulus {q} is too large for the int64 walk (q >= 2**31)")
@@ -142,11 +145,15 @@ def _slice_roots(terms, n: int, p: int, cap: int) -> int:
     With phi(t, y) = sum_d t^d phi_d(y), each prefix y in F_p^(n-1) adds
     the number of roots t mod p of f_y = sum_d phi_d(y) t^d: p when f_y
     vanishes identically, none when it is a nonzero constant, one when it
-    is linear, else _frobenius_roots.  The degree of f_y drops below 3
-    wherever p divides the x_1^3 weight, and below 2 where phi_2(y) = 0
-    too.  A block of prefixes is cut down to its distinct slices (np.unique
-    on phi_0..phi_2 packed base p; phi_3 is the constant x_1^3 weight)
-    before they are solved.  The budget counts the p^(n-1) prefixes.
+    is linear.  The degree of f_y drops below 3 wherever p divides the
+    x_1^3 weight, and below 2 where phi_2(y) = 0 too.  A block of prefixes
+    is cut down to its distinct slices (np.unique on phi_0..phi_2 packed
+    base p; phi_3 is the constant x_1^3 weight) before they are solved.
+    The slices of degree 2 and 3 are evaluated at every t mod p, in one
+    Horner pass and one %, while their number times p fits _WALK_BLOCK
+    (coefficients and t below p <= _WALK_BLOCK keep every value below
+    p^4 < 2**63); past that, where p reaches 2**19, _frobenius_roots counts
+    them.  The budget counts the p^(n-1) prefixes.
     """
     check_budget(p ** (n - 1), cap, what=f"slice prefixes mod {p}")
     slices, total = _x1_slices(terms), 0
@@ -162,9 +169,16 @@ def _slice_roots(terms, n: int, p: int, cap: int) -> int:
         nonzero = f != 0
         deg = np.where(nonzero.any(axis=0), 3 - nonzero[::-1].argmax(axis=0), -1)
         roots = np.where(deg == -1, p, deg == 1)  # zero, constant, linear
-        for d in (2, 3):
-            if (sel := deg == d).any():
-                roots[sel] = _frobenius_roots(f[:d + 1, sel], p)
+        high = deg >= 2
+        if high.sum() * p <= _WALK_BLOCK:
+            t, v = np.arange(p)[:, None], f[3, high]
+            for d in (2, 1, 0):
+                v = v * t + f[d, high]
+            roots[high] = np.count_nonzero(v % p == 0, axis=0)
+        else:
+            for d in (2, 3):
+                if (sel := deg == d).any():
+                    roots[sel] = _frobenius_roots(f[:d + 1, sel], p)
         total += int(roots @ mult)
     return total
 
@@ -176,8 +190,11 @@ def rho(phi: CubicPolynomial, p: int, k: int,
     Content reduction first: when p^c divides every weight of phi.terms(),
     rho(phi, p^k) = p^(cn) rho(phi / p^c, p^(k-c)), which is p^(kn) once
     c >= k.  Only a content-free table is counted: at level 1 by the slice
-    kernel (p < 2**19), else on its residue grid when that fits the budget,
-    else by stratification at p.
+    kernel (p < 2**19; its slices are evaluated at every t mod p where they
+    are few, else solved by _frobenius_roots), else on its residue grid
+    when that fits the budget (the walk's values mod p^k are reduced where
+    int64 needs it, once per table below 2**15), else by stratification
+    at p.
     """
     _require_prime(p)
     return _rho(phi.terms(), phi.n, p, k, enumeration_budget(budget))

@@ -33,6 +33,8 @@ from .nt import column_reduce
 
 _NORMALIZE_HEIGHT = 3  # normalize_leading searches primitive t with |t| <= this
 _CHUNK = 1 << 15  # points per _walk chunk; bounds peak memory
+_INT64_MAX = 2**63 - 1
+_MONOMIAL_MAX = 2**62  # so a monomial plus a reduced total fits int64
 
 
 class DimensionMismatch(ValueError):
@@ -62,19 +64,33 @@ _MONOMIAL = (lambda w, x, idx: w,
 
 def _eval_terms(terms, x, mod=None):
     """sum w * prod x[i] over (weight, index tuple) terms, for x of exact
-    numbers, numpy arrays or the exact intervals of majorarcs.  With mod,
-    every product and partial sum is reduced mod q, so int64 residue grids
-    never overflow."""
+    numbers, numpy arrays or the exact intervals of majorarcs.
+
+    With mod = q < 2**31 the coordinates must lie in [0, q), as the residue
+    walk of local gives them, and the value comes back in [0, q).  The
+    weights are reduced mod q; then the products and sums run unreduced,
+    each with a running bound: w (q - 1)^deg for a monomial, the sum of
+    those for the total.  A monomial is reduced only where its next factor
+    could pass 2**62, the total only where the next sum could pass
+    2**63 - 1, so int64 never overflows, and the total once at the end.
+    Below q = 2**15 no monomial of degree <= 3 needs a reduction, and a
+    table of fewer than 2**63 / q**4 terms needs only the last %."""
     total = 0
-    for w, idx in terms:
-        if mod is None:
+    if mod is None:
+        for w, idx in terms:
             total = total + _MONOMIAL[len(idx)](w, x, idx)
-        else:
-            w %= mod
-            for i in idx:
-                w = w * x[i] % mod
-            total = (total + w) % mod
-    return total
+        return total
+    top, bound = mod - 1, 0  # the largest residue; the bound of total
+    for w, idx in terms:
+        m = mb = w % mod
+        for i in idx:
+            if mb * top > _MONOMIAL_MAX:
+                m, mb = m % mod, top
+            m, mb = m * x[i], mb * top
+        if bound + mb > _INT64_MAX:
+            total, bound = total % mod, top
+        total, bound = total + m, bound + mb
+    return total % mod
 
 
 def _walk(ranges, points: int, terms=()):

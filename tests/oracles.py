@@ -4,7 +4,7 @@ command reaches any of them."""
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import floor, fsum, gcd, isqrt, tau
 
 import numpy as np
@@ -176,6 +176,24 @@ def rank_rational(rows: list) -> int:
         if rank == m:
             break
     return rank
+
+
+def coefficient_matrix(C: CubicPolynomial) -> list:
+    """The whole n x binom(n+1,2) matrix (c_{ijk})_{i, (j<=k)}, zero columns
+    included: the reference for invariants.delta, which builds only the
+    nonzero columns."""
+    n = C.n
+    pairs = [(j, k) for j in range(n) for k in range(j, n)]
+    return [[C.c(i, j, k) for (j, k) in pairs] for i in range(n)]
+
+
+def minor_gcd(mat: list) -> int:
+    """Reference Delta: the gcd of every n x n minor of the n-row matrix
+    mat, all enumerated."""
+    n, g = len(mat), 0
+    for cols in combinations(range(len(mat[0])), n):
+        g = gcd(g, int_det([[row[c] for c in cols] for row in mat]))
+    return g
 
 
 def int_det(rows: list) -> int:

@@ -5,8 +5,8 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
-from math import gcd, prod
+from itertools import combinations_with_replacement, product
+from math import prod
 
 import numpy as np
 import pytest
@@ -18,13 +18,13 @@ from cubiclab import (CubicPolynomial, delta, homogenize, rank_census,
                       psi_good_report, symmetrize)
 from cubiclab import invariants
 from cubiclab.budget import BudgetExceeded
-from cubiclab.invariants import (FullRankError,
-                                 coefficient_matrix, integer_kernel_basis,
+from cubiclab.invariants import (FullRankError, integer_kernel_basis,
                                  siegel_solve, small_subspace_solution_bound)
 from cubiclab.nt import column_reduce
 from cubiclab.polynomials import transform
 from conftest import random_poly
-from oracles import int_det, rank_mod_p, rank_rational, siegel_scan_direct
+from oracles import (coefficient_matrix, int_det, minor_gcd, rank_mod_p,
+                     rank_rational, siegel_scan_direct)
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -70,21 +70,6 @@ def integer_matrices(draw):
     return rows
 
 
-def minors(mat: list):
-    """Every n x n minor of the n-row matrix mat."""
-    n = len(mat)
-    for cols in combinations(range(len(mat[0])), n):
-        yield int_det([[row[c] for c in cols] for row in mat])
-
-
-def minor_gcd(mat: list) -> int:
-    """Reference Delta: the gcd of every n x n minor, all enumerated."""
-    g = 0
-    for d in minors(mat):
-        g = gcd(g, d)
-    return g
-
-
 @st.composite
 def cubic_forms(draw, big=True, n_max=4):
     """Cubic forms in n <= n_max variables: dense, sparse, diagonal, with a
@@ -111,6 +96,34 @@ def cubic_forms(draw, big=True, n_max=4):
             row[0] = row[src] if src else 0
         C = transform(C, U)
     return C
+
+
+@st.composite
+def zero_column_forms(draw):
+    """Forms whose coefficient matrix is mostly zero columns: two dense
+    blocks on disjoint variables, a diagonal form, or a wall14-like form
+    sum_(i <= j) c_ij x_i x_j v_ij over u = (x_1..x_a) with one variable
+    v_ij of its own per pair, and a diagonal term or two on top."""
+    entry = st.integers(-3, 3) | st.integers(-2**40, 2**40)
+    kind = draw(st.sampled_from(["blocks", "diagonal", "wall"]))
+    cubic = {}
+    if kind == "blocks":
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        n = a + b
+        for block in (range(a), range(a, n)):
+            for t in combinations_with_replacement(block, 3):
+                cubic[t] = draw(entry)
+    elif kind == "diagonal":
+        n = draw(st.integers(1, 7))
+        cubic = {(i, i, i): draw(entry) for i in range(n)}
+    else:
+        a = draw(st.integers(2, 3))
+        pairs = list(combinations_with_replacement(range(a), 2))
+        n = a + len(pairs)
+        cubic = {(i, j, a + v): draw(entry) for v, (i, j) in enumerate(pairs)}
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            cubic[(i, i, i)] = draw(entry)
+    return CubicPolynomial(n, cubic=cubic)
 
 
 class TestLinearAlgebra:
@@ -257,6 +270,27 @@ class TestDelta:
         assert len(kernel) == len(mat[0]) - rank_rational(mat)
         assert all(sum(a * x for a, x in zip(row, v)) == 0
                    for v in kernel for row in mat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(zero_column_forms())
+    def test_nonzero_columns_match_full_matrix(self, C):
+        # Delta from the nonzero columns against the column reduction of
+        # the whole coefficient matrix, zero columns included, and against
+        # every minor where they are few enough to enumerate
+        mat = coefficient_matrix(C)
+        pivots, _, _ = column_reduce(mat)
+        full = prod(abs(v) for v in pivots) if len(pivots) == C.n else 0
+        assert delta(C).value == full
+        if C.n <= 4:
+            assert full == minor_gcd(mat)
+
+    def test_wall14_nonzero_columns(self, wall14):
+        # 31 of the 120 columns of the homogenised wall14 are nonzero
+        F = homogenize(wall14)[0]
+        mat = coefficient_matrix(F)
+        assert (len(mat[0]), sum(any(col) for col in zip(*mat))) == (120, 31)
+        pivots, _, _ = column_reduce(mat)
+        assert delta(F).value == abs(prod(pivots)) == 1_506_290_861_232
 
     @settings(max_examples=100, deadline=None)
     @given(cubic_forms(big=False))

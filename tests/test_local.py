@@ -4,7 +4,7 @@ necessary-congruence-condition certifier."""
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from unittest import mock
 
 import numpy as np
@@ -22,7 +22,7 @@ from cubiclab.nt import is_prime
 from cubiclab.polynomials import _eval_terms
 from conftest import (CUBIC_UNISOLVENT, full_poly_strategy, random_poly,
                       residue_walk)
-from oracles import first_root, value_distribution
+from oracles import first_root, residue_grid, value_distribution
 
 
 X3_XY_1 = CubicPolynomial(2, cubic={(0, 0, 0): 1}, quad={(0, 1): 1}, const=1)
@@ -49,6 +49,44 @@ def rescale_calls(monkeypatch):
 
     monkeypatch.setattr(local, "_psi_rescale", spy)
     return calls
+
+
+class CountingArray(np.ndarray):
+    """An int64 array that counts the np.remainder calls made on it, and
+    passes the count on to every array computed from it."""
+    remainders = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.remainder:
+            CountingArray.remainders += 1
+        plain = [np.asarray(a) if isinstance(a, CountingArray) else a
+                 for a in inputs]
+        return np.asarray(getattr(ufunc, method)(*plain, **kwargs)) \
+            .view(CountingArray)
+
+
+@st.composite
+def wide_tables(draw):
+    """(n, table): a constant term and terms of every degree 1..3 over
+    n <= 3 variables, weights up to +-2**62."""
+    n = draw(st.integers(1, 3))
+    weight = st.integers(-2**62, 2**62) | st.integers(-9, 9)
+    terms = [(draw(weight), ())]
+    for deg in (1, 2, 3):
+        for _ in range(draw(st.integers(1, 3))):
+            idx = tuple(sorted(draw(st.lists(st.integers(0, n - 1),
+                                             min_size=deg, max_size=deg))))
+            terms.append((draw(weight), idx))
+    return n, terms
+
+
+def moduli():
+    """q in [2, 2**31): small ones, the edges where a cubic monomial
+    starts to need a reduction before its last factor (2**15, 2**15.5),
+    and the largest the walk accepts."""
+    return (st.integers(2, 40) | st.integers(2, 2**31 - 1)
+            | st.sampled_from([2**15 - 1, 2**15 + 3, 46_337, 65_537,
+                               2**31 - 1]))
 
 
 def brute_rho(phi, p, k):
@@ -96,6 +134,61 @@ class TestResidueGrids:
         for count in (rho, rho_star):
             with pytest.raises(BudgetExceeded, match="too large"):
                 count(phi, p, 1, budget=p + 1)
+        with pytest.raises(BudgetExceeded, match="too large"):
+            next(local._residues([phi.terms()], 1, 2**31, 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_tables(), moduli(), st.randoms(use_true_random=False))
+    def test_values_match_python_ints(self, table, q, rng):
+        # the walk's int64 values against exact Python ints % q: every
+        # point of small grids, the first chunk of large ones (at q near
+        # 2**31 its points are small), and the unreduced path on random
+        # residues with the worst case q - 1 in every coordinate
+        n, terms = table
+        for first, shape, x, (v,) in local._residues([terms], n, q, 64):
+            coords = [np.broadcast_to(c, shape).ravel().tolist() for c in x]
+            assert v.ravel().tolist() == [_eval_terms(terms, pt) % q
+                                          for pt in zip(*coords)]
+            if q**n > 512:
+                break
+        points = [[rng.randrange(q) for _ in range(n)] for _ in range(15)]
+        points += [[q - 1] * n, [0] * n]
+        got = _eval_terms(terms, [np.array(c, dtype=np.int64)
+                                  for c in zip(*points)], q)
+        assert got.tolist() == [_eval_terms(terms, pt) % q for pt in points]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19,
+                                   25, 27, 32, 49, 64])
+    def test_one_reduction_per_table(self, q, wall14, watson5):
+        # at every modulus the benchmark walks, the largest corpus tables
+        # are reduced mod q once, at the end
+        for phi in (wall14, watson5):
+            # x_1 .. x_(n-2) at q - 1, the last two over [0, q)^2
+            x = [np.full((1, 1), q - 1)] * (phi.n - 2) + [
+                np.arange(q)[:, None], np.arange(q)[None]]
+            x = [c.view(CountingArray) for c in x]
+            CountingArray.remainders = 0
+            v = _eval_terms(phi.terms(), x, q)
+            assert CountingArray.remainders == 1
+            assert v.ravel().tolist() == [
+                phi.evaluate([q - 1] * (phi.n - 2) + [a, b]) % q
+                for a in range(q) for b in range(q)]
+
+    @pytest.mark.parametrize("q", [2**15 + 3, 2**31 - 1])
+    def test_wide_modulus_reduces_mid_term(self, q):
+        # past q = 2**15.5 a cubic monomial is reduced before its last
+        # factor, and the 20 cubic monomials of a dense 3-variable table sum
+        # past 2**63 unless the total is reduced on the way
+        rng = random.Random(q)
+        terms = [(q - 1 - i, idx) for i, idx in
+                 enumerate(combinations_with_replacement(range(3), 3))]
+        points = [[rng.randrange(q) for _ in range(3)] for _ in range(40)]
+        points.append([q - 1] * 3)
+        x = [np.array(c).view(CountingArray) for c in zip(*points)]
+        CountingArray.remainders = 0
+        v = _eval_terms(terms, x, q)
+        assert CountingArray.remainders > 1
+        assert v.tolist() == [_eval_terms(terms, pt) % q for pt in points]
 
 
 # -- rho / rho* -------------------------------------------------------------
@@ -313,6 +406,58 @@ class TestSliceKernel:
         for terms in tables:
             assert local._slice_roots(terms, 2, p, p) \
                 == brute_table_rho(terms, 2, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3),
+           st.sampled_from([2, 3, 5, 7, 11, 13]), st.booleans())
+    def test_evaluation_matches_frobenius(self, rng, n, p, drop):
+        # the same table's distinct slice stacks counted by evaluation
+        # (_WALK_BLOCK large) and by _frobenius_roots (_WALK_BLOCK 1, so
+        # every chunk is one prefix with more than one slice-times-p); with
+        # `drop` the t^3 weights, and half of the t^2 ones, are multiples
+        # of p, so slice degrees drop mod p and vary with the prefix
+        terms = []
+        for deg in range(4):
+            for idx in combinations_with_replacement(range(n), deg):
+                w = rng.randint(-6, 6)
+                if drop and idx.count(0) >= 2 + rng.randint(0, 1):
+                    w *= p
+                terms.append((w, idx))
+        calls = []
+        frobenius = local._frobenius_roots
+
+        def spy(f, p):
+            calls.append(f.shape[1])
+            return frobenius(f, p)
+
+        with mock.patch.object(local, "_frobenius_roots", spy):
+            with mock.patch.object(local, "_WALK_BLOCK", 2**20):
+                evaluated = local._slice_roots(terms, n, p, p**n)
+            assert calls == []
+            with mock.patch.object(local, "_WALK_BLOCK", 1):
+                solved = local._slice_roots(terms, n, p, p**n)
+        assert evaluated == solved == brute_table_rho(terms, n, p)
+
+    def test_frobenius_only_past_the_block(self, watson5, fermat):
+        # slices x p within _WALK_BLOCK are evaluated, as for every corpus
+        # rho(p) below; a dense form's 97^2 prefixes leave thousands of
+        # distinct slices in a block, so only there does _frobenius_roots run
+        calls = []
+        frobenius = local._frobenius_roots
+
+        def spy(f, p):
+            calls.append(f.shape[1] * p)
+            return frobenius(f, p)
+
+        with mock.patch.object(local, "_frobenius_roots", spy):
+            for phi, p in ((fermat, 2), (fermat, 3), (fermat, 59),
+                           (watson5, 2), (watson5, 7), (watson5, 23)):
+                rho(phi, p, 1)
+            assert calls == []
+            dense = random_poly(random.Random(4), 3)
+            count = rho(dense, 97, 1)
+        assert calls and all(c > local._WALK_BLOCK for c in calls)
+        assert count == np.count_nonzero(residue_grid(dense, 97) == 0)
 
     def test_budget_counts_prefixes(self):
         phi = random_poly(random.Random(4), 4)
