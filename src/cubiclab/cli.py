@@ -28,7 +28,8 @@ from .exponents import (solve_parameters, psi_requirement, present,
 from .invariants import delta, rank_census, psi_good_report
 from .local import ncc_certify, local_report
 from .majorarcs import singular_integral, singular_series
-from .polynomials import CubicPolynomial, DimensionMismatch, homogenize
+from .nt import ceil_fraction
+from .polynomials import CubicPolynomial, homogenize
 from .expsums import weyl_bound_probe
 
 # What the imports left lives as long as the process: moved out of every
@@ -48,12 +49,6 @@ def _ser(obj):
         return {str(k): _ser(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_ser(v) for v in obj]
-    if hasattr(obj, "item") and callable(obj.item) and not isinstance(
-            obj, (int, float, str, bool)):
-        try:
-            return obj.item()
-        except Exception:
-            return str(obj)
     return obj
 
 
@@ -82,8 +77,6 @@ def _load_box(path: str | None, n: int):
         bounds = [(c - w, c + w) for c in d["center"]]
     else:
         raise ValueError("box JSON: need field 'bounds' or 'center'")
-    if len(bounds) != n:
-        raise DimensionMismatch(f"box has dim {len(bounds)}, expected {n}")
     return bounds
 
 
@@ -146,16 +139,15 @@ def cmd_exponents(phi, args) -> tuple:
                 ([args.n] if args.n else range(14, 101))]
         ok = all(r["ok"] for r in rows)
         return {"rows": rows, "all_ok": ok}, 0 if ok else 2
-    psi = Fraction(str(args.psi)) if args.psi is not None else None
-    dlt = Fraction(str(args.delta)) if args.delta is not None else None
-    sys_ = solve_parameters(args.T, psi=psi, delta=dlt, n=args.n or 14)
+    sys_ = solve_parameters(args.T, psi=args.psi, delta=args.delta,
+                            n=args.n or 14)
     p = sys_.params
     result = {"exp_u": present(p["u"]), "exp_P0": present(p["P0"]),
               "exp_P": present(p["P"]), "exp_Q": present(p["Q"]), "exact": p,
-              "ceil_exp_P": -((-p["P"].numerator) // p["P"].denominator),
+              "ceil_exp_P": ceil_fraction(p["P"]),
               "tags": [t.as_dict() for t in sys_.tags]}
-    if psi is not None:
-        req = psi_requirement(args.T, delta=dlt)
+    if args.psi is not None:
+        req = psi_requirement(args.T, delta=args.delta)
         result["psi_min"] = present(req["psi_min"])
         result["psi_binding"] = req["binding"]
     return result, 0 if sys_.all_pass else 2

@@ -16,23 +16,27 @@ T = 292(n^2-1)).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from decimal import Decimal, ROUND_HALF_UP
 
 Z_EXP = Fraction(15, 4)  # modeled exponent of |z| (= 3.75)
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(str(x))
+    """x read exactly from its str (a float as it prints); a zero
+    denominator is a ValueError."""
+    try:
+        return Fraction(str(x))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def present(x: Fraction, places: int = 2) -> str:
-    """Exact-rational to fixed-point string, round half up."""
-    d = Decimal(x.numerator) / Decimal(x.denominator)
-    return str(d.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP))
+    """Exact rational to fixed-point string with `places` decimals, a half
+    rounded away from zero, in exact integers with no precision context; a
+    negative x keeps its sign even where it rounds to zero (-0.00)."""
+    num, den = abs(x.numerator), x.denominator
+    digits = str((2 * num * 10**places + den) // (2 * den)).zfill(places + 1)
+    whole, frac = digits[:len(digits) - places], digits[len(digits) - places:]
+    return ("-" if x < 0 else "") + whole + ("." + frac if places else "")
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,6 @@ class ExponentSystem:
     n: int
     params: dict                  # name -> Fraction exponent of M
     tags: tuple = ()              # TagResult per assumption
-    notes: tuple = ()
 
     @property
     def all_pass(self) -> bool:
@@ -90,8 +93,7 @@ def _vacuous(tag, note) -> TagResult:
     return TagResult(tag, None, None, None, True, note)
 
 
-def solve_parameters(T, psi=None, delta=None, n: int = 14,
-                     params: dict | None = None) -> ExponentSystem:
+def solve_parameters(T, psi=None, delta=None, n: int = 14) -> ExponentSystem:
     """Evaluate all 21 assumption tags at the paper's exponent choices.
 
     psi=None means psi = infinity.  delta is only needed by S1/S4 (the
@@ -109,11 +111,10 @@ def solve_parameters(T, psi=None, delta=None, n: int = 14,
     T = _frac(T)
     psi = _frac(psi) if psi is not None else None
     delta = _frac(delta) if delta is not None else None
-    p = params or paper_exponents(T)
+    p = paper_exponents(T)
     e_u, e_P0, e_P, e_Q = p["u"], p["P0"], p["P"], p["Q"]
     B = 2 * T + 17
     tags = []
-    notes = []
 
     tags.append(_le("M1", 2 * e_P0 + e_u, 3 * e_P))
     tags.append(_le("M2", e_u + e_P0 + 1 + 2 * Z_EXP, e_P,
@@ -194,12 +195,11 @@ def solve_parameters(T, psi=None, delta=None, n: int = 14,
                                           - (117 * B + 192) / 17), e_Q))
     tags.append(_le("m13", (28 * B + 32) / 17, e_u,
                     note="equality by choice of u"))
-    return ExponentSystem(T=T, psi=psi, delta=delta, n=n, params=dict(p),
-                          tags=tuple(tags), notes=tuple(notes))
+    return ExponentSystem(T=T, psi=psi, delta=delta, n=n, params=p,
+                          tags=tuple(tags))
 
 
-def psi_requirement(T, params: dict | None = None,
-                    delta=None) -> dict:
+def psi_requirement(T, delta=None) -> dict:
     """Minimal admissible psi across every psi-dependent tag.
 
     m9 is expected to bind at the paper's exponents; the per-tag minima
@@ -210,7 +210,7 @@ def psi_requirement(T, params: dict | None = None,
     if delta is not None and not 2 < _frac(delta) < Fraction(7, 3):
         delta = None
     s0, s1 = ({t.tag: t.slack for t in solve_parameters(
-        T, psi=psi, delta=delta, params=params).tags} for psi in (0, 1))
+        T, psi=psi, delta=delta).tags} for psi in (0, 1))
     mins = {tag: -s0[tag] / (s1[tag] - s0[tag])
             for tag in ("m9", "m4", "m5", "m12", "S2", "S3", "S1")
             if s0[tag] is not None}
@@ -242,19 +242,17 @@ def thresholds(T, p: Fraction, r: Fraction) -> dict:
     return {"phi0": phi0, "phi1": phi1, "phi2": phi2, "R0": R0, "R1": R1}
 
 
-def threshold_profile(T, p: Fraction | None = None, r_grid=None) -> dict:
-    """Table of threshold exponents over a grid of R exponents, with the
-    regime classification phi2 <= phi0 <= phi1 iff r >= R0 verified
-    exactly at each grid point."""
+def threshold_profile(T) -> dict:
+    """Table of threshold exponents at the paper's P exponent over the R
+    exponents R0 - 10, R0 - 1, R0, R0 + 1, R0 + 10 and R1, with the regime
+    classification phi2 <= phi0 <= phi1 iff r >= R0 verified exactly at
+    each of them."""
     T = _frac(T)
-    p = p if p is not None else paper_exponents(T)["P"]
+    p = paper_exponents(T)["P"]
     base = thresholds(T, p, Fraction(0))
     R0, R1 = base["R0"], base["R1"]
-    if r_grid is None:
-        r_grid = [R0 - 10, R0 - 1, R0, R0 + 1, R0 + 10, R1]
     rows = []
-    for r in r_grid:
-        r = _frac(r)
+    for r in [R0 - 10, R0 - 1, R0, R0 + 1, R0 + 10, R1]:
         t = thresholds(T, p, r)
         if r >= R0:
             regime = "phi2<=phi0<=phi1"

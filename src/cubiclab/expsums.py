@@ -188,10 +188,10 @@ def bootstrap_check(q: int, a: int, theta: Fraction, X: int, P1: int,
 
 
 def weyl_bound_probe(C: CubicPolynomial, q: int, a: int, theta: float,
-                     P: int, psi: float, bounds=None,
-                     budget: int | None = None) -> dict:
-    """|S(alpha)| against the Weyl-differencing right-hand side (epsilon
-    dropped, implicit constant unknown: reported, never asserted)."""
+                     P: int, psi: float, budget: int | None = None) -> dict:
+    """|S(alpha)| over the box P [-1, 1]^n against the Weyl-differencing
+    right-hand side (epsilon dropped, implicit constant unknown: reported,
+    never asserted)."""
     if q < 1 or P < 1 or gcd(a, q) != 1:
         raise ValueError(f"need q >= 1, P >= 1 and gcd(a, q) = 1, got "
                          f"q = {q}, a = {a}, P = {P}")
@@ -199,8 +199,6 @@ def weyl_bound_probe(C: CubicPolynomial, q: int, a: int, theta: float,
         raise ValueError(f"theta and psi must be finite, got theta = "
                          f"{theta}, psi = {psi}")
     n = C.n
-    if bounds is None:
-        bounds = [(-1.0, 1.0)] * n
     M = max(C.height, 1)
     th = abs(float(theta))
     try:
@@ -216,6 +214,6 @@ def weyl_bound_probe(C: CubicPolynomial, q: int, a: int, theta: float,
                          f"theta = {theta}, P = {P}, psi = {psi}")
     alpha = Fraction(a, q) + Fraction(theta) if isinstance(theta, Fraction) \
         else a / q + theta
-    S = weyl_sum(C, alpha, bounds, P, budget)
+    S = weyl_sum(C, alpha, [(-1.0, 1.0)] * n, P, budget)
     return {"S_abs": abs(S), "rhs": rhs,
             "ratio": abs(S) / rhs if rhs else float("inf")}

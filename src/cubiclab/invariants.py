@@ -34,9 +34,6 @@ class DeltaInvariant:
     prime_factorization: dict = field(default_factory=dict)
     unfactored_cofactor: int = 1
 
-    def v_p(self, p: int) -> int:
-        return self.prime_factorization.get(p, 0)
-
 
 def delta(C: CubicPolynomial) -> DeltaInvariant:
     """gcd of all n x n minors of the coefficient matrix: the product of the
@@ -332,7 +329,7 @@ class SubspaceBound:
 def small_subspace_solution_bound(psi, M: int) -> SubspaceBound:
     if M < 2:
         raise ValueError("M must be >= 2")
-    psi = Fraction(str(psi)) if not isinstance(psi, (int, Fraction)) else Fraction(psi)
+    psi = Fraction(str(psi))
     if psi < 0:
         raise ValueError("psi must be >= 0")
     e = 97 + 91 * psi

@@ -255,8 +255,9 @@ def rho_star(phi: CubicPolynomial, p: int, k: int,
     tables = [phi.terms(), *map(phi.derivative, range(n))]
     count = 0
     for *_, (v, *dv) in _residues(tables, n, q, _CHUNK):
-        nonsing = np.any([d % t != 0 for d in dv], axis=0)
-        count += int(np.count_nonzero((v == 0) & nonsing))
+        zero = v == 0  # the gradient is tested at the roots only
+        count += int(np.count_nonzero(np.any([d[zero] % t for d in dv],
+                                             axis=0)))
     return count
 
 

@@ -32,6 +32,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import inf, isfinite, nextafter, pi
 
 import numpy as np
@@ -39,7 +40,7 @@ import numpy as np
 from .budget import check_budget, enumeration_budget, BudgetExceeded
 from .counting import _box_bounds, count_solutions, smallest_solution
 from .invariants import siegel_solve, FullRankError
-from .local import ncc_certify, ncc_levels, rho
+from .local import local_factor, ncc_certify, ncc_levels
 from .nt import primes_up_to
 from .polynomials import (CubicPolynomial, _eval_terms, _variable_blocks,
                           _x1_split)
@@ -58,7 +59,6 @@ class RealPoint:
     xi: float | None = None  # positive real root of a xi^3 + F2 xi + F3
     derivatives: tuple = ()  # grad C at the point
     bracket: tuple | None = None   # (lower, upper) reference for xi
-    runner_ups: tuple = ()   # other coordinates with comparable derivative
 
 
 def real_point(C: CubicPolynomial, mode: str = "n-variable",
@@ -132,12 +132,8 @@ def real_point(C: CubicPolynomial, mode: str = "n-variable",
         assert lo <= xi <= hi, f"xi = {xi} outside calibrated bracket [{lo}, {hi}]"
     else:
         lo = hi = None  # bracket exponent degenerates at h <= 2
-    others = sorted(range(1, n), key=lambda i: -abs(grad[i]))
-    lead = abs(grad[others[0]]) if others else 0.0
-    runner_ups = tuple(i for i in others[1:] if abs(grad[i]) >= 0.5 * lead)
     return RealPoint(kind="real", point=z, xi=xi, derivatives=tuple(grad),
-                     bracket=(lo, hi) if lo is not None else None,
-                     runner_ups=runner_ups)
+                     bracket=(lo, hi) if lo is not None else None)
 
 
 # -- box construction with certified floors ---------------------------------
@@ -147,7 +143,6 @@ def real_point(C: CubicPolynomial, mode: str = "n-variable",
 class BoxRegion:
     center: tuple
     width: float = 1.0      # half-width per axis
-    scale: float = 1.0      # P
     sigma: float = 0.0      # certified upper bound of |C| on the box
     d1: float = 0.0         # certified floor of dC/dx_axis1 on the box
     d2: float = 0.0         # certified floor of dC/dx_axis2 on the box
@@ -192,9 +187,9 @@ def _to_float(x: Fraction, up: bool) -> float:
     return f
 
 
-def build_box(C: CubicPolynomial, z_tilde, n: int | None = None,
-              M: int | None = None) -> BoxRegion:
-    """Scale z~ to z = A M^(3 + 8/(n-2)) z~ and certify the box floors.
+def build_box(C: CubicPolynomial, z_tilde) -> BoxRegion:
+    """Scale z~ to z = A M^(3 + 8/(n-2)) z~, n = C.n and M = max(C.height,
+    2), and certify the box floors.
 
     A is the smallest power of two >= 4 for which exact interval
     arithmetic on the box bounds certifies both derivatives of one sign on
@@ -202,9 +197,8 @@ def build_box(C: CubicPolynomial, z_tilde, n: int | None = None,
     down to floats and the bound sigma of |C| up.  Axes are relabeled
     (axis1/axis2 fields) so the dominant derivative comes first.
     """
-    n = n if n is not None else C.n
-    M = M if M is not None else max(C.height, 2)
-    base = float(M) ** (3.0 + 8.0 / max(n - 2, 1))
+    n = C.n
+    base = float(max(C.height, 2)) ** (3.0 + 8.0 / max(n - 2, 1))
     grad0 = C.gradient(z_tilde)
     order = sorted(range(n), key=lambda i: -abs(grad0[i]))
     ax1, ax2 = order[0], (order[1] if n > 1 else order[0])
@@ -624,7 +618,8 @@ class SeriesTruncation:
 def singular_series(phi: CubicPolynomial, P0: int, mode: str = "both",
                     budget: int | None = None) -> SeriesTruncation:
     """Truncated singular series, exact rationals read off one table of
-    rho(p^j) for p <= P0, each entry counted once (local.rho).
+    densities p^(-j(n-1)) rho(p^j) for p <= P0, each entry counted once
+    (local.local_factor, cached for the call).
 
     Euler mode: product over p <= P0 of p^(-k(n-1)) rho(p^k) at
     k = k(p) = max(floor(log_p P0), 1); a rho that overruns the budget
@@ -641,14 +636,7 @@ def singular_series(phi: CubicPolynomial, P0: int, mode: str = "both",
     if P0 < 1:
         raise ValueError("P0 must be >= 1")
     n = phi.n
-    rhos = {}
-
-    def density(p: int, j: int) -> Fraction:
-        """p^(-j(n-1)) rho(p^j), rho from the table."""
-        if (p, j) not in rhos:
-            rhos[p, j] = rho(phi, p, j, budget) if j else 1
-        return Fraction(rhos[p, j], p ** (j * (n - 1)))
-
+    density = cache(lambda p, j: local_factor(phi, p, j, budget))
     factors, k_used = {}, {}
     partial = False
     value = Fraction(1)

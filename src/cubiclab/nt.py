@@ -87,11 +87,8 @@ def trial_factor(n: int, bound: int = 10**6) -> tuple[dict[int, int], int]:
 
 def nearest_int_distance(x: Fraction | float):
     """Distance to the nearest integer; exact when given a Fraction."""
-    if isinstance(x, Fraction):
-        frac = x - (x.numerator // x.denominator)
-        return min(frac, 1 - frac)
-    frac = x - int(x // 1)
-    return min(frac, 1.0 - frac)
+    frac = x - x // 1
+    return min(frac, 1 - frac)
 
 
 def ceil_fraction(x: Fraction) -> int:

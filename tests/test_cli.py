@@ -252,6 +252,12 @@ class TestBoxDimension:
         assert code == 1 and not out
         assert err == "error: box has dim 4, expected 5\n"
 
+    def test_count_checks_P_before_the_box(self, capsys, watson_json,
+                                            box4_json):
+        err = refused(capsys, ["count", "--P", "-1", "--poly", watson_json,
+                               "--box", box4_json])
+        assert err == "error: P must be >= 0\n"
+
 
 class TestSearch:
     def test_found(self, capsys, fermat_json):
@@ -307,6 +313,21 @@ class TestExponents:
         assert len(lines) == 2
         assert lines[0].split(",")[0] == "n"
         assert lines[1].split(",")[0] == "14"
+
+    def test_huge_T_prints_every_digit(self, capsys):
+        # 29-digit exponents: past the 28 digits of a default Decimal
+        code, out = run(capsys, ["exponents", "--T", "1e27"])
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["exp_u"] == "3294117647058823529411764735.76"
+        assert res["exp_P"] == "21941176470588235294117647264.15"
+        assert res["ceil_exp_P"] == 21941176470588235294117647265
+
+    @pytest.mark.parametrize("argv", [["--psi", "1/0"],
+                                      ["--psi", "1", "--delta", "1/0"]])
+    def test_zero_denominator_exits_one(self, capsys, argv):
+        err = refused(capsys, ["exponents", *argv])
+        assert err == "error: zero denominator in '1/0'\n"
 
     def test_delta_seven_thirds_fails_s1_and_s4(self, capsys):
         # 14 - 6 delta = 0: both tags fail with a note, nothing divides

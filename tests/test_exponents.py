@@ -1,14 +1,16 @@
 """Symbolic exponent system: parameter choices, assumption tags, psi
 requirements, theorem-scale checks, and threshold orderings."""
 
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cubiclab import (ExponentSystem, paper_exponents, psi_requirement,
                       solve_parameters, theorem_exponent_check,
                       threshold_profile)
-from cubiclab.exponents import present, thresholds
+from cubiclab.exponents import _frac, present, thresholds
 
 
 T84 = Fraction(84)
@@ -19,6 +21,42 @@ class TestPresent:
         assert present(Fraction(5212, 17)) == "306.59"
         assert present(Fraction(1, 8)) == "0.13"
         assert present(Fraction(5, 2), places=0) == "3"
+        # away from zero, and the sign kept where it rounds to zero
+        assert present(Fraction(-5, 2), places=0) == "-3"
+        assert present(Fraction(-1, 1000)) == "-0.00"
+        assert present(Fraction(0)) == "0.00"
+
+    def test_any_size(self):
+        # 28 digits and more: past the default Decimal context
+        assert present(Fraction(10**40 + 1, 2)) == "5" + "0" * 38 + "0.50"
+
+    @given(st.fractions(), st.integers(min_value=0, max_value=6))
+    @example(Fraction(-1, 1000), 2).via("rounds to -0.00")
+    @example(Fraction(-1, 3), 0).via("rounds to -0")
+    @example(Fraction(-5, 2), 0).via("a half, away from zero")
+    def test_matches_decimal_holding_every_digit(self, x, places):
+        # every digit of the integer part and the denominator's worth past
+        # the last place: a quotient that exact neither creates nor hides a
+        # half, so Decimal's one rounding is the exact one
+        prec = (len(str(abs(x.numerator))) + len(str(x.denominator))
+                + places + 10)
+        with localcontext(prec=prec, rounding=ROUND_HALF_UP):
+            d = Decimal(x.numerator) / Decimal(x.denominator)
+            expect = str(d.quantize(Decimal(1).scaleb(-places)))
+        assert present(x, places) == expect
+
+
+class TestFrac:
+    @pytest.mark.parametrize("x,value", [
+        (3, Fraction(3)), (Fraction(-7, 3), Fraction(-7, 3)),
+        (2.23, Fraction("2.23")), ("1454.8", Fraction(7274, 5)),
+        ("1e27", Fraction(10**27))])
+    def test_one_path_for_every_input(self, x, value):
+        assert _frac(x) == value
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            _frac("1/0")
 
 
 class TestParameterChoices:

@@ -1,8 +1,13 @@
-"""Trial division against a plain factorisation oracle, and valuations."""
+"""Trial division against a plain factorisation oracle, valuations, and
+the distance to the nearest integer."""
+
+from fractions import Fraction
+from math import ceil, floor
 
 import pytest
+from hypothesis import given, strategies as st
 
-from cubiclab.nt import is_prime, trial_factor, valuation
+from cubiclab.nt import is_prime, nearest_int_distance, trial_factor, valuation
 
 
 def plain_factor(n: int) -> dict:
@@ -39,3 +44,16 @@ def test_valuation():
             valuation(12, p)
     with pytest.raises(ValueError, match="infinite"):
         valuation(0, 5)
+
+
+@given(st.fractions())
+def test_nearest_int_distance_exact_on_fractions(x):
+    d = nearest_int_distance(x)
+    assert isinstance(d, Fraction) and d == min(x - floor(x), ceil(x) - x)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_nearest_int_distance_on_floats(x):
+    # the fractional part x - floor(x) in float arithmetic, or 1 minus it
+    frac = x - floor(x)
+    assert nearest_int_distance(x) == min(frac, 1.0 - frac)

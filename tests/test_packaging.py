@@ -1,7 +1,8 @@
 """scipy and mpmath serve only the tests, as quadrature, root-finding and
 interval references: no library module imports them, and they are test
 extras, not dependencies.  Every name a library module imports is read in
-that module, every import sits at module level, importing the CLI loads no
+that module, every private module-level name is read by another
+definition, every import sits at module level, importing the CLI loads no
 pool machinery and no mpmath, and no library code walks points with
 itertools.product or builds an np.ix_ mesh."""
 
@@ -55,6 +56,37 @@ def test_every_import_is_read():
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         assert imported <= read, (path.name, sorted(imported - read))
+
+
+def _top_level_names(stmt) -> set:
+    """The module-level names one top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+               [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {node.id for t in targets for node in ast.walk(t)
+            if isinstance(node, ast.Name)}
+
+
+def test_every_private_name_has_a_caller():
+    # a module-level _name is read by some other top-level definition of
+    # src/ (a function reading itself does not count; neither do the
+    # tests), so a private helper cannot outlive its last caller
+    defined, reads = [], []
+    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            defined += [(name, stmt) for name in _top_level_names(stmt)
+                        if name.startswith("_") and not name.endswith("__")]
+            reads.append((stmt, {node.id if isinstance(node, ast.Name)
+                                 else node.attr for node in ast.walk(stmt)
+                                 if isinstance(node, ast.Attribute)
+                                 or isinstance(node, ast.Name)
+                                 and isinstance(node.ctx, ast.Load)}))
+    assert defined
+    unread = [name for name, owner in defined
+              if not any(name in names for stmt, names in reads
+                         if stmt is not owner)]
+    assert not unread
 
 
 def test_itertools_product_only_expands_substitutions():
