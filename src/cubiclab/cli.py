@@ -139,6 +139,14 @@ def cmd_exponents(phi, args) -> tuple:
                 ([args.n] if args.n else range(14, 101))]
         ok = all(r["ok"] for r in rows)
         return {"rows": rows, "all_ok": ok}, 0 if ok else 2
+    # every exponent and slack is linear in T, its coefficients below 10^8,
+    # and printed whole: a T that int -> str could not print them is refused
+    # before any is computed
+    digits = sys.get_int_max_str_digits() - 8
+    if digits > 0 and max(abs(args.T.numerator),
+                          args.T.denominator) >= 10 ** digits:
+        raise ValueError(f"exponents: --T: more than {digits} digits in its "
+                         f"numerator or denominator")
     sys_ = solve_parameters(args.T, psi=args.psi, delta=args.delta,
                             n=args.n or 14)
     p = sys_.params

@@ -1,20 +1,30 @@
 """Exact lattice counting of phi = 0 in boxes and expanding-shell search
 for the smallest solution.
 
-phi splits at x_1 into phi(x) = A(x_O) + B(x_L): O the variable block that
-holds x_1 and L every other variable (polynomials._x1_split); a connected
-phi has L empty and B = 0.  The zeros are the pairs of an O point and an L
-point with A = -B, found by a join: the side with fewer points is
-evaluated whole and sorted, and the other is walked in chunks, each value
-looked up in that table by searchsorted.  A split phi so costs
-|O box| + |L box| plus a sort, not their product.
+The zeros are found by a join of two sides whose values must cancel: the
+side with fewer points is evaluated whole and sorted, and the other is
+walked in chunks, each value looked up in that table by searchsorted.  A
+join so costs the points of its two sides plus a sort, not their product.
+Per box (per face, in the shell search) it is the cheaper of two:
 
-The O side is walked with x_1 last: for each chunk of prefixes it forms
-the coefficients of the univariate cubic A in x_1 in numpy and evaluates
-it exactly, by Horner, at every x_1 of the box, so degenerate slices
-(quadratic, linear, constant, identically zero) need no special case.  The
-L side evaluates -B's terms.  The arithmetic is int64 when the height and
-the box prove that nothing overflows, else Python ints in object arrays.
+- disjoint: phi(x) = A(x_O) + B(x_L), O the variable block that holds x_1
+  and L every other variable (polynomials._x1_split), the pairs of an O
+  point and an L point with A = -B, for |O box| + |L box| points; a
+  connected phi has L empty and B = 0;
+- shared x_1: the blocks that phi's terms form once x_1 is struck from
+  each (one block per other variable for watson5, whose slices in x_1 are
+  diagonal) put in two groups, phi = A_1(x_1, x_G1) + A_2(x_1, x_G2), the
+  pairs with equal x_1 and A_1 = -A_2, found by joining the exact keys
+  (x_1 - x_1,min) M + A_1 and (x_1 - x_1,min) M - A_2, for
+  T (|G1 box| + |G2 box|) points, T the x_1 values.
+
+Every side but L's is walked with x_1 last: for each chunk of prefixes it
+forms the coefficients of its univariate cubic in x_1 in numpy and
+evaluates it exactly, by Horner, at every x_1 of the box, so degenerate
+slices (quadratic, linear, constant, identically zero) need no special
+case.  The L side evaluates -B's terms.  The arithmetic is int64 when the
+height and the box prove that nothing overflows, else Python ints in
+object arrays.
 """
 
 from dataclasses import dataclass
@@ -63,13 +73,69 @@ def _l_walk(B, n: int, axes: list, ranges: list):
         yield np.broadcast_to(_eval_terms(B, X), shape), x
 
 
-def _split(phi: CubicPolynomial) -> list:
-    """The two sides of the join, each (axes, walk): the variables a side
-    walks, in its walk order, and its walk of them.  The O side walks A
-    with x_1 last, the L side -B."""
-    O, A, L, B = _x1_split(_variable_blocks(phi.terms()), phi.n)
-    return [([*O[1:], 0], partial(_o_walk, A, phi.n)),
-            (L, partial(_l_walk, [(-w, idx) for w, idx in B], phi.n))]
+def _split(phi: CubicPolynomial) -> tuple:
+    """phi's two joins, for _zeros to choose between per box: the disjoint
+    one, (axes, walk) for each side (the variables a side walks, in its walk
+    order, and its walk of them: A with x_1 last and -B), and the blocks of
+    the shared one, (variables, terms) per block of phi's table with x_1
+    struck from every term: a block's terms are phi's own, the pure-x_1
+    terms and the constant go with the first block, and each variable of
+    x_2..x_n in no term is a block of its own, with no terms."""
+    n, terms = phi.n, phi.terms()
+    O, A, L, B = _x1_split(_variable_blocks(terms), n)
+    disjoint = [([*O[1:], 0], partial(_o_walk, A, n)),
+                (L, partial(_l_walk, [(-w, idx) for w, idx in B], n))]
+    # each term rides through _variable_blocks as the weight of its index
+    # tuple with x_1 struck
+    struck = _variable_blocks([(t, tuple(i for i in t[1] if i))
+                               for t in terms])
+    blocks = [(sorted({i for _, idx in b for i in idx}), [t for t, _ in b])
+              for b in struck]
+    used = {i for axes, _ in blocks for i in axes}
+    return disjoint, blocks + [([i], []) for i in range(1, n)
+                               if i not in used]
+
+
+def _sides(split: tuple, box: list) -> list:
+    """The sides of the cheaper join of phi on the box prod(box), whose
+    ranges are all nonempty; split is _split(phi).
+
+    The disjoint join walks |O box| + |L box| points.  The shared one groups
+    the blocks in two, G_1 and G_2, greedily, each block (largest box first)
+    to the group of the smaller box, and walks T (|G_1 box| + |G_2 box|)
+    points, T the x_1 values of the box: each side walks x_1 with its
+    group's variables, and a point's key is (x_1 - x_1,min) M + value, the
+    value of its group's terms (-1 times them on the second side), M more
+    than twice the largest |value| either side can take.  Equal keys are
+    then equal x_1 and equal values, so the join of the keys is phi's zeros
+    and _zeros reads it as it reads the disjoint one.  The shared join is
+    taken when it walks fewer points and its smaller side holds no more
+    points than the box has prefixes (x_2..x_n); a tie keeps the disjoint
+    one."""
+    disjoint, blocks = split
+    size = [_size(r) for r in box]
+
+    def points(axes) -> int:
+        return prod(size[i] for i in axes)
+
+    groups, gpoints = ([], []), [1, 1]
+    for axes, terms in sorted(blocks, key=lambda b: -points(b[0])):
+        g = int(gpoints[1] < gpoints[0])
+        groups[g].append((axes, terms))
+        gpoints[g] *= points(axes)
+    T = size[0]
+    if not (T * sum(gpoints) < sum(points(axes) for axes, _ in disjoint)
+            and T * min(gpoints) <= prod(size[1:])):
+        return disjoint
+    top = max(abs(v) for r in box for v in (r[0], r[-1]))
+    tables = [[t for _, terms in group for t in terms] for group in groups]
+    M = 2 * max(sum(abs(w) * top ** len(idx) for w, idx in table)
+                for table in tables) + 1
+    key = [(M, (0,)), (-M * box[0][0], ())]
+    return [(sorted(i for axes, _ in group for i in axes) + [0],
+             partial(_o_walk, [(sign * w, idx) for w, idx in table] + key,
+                     len(box)))
+            for group, table, sign in zip(groups, tables, (1, -1))]
 
 
 def _coords(flat, ranges) -> list:
@@ -81,17 +147,18 @@ def _coords(flat, ranges) -> list:
             for d, r in zip(digits, ranges)]
 
 
-def _zeros(sides: list, box: list):
+def _zeros(split: tuple, box: list):
     """Zeros of phi in the box prod(box), box[i] the range of x_(i+1), as
     (k, n) integer arrays of at most _CHUNK rows, in no particular order;
-    sides is _split(phi).  The held side's values are sorted once; each
-    chunk of the streamed side keeps the values within the table's range,
-    counts each one's matches by two searchsorted calls and expands the
-    (streamed point, held point) pairs _CHUNK at a time."""
-    sides = [(axes, walk, [box[i] for i in axes]) for axes, walk in sides]
-    sizes = [prod(map(_size, ranges)) for _, _, ranges in sides]
-    if not all(sizes):
+    split is _split(phi), joined as _sides chooses.  The held side's values
+    are sorted once; each chunk of the streamed side keeps the values within
+    the table's range, counts each one's matches by two searchsorted calls
+    and expands the (streamed point, held point) pairs _CHUNK at a time."""
+    if not all(map(_size, box)):
         return
+    sides = [(axes, walk, [box[i] for i in axes])
+             for axes, walk in _sides(split, box)]
+    sizes = [prod(map(_size, ranges)) for _, _, ranges in sides]
     (h_axes, h_walk, h_ranges), (s_axes, s_walk, s_ranges) = (
         sides if sizes[0] < sizes[1] else sides[::-1])
     values = np.concatenate([v.ravel() for v, _ in h_walk(h_axes, h_ranges)])
@@ -196,7 +263,7 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
     refused."""
     if max_shell < 0:
         raise ValueError("max_shell must be >= 0")
-    n, sides = phi.n, _split(phi)
+    n, split = phi.n, _split(phi)
     for s in range(start_shell, max_shell + 1):
         if s == 0:
             if phi.evaluate([0] * n) == 0:
@@ -209,7 +276,7 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
         faces = [[full, *[inner] * j, ends, *[full] * (n - 2 - j)]
                  for j in range(n - 1)] + [[ends, *[inner] * (n - 1)]]
         found = [min(map(tuple, z.tolist()))
-                 for face in faces for z in _zeros(sides, face)]
+                 for face in faces for z in _zeros(split, face)]
         if found:
             return SearchReport(found=min(found), shell=s, exhausted_to=None)
     return SearchReport(found=None, shell=None, exhausted_to=max_shell)

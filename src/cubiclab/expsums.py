@@ -212,8 +212,6 @@ def weyl_bound_probe(C: CubicPolynomial, q: int, a: int, theta: float,
     if not isfinite(rhs):
         raise ValueError(f"the Weyl bound is not a finite float at q = {q}, "
                          f"theta = {theta}, P = {P}, psi = {psi}")
-    alpha = Fraction(a, q) + Fraction(theta) if isinstance(theta, Fraction) \
-        else a / q + theta
-    S = weyl_sum(C, alpha, [(-1.0, 1.0)] * n, P, budget)
+    S = weyl_sum(C, a / q + theta, [(-1.0, 1.0)] * n, P, budget)
     return {"S_abs": abs(S), "rhs": rhs,
             "ratio": abs(S) / rhs if rhs else float("inf")}

@@ -329,10 +329,15 @@ def _sinc_kernel(C: CubicPolynomial, X: list, Z: float,
                  out: np.ndarray | None = None) -> np.ndarray:
     """2 Z sinc(2 Z C) = 2 Z sin(t) / t, t = 2 pi Z C, over the broadcast of
     the coordinate arrays X, with the removable point t = 0 set to 2 Z: the
-    arithmetic of np.sinc, built in the buffer of C's values (thinner than
-    X's broadcast where C is free of a variable) plus `out` (a new array
-    when None)."""
+    arithmetic of np.sinc, built in the buffer of C's values plus `out` (a
+    new array when None).  Where C is free of a variable its values are
+    thinner than X's broadcast; they are laid out over it first, as
+    evaluate_array lays them out, so that every step, the sine included,
+    runs as on the full array and rounds as it does there."""
     t = np.asarray(_eval_terms(C.terms(), X), dtype=float)
+    shape = np.broadcast_shapes(*(np.shape(x) for x in X))
+    if t.shape != shape:
+        t = np.broadcast_to(t, shape).astype(float)
     t *= 2.0 * Z
     t *= pi
     zero = t == 0
@@ -364,9 +369,7 @@ def _full_slab(C: CubicPolynomial, axes: list, Z: float):
     def slab(cut) -> float:
         s, e = cut
         X0 = x0[s:e].reshape((-1,) + (1,) * (n - 1))
-        # a C free of some variable evaluates to a thinner array
-        f = np.broadcast_to(_sinc_kernel(C, [X0, *rest], Z),
-                            (e - s,) + (len(x0),) * (n - 1))
+        f = _sinc_kernel(C, [X0, *rest], Z)
         for _, w in reversed(axes[1:]):
             f = f @ w
         return float(w0[s:e] @ f)

@@ -323,6 +323,22 @@ class TestExponents:
         assert res["exp_P"] == "21941176470588235294117647264.15"
         assert res["ceil_exp_P"] == 21941176470588235294117647265
 
+    def test_T_past_printable_digits_exits_one(self, capsys):
+        # the exponents of --T 1e5000 have more digits than int -> str
+        # prints; 4,000 digits still print whole
+        limit = sys.get_int_max_str_digits() - 8
+        for T in ("1e5000", f"1e{limit}"):
+            err = refused(capsys, ["exponents", "--T", T])
+            assert err == (f"error: exponents: --T: more than {limit} digits "
+                           f"in its numerator or denominator\n")
+        code, out = run(capsys, ["exponents", "--T", "1e4000"])
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["ceil_exp_P"] == (373 * 10**4000 + 3491) // 17 + 1
+        assert res["exp_P"].startswith("2194117647058823529")
+        code, out = run(capsys, ["exponents", "--T", "9" * limit])
+        assert code == 0
+
     @pytest.mark.parametrize("argv", [["--psi", "1/0"],
                                       ["--psi", "1", "--delta", "1/0"]])
     def test_zero_denominator_exits_one(self, capsys, argv):

@@ -2,9 +2,11 @@
 comparison table."""
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import prod
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,8 @@ from cubiclab import (CubicPolynomial, asymptotic_compare, count_solutions,
 from cubiclab import counting
 from cubiclab.budget import BudgetExceeded
 from cubiclab.polynomials import DimensionMismatch, _from_terms, _substitute
-from conftest import random_poly
+from conftest import (make_diag5m2, make_fermat, make_selmer4,
+                      make_triple_product, make_watson5, random_poly)
 from oracles import integer_roots_cubic, scan_zeros
 
 
@@ -108,6 +111,82 @@ def counting_cases(draw, heights):
     if all(ranges) and draw(st.booleans()):
         phi = plant_zero(phi, [draw(st.sampled_from(r)) for r in ranges])
     return phi, P, box, ranges, draw(st.sampled_from([0, 1, 7, 100]))
+
+
+@st.composite
+def hub_forms(draw, heights):
+    """sum_j x_1 Q_j(y_j) + q_j(y_j) + a cubic in x_1 alone, over 1-4
+    blocks y_j of one or two variables (n <= 5), Q_j of degree <= 2 and
+    q_j <= 3: every slice in x_1 splits by block.  x_1 y_a^2 (y_a the
+    block's first variable) and, in a block of two, y_a^2 y_b have nonzero
+    coefficients, so striking x_1 leaves exactly the blocks y_j, and x_1
+    joins them all into one block of phi."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    h = draw(st.sampled_from(heights))
+    k = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.integers(1, 2), min_size=k, max_size=k)
+                  .filter(lambda w: sum(w) <= 4))
+    n = 1 + sum(widths)
+    coeff = lambda: rng.randint(-h, h)
+    nonzero = lambda: rng.choice([-1, 1]) * rng.randint(1, h)
+    cubic, quad, lin = {(0, 0, 0): coeff()}, {(0, 0): coeff()}, [coeff()]
+    for a, w in zip(np.cumsum([1, *widths[:-1]]).tolist(), widths):
+        ys = range(a, a + w)
+        for i, j in combinations_with_replacement(ys, 2):
+            cubic[(0, i, j)], quad[(i, j)] = coeff(), coeff()
+        for idx in combinations_with_replacement(ys, 3):
+            cubic[idx] = coeff()
+        quad.update({(0, i): coeff() for i in ys})
+        lin += [coeff() for _ in ys]
+        cubic[(0, a, a)] = nonzero()
+        if w == 2:
+            cubic[(a, a, a + 1)] = nonzero()
+    return symmetrize(n, cubic, quad, lin, const=coeff())[0], widths
+
+
+@st.composite
+def hub_cases(draw, heights):
+    """(phi, widths, P, box, integer ranges of the box, keep) for the
+    forms of hub_forms: x_1 ranges of 1 to 5 values, one value often, y
+    ranges of 1 to 4, one range in eight boxes empty, and a planted zero
+    when the box has points."""
+    phi, widths = draw(hub_forms(heights))
+    P = draw(st.integers(1, 4))
+    sizes = [draw(st.sampled_from([1, 1, 2, 3, 5]))]
+    sizes += draw(st.lists(st.sampled_from([1, 2, 3, 4, 4]),
+                           min_size=phi.n - 1, max_size=phi.n - 1))
+    if draw(st.sampled_from([False] * 7 + [True])):
+        sizes[draw(st.integers(0, phi.n - 1))] = 0
+    los = draw(st.lists(st.integers(-3, 3), min_size=phi.n,
+                        max_size=phi.n))
+    ranges = [range(lo, lo + m) for lo, m in zip(los, sizes)]
+    box = [(r.start / P, (r.stop - 1) / P) for r in ranges]
+    if all(ranges) and draw(st.booleans()):
+        phi = plant_zero(phi, [draw(st.sampled_from(r)) for r in ranges])
+    return phi, widths, P, box, ranges, draw(st.sampled_from([0, 3, 100]))
+
+
+def shared_expected(widths, ranges) -> bool:
+    """Whether the join over the x_1-fibres should be taken for a form of
+    hub_forms on the box of ranges: the blocks greedily in two groups,
+    largest first, each to the group of fewer points; against the one
+    block of phi (T |y box| + 1 points), fewer points walked and at most
+    as many held as the box has prefixes."""
+    size = [len(r) for r in ranges]
+    starts = np.cumsum([1, *widths]).tolist()
+    groups = [1, 1]
+    for m in sorted((prod(size[a:b]) for a, b in zip(starts, starts[1:])),
+                    reverse=True):
+        groups[groups[1] < groups[0]] *= m
+    T, prefixes = size[0], prod(size[1:])
+    return (T * sum(groups) < T * prefixes + 1
+            and T * min(groups) <= prefixes)
+
+
+def join_axes(phi, ranges) -> list:
+    """The axes of each side of the join count_solutions takes on the box
+    of ranges."""
+    return [axes for axes, _ in counting._sides(counting._split(phi), ranges)]
 
 
 class TestIntegerRootsCubic:
@@ -249,6 +328,96 @@ class TestCountSolutions:
                               (0, 2**62, 2**62))]:
             res = count_solutions(fermat, P, box=box)
             assert res.solutions_sample == (zero,)
+
+
+class TestSharedJoin:
+    """Forms whose slices in x_1 split by block while x_1 holds phi
+    together, joined over their x_1-fibres, against the scan of the box."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hub_cases(heights=[1, 5, 2**40, 2**70]))
+    def test_count_matches_scan(self, case):
+        phi, widths, P, box, ranges, keep = case
+        ref = scan_zeros(phi, ranges)
+        res = count_solutions(phi, P, box=box, keep=keep)
+        assert res.count == len(ref)
+        assert res.solutions_sample == tuple(ref[:keep])
+        if all(ranges):
+            axes = join_axes(phi, ranges)
+            if shared_expected(widths, ranges):
+                assert [a[-1:] for a in axes] == [[0], [0]]
+                assert sorted(sum(axes, [])) == [0, 0, *range(1, phi.n)]
+            else:
+                assert axes == [[*range(1, phi.n), 0], []]
+
+    @settings(max_examples=60, deadline=None)
+    @given(hub_cases(heights=[1, 5, 2**70]), st.sampled_from([1, 2, 5, 13]))
+    def test_any_chunk_size(self, case, chunk):
+        phi, _, P, box, ranges, keep = case
+        ref = scan_zeros(phi, ranges)
+        with mock.patch.object(counting, "_CHUNK", chunk):
+            res = count_solutions(phi, P, box=box, keep=keep)
+        assert res.count == len(ref)
+        assert res.solutions_sample == tuple(ref[:keep])
+
+    @settings(max_examples=80, deadline=None)
+    @given(hub_forms(heights=[1, 5, 2**70]), st.integers(0, 2),
+           st.integers(0, 2),
+           st.lists(st.integers(-2, 2), min_size=5, max_size=5))
+    def test_search_matches_shell_reference(self, form, start, max_shell,
+                                            z):
+        phi = plant_zero(form[0], z[:form[0].n])
+        rep = smallest_solution(phi, max_shell, start_shell=start)
+        found, shell = shell_reference(phi, max_shell, start)
+        assert (rep.found, rep.shell) == (found, shell)
+        assert rep.exhausted_to == (max_shell if found is None else None)
+
+    def test_keys_past_int64(self):
+        # 2^70 x_1 (y^2 - z^2): the keys are Python ints; every x_1 with
+        # y = +-z is a zero
+        H = 2**70
+        phi = symmetrize(3, {(0, 1, 1): H, (0, 2, 2): -H})[0]
+        ranges = [range(-2, 3)] * 3
+        assert join_axes(phi, ranges) == [[1, 0], [2, 0]]
+        res = count_solutions(phi, 2)
+        assert res.count == len(scan_zeros(phi, ranges)) == 5 * 9 + 16
+
+    def test_fibres_apart_by_both_values(self):
+        # -6 x_1 y^2 + 3 x_1 z^2 + z^3 on [-1, 1]^3, y's side first: the
+        # sides' bounds are 6 and 3 + 1, y's value reaches 6 at x_1 = -1 and
+        # z's 1 at x_1 = 0, so the keys of those two fibres stay apart for
+        # M > 6 + 4 but would meet for M = max(6, 4) + 1
+        phi = CubicPolynomial(3, cubic={(0, 1, 1): -2, (0, 2, 2): 1,
+                                        (2, 2, 2): 1})
+        ranges = [range(-1, 2)] * 3
+        assert join_axes(phi, ranges) == [[1, 0], [2, 0]]
+        ref = scan_zeros(phi, ranges)
+        res = count_solutions(phi, 1)
+        assert res.count == len(ref)
+        assert res.solutions_sample == tuple(ref)
+
+    @pytest.mark.parametrize("make, P, shared", [
+        (make_fermat, 60, False), (make_selmer4, 12, False),
+        (make_triple_product, 10, False), (make_watson5, 8, True),
+        (make_diag5m2, 10, True)])
+    def test_corpus_choice(self, make, P, shared):
+        phi = make()
+        axes = join_axes(phi, [range(-P, P + 1)] * phi.n)
+        disjoint = [axes for axes, _ in counting._split(phi)[0]]
+        assert (axes != disjoint) == shared
+        if shared:  # four one-variable blocks, two to a side
+            assert sorted(map(len, axes)) == [3, 3]
+
+    def test_held_side_within_the_prefixes(self):
+        # x_1 (y^2 + z^2) - 3 on 50 x 2 x 2 points: the shared join walks
+        # 50 (2 + 2) = 200 points against the one block's 50 * 4 + 1, but
+        # would hold 100 keys for 4 prefixes, so the disjoint join is kept
+        phi = symmetrize(3, {(0, 1, 1): 1, (0, 2, 2): 1}, const=-3)[0]
+        ranges = [range(-25, 25), range(0, 2), range(1, 3)]
+        assert join_axes(phi, ranges) == [[1, 2, 0], []]
+        box = [(r.start / 25, (r.stop - 1) / 25) for r in ranges]
+        res = count_solutions(phi, 25, box=box)
+        assert res.count == len(scan_zeros(phi, ranges)) == 1
 
 
 class TestSmallestSolution:

@@ -592,6 +592,13 @@ class TestWorkers:
                boxes(n))),
            st.floats(0.5, 8), st.sampled_from([16, 32, 64]),
            st.sampled_from([1, 7, 500, majorarcs._SLAB_POINTS]))
+    # C free of a variable: a thinner kernel, which the slab must lay out
+    # and take the sine of as on the full slab (a constant C summed as a
+    # zero-stride view gave 3.9999999999999996 against 4.0, and C = x_2
+    # 1.8056466671605613 against 1.8056466671605615)
+    @example((CubicPolynomial(1, const=0), [(-1.0, 1.0)]), 1.0, 64, 500)
+    @example((CubicPolynomial(2, lin=(0, 1)), [(-1.0, 1.0)] * 2), 1.0, 32,
+             500)
     def test_tensor_rule_identical_per_worker_count(self, case, Z, m, slab):
         # a connected C matches the serial slab loop bit for bit; the
         # contracted rule of a decomposable C is checked against it in
