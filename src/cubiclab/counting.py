@@ -5,7 +5,8 @@ The zeros are found by a join of two sides whose values must cancel: the
 side with fewer points is evaluated whole and sorted, and the other is
 walked in chunks, each value looked up in that table by searchsorted.  A
 join so costs the points of its two sides plus a sort, not their product.
-Per box (per face, in the shell search) it is the cheaper of two:
+Per box (the shell search's boxes [-S, S]^n, S doubling, included) it is
+the cheaper of two:
 
 - disjoint: phi(x) = A(x_O) + B(x_L), O the variable block that holds x_1
   and L every other variable (polynomials._x1_split), the pairs of an O
@@ -33,7 +34,7 @@ from math import ceil, floor, prod
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import BudgetExceeded, check_budget
 from .polynomials import (CubicPolynomial, DimensionMismatch, _CHUNK,
                           _eval_terms, _variable_blocks, _walk, _x1_slices,
                           _x1_split)
@@ -151,9 +152,11 @@ def _zeros(split: tuple, box: list):
     """Zeros of phi in the box prod(box), box[i] the range of x_(i+1), as
     (k, n) integer arrays of at most _CHUNK rows, in no particular order;
     split is _split(phi), joined as _sides chooses.  The held side's values
-    are sorted once; each chunk of the streamed side keeps the values within
-    the table's range, counts each one's matches by two searchsorted calls
-    and expands the (streamed point, held point) pairs _CHUNK at a time."""
+    are sorted once and their distinct values tabled with their runs; each
+    chunk of the streamed side keeps the values within the table's range,
+    finds each one's run by one searchsorted call (on the chunk's values
+    sorted first, for a table of more values than a chunk has points) and
+    expands the (streamed point, held point) pairs _CHUNK at a time."""
     if not all(map(_size, box)):
         return
     sides = [(axes, walk, [box[i] for i in axes])
@@ -163,7 +166,11 @@ def _zeros(split: tuple, box: list):
         sides if sizes[0] < sizes[1] else sides[::-1])
     values = np.concatenate([v.ravel() for v, _ in h_walk(h_axes, h_ranges)])
     order = np.argsort(values, kind="stable")
-    table = values[order]
+    ordered = values[order]
+    # the distinct values, each with the start and length of its run
+    starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    starts = np.concatenate(([0], starts))
+    table, runs = ordered[starts], np.diff(starts, append=len(ordered))
     low, high = table[0], table[-1]
     for v, x in s_walk(s_axes, s_ranges):
         flat = v.reshape(-1)
@@ -173,8 +180,18 @@ def _zeros(split: tuple, box: list):
         cand = np.flatnonzero(hit)
         if not len(cand):
             continue
-        lo = np.searchsorted(table, flat[cand], "left")
-        cnt = np.searchsorted(table, flat[cand], "right") - lo
+        key = flat[cand]
+        if len(table) > _CHUNK:
+            # keys in order share their probes' paths: on diag5m2's 107,787
+            # values that halves the lookups, while on a table no larger
+            # than a chunk (watson5's 13,377) the argsort costs more
+            by = np.argsort(key)
+            cand, key = cand[by], key[by]
+        # key <= high, so its place is a place in the table
+        place = np.searchsorted(table, key)
+        match = table[place] == key
+        cand, place = cand[match], place[match]
+        lo, cnt = starts[place], runs[place]
         ends, total = np.cumsum(cnt), int(cnt.sum())
         # match m pairs streamed point cand[k] with held point
         # order[lo[k] + m - first match of k], k the point whose run holds m
@@ -251,32 +268,57 @@ class SearchReport:
     exhausted_to: int | None
 
 
+def _least(split: tuple, n: int, S: int, start: int):
+    """(sup-norm, zero), the least over the zeros of sup-norm at least
+    `start` in the box [-S, S]^n, the zero lexicographically least within
+    its sup-norm; None if there is none.  split is _split(phi)."""
+    best = None
+    for z in _zeros(split, [range(-S, S + 1)] * n):
+        norm = np.abs(z).max(axis=1)
+        keep = norm >= start
+        z, norm = z[keep], norm[keep]
+        if len(z):
+            low = norm.min()
+            least = (int(low), min(map(tuple, z[norm == low].tolist())))
+            best = least if best is None else min(best, least)
+    return best
+
+
 def smallest_solution(phi: CubicPolynomial, max_shell: int,
                       budget: int | None = None,
                       start_shell: int = 0) -> SearchReport:
     """First solution in expanding sup-norm shells (within a shell,
     lexicographically smallest), or certified emptiness up to max_shell.
 
-    Only the new shell is enumerated: prefixes (x_2..x_n) of sup-norm s take
-    every x_1 in [-s, s], the others x_1 = -s and s.  The budget counts the
-    (2s + 1)^(n-1) prefixes of the shell's box.  max_shell < 0 is
+    The shells are searched by whole boxes [-S, S]^n, one join each, S
+    doubling from max(1, 2 (start_shell - 1)) and capped at max_shell: of
+    a box's zeros those of sup-norm at least start_shell count, and the
+    least of them by sup-norm, then lexicographically, is the answer, every
+    box before having held none.  The budget counts the (2s + 1)^(n-1)
+    prefixes of shell s's box, charged shell by shell, in order, before a
+    box is walked; when shell s is refused, box s - 1 is walked first and
+    the refusal stands only if that box has no zero.  max_shell < 0 is
     refused."""
     if max_shell < 0:
         raise ValueError("max_shell must be >= 0")
     n, split = phi.n, _split(phi)
-    for s in range(start_shell, max_shell + 1):
-        if s == 0:
-            if phi.evaluate([0] * n) == 0:
-                return SearchReport(found=(0,) * n, shell=0, exhausted_to=None)
-            continue
-        check_budget((2 * s + 1) ** (n - 1), budget, what="shell search")
-        inner, full = range(1 - s, s), range(-s, s + 1)
-        ends = range(-s, s + 1, 2 * s)
-        # face j: |x_(j+2)| = s, the prefix coordinates before it below s
-        faces = [[full, *[inner] * j, ends, *[full] * (n - 2 - j)]
-                 for j in range(n - 1)] + [[ends, *[inner] * (n - 1)]]
-        found = [min(map(tuple, z.tolist()))
-                 for face in faces for z in _zeros(split, face)]
-        if found:
-            return SearchReport(found=min(found), shell=s, exhausted_to=None)
+    if start_shell <= 0 and phi.evaluate([0] * n) == 0:
+        return SearchReport(found=(0,) * n, shell=0, exhausted_to=None)
+    walked, refused = max(start_shell, 1) - 1, None
+    while walked < max_shell:
+        S = min(max(2 * walked, 1), max_shell)
+        for s in range(walked + 1, S + 1):
+            try:
+                check_budget((2 * s + 1) ** (n - 1), budget,
+                             what="shell search")
+            except BudgetExceeded as exc:
+                S, refused = s - 1, exc
+                break
+        best = _least(split, n, S, start_shell) if S > walked else None
+        if best is not None:
+            return SearchReport(found=best[1], shell=best[0],
+                                exhausted_to=None)
+        if refused is not None:
+            raise refused
+        walked = S
     return SearchReport(found=None, shell=None, exhausted_to=max_shell)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -337,6 +338,40 @@ class TestExponents:
         assert res["ceil_exp_P"] == (373 * 10**4000 + 3491) // 17 + 1
         assert res["exp_P"].startswith("2194117647058823529")
         code, out = run(capsys, ["exponents", "--T", "9" * limit])
+        assert code == 0
+
+    def test_psi_past_printable_digits_exits_one(self, capsys):
+        # the psi tags' slacks hold T's digits and psi's: at T = 84 (two
+        # digits) psi may have limit - 18; a numeral longer than int() reads
+        # is refused by the same line
+        room = sys.get_int_max_str_digits() - 18
+        for psi in ("1e5000", f"1e{room}", "1" * (room + 20)):
+            err = refused(capsys, ["exponents", "--psi", psi])
+            assert err == (f"error: exponents: --psi: more than {room} "
+                           f"digits in its numerator or denominator\n")
+        for psi in (f"1e{room - 1}", "9" * room, f"1/{'7' * room}"):
+            code, out = run(capsys, ["exponents", "--psi", psi])
+            assert code in (0, 2)
+            assert json.loads(out)["result"]["psi_binding"] == "m9"
+
+    def test_delta_past_printable_digits_exits_one(self, capsys):
+        # S4's requirement is quadratic in delta: at T = 84 and psi = 30
+        # delta may have (limit - 18) // 2 digits; without psi delta is read
+        # by no tag, and any delta prints
+        room = (sys.get_int_max_str_digits() - 18) // 2
+        for delta in ("1e2200", f"1e{room}", f"{10**room + 1}/{10**room}"):
+            err = refused(capsys, ["exponents", "--psi", "30",
+                                   "--delta", delta])
+            assert err == (f"error: exponents: --delta: more than {room} "
+                           f"digits in its numerator or denominator\n")
+        for delta in (f"1e{room - 1}", f"{2 * 10**(room - 1) + 1}/"
+                                       f"{10**(room - 1)}"):
+            code, out = run(capsys, ["exponents", "--psi", "30",
+                                     "--delta", delta])
+            assert code == 2
+            s4 = json.loads(out)["result"]["tags"][6]
+            assert s4["tag"] == "S4" and s4["slack"] is not None
+        code, out = run(capsys, ["exponents", "--delta", "1e9000"])
         assert code == 0
 
     @pytest.mark.parametrize("argv", [["--psi", "1/0"],
@@ -758,6 +793,56 @@ class TestParserContract:
             code, out, err = outcome(argv)
         assert (code, out, calls) == (1, "", [])
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# sizes at and around the shells whose prefixes meet the budgets below,
+# negative and huge ones; budgets at those prefix counts, negative, and huge
+# ones, which are drawn only with the small sizes (at most 1 for wall14's
+# 14 variables)
+SMALL_SIZES = [0, 1, 2, 3, 4, 5, 8, 9, 16, 17]
+BUDGETS = [8, 9, 24, 25, 48, 49, 80, 81, 6560, 6561, 10**4]
+
+
+@st.composite
+def lattice_lines(draw):
+    """(poly fixture, argv tail): a search or count line whose --max-shell
+    or --P and --budget are drawn across 0, negative, boundary and huge
+    values; without --budget the environment's small budget holds."""
+    poly = draw(st.sampled_from(["fermat_json", "watson_json",
+                                 "diag5m2_json", "wall14_json"]))
+    budget = draw(st.one_of(st.none(), st.integers(-3, 0),
+                            st.sampled_from(BUDGETS),
+                            st.sampled_from([2**63, 10**30])))
+    sizes = st.sampled_from(SMALL_SIZES if poly != "wall14_json"
+                            else [0, 1])
+    if budget is None or budget < 2**63:
+        sizes = st.one_of(sizes, st.integers(-10**6, -1),
+                          st.sampled_from([10**6, 2**63, 10**30]))
+    flag = draw(st.sampled_from(["--max-shell", "--P"]))
+    tail = ["search" if flag == "--max-shell" else "count",
+            flag, str(draw(sizes))]
+    if budget is not None:
+        tail += ["--budget", str(budget)]
+    return poly, tail
+
+
+class TestLatticeContract:
+    @settings(max_examples=200, deadline=None)
+    @given(line=lattice_lines())
+    def test_search_and_count_exit_cleanly(self, request, line):
+        poly, (cmd, *tail) = line
+        argv = [cmd, "--poly", request.getfixturevalue(poly), *tail]
+        start = time.perf_counter()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("CUBIC_LAB_BUDGET", "10000")
+            code, out, err = outcome(argv)
+        assert time.perf_counter() - start < 30
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 1:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == "" and json.loads(out)["manifest"]["command"] == cmd
 
 
 def _no_constant(name):

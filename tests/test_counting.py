@@ -3,17 +3,17 @@ comparison table."""
 
 import random
 from itertools import combinations_with_replacement, product
-from math import prod
+from math import ceil, log2, prod
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubiclab import (CubicPolynomial, asymptotic_compare, count_solutions,
                       smallest_solution, symmetrize)
 from cubiclab import counting
-from cubiclab.budget import BudgetExceeded
+from cubiclab.budget import BudgetExceeded, check_budget
 from cubiclab.polynomials import DimensionMismatch, _from_terms, _substitute
 from conftest import (make_diag5m2, make_fermat, make_selmer4,
                       make_triple_product, make_watson5, random_poly)
@@ -41,12 +41,46 @@ def roots_reference(phi, ranges) -> list:
 
 def shell_reference(phi, max_shell: int, start_shell: int = 0) -> tuple:
     """(lexicographically least zero of sup-norm s, s) for the first shell
-    s >= start_shell that has one, by scanning the whole box [-s, s]^n."""
+    s >= start_shell that has one, by scanning the whole box [-s, s]^n:
+    phi mod the prime 2^31 - 1 at every point in numpy, then exactly at the
+    points of sup-norm s where that is 0."""
+    p, n = 2**31 - 1, phi.n
     for s in range(start_shell, max_shell + 1):
-        zeros = [x for x in product(range(-s, s + 1), repeat=phi.n)
-                 if max(map(abs, x)) == s and phi.evaluate(x) == 0]
+        axes = [np.arange(-s, s + 1).reshape((-1,) + (1,) * (n - 1 - i))
+                for i in range(n)]
+        # each term below p, so the sum of the terms cannot wrap int64
+        value = np.zeros((2 * s + 1,) * n, dtype=np.int64)
+        for w, idx in phi.terms():
+            term = np.int64(w % p)
+            for i in idx:
+                term = term * (axes[i] % p) % p
+            value = value + term
+        norm = np.max(np.broadcast_arrays(*map(np.abs, axes)), axis=0)
+        zeros = [x for x in map(tuple, (np.argwhere((value % p == 0)
+                                                    & (norm == s)) - s)
+                                .tolist())
+                 if phi.evaluate(x) == 0]
         if zeros:
             return min(zeros), s
+    return None, None
+
+
+def search_reference(phi, max_shell: int, budget: int,
+                     start_shell: int = 0):
+    """smallest_solution by single shells: each shell s >= 1 from
+    start_shell on is charged its (2s + 1)^(n-1) prefixes, then scanned;
+    (zero, shell), (None, None) when none is found, or the message of the
+    first refused shell."""
+    for s in range(start_shell, max_shell + 1):
+        if s:
+            try:
+                check_budget((2 * s + 1) ** (phi.n - 1), budget,
+                             what="shell search")
+            except BudgetExceeded as exc:
+                return str(exc)
+        found = shell_reference(phi, s, s)
+        if found[0] is not None:
+            return found
     return None, None
 
 
@@ -311,6 +345,17 @@ class TestCountSolutions:
         assert res.count == len(ref)
         assert res.solutions_sample == tuple(ref[:keep])
 
+    def test_sorted_lookups_keep_their_points(self):
+        # x^3 + y^3 + z^3 on [-5, 5]^3 in chunks of 4: the table of x's 11
+        # values is larger than a chunk, so each chunk's keys -(y^3 + z^3),
+        # falling in z, are looked up sorted and must keep their points
+        phi = symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 1})[0]
+        ref = scan_zeros(phi, [range(-5, 6)] * 3)
+        with mock.patch.object(counting, "_CHUNK", 4):
+            res = count_solutions(phi, 5)
+        assert res.count == len(ref) == 31
+        assert res.solutions_sample == tuple(ref)
+
     def test_python_ints_where_int64_wraps(self):
         # 2^61 (x^3 - y^3) is 0 mod 2^64 whenever x^3 = y^3 mod 8, so int64
         # arithmetic would report false zeros such as (2, 0)
@@ -360,9 +405,17 @@ class TestSharedJoin:
         assert res.count == len(ref)
         assert res.solutions_sample == tuple(ref[:keep])
 
+    # x_1^3 + x_1 (y^2 + z^2) + 3 y^3 + 5 z^3, joined over its x_1-fibres,
+    # has no zero but the origin up to shell 9: boxes 1, 2, 4, 8 and 9
+    @example(form=(symmetrize(3, {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1,
+                                  (1, 1, 1): 3, (2, 2, 2): 5})[0], [1, 1]),
+             start=1, max_shell=9, z=[0] * 5)
+    @example(form=(symmetrize(3, {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1,
+                                  (1, 1, 1): 3, (2, 2, 2): 5})[0], [1, 1]),
+             start=5, max_shell=9, z=[9, -4, 2, 0, 0])
     @settings(max_examples=80, deadline=None)
-    @given(hub_forms(heights=[1, 5, 2**70]), st.integers(0, 2),
-           st.integers(0, 2),
+    @given(hub_forms(heights=[1, 5, 2**70]), st.integers(0, 4),
+           st.integers(0, 9),
            st.lists(st.integers(-2, 2), min_size=5, max_size=5))
     def test_search_matches_shell_reference(self, form, start, max_shell,
                                             z):
@@ -443,10 +496,17 @@ class TestSmallestSolution:
     def test_origin(self, fermat):
         assert smallest_solution(fermat, 2).found == (0, 0, 0)
 
+    # x^3 + 2 y^3 + 4 z^3 has no zero but the origin: boxes 1, 2, 4, 8, 9
+    @example(phi=symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 2,
+                                (2, 2, 2): 4})[0],
+             start=1, max_shell=9, z=[0] * 4)
+    @example(phi=symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 2,
+                                (2, 2, 2): 4})[0],
+             start=5, max_shell=9, z=[9, -6, 3, 0])
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 4).flatmap(
                lambda n: lattice_polys(n, heights=[5, 2**70])),
-           st.integers(0, 3), st.integers(0, 3),
+           st.integers(0, 5), st.integers(0, 9),
            st.lists(st.integers(-3, 3), min_size=4, max_size=4))
     def test_matches_shell_reference(self, phi, start, max_shell, z):
         phi = plant_zero(phi, z[:phi.n])
@@ -465,6 +525,63 @@ class TestSmallestSolution:
             smallest_solution(phi, 4, budget=49)
         with pytest.raises(BudgetExceeded):
             smallest_solution(phi, 4, budget=80, start_shell=4)
+
+    def test_budget_at_the_zeros_shell(self):
+        # x^3 + y^3 + z^3 = 36 first has zeros at shell 3, whose box has
+        # 7^2 = 49 prefixes: with that budget box 4 is refused, box 3 walked
+        phi = symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 1},
+                         const=-36)[0]
+        rep = smallest_solution(phi, 5, budget=49)
+        assert (rep.found, rep.shell) == shell_reference(phi, 5)
+        assert rep.shell == 3
+        with pytest.raises(BudgetExceeded, match="needs 49 points"):
+            smallest_solution(phi, 5, budget=48)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([
+               {(0, 0, 0): 2, (1, 1, 1): 2, (2, 2, 2): 2, (): 1},
+               {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 1, (): -36},
+               {(0, 0, 0): 1, (1, 1, 1): -2, (): 5},
+               {(0, 0, 0): 1, (): -125}]),
+           st.integers(0, 6), st.integers(0, 9), st.integers(-1, 400))
+    def test_refusal_matches_shell_loop(self, table, start, max_shell,
+                                        budget):
+        # the first refused shell raises what the shell-by-shell loop
+        # raises, unless the box before it has a zero
+        n = 1 + max(i for idx in table for i in idx)
+        phi = symmetrize(n, {k: v for k, v in table.items() if k},
+                         const=table[()])[0]
+        ref = search_reference(phi, max_shell, budget, start)
+        if isinstance(ref, str):
+            with pytest.raises(BudgetExceeded) as exc:
+                smallest_solution(phi, max_shell, budget=budget,
+                                  start_shell=start)
+            assert str(exc.value) == ref
+        else:
+            rep = smallest_solution(phi, max_shell, budget=budget,
+                                    start_shell=start)
+            assert (rep.found, rep.shell) == ref
+
+    @pytest.mark.parametrize("start", [1, 2, 3, 5, 8])
+    def test_inner_zeros_never_reported(self, fermat, start):
+        # x^3 + y^3 = z^3 has zeros in every shell, the origin among them;
+        # the first box searched holds shells below start too
+        rep = smallest_solution(fermat, start + 3, start_shell=start)
+        assert rep.shell == start
+        assert rep.found == shell_reference(fermat, start, start)[0]
+        assert max(map(abs, rep.found)) == start
+
+    def test_one_join_per_box(self):
+        # 2(x^3 + y^3 + z^3) + 1 is odd: boxes 1, 2, 4, 8, 16, 32 and 40
+        phi = symmetrize(3, {(0, 0, 0): 2, (1, 1, 1): 2, (2, 2, 2): 2},
+                         const=1)[0]
+        with mock.patch.object(counting, "_zeros",
+                               wraps=counting._zeros) as spy:
+            rep = smallest_solution(phi, 40)
+        assert rep.exhausted_to == 40
+        assert spy.call_count <= ceil(log2(40)) + 1
+        assert [call.args[1][0] for call in spy.call_args_list] == [
+            range(-S, S + 1) for S in (1, 2, 4, 8, 16, 32, 40)]
 
     def test_consistent_with_counts(self):
         phi = symmetrize(2, {(0, 0, 0): 1, (1, 1, 1): 1}, const=-9)[0]
