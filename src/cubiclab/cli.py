@@ -23,8 +23,8 @@ from types import SimpleNamespace
 from . import __version__
 from .budget import BudgetExceeded
 from .counting import count_solutions, smallest_solution
-from .exponents import (_frac, solve_parameters, psi_requirement, present,
-                        theorem_exponent_check)
+from .exponents import (solve_parameters, psi_requirement, present,
+                        theorem_exponent_check, unprintable)
 from .invariants import delta, rank_census, psi_good_report
 from .local import ncc_certify, local_report
 from .majorarcs import singular_integral, singular_series
@@ -133,45 +133,20 @@ def cmd_search(phi, args) -> tuple:
     return rep, 0 if rep.found is not None else 2
 
 
-def _digits(flag: str, value, room: int) -> int:
-    """The digits of the larger of value's numerator and denominator, value
-    a Fraction or a numeral as exponents reads it; more than `room`
-    (a numeral longer than int() reads included) refuses the flag."""
-    error = ValueError(f"exponents: {flag}: more than {room} digits in its "
-                       f"numerator or denominator")
-    if isinstance(value, str):
-        try:
-            value = _frac(value)
-        except ValueError:
-            if len(value) <= sys.get_int_max_str_digits():
-                raise
-            raise error from None
-    height = max(abs(value.numerator), value.denominator)
-    if height >= 10 ** room:
-        raise error
-    return len(str(height))
-
-
 def cmd_exponents(phi, args) -> tuple:
     if args.theorem:
         rows = [theorem_exponent_check(n) for n in
                 ([args.n] if args.n else range(14, 101))]
         ok = all(r["ok"] for r in rows)
         return {"rows": rows, "all_ok": ok}, 0 if ok else 2
-    # every exponent and slack is printed whole, and its numerator and
-    # denominator have at most 8 digits more than T's, 16 more than T's and
-    # psi's together, or psi's and delta's, or T's and twice delta's (S4's
-    # requirement is quadratic in delta): a value that int -> str could not
-    # print them for is refused, naming its flag, before any is computed
+    # every exponent and slack is printed whole: a value for which int -> str
+    # could not print them is refused, naming its flag, before any is
+    # computed
     limit = sys.get_int_max_str_digits()
-    if limit:
-        d_T = _digits("--T", args.T, limit - 8)
-        if args.psi is not None:
-            room = max(0, limit - 16 - d_T)
-            d_psi = _digits("--psi", args.psi, room)
-            if args.delta is not None:
-                _digits("--delta", args.delta,
-                        min(room // 2, max(0, limit - 16 - d_psi)))
+    bad = limit and unprintable(limit, args.T, args.psi, args.delta)
+    if bad:
+        raise ValueError(f"exponents: --{bad[0]}: more than {bad[1]} digits "
+                         f"in its numerator or denominator")
     sys_ = solve_parameters(args.T, psi=args.psi, delta=args.delta,
                             n=args.n or 14)
     p = sys_.params

@@ -5,8 +5,8 @@ The zeros are found by a join of two sides whose values must cancel: the
 side with fewer points is evaluated whole and sorted, and the other is
 walked in chunks, each value looked up in that table by searchsorted.  A
 join so costs the points of its two sides plus a sort, not their product.
-Per box (the shell search's boxes [-S, S]^n, S doubling, included) it is
-the cheaper of two:
+Per box (the shell search's growing boxes [-S, S]^n included) it is the
+cheaper of two:
 
 - disjoint: phi(x) = A(x_O) + B(x_L), O the variable block that holds x_1
   and L every other variable (polynomials._x1_split), the pairs of an O
@@ -154,9 +154,8 @@ def _zeros(split: tuple, box: list):
     split is _split(phi), joined as _sides chooses.  The held side's values
     are sorted once and their distinct values tabled with their runs; each
     chunk of the streamed side keeps the values within the table's range,
-    finds each one's run by one searchsorted call (on the chunk's values
-    sorted first, for a table of more values than a chunk has points) and
-    expands the (streamed point, held point) pairs _CHUNK at a time."""
+    finds each one's run by one searchsorted call and expands the
+    (streamed point, held point) pairs _CHUNK at a time."""
     if not all(map(_size, box)):
         return
     sides = [(axes, walk, [box[i] for i in axes])
@@ -181,12 +180,6 @@ def _zeros(split: tuple, box: list):
         if not len(cand):
             continue
         key = flat[cand]
-        if len(table) > _CHUNK:
-            # keys in order share their probes' paths: on diag5m2's 107,787
-            # values that halves the lookups, while on a table no larger
-            # than a chunk (watson5's 13,377) the argsort costs more
-            by = np.argsort(key)
-            cand, key = cand[by], key[by]
         # key <= high, so its place is a place in the table
         place = np.searchsorted(table, key)
         match = table[place] == key
@@ -290,15 +283,19 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
     """First solution in expanding sup-norm shells (within a shell,
     lexicographically smallest), or certified emptiness up to max_shell.
 
-    The shells are searched by whole boxes [-S, S]^n, one join each, S
-    doubling from max(1, 2 (start_shell - 1)) and capped at max_shell: of
-    a box's zeros those of sup-norm at least start_shell count, and the
-    least of them by sup-norm, then lexicographically, is the answer, every
-    box before having held none.  The budget counts the (2s + 1)^(n-1)
-    prefixes of shell s's box, charged shell by shell, in order, before a
-    box is walked; when shell s is refused, box s - 1 is walked first and
-    the refusal stands only if that box has no zero.  max_shell < 0 is
-    refused."""
+    The shells are searched by whole boxes [-S, S]^n, one join each: after
+    box W (at first W = max(start_shell, 1) - 1, walked by no join) S is
+    the largest radius whose (2S + 1)^n points are at most twice box W's,
+    and W + 1 at least, capped at max_shell.  A join's sides are products
+    of powers of 2S + 1 whose exponents sum to at most n, so the box that
+    finds a first zero of shell s costs at most twice box s (doubling S
+    could cost 2^n times).  Of a box's zeros those of sup-norm at least
+    start_shell count, and the least of them by sup-norm, then
+    lexicographically, is the answer, every box before having held none.
+    The budget counts the (2s + 1)^(n-1) prefixes of shell s's box,
+    charged shell by shell, in order, before a box is walked; when shell s
+    is refused, box s - 1 is walked first and the refusal stands only if
+    that box has no zero.  max_shell < 0 is refused."""
     if max_shell < 0:
         raise ValueError("max_shell must be >= 0")
     n, split = phi.n, _split(phi)
@@ -306,7 +303,9 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
         return SearchReport(found=(0,) * n, shell=0, exhausted_to=None)
     walked, refused = max(start_shell, 1) - 1, None
     while walked < max_shell:
-        S = min(max(2 * walked, 1), max_shell)
+        S = walked + 1
+        while S < max_shell and (2 * S + 3) ** n <= 2 * (2 * walked + 1) ** n:
+            S += 1
         for s in range(walked + 1, S + 1):
             try:
                 check_budget((2 * s + 1) ** (n - 1), budget,

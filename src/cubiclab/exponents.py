@@ -14,6 +14,7 @@ instead (P0 >> M^259 for the T=84 chain, P0 >> M^(876(n^2-1)+7) for
 T = 292(n^2-1)).
 """
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -197,6 +198,50 @@ def solve_parameters(T, psi=None, delta=None, n: int = 14) -> ExponentSystem:
                     note="equality by choice of u"))
     return ExponentSystem(T=T, psi=psi, delta=delta, n=n, params=p,
                           tags=tuple(tags))
+
+
+def _digits(x, room: int) -> int | None:
+    """The digits of the larger of x's numerator and denominator, x a
+    Fraction or a numeral as _frac reads it; None past `room` digits, or
+    for a numeral longer than int() reads."""
+    if isinstance(x, str):
+        try:
+            x = _frac(x)
+        except ValueError:
+            if len(x) <= sys.get_int_max_str_digits():
+                raise
+            return None
+    height = max(abs(x.numerator), x.denominator)
+    return len(str(height)) if height < 10 ** room else None
+
+
+def unprintable(limit: int, T, psi=None, delta=None) -> tuple | None:
+    """(name, room) for the first of T, psi and delta whose numerator or
+    denominator has more than `room` digits, so that some value of
+    solve_parameters or psi_requirement could have more than `limit`
+    digits in its numerator or denominator; None when none has.
+
+    Every exponent is linear in T, its coefficients below 10^8, so T may
+    have limit - 8 digits.  A psi tag's slack has at most 16 digits more
+    than T's and psi's together, so psi may have limit - 16 - d(T), d the
+    digits of the larger of a value's numerator and denominator; delta
+    sits beside psi in S1 and enters S4's requirement squared beside T, so
+    it may have the smaller of limit - 16 - d(psi) and
+    (limit - 16 - d(T)) / 2.  Without psi no tag reads delta."""
+    room = limit - 8
+    d_T = _digits(T, room)
+    if d_T is None:
+        return "T", room
+    if psi is None:
+        return None
+    room = max(0, limit - 16 - d_T)
+    d_psi = _digits(psi, room)
+    if d_psi is None:
+        return "psi", room
+    if delta is None:
+        return None
+    room = min(room // 2, max(0, limit - 16 - d_psi))
+    return ("delta", room) if _digits(delta, room) is None else None
 
 
 def psi_requirement(T, delta=None) -> dict:

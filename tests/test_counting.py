@@ -3,7 +3,7 @@ comparison table."""
 
 import random
 from itertools import combinations_with_replacement, product
-from math import ceil, log2, prod
+from math import prod
 from unittest import mock
 
 import numpy as np
@@ -345,17 +345,6 @@ class TestCountSolutions:
         assert res.count == len(ref)
         assert res.solutions_sample == tuple(ref[:keep])
 
-    def test_sorted_lookups_keep_their_points(self):
-        # x^3 + y^3 + z^3 on [-5, 5]^3 in chunks of 4: the table of x's 11
-        # values is larger than a chunk, so each chunk's keys -(y^3 + z^3),
-        # falling in z, are looked up sorted and must keep their points
-        phi = symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 1})[0]
-        ref = scan_zeros(phi, [range(-5, 6)] * 3)
-        with mock.patch.object(counting, "_CHUNK", 4):
-            res = count_solutions(phi, 5)
-        assert res.count == len(ref) == 31
-        assert res.solutions_sample == tuple(ref)
-
     def test_python_ints_where_int64_wraps(self):
         # 2^61 (x^3 - y^3) is 0 mod 2^64 whenever x^3 = y^3 mod 8, so int64
         # arithmetic would report false zeros such as (2, 0)
@@ -406,7 +395,7 @@ class TestSharedJoin:
         assert res.solutions_sample == tuple(ref[:keep])
 
     # x_1^3 + x_1 (y^2 + z^2) + 3 y^3 + 5 z^3, joined over its x_1-fibres,
-    # has no zero but the origin up to shell 9: boxes 1, 2, 4, 8 and 9
+    # has no zero but the origin up to shell 9, which boxes 1 to 9 walk
     @example(form=(symmetrize(3, {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1,
                                   (1, 1, 1): 3, (2, 2, 2): 5})[0], [1, 1]),
              start=1, max_shell=9, z=[0] * 5)
@@ -496,7 +485,7 @@ class TestSmallestSolution:
     def test_origin(self, fermat):
         assert smallest_solution(fermat, 2).found == (0, 0, 0)
 
-    # x^3 + 2 y^3 + 4 z^3 has no zero but the origin: boxes 1, 2, 4, 8, 9
+    # x^3 + 2 y^3 + 4 z^3 has no zero but the origin up to shell 9
     @example(phi=symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 2,
                                 (2, 2, 2): 4})[0],
              start=1, max_shell=9, z=[0] * 4)
@@ -527,15 +516,14 @@ class TestSmallestSolution:
             smallest_solution(phi, 4, budget=80, start_shell=4)
 
     def test_budget_at_the_zeros_shell(self):
-        # x^3 + y^3 + z^3 = 36 first has zeros at shell 3, whose box has
-        # 7^2 = 49 prefixes: with that budget box 4 is refused, box 3 walked
-        phi = symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 1},
-                         const=-36)[0]
-        rep = smallest_solution(phi, 5, budget=49)
-        assert (rep.found, rep.shell) == shell_reference(phi, 5)
-        assert rep.shell == 3
-        with pytest.raises(BudgetExceeded, match="needs 49 points"):
-            smallest_solution(phi, 5, budget=48)
+        # x^3 + y^3 = 341 = 6^3 + 5^3 first has zeros at shell 6, whose box
+        # has 13 prefixes; in two variables box 7 follows box 5, and with
+        # that budget shell 7 is refused, so box 6 is walked
+        phi = symmetrize(2, {(0, 0, 0): 1, (1, 1, 1): 1}, const=-341)[0]
+        rep = smallest_solution(phi, 9, budget=13)
+        assert (rep.found, rep.shell) == shell_reference(phi, 9) == ((5, 6), 6)
+        with pytest.raises(BudgetExceeded, match="needs 13 points"):
+            smallest_solution(phi, 9, budget=12)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([
@@ -571,17 +559,41 @@ class TestSmallestSolution:
         assert rep.found == shell_reference(fermat, start, start)[0]
         assert max(map(abs, rep.found)) == start
 
-    def test_one_join_per_box(self):
-        # 2(x^3 + y^3 + z^3) + 1 is odd: boxes 1, 2, 4, 8, 16, 32 and 40
-        phi = symmetrize(3, {(0, 0, 0): 2, (1, 1, 1): 2, (2, 2, 2): 2},
-                         const=1)[0]
+    @staticmethod
+    def boxes(phi, max_shell):
+        """The search's answer and the radii of the boxes it joins."""
         with mock.patch.object(counting, "_zeros",
                                wraps=counting._zeros) as spy:
-            rep = smallest_solution(phi, 40)
+            rep = smallest_solution(phi, max_shell)
+        radii = [call.args[1][0].stop - 1 for call in spy.call_args_list]
+        assert [call.args[1] for call in spy.call_args_list] == [
+            [range(-S, S + 1)] * phi.n for S in radii]
+        return rep, radii
+
+    def test_one_join_per_box(self):
+        # 2(x^3 + y^3 + z^3) + 1 is odd, so every box is walked: each the
+        # largest whose (2S + 1)^3 points are at most twice the last's, or
+        # one radius larger, the last capped at 40
+        phi = symmetrize(3, {(0, 0, 0): 2, (1, 1, 1): 2, (2, 2, 2): 2},
+                         const=1)[0]
+        rep, radii = self.boxes(phi, 40)
         assert rep.exhausted_to == 40
-        assert spy.call_count <= ceil(log2(40)) + 1
-        assert [call.args[1][0] for call in spy.call_args_list] == [
-            range(-S, S + 1) for S in (1, 2, 4, 8, 16, 32, 40)]
+        assert radii == [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 19, 24, 30, 37,
+                         40]
+        for W, S in zip([0] + radii, radii):
+            assert S == W + 1 or (2 * S + 1) ** 3 <= 2 * (2 * W + 1) ** 3
+            assert S == 40 or (2 * S + 3) ** 3 > 2 * (2 * W + 1) ** 3
+
+    def test_zero_past_a_box_costs_at_most_twice_its_shell(self):
+        # x^3 + 2 y^3 + 3 z^3 + 12 xyz + 239 is connected, so a box's join
+        # walks every point of it; its first zero, (9, -4, 2), lies just
+        # past box 8, and box 10 finds it with 21^3 <= 2 * 19^3 points
+        # (box 16 would walk 33^3, five times box 9)
+        phi = symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 2, (2, 2, 2): 3,
+                             (0, 1, 2): 12}, const=239)[0]
+        rep, radii = self.boxes(phi, 40)
+        assert (rep.found, rep.shell) == ((9, -4, 2), 9)
+        assert radii == [1, 2, 3, 4, 5, 6, 7, 8, 10]
 
     def test_consistent_with_counts(self):
         phi = symmetrize(2, {(0, 0, 0): 1, (1, 1, 1): 1}, const=-9)[0]

@@ -5,12 +5,12 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubiclab import (ExponentSystem, paper_exponents, psi_requirement,
                       solve_parameters, theorem_exponent_check,
                       threshold_profile)
-from cubiclab.exponents import _frac, present, thresholds
+from cubiclab.exponents import _frac, present, thresholds, unprintable
 
 
 T84 = Fraction(84)
@@ -171,6 +171,61 @@ class TestPsiRequirement:
             binding = max(want, key=lambda k: want[k])
             assert (req["binding"], req["psi_min"]) == (binding,
                                                        want[binding])
+
+
+def height_digits(x: Fraction) -> int:
+    return len(str(max(abs(x.numerator), x.denominator)))
+
+
+@st.composite
+def with_digits(draw, room: int, near=None):
+    """A Fraction whose larger of numerator and denominator has at most
+    `room` digits, often exactly: drawn whole, or for `near` (2 or 7/3)
+    one time in two near + 1/(3m) or near - 1/(3m), inside (2, 7/3)."""
+    digits = draw(st.one_of(st.just(room), st.integers(1, room)))
+    if near is not None and draw(st.booleans()):
+        m = draw(st.integers(1, max(1, 10 ** max(0, digits - 2) - 1)))
+        return near + Fraction(1 if near == 2 else -1, 3 * m)
+    big = draw(st.integers(10 ** (digits - 1), 10 ** digits - 1))
+    small = draw(st.integers(1, 10 ** digits - 1))
+    x = Fraction(*draw(st.permutations([big, small])))
+    return x if draw(st.booleans()) else -x
+
+
+class TestUnprintable:
+    @settings(max_examples=300)
+    @given(st.data(), st.integers(40, 400))
+    def test_every_value_fits_at_the_rooms(self, data, limit):
+        # inputs drawn up to the rooms unprintable grants (read off by
+        # passing it a value past every room) give exponents, tags, slacks
+        # and psi minima of at most `limit` digits
+        past = Fraction(10 ** limit)
+
+        def within(*args, near=None):
+            room = unprintable(limit, *args, past)[1]
+            return data.draw(with_digits(room, near)) if room else None
+
+        T = within()
+        psi = within(T)
+        delta = psi and within(T, psi, near=data.draw(
+            st.sampled_from([2, Fraction(7, 3)])))
+        assert unprintable(limit, T, psi, delta) is None
+        system = solve_parameters(T, psi=psi, delta=delta)
+        values = list(system.params.values()) + [
+            v for t in system.tags for v in (t.lhs, t.rhs, t.slack)]
+        if psi is not None:
+            req = psi_requirement(T, delta=delta)
+            values += list(req["per_tag"].values())
+        assert max(height_digits(v) for v in values if v is not None) <= limit
+
+    def test_first_past_its_room_is_named(self):
+        assert unprintable(100, Fraction(10**92)) == ("T", 92)
+        assert unprintable(100, Fraction(10**92 - 1)) is None
+        assert unprintable(100, Fraction(84), psi="1e82") == ("psi", 82)
+        assert unprintable(100, Fraction(84), "30", "1e41") == ("delta", 41)
+        assert unprintable(100, Fraction(84), "30", "1e40") is None
+        # delta without psi is read by no tag
+        assert unprintable(100, Fraction(84), None, "1e500") is None
 
 
 class TestTheoremExponent:
