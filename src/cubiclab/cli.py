@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 mathematical negative result (NCC violation,
 failed assumption tags, exhausted search), 1 operational error (bad input,
-budget exceeded).  Output is JSON by default (--csv for tabular commands);
-exact rationals are serialized as strings "p/q".
+budget exceeded).  Output is JSON, or CSV rows under --csv (census, probe
+and exponents --theorem); exact rationals are serialized as strings "p/q".
 
 Each `cmd_*` handler takes the loaded --poly (None for exponents) and the
 parsed arguments and returns (result, exit code); `main` alone parses,
@@ -25,7 +25,8 @@ from .budget import BudgetExceeded
 from .counting import count_solutions, smallest_solution
 from .exponents import (solve_parameters, psi_requirement, present,
                         theorem_exponent_check, unprintable)
-from .invariants import delta, rank_census, psi_good_report
+from .invariants import (delta, rank_census, psi_good_report,
+                         regularized_ratio)
 from .local import ncc_certify, local_report
 from .majorarcs import singular_integral, singular_series
 from .nt import ceil_fraction
@@ -54,9 +55,8 @@ def _ser(obj):
 
 def _manifest(args) -> dict:
     inputs = {k: v for k, v in vars(args).items()
-              if k not in ("func", "csv") and v is not None}
+              if k not in ("command", "func", "csv") and v is not None}
     return {"command": args.command, "inputs": _ser(inputs),
-            "seed": getattr(args, "seed", None),
             "versions": {"cubiclab": __version__}}
 
 
@@ -65,25 +65,18 @@ def _load_poly(path: str) -> CubicPolynomial:
         return CubicPolynomial.from_json_dict(json.load(fh))
 
 
-def _load_box(path: str | None, n: int):
-    if path is None:
-        return [(1.0, 3.0)] * n
+def _load_box(path: str) -> list:
     with open(path) as fh:
         d = json.load(fh)
-    if "bounds" in d:
-        bounds = [tuple(b) for b in d["bounds"]]
-    elif "center" in d:
-        w = d.get("width", 1.0)
-        bounds = [(c - w, c + w) for c in d["center"]]
-    else:
-        raise ValueError("box JSON: need field 'bounds' or 'center'")
-    return bounds
+    if "bounds" not in d:
+        raise ValueError("box JSON: need field 'bounds'")
+    return [tuple(b) for b in d["bounds"]]
 
 
 def _emit(result, args) -> None:
     """The rows as CSV under --csv, else the payload as strict JSON (a NaN
     or an infinity raises ValueError before anything is printed)."""
-    if args.csv and "rows" in result:
+    if getattr(args, "csv", False):
         rows = result["rows"]
         if rows:
             cols = list(rows[0])
@@ -119,12 +112,13 @@ def cmd_series(phi, args) -> tuple:
 
 
 def cmd_integral(phi, args) -> tuple:
-    return singular_integral(phi, _load_box(args.box, phi.n), args.Z,
-                             budget=args.budget, seed=args.seed), 0
+    box = _load_box(args.box) if args.box else [(1.0, 3.0)] * phi.n
+    return singular_integral(phi, box, args.Z, budget=args.budget,
+                             seed=args.seed), 0
 
 
 def cmd_count(phi, args) -> tuple:
-    box = _load_box(args.box, phi.n) if args.box else None
+    box = _load_box(args.box) if args.box else None
     return count_solutions(phi, args.P, box=box, budget=args.budget), 0
 
 
@@ -135,10 +129,14 @@ def cmd_search(phi, args) -> tuple:
 
 def cmd_exponents(phi, args) -> tuple:
     if args.theorem:
+        if args.psi is not None or args.delta is not None:
+            raise ValueError("--theorem reads neither --psi nor --delta")
         rows = [theorem_exponent_check(n) for n in
                 ([args.n] if args.n else range(14, 101))]
         ok = all(r["ok"] for r in rows)
         return {"rows": rows, "all_ok": ok}, 0 if ok else 2
+    if args.csv:
+        raise ValueError("--csv needs --theorem: only its rows are tabular")
     # every exponent and slack is printed whole: a value for which int -> str
     # could not print them is refused, naming its flag, before any is
     # computed
@@ -171,7 +169,7 @@ def cmd_census(phi, args) -> tuple:
         return rep, 0 if rep["verdict"] == "consistent" else 2
     census = rank_census(C, args.H, p=args.p, budget=args.budget)
     return {"rows": [{"H": census.H, "r": r, "count": c,
-                      "ratio": c / census.H ** max(r, phi.n - 14 + r)}
+                      "ratio": regularized_ratio(c, census.H, phi.n, r)}
                      for r, c in sorted(census.counts.items())]}, 0
 
 
@@ -184,17 +182,17 @@ def cmd_probe(phi, args) -> tuple:
 
 
 def _with_poly(*specs) -> tuple:
-    """The --poly, --budget and --csv specs, then a command's own."""
-    return (("--poly", {"required": True}),
-            ("--budget", {"type": int, "default": None}),
-            ("--csv", {"action": "store_true"})) + specs
+    """The --poly and --budget specs, then a command's own."""
+    return (_POLY, ("--budget", {"type": int, "default": None})) + specs
 
 
+_POLY = ("--poly", {"required": True})
+_CSV = ("--csv", {"action": "store_true"})
 # command name -> (handler, (flag, keywords) in help order); the keywords are
 # type, choices, required, default and action="store_true" (a flag that
 # takes no value), as parse_args reads them
 COMMANDS = {
-    "analyze": (cmd_analyze, _with_poly()),
+    "analyze": (cmd_analyze, (_POLY,)),
     "ncc": (cmd_ncc, _with_poly(("--p0", {"type": int, "required": True}))),
     "densities": (cmd_densities, _with_poly(
         ("--p", {"type": int, "required": True}),
@@ -218,12 +216,14 @@ COMMANDS = {
         ("--delta", {"default": None}),
         ("--theorem", {"choices": ["h14"], "default": None}),
         ("--n", {"type": int, "default": None}),
-        ("--csv", {"action": "store_true"}))),
+        _CSV)),
     "census": (cmd_census, _with_poly(
+        _CSV,
         ("--H", {"type": int, "required": True}),
         ("--p", {"type": int, "default": None}),
         ("--psi-report", {"action": "store_true"}))),
     "probe": (cmd_probe, _with_poly(
+        _CSV,
         ("--q", {"type": int, "required": True}),
         ("--a", {"type": int, "required": True}),
         ("--theta", {"type": float, "default": 0.0}),

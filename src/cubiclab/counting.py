@@ -204,7 +204,6 @@ def _zeros(split: tuple, box: list):
 class CountResult:
     P: int
     count: int
-    prediction: float | None = None
     solutions_sample: tuple = ()
 
 

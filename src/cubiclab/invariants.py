@@ -184,6 +184,11 @@ def rank_census(C: CubicPolynomial, H: int, p: int | None = None,
                       counts={r: int(c) for r, c in enumerate(counts) if c})
 
 
+def regularized_ratio(count: int, H: int, n: int, r: int) -> float:
+    """A rank-r count over |x| < H in n variables / H^max(r, n-14+r)."""
+    return count / H ** max(r, n - 14 + r)
+
+
 def psi_good_report(C: CubicPolynomial, H_max: int,
                     budget: int | None = None) -> dict:
     """Rank-census growth diagnostic over doubling box sizes.
@@ -208,7 +213,7 @@ def psi_good_report(C: CubicPolynomial, H_max: int,
                 continue
             c = census.counts[r]
             raw = c / H ** (n - 14 + r)
-            reg = c / H ** max(r, n - 14 + r)
+            reg = regularized_ratio(c, H, n, r)
             if reg > _PSI_BOUND_CONST:
                 consistent = False
             rows.append({"H": H, "r": r, "count": c,

@@ -43,7 +43,7 @@ from .invariants import siegel_solve, FullRankError
 from .local import local_factor, ncc_certify, ncc_levels
 from .nt import primes_up_to
 from .polynomials import (CubicPolynomial, _eval_terms, _variable_blocks,
-                          _x1_split)
+                          _x1_split, transform)
 
 _CALIBRATION = 1e3  # frozen slack of real_point's xi bracket
 _MAX_A_LOG2 = 10  # build_box gives up beyond A = 2^10
@@ -58,16 +58,16 @@ class RealPoint:
     point: tuple             # z~ with C(z~) = 0
     xi: float | None = None  # positive real root of a xi^3 + F2 xi + F3
     derivatives: tuple = ()  # grad C at the point
-    bracket: tuple | None = None   # (lower, upper) reference for xi
 
 
-def real_point(C: CubicPolynomial, mode: str = "n-variable",
-               h: int | None = None) -> RealPoint:
+def real_point(C: CubicPolynomial, h: int | None = None) -> RealPoint:
     """Constructive zero of C with large first partial derivative.
 
-    Requires the leading normalization c_111 > 0.  Finds an integer y != 0
-    with F1(y) = 0 (Siegel), exits early with the integer solution (0, y)
-    when F3(y) = 0, otherwise flips signs so F3(y) <= -1 and solves
+    Requires the leading normalization c_111 > 0.  Without h it returns an
+    integer zero from the first shells if they hold one; h, the h-invariant,
+    skips that search and brackets xi by h in place of n.  Finds an integer
+    y != 0 with F1(y) = 0 (Siegel), exits early with the integer solution
+    (0, y) when F3(y) = 0, otherwise flips signs so F3(y) <= -1 and solves
     a xi^3 + F2(y) xi + F3(y) = 0 for its smallest positive real root.
     Only positivity of the derivative and the xi bracket (up to the frozen
     calibration constant) are asserted; achieved values are reported.
@@ -80,10 +80,9 @@ def real_point(C: CubicPolynomial, mode: str = "n-variable",
         raise ValueError("normalization c_111 > 0 required (run normalize_leading)")
     if n < 2:
         raise ValueError("real_point needs n >= 2")
-    if mode == "n-variable":
-        # early exit: scan for a small nonzero integer solution first
-        M0 = max(C.height, 2)
-        shell_cap = max(1, int(round(M0 ** (1.0 / max(n - 2, 1)))) + 1)
+    M = max(C.height, 2)
+    if h is None:
+        shell_cap = max(1, int(round(M ** (1.0 / max(n - 2, 1)))) + 1)
         rep = smallest_solution(C, shell_cap, start_shell=1)
         if rep.found is not None:
             grad = C.gradient(list(rep.found))
@@ -122,18 +121,13 @@ def real_point(C: CubicPolynomial, mode: str = "n-variable",
             break
     z = (xi, *(float(v) for v in y))
     grad = [float(g) for g in C.gradient(z)]
-    d1 = grad[0]
-    assert d1 > 0, "first partial derivative must be positive at the point"
-    hh = h if (mode == "h-invariant" and h) else n
-    M = max(C.height, 2)
-    if hh > 2:
+    assert grad[0] > 0, "first partial derivative must be positive at the point"
+    hh = h or n
+    if hh > 2:  # the bracket's exponent degenerates at h <= 2
         lo = M ** (-1.0 - 2.0 / (hh - 2)) / _CALIBRATION
         hi = M ** (1.0 / (hh - 2)) * _CALIBRATION
         assert lo <= xi <= hi, f"xi = {xi} outside calibrated bracket [{lo}, {hi}]"
-    else:
-        lo = hi = None  # bracket exponent degenerates at h <= 2
-    return RealPoint(kind="real", point=z, xi=xi, derivatives=tuple(grad),
-                     bracket=(lo, hi) if lo is not None else None)
+    return RealPoint(kind="real", point=z, xi=xi, derivatives=tuple(grad))
 
 
 # -- box construction with certified floors ---------------------------------
@@ -678,23 +672,25 @@ def singular_series(phi: CubicPolynomial, P0: int, mode: str = "both",
 
 def asymptotic_compare(phi: CubicPolynomial, box, P_list, P0: int, Z: float,
                        budget: int | None = None) -> list:
-    """Rows (P, N(P), prediction frak-S(P0) * I(Z) * P^(n-3), ratio).
-
-    Purely diagnostic: the theorem's regime is far beyond enumeration, so
-    no assertion is made about the ratios.
-    """
+    """Rows (P, N(P) over P*B, J, J's error, S(P0) * J * P^(n-3), ratio):
+    S(P0) the Euler product, 0 under an NCC violation, and J the singular
+    integral int_B 2 Z sinc(2 Z phi(P x)/P^3) dx of P*B's integrand, which
+    tends to the cubic part's as P grows, computed as P^3 I_{phi(P x)}(Z/P^3)
+    (the error times P^3, at tolerance 1e-8/P^3).  Purely diagnostic: no
+    assertion is made about the ratios."""
     n = phi.n
-    cert = ncc_certify(phi, P0, budget)
-    if cert.status == "violation":
-        series_val = Fraction(0)
-        integral = {"value": 0.0}
-    else:
-        series_val = singular_series(phi, P0, mode="euler", budget=budget).value
-        integral = singular_integral(phi, box, Z, budget=budget)
+    violated = ncc_certify(phi, P0, budget).status == "violation"
+    series_val = 0.0 if violated else float(singular_series(
+        phi, P0, mode="euler", budget=budget).value)
     rows = []
     for P in P_list:
-        res = count_solutions(phi, P, box=box, budget=budget)
-        pred = float(series_val) * integral["value"] * float(P) ** (n - 3)
-        rows.append({"P": P, "count": res.count, "prediction": pred,
-                     "ratio": res.count / pred if pred else None})
+        count = count_solutions(phi, P, box=box, budget=budget).count
+        scaled = transform(phi, [[P * (i == j) for j in range(n)]
+                                 for i in range(n)])
+        J = singular_integral(scaled, box, Z / P**3, tol=1e-8 / P**3,
+                              budget=budget)
+        pred = series_val * P**3 * J["value"] * float(P) ** (n - 3)
+        rows.append({"P": P, "count": count, "J": P**3 * J["value"],
+                     "J_error": P**3 * J["error"], "prediction": pred,
+                     "ratio": count / pred if pred else None})
     return rows

@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, JSON/CSV output, serialization of
 exact rationals, and manifest determinism."""
 
+import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -81,8 +84,8 @@ class TestAnalyze:
         assert res["n"] == 3 and res["is_form"] is True
         assert res["delta_C"] == 1 and res["delta_phi"] == 0
         assert payload["manifest"]["command"] == "analyze"
-        assert set(payload["manifest"]) == {"command", "inputs", "seed",
-                                            "versions"}
+        assert set(payload["manifest"]) == {"command", "inputs", "versions"}
+        assert payload["manifest"]["inputs"] == {"poly": fermat_json}
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, ["analyze", "--poly", "/nonexistent.json"])
@@ -315,6 +318,20 @@ class TestExponents:
         assert lines[0].split(",")[0] == "n"
         assert lines[1].split(",")[0] == "14"
 
+    @pytest.mark.parametrize("argv", [["--psi", "5"], ["--delta", "2.2"],
+                                      ["--psi", "5", "--delta", "2.2"]])
+    def test_theorem_refuses_psi_and_delta(self, capsys, argv):
+        # the h14 rows read neither: a given value would change nothing
+        err = refused(capsys, ["exponents", "--theorem", "h14", *argv])
+        assert err == "error: --theorem reads neither --psi nor --delta\n"
+
+    @pytest.mark.parametrize("argv", [[], ["--T", "84", "--psi", "30"]])
+    def test_csv_needs_theorem(self, capsys, argv):
+        # only the theorem check prints rows
+        err = refused(capsys, ["exponents", *argv, "--csv"])
+        assert err == ("error: --csv needs --theorem: only its rows are "
+                       "tabular\n")
+
     def test_huge_T_prints_every_digit(self, capsys):
         # 29-digit exponents: past the 28 digits of a default Decimal
         code, out = run(capsys, ["exponents", "--T", "1e27"])
@@ -524,7 +541,7 @@ class TestDeterminism:
         _, out1 = run(capsys, argv)
         _, out2 = run(capsys, argv)
         assert out1 == out2
-        assert json.loads(out1)["manifest"]["seed"] == 11
+        assert json.loads(out1)["manifest"]["inputs"]["seed"] == 11
 
     @pytest.mark.parametrize("argv", [["count", "--P", "10"],
                                       ["search", "--max-shell", "3"]])
@@ -606,10 +623,14 @@ class TestParser:
 
     def test_usage_lines(self):
         assert usage("count") == ("cubiclab count --poly POLY --P P "
-                                  "[--budget BUDGET] [--csv] [--box BOX]")
+                                  "[--budget BUDGET] [--box BOX]")
         assert usage("series") == (
-            "cubiclab series --poly POLY --p0 P0 [--budget BUDGET] [--csv] "
+            "cubiclab series --poly POLY --p0 P0 [--budget BUDGET] "
             "[--mode {euler,qsum,both}]")
+        assert usage("analyze") == "cubiclab analyze --poly POLY"
+        assert usage("census") == ("cubiclab census --poly POLY --H H "
+                                   "[--budget BUDGET] [--csv] [--p P] "
+                                   "[--psi-report]")
         assert usage("search").endswith("[--max-shell MAX_SHELL]")
 
     def test_a_named_command_builds_one_parser(self, monkeypatch,
@@ -637,8 +658,8 @@ class TestParser:
     @pytest.mark.parametrize("argv,error", [
         (["search", "--poly", "f", "--max", "3"],
          "search: unrecognized argument '--max'"),
-        (["count", "--poly", "f", "--P", "1", "--csv=yes"],
-         "count: --csv takes no value"),
+        (["census", "--poly", "f", "--H", "1", "--csv=yes"],
+         "census: --csv takes no value"),
         (["count", "--poly", "f", "--P", "--csv"],
          "count: --P: expected a value"),
         (["count", "--poly", "f", "--P", "abc"],
@@ -713,7 +734,10 @@ def defective_lines(draw):
     flags = [g[0].partition("=")[0] for g in groups]
     valued = [i for i, f in enumerate(flags)
               if specs[f].get("action") != "store_true"]
-    defects = ["unknown flag", "store_true value"]
+    toggles = [f for f, kw in specs.items() if kw.get("action") == "store_true"]
+    defects = ["unknown flag"]
+    if toggles:
+        defects.append("store_true value")
     if any(kw.get("required") for kw in specs.values()):
         defects.append("dropped required flag")
     if valued:
@@ -729,7 +753,8 @@ def defective_lines(draw):
                                       else "--H=3"]))
         groups.insert(draw(st.integers(0, len(groups))), [bogus])
     elif defect == "store_true value":
-        groups.insert(draw(st.integers(0, len(groups))), ["--csv=1"])
+        groups.insert(draw(st.integers(0, len(groups))),
+                      [draw(st.sampled_from(toggles)) + "=1"])
     elif defect == "dropped required flag":
         required = [f for f, kw in specs.items() if kw.get("required")]
         drop = draw(st.sampled_from(required))
@@ -760,7 +785,7 @@ def record_handlers(mp):
 
     def record(phi, args):
         calls.append(args)
-        return {}, 0
+        return {"rows": []}, 0  # rows, for the lines that give --csv
 
     for name, (_, specs) in list(COMMANDS.items()):
         mp.setitem(COMMANDS, name, (record, specs))
@@ -894,3 +919,34 @@ class TestStrictJson:
         result, code = args.func(cli._load_poly(fermat_json), args)
         assert code == 0 and result.count == 61
         assert capsys.readouterr() == ("", "")
+
+
+class TestEveryFlagIsLive:
+    # a flag a command offers changes what it does: its handler reads it,
+    # and --csv, which _emit reads, prints the rows as CSV
+    CSV_CASES = {**TestStrictJson.CASES,
+                 "exponents": (None, ["--theorem", "h14", "--n", "14"])}
+
+    @pytest.mark.parametrize("cmd", list(COMMANDS))
+    def test_handler_reads_every_flag(self, cmd):
+        func, specs = COMMANDS[cmd]
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        offered = {cli._dest(flag) for flag, _ in specs} - {"poly", "csv"}
+        assert offered <= read, sorted(offered - read)
+
+    @pytest.mark.parametrize("cmd", [name for name, (_, specs) in
+                                     COMMANDS.items() if "--csv" in dict(specs)])
+    def test_csv_prints_rows(self, capsys, request, cmd):
+        poly, tail = self.CSV_CASES[cmd]
+        if poly:
+            tail = ["--poly", request.getfixturevalue(poly), *tail]
+        code = main([cmd, *tail, "--csv"])
+        out, err = capsys.readouterr()
+        assert code in (0, 2) and not err
+        lines = out.splitlines()
+        assert len(lines) >= 2 and not out.startswith("{")
+        width = lines[0].count(",")
+        assert width and all(line.count(",") == width for line in lines)

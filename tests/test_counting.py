@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cubiclab import (CubicPolynomial, asymptotic_compare, count_solutions,
-                      smallest_solution, symmetrize)
+                      singular_series, smallest_solution, symmetrize)
 from cubiclab import counting
 from cubiclab.budget import BudgetExceeded, check_budget
 from cubiclab.polynomials import DimensionMismatch, _from_terms, _substitute
@@ -624,6 +624,27 @@ class TestAsymptoticCompare:
         for row in rows:
             assert row["prediction"] > 0
             assert row["count"] >= 0
+
+    def test_diag5m2_integrates_the_box_integrand(self, diag5m2):
+        # N(P) counts P*B, whose integrand is phi(P x)/P^3 = C(x) - 2/P^3:
+        # J at P = 30 matches an independent Monte-Carlo of
+        # int_B 2 Z sinc(2 Z (C(x) - 2/P^3)) dx, not phi's own integral
+        # (the P = 1 integrand, 1.03 here)
+        box, P, Z = [(-1.0, 1.0)] * 5, 30, 16.0
+        [row] = asymptotic_compare(diag5m2, box, [P], P0=10, Z=Z,
+                                   budget=10**9)
+        rng = np.random.default_rng(2026)
+        vals = np.concatenate([
+            2 * Z * np.sinc(2 * Z * ((x**3).sum(axis=1) - 2 / P**3))
+            for x in (rng.uniform(-1.0, 1.0, (200_000, 5)) for _ in range(5))])
+        vals *= 2.0**5  # the box's volume
+        ref, se = vals.mean(), vals.std(ddof=1) / np.sqrt(vals.size)
+        assert row["J_error"] > 0 and se > 0
+        assert abs(row["J"] - ref) <= 4 * np.hypot(row["J_error"], se)
+        assert 15 < row["J"] < 18
+        series = singular_series(diag5m2, 10, mode="euler").value
+        assert row["prediction"] == pytest.approx(
+            float(series) * row["J"] * P**2, rel=1e-12)
 
     def test_nested_monotone(self, fermat):
         c1 = count_solutions(fermat, 5).count

@@ -49,7 +49,7 @@ class TestRealPoint:
     def test_real_branch_two_variable_toy(self):
         # 2 x^3 + 3 x y^2 - y^3 has no small integer zero: real branch
         C, _ = symmetrize(2, {(0, 0, 0): 2, (0, 1, 1): 3, (1, 1, 1): -1})
-        rp = real_point(C, mode="h-invariant", h=3)
+        rp = real_point(C, h=3)
         assert rp.kind == "real"
         x = rp.point
         val = evaluate_array(C, [np.asarray(float(v)) for v in x]).item()
@@ -60,14 +60,13 @@ class TestRealPoint:
     def test_normalization_required(self):
         C, _ = symmetrize(2, {(0, 0, 0): -1, (1, 1, 1): -2})
         with pytest.raises(ValueError):
-            real_point(C, mode="h-invariant")
+            real_point(C)
 
 
 def _certified_boxes():
     """(C, box) for the toy form, fermat (an axis through 0) and selmer4."""
     toy, _ = symmetrize(2, {(0, 0, 0): 2, (0, 1, 1): 3, (1, 1, 1): -1})
-    out = [(toy, build_box(toy, real_point(toy, mode="h-invariant",
-                                           h=3).point))]
+    out = [(toy, build_box(toy, real_point(toy, h=3).point))]
     for C in (make_fermat(), make_selmer4()):
         out.append((C, build_box(C, real_point(C).point)))
     return out
@@ -79,7 +78,7 @@ _BOXES = _certified_boxes()
 class TestBuildBox:
     def test_toy_box_certified(self):
         C, _ = symmetrize(2, {(0, 0, 0): 2, (0, 1, 1): 3, (1, 1, 1): -1})
-        rp = real_point(C, mode="h-invariant", h=3)
+        rp = real_point(C, h=3)
         box = build_box(C, rp.point)
         assert isinstance(box, BoxRegion)
         assert box.width == 1.0
