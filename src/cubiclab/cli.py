@@ -143,8 +143,8 @@ def cmd_exponents(phi, args) -> tuple:
     limit = sys.get_int_max_str_digits()
     bad = limit and unprintable(limit, args.T, args.psi, args.delta)
     if bad:
-        raise ValueError(f"exponents: --{bad[0]}: more than {bad[1]} digits "
-                         f"in its numerator or denominator")
+        raise ValueError(f"--{bad[0]}: more than {bad[1]} digits in its "
+                         f"numerator or denominator")
     sys_ = solve_parameters(args.T, psi=args.psi, delta=args.delta,
                             n=args.n or 14)
     p = sys_.params
@@ -318,6 +318,7 @@ def main(argv=None) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print("usage: " + "\n       ".join(map(usage, COMMANDS)))
         return 0 if argv else 1
+    args = None
     try:
         args = parse_args(argv)
         if args is None:
@@ -328,7 +329,9 @@ def main(argv=None) -> int:
         _emit(_ser(result), args)
         return code
     except (ValueError, OSError, BudgetExceeded, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the parser's own errors name the command where there is one
+        where = f"{args.command}: " if args else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
 
 

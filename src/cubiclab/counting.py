@@ -5,27 +5,23 @@ The zeros are found by a join of two sides whose values must cancel: the
 side with fewer points is evaluated whole and sorted, and the other is
 walked in chunks, each value looked up in that table by searchsorted.  A
 join so costs the points of its two sides plus a sort, not their product.
-Per box (the shell search's growing boxes [-S, S]^n included) it is the
-cheaper of two:
 
-- disjoint: phi(x) = A(x_O) + B(x_L), O the variable block that holds x_1
-  and L every other variable (polynomials._x1_split), the pairs of an O
-  point and an L point with A = -B, for |O box| + |L box| points; a
-  connected phi has L empty and B = 0;
-- shared x_1: the blocks that phi's terms form once x_1 is struck from
-  each (one block per other variable for watson5, whose slices in x_1 are
-  diagonal) put in two groups, phi = A_1(x_1, x_G1) + A_2(x_1, x_G2), the
-  pairs with equal x_1 and A_1 = -A_2, found by joining the exact keys
-  (x_1 - x_1,min) M + A_1 and (x_1 - x_1,min) M - A_2, for
-  T (|G1 box| + |G2 box|) points, T the x_1 values.
+The sides are two groups of the blocks that phi's terms form once x_1 is
+struck from each (one block per other variable for selmer4 and watson5),
+phi = A_1 + A_2 with A_i the terms of group i.  Per box (the shell
+search's growing boxes [-S, S]^n included) the grouping is the cheaper of
+two: the blocks whose terms hold x_1 against the rest, or the blocks
+balanced greedily, each (largest box first) to the group of the smaller
+box.  A side walks x_1 only when one of its blocks holds it.  When both do, the pairs with equal x_1 and A_1 = -A_2 are found by
+joining the exact keys (x_1 - x_1,min) M + A_1 and (x_1 - x_1,min) M - A_2;
+else by joining A_1 and -A_2.
 
-Every side but L's is walked with x_1 last: for each chunk of prefixes it
-forms the coefficients of its univariate cubic in x_1 in numpy and
-evaluates it exactly, by Horner, at every x_1 of the box, so degenerate
-slices (quadratic, linear, constant, identically zero) need no special
-case.  The L side evaluates -B's terms.  The arithmetic is int64 when the
-height and the box prove that nothing overflows, else Python ints in
-object arrays.
+A side that walks x_1 walks it last: for each chunk of prefixes it forms
+the coefficients of its univariate cubic in x_1 in numpy and evaluates it
+exactly, by Horner, at every x_1 of the box, so degenerate slices
+(quadratic, linear, constant, identically zero) need no special case.  The
+arithmetic is int64 when the height and the box prove that nothing
+overflows, else Python ints in object arrays.
 """
 
 from dataclasses import dataclass
@@ -36,8 +32,7 @@ import numpy as np
 
 from .budget import BudgetExceeded, check_budget
 from .polynomials import (CubicPolynomial, DimensionMismatch, _CHUNK,
-                          _eval_terms, _variable_blocks, _walk, _x1_slices,
-                          _x1_split)
+                          _eval_terms, _variable_blocks, _walk, _x1_slices)
 
 
 def _size(r: range) -> int:
@@ -74,69 +69,65 @@ def _l_walk(B, n: int, axes: list, ranges: list):
         yield np.broadcast_to(_eval_terms(B, X), shape), x
 
 
-def _split(phi: CubicPolynomial) -> tuple:
-    """phi's two joins, for _zeros to choose between per box: the disjoint
-    one, (axes, walk) for each side (the variables a side walks, in its walk
-    order, and its walk of them: A with x_1 last and -B), and the blocks of
-    the shared one, (variables, terms) per block of phi's table with x_1
-    struck from every term: a block's terms are phi's own, the pure-x_1
-    terms and the constant go with the first block, and each variable of
-    x_2..x_n in no term is a block of its own, with no terms."""
-    n, terms = phi.n, phi.terms()
-    O, A, L, B = _x1_split(_variable_blocks(terms), n)
-    disjoint = [([*O[1:], 0], partial(_o_walk, A, n)),
-                (L, partial(_l_walk, [(-w, idx) for w, idx in B], n))]
+def _split(phi: CubicPolynomial) -> list:
+    """phi's table as blocks (variables, terms, holds x_1) for _sides to
+    group: the blocks phi's terms form once x_1 is struck from each, marked
+    whether a term of theirs holds x_1; one block of no variables for the
+    pure-x_1 terms and the constant, marked as holding x_1; and each
+    variable of x_2..x_n in no term, a block of its own with no terms.
+    Blocks are ordered by their variables, the block of none first."""
+    terms = phi.terms()
     # each term rides through _variable_blocks as the weight of its index
     # tuple with x_1 struck
-    struck = _variable_blocks([(t, tuple(i for i in t[1] if i))
-                               for t in terms])
-    blocks = [(sorted({i for _, idx in b for i in idx}), [t for t, _ in b])
-              for b in struck]
-    used = {i for axes, _ in blocks for i in axes}
-    return disjoint, blocks + [([i], []) for i in range(1, n)
-                               if i not in used]
+    struck = [(sorted({i for _, idx in b for i in idx}), [t for t, _ in b])
+              for b in _variable_blocks([(t, tuple(i for i in t[1] if i))
+                                         for t in terms if any(t[1])]) if b]
+    used = {i for axes, _ in struck for i in axes}
+    struck += [([i], []) for i in range(1, phi.n) if i not in used]
+    return [([], [t for t in terms if not any(t[1])], True)] + sorted(
+        ((axes, table, any(0 in idx for _, idx in table))
+         for axes, table in struck), key=lambda b: b[0])
 
 
-def _sides(split: tuple, box: list) -> list:
-    """The sides of the cheaper join of phi on the box prod(box), whose
-    ranges are all nonempty; split is _split(phi).
-
-    The disjoint join walks |O box| + |L box| points.  The shared one groups
-    the blocks in two, G_1 and G_2, greedily, each block (largest box first)
-    to the group of the smaller box, and walks T (|G_1 box| + |G_2 box|)
-    points, T the x_1 values of the box: each side walks x_1 with its
-    group's variables, and a point's key is (x_1 - x_1,min) M + value, the
-    value of its group's terms (-1 times them on the second side), M more
-    than twice the largest |value| either side can take.  Equal keys are
-    then equal x_1 and equal values, so the join of the keys is phi's zeros
-    and _zeros reads it as it reads the disjoint one.  The shared join is
-    taken when it walks fewer points and its smaller side holds no more
-    points than the box has prefixes (x_2..x_n); a tie keeps the disjoint
-    one."""
-    disjoint, blocks = split
+def _sides(blocks: list, box: list) -> list:
+    """The two sides (axes, walk) of phi's join on the box prod(box), whose
+    ranges are all nonempty: the variables a side walks, x_1 last, and its
+    walk of them, _o_walk when one of its blocks holds x_1, else _l_walk;
+    blocks is _split(phi).  The balanced grouping is taken when its sides
+    walk fewer points and its smaller side holds no more points than the
+    box has prefixes (x_2..x_n), else the holders of x_1 against the rest.
+    In a key (x_1 - x_1,min) M + value, M is more than twice the largest
+    |value| either side can take, so equal keys are equal x_1 and values."""
     size = [_size(r) for r in box]
 
-    def points(axes) -> int:
-        return prod(size[i] for i in axes)
+    def points(group) -> int:
+        return prod(size[i] for axes, _, _ in group for i in axes)
 
-    groups, gpoints = ([], []), [1, 1]
-    for axes, terms in sorted(blocks, key=lambda b: -points(b[0])):
-        g = int(gpoints[1] < gpoints[0])
-        groups[g].append((axes, terms))
-        gpoints[g] *= points(axes)
-    T = size[0]
-    if not (T * sum(gpoints) < sum(points(axes) for axes, _ in disjoint)
-            and T * min(gpoints) <= prod(size[1:])):
-        return disjoint
-    top = max(abs(v) for r in box for v in (r[0], r[-1]))
-    tables = [[t for _, terms in group for t in terms] for group in groups]
-    M = 2 * max(sum(abs(w) * top ** len(idx) for w, idx in table)
-                for table in tables) + 1
-    key = [(M, (0,)), (-M * box[0][0], ())]
-    return [(sorted(i for axes, _ in group for i in axes) + [0],
-             partial(_o_walk, [(sign * w, idx) for w, idx in table] + key,
-                     len(box)))
-            for group, table, sign in zip(groups, tables, (1, -1))]
+    def walked(groups) -> list:
+        return [points(g) * size[0] ** any(h for _, _, h in g)
+                for g in groups]
+
+    balanced, weight = ([], []), [1, 1]
+    for b in sorted(blocks, key=lambda b: -points([b])):
+        g = int(weight[1] < weight[0])
+        balanced[g].append(b)
+        weight[g] *= points([b])
+    groups = ([b for b in blocks if b[2]], [b for b in blocks if not b[2]])
+    cost = walked(balanced)
+    if sum(cost) < sum(walked(groups)) and min(cost) <= prod(size[1:]):
+        groups = balanced
+    walks = [any(h for _, _, h in g) for g in groups]
+    tables = [[t for _, table, _ in g for t in table] for g in groups]
+    key = []
+    if all(walks):
+        top = max(abs(v) for r in box for v in (r[0], r[-1]))
+        M = 2 * max(sum(abs(w) * top ** len(idx) for w, idx in table)
+                    for table in tables) + 1
+        key = [(M, (0,)), (-M * box[0][0], ())]
+    return [(sorted(i for axes, _, _ in g for i in axes) + [0] * walk,
+             partial(_o_walk if walk else _l_walk,
+                     [(sign * w, idx) for w, idx in table] + key, len(box)))
+            for g, table, walk, sign in zip(groups, tables, walks, (1, -1))]
 
 
 def _coords(flat, ranges) -> list:
@@ -148,10 +139,10 @@ def _coords(flat, ranges) -> list:
             for d, r in zip(digits, ranges)]
 
 
-def _zeros(split: tuple, box: list):
+def _zeros(blocks: list, box: list):
     """Zeros of phi in the box prod(box), box[i] the range of x_(i+1), as
     (k, n) integer arrays of at most _CHUNK rows, in no particular order;
-    split is _split(phi), joined as _sides chooses.  The held side's values
+    blocks is _split(phi), joined as _sides chooses.  The held side's values
     are sorted once and their distinct values tabled with their runs; each
     chunk of the streamed side keeps the values within the table's range,
     finds each one's run by one searchsorted call and expands the
@@ -159,7 +150,7 @@ def _zeros(split: tuple, box: list):
     if not all(map(_size, box)):
         return
     sides = [(axes, walk, [box[i] for i in axes])
-             for axes, walk in _sides(split, box)]
+             for axes, walk in _sides(blocks, box)]
     sizes = [prod(map(_size, ranges)) for _, _, ranges in sides]
     (h_axes, h_walk, h_ranges), (s_axes, s_walk, s_ranges) = (
         sides if sizes[0] < sizes[1] else sides[::-1])
@@ -260,12 +251,12 @@ class SearchReport:
     exhausted_to: int | None
 
 
-def _least(split: tuple, n: int, S: int, start: int):
+def _least(blocks: list, n: int, S: int, start: int):
     """(sup-norm, zero), the least over the zeros of sup-norm at least
     `start` in the box [-S, S]^n, the zero lexicographically least within
-    its sup-norm; None if there is none.  split is _split(phi)."""
+    its sup-norm; None if there is none.  blocks is _split(phi)."""
     best = None
-    for z in _zeros(split, [range(-S, S + 1)] * n):
+    for z in _zeros(blocks, [range(-S, S + 1)] * n):
         norm = np.abs(z).max(axis=1)
         keep = norm >= start
         z, norm = z[keep], norm[keep]
@@ -297,7 +288,7 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
     that box has no zero.  max_shell < 0 is refused."""
     if max_shell < 0:
         raise ValueError("max_shell must be >= 0")
-    n, split = phi.n, _split(phi)
+    n, blocks = phi.n, _split(phi)
     if start_shell <= 0 and phi.evaluate([0] * n) == 0:
         return SearchReport(found=(0,) * n, shell=0, exhausted_to=None)
     walked, refused = max(start_shell, 1) - 1, None
@@ -312,7 +303,7 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
             except BudgetExceeded as exc:
                 S, refused = s - 1, exc
                 break
-        best = _least(split, n, S, start_shell) if S > walked else None
+        best = _least(blocks, n, S, start_shell) if S > walked else None
         if best is not None:
             return SearchReport(found=best[1], shell=best[0],
                                 exhausted_to=None)

@@ -304,10 +304,12 @@ def _map(fn, items) -> list:
 
 
 def evaluate_array(phi: CubicPolynomial, X: list) -> np.ndarray:
-    """phi over broadcastable float arrays (one per coordinate): one value
-    per point of their broadcast, whichever variables phi reads."""
+    """phi over broadcastable float arrays (one per coordinate): a new float
+    array of one value per point of their broadcast, whichever variables
+    phi reads."""
+    f = np.asarray(_eval_terms(phi.terms(), X), dtype=float)
     shape = np.broadcast_shapes(*(np.shape(x) for x in X))
-    return np.broadcast_to(_eval_terms(phi.terms(), X), shape).astype(float)
+    return f if f.shape == shape else np.broadcast_to(f, shape).astype(float)
 
 
 # Grid points whose integrand is held at once: _tensor_integral works through
@@ -323,15 +325,10 @@ def _sinc_kernel(C: CubicPolynomial, X: list, Z: float,
                  out: np.ndarray | None = None) -> np.ndarray:
     """2 Z sinc(2 Z C) = 2 Z sin(t) / t, t = 2 pi Z C, over the broadcast of
     the coordinate arrays X, with the removable point t = 0 set to 2 Z: the
-    arithmetic of np.sinc, built in the buffer of C's values plus `out` (a
-    new array when None).  Where C is free of a variable its values are
-    thinner than X's broadcast; they are laid out over it first, as
-    evaluate_array lays them out, so that every step, the sine included,
-    runs as on the full array and rounds as it does there."""
-    t = np.asarray(_eval_terms(C.terms(), X), dtype=float)
-    shape = np.broadcast_shapes(*(np.shape(x) for x in X))
-    if t.shape != shape:
-        t = np.broadcast_to(t, shape).astype(float)
+    arithmetic of np.sinc, built in the buffer of evaluate_array's values
+    plus `out` (a new array when None), so that every step, the sine
+    included, runs on the full broadcast and rounds as it does there."""
+    t = evaluate_array(C, X)
     t *= 2.0 * Z
     t *= pi
     zero = t == 0
@@ -684,7 +681,8 @@ def asymptotic_compare(phi: CubicPolynomial, box, P_list, P0: int, Z: float,
         phi, P0, mode="euler", budget=budget).value)
     rows = []
     for P in P_list:
-        count = count_solutions(phi, P, box=box, budget=budget).count
+        count = count_solutions(phi, P, box=box, budget=budget,
+                                keep=0).count
         scaled = transform(phi, [[P * (i == j) for j in range(n)]
                                  for i in range(n)])
         J = singular_integral(scaled, box, Z / P**3, tol=1e-8 / P**3,

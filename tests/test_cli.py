@@ -138,7 +138,7 @@ class TestNcc:
         code = main(["ncc", "--poly", watson_json, "--p0", p0])
         out, err = capsys.readouterr()
         assert code == 1 and not out
-        assert err == "error: P0 must be >= 1\n"
+        assert err == "error: ncc: P0 must be >= 1\n"
 
 
 class TestDensities:
@@ -158,7 +158,7 @@ class TestDensities:
                      "--kmax", "2"])
         out, err = capsys.readouterr()
         assert code == 1 and not out
-        assert err == "error: p must be a prime\n"
+        assert err == "error: densities: p must be a prime\n"
 
     @pytest.mark.parametrize("kmax", ["0", "-1"])
     def test_kmax_below_one_exits_one(self, capsys, fermat_json, kmax):
@@ -166,14 +166,14 @@ class TestDensities:
                      "--kmax", kmax])
         out, err = capsys.readouterr()
         assert code == 1 and not out
-        assert err == "error: k_max must be >= 1\n"
+        assert err == "error: densities: k_max must be >= 1\n"
 
     def test_kmax_over_budget_exits_one(self, capsys, watson_json):
         # the levels are charged before the level loop starts
         err = refused(capsys, ["densities", "--poly", watson_json, "--p", "3",
                                "--kmax", "1000000000", "--budget", "20000"])
-        assert err == ("error: levels up to k_max needs 1000000000 points, "
-                       "budget is 20000\n")
+        assert err == ("error: densities: levels up to k_max needs "
+                       "1000000000 points, budget is 20000\n")
 
     def test_kmax_within_budget_completes(self, capsys, watson_json):
         code, out = run(capsys, ["densities", "--poly", watson_json, "--p",
@@ -206,7 +206,7 @@ class TestSeries:
         code = main(["series", "--poly", fermat_json, "--p0", p0])
         out, err = capsys.readouterr()
         assert code == 1 and not out
-        assert err == "error: P0 must be >= 1\n"
+        assert err == "error: series: P0 must be >= 1\n"
 
     def test_rational_serialization(self, capsys, fermat_json):
         code, out = run(capsys, ["series", "--poly", fermat_json,
@@ -228,14 +228,14 @@ class TestCount:
         code = main(["count", "--poly", fermat_json, "--P", P])
         out, err = capsys.readouterr()
         assert code == 1 and not out
-        assert err == "error: P must be >= 0\n"
+        assert err == "error: count: P must be >= 0\n"
 
     def test_huge_p_refused_by_the_budget(self, capsys, fermat_json):
         # (2P + 1)^2 prefixes, sized without len() of a range past sys.maxsize
         err = refused(capsys, ["count", "--poly", fermat_json, "--P",
                                "99999999999999999999", "--budget", "100"])
-        assert err == (f"error: solution count needs {(2 * 10**20 - 1)**2} "
-                       "points, budget is 100\n")
+        assert err == (f"error: count: solution count needs "
+                       f"{(2 * 10**20 - 1)**2} points, budget is 100\n")
 
 
 @pytest.fixture(scope="module")
@@ -254,13 +254,13 @@ class TestBoxDimension:
         code = main([*argv, "--poly", watson_json, "--box", box4_json])
         out, err = capsys.readouterr()
         assert code == 1 and not out
-        assert err == "error: box has dim 4, expected 5\n"
+        assert err == f"error: {argv[0]}: box has dim 4, expected 5\n"
 
     def test_count_checks_P_before_the_box(self, capsys, watson_json,
                                             box4_json):
         err = refused(capsys, ["count", "--P", "-1", "--poly", watson_json,
                                "--box", box4_json])
-        assert err == "error: P must be >= 0\n"
+        assert err == "error: count: P must be >= 0\n"
 
 
 class TestSearch:
@@ -279,7 +279,7 @@ class TestSearch:
     def test_negative_max_shell_exits_one(self, capsys, fermat_json):
         err = refused(capsys, ["search", "--poly", fermat_json,
                                "--max-shell", "-3"])
-        assert err == "error: max_shell must be >= 0\n"
+        assert err == "error: search: max_shell must be >= 0\n"
 
 
 class TestExponents:
@@ -323,14 +323,15 @@ class TestExponents:
     def test_theorem_refuses_psi_and_delta(self, capsys, argv):
         # the h14 rows read neither: a given value would change nothing
         err = refused(capsys, ["exponents", "--theorem", "h14", *argv])
-        assert err == "error: --theorem reads neither --psi nor --delta\n"
+        assert err == ("error: exponents: --theorem reads neither --psi nor "
+                       "--delta\n")
 
     @pytest.mark.parametrize("argv", [[], ["--T", "84", "--psi", "30"]])
     def test_csv_needs_theorem(self, capsys, argv):
         # only the theorem check prints rows
         err = refused(capsys, ["exponents", *argv, "--csv"])
-        assert err == ("error: --csv needs --theorem: only its rows are "
-                       "tabular\n")
+        assert err == ("error: exponents: --csv needs --theorem: only its "
+                       "rows are tabular\n")
 
     def test_huge_T_prints_every_digit(self, capsys):
         # 29-digit exponents: past the 28 digits of a default Decimal
@@ -395,7 +396,7 @@ class TestExponents:
                                       ["--psi", "1", "--delta", "1/0"]])
     def test_zero_denominator_exits_one(self, capsys, argv):
         err = refused(capsys, ["exponents", *argv])
-        assert err == "error: zero denominator in '1/0'\n"
+        assert err == "error: exponents: zero denominator in '1/0'\n"
 
     def test_delta_seven_thirds_fails_s1_and_s4(self, capsys):
         # 14 - 6 delta = 0: both tags fail with a note, nothing divides
@@ -470,7 +471,7 @@ class TestProbe:
         code = main(["probe", "--poly", fermat_json, *args])
         out, err = capsys.readouterr()
         assert code == 1 and not out
-        assert err == ("error: need q >= 1, P >= 1 and gcd(a, q) = 1, "
+        assert err == ("error: probe: need q >= 1, P >= 1 and gcd(a, q) = 1, "
                        f"got {message}\n")
 
     @pytest.mark.parametrize("flag", ["--theta", "--psi-good"])
@@ -479,14 +480,15 @@ class TestProbe:
                                         value):
         err = refused(capsys, ["probe", "--poly", fermat_json, "--q", "3",
                                "--a", "1", f"{flag}={value}"])
-        assert err.startswith("error: theta and psi must be finite")
+        assert err.startswith("error: probe: theta and psi must be finite")
 
 
     def test_bound_past_float_exits_one(self, capsys, fermat_json):
         err = refused(capsys, ["probe", "--poly", fermat_json, "--q", "3",
                                "--a", "1", "--theta", "1e300",
                                "--budget", "20000"])
-        assert err.startswith("error: the Weyl bound is not a finite float")
+        assert err.startswith("error: probe: the Weyl bound is not a finite "
+                              "float")
 
 
 class TestIntegral:
@@ -512,12 +514,12 @@ class TestIntegral:
     def test_non_finite_z_exits_one(self, capsys, request, poly, Z):
         err = refused(capsys, ["integral", "--poly",
                                request.getfixturevalue(poly), f"--Z={Z}"])
-        assert err == f"error: Z must be finite, got {float(Z)}\n"
+        assert err == f"error: integral: Z must be finite, got {float(Z)}\n"
 
     @pytest.mark.parametrize("Z", ["0", "-4"])
     def test_non_positive_z_exits_one(self, capsys, fermat_json, Z):
         err = refused(capsys, ["integral", "--poly", fermat_json, "--Z", Z])
-        assert err == f"error: Z must be positive, got {float(Z)}\n"
+        assert err == f"error: integral: Z must be positive, got {float(Z)}\n"
 
 
 class TestSieveBudget:
@@ -526,8 +528,8 @@ class TestSieveBudget:
     def test_p0_over_budget_exits_one(self, capsys, watson_json, cmd):
         err = refused(capsys, [cmd, "--poly", watson_json, "--p0",
                                "1000000000", "--budget", "20000"])
-        assert err == ("error: primes up to P0 needs 1000000000 points, "
-                       "budget is 20000\n")
+        assert err == (f"error: {cmd}: primes up to P0 needs 1000000000 "
+                       "points, budget is 20000\n")
 
 
 class TestDeterminism:

@@ -200,6 +200,110 @@ def hub_cases(draw, heights):
     return phi, widths, P, box, ranges, draw(st.sampled_from([0, 3, 100]))
 
 
+@st.composite
+def block_sums(draw, heights):
+    """(phi, blocks): a sum of one to five blocks on a random partition of
+    x_1..x_n, n <= 5, each a full cubic in its variables of its own height,
+    with y_a^2 y_b nonzero for consecutive variables y_a, y_b of the block
+    other than x_1, so that those hold together once x_1 is struck.  A
+    block that holds x_1, and some that do not, get a nonzero x_1 y^2, y
+    their first variable but x_1.  blocks is (the variables but x_1,
+    whether a term holds x_1) per block with such variables."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    labels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    parts = {}
+    for i, label in enumerate(labels):
+        parts.setdefault(label, []).append(i)
+    cubic, quad, lin, blocks = {}, {}, [0] * n, []
+    for axes in parts.values():
+        h = draw(st.sampled_from(heights))
+        for idx in combinations_with_replacement(axes, 3):
+            cubic[idx] = rng.randint(-h, h)
+        for idx in combinations_with_replacement(axes, 2):
+            quad[idx] = rng.randint(-h, h)
+        for i in axes:
+            lin[i] = rng.randint(-h, h)
+        ys = [i for i in axes if i]
+        for a, b in zip(ys, ys[1:]):
+            cubic[(a, a, b)] = rng.choice([-1, 1]) * rng.randint(1, h)
+        if ys:
+            blocks.append((ys, 0 in axes or draw(st.booleans())))
+            if blocks[-1][1]:
+                cubic[(0, ys[0], ys[0])] = (rng.choice([-1, 1])
+                                            * rng.randint(1, h))
+    h = draw(st.sampled_from(heights))
+    phi = symmetrize(n, cubic, quad, lin, const=rng.randint(-h, h))[0]
+    return phi, blocks
+
+
+@st.composite
+def block_cases(draw, heights):
+    """(phi, blocks, P, box, integer ranges of the box, keep) for the forms
+    of block_sums, boxes as hub_cases draws them."""
+    phi, blocks = draw(block_sums(heights))
+    P = draw(st.integers(1, 4))
+    sizes = [draw(st.sampled_from([1, 2, 3, 5]))]
+    sizes += draw(st.lists(st.sampled_from([1, 2, 3, 4]),
+                           min_size=phi.n - 1, max_size=phi.n - 1))
+    if draw(st.sampled_from([False] * 7 + [True])):
+        sizes[draw(st.integers(0, phi.n - 1))] = 0
+    los = draw(st.lists(st.integers(-3, 3), min_size=phi.n,
+                        max_size=phi.n))
+    ranges = [range(lo, lo + m) for lo, m in zip(los, sizes)]
+    box = [(r.start / P, (r.stop - 1) / P) for r in ranges]
+    if all(ranges) and draw(st.booleans()):
+        phi = plant_zero(phi, [draw(st.sampled_from(r)) for r in ranges])
+    return phi, blocks, P, box, ranges, draw(st.sampled_from([0, 3, 100]))
+
+
+def rule_points(blocks, ranges, parent: bool = False) -> int:
+    """The points the join walks on the box of ranges for a form of
+    block_sums, from the widths of its blocks once x_1 is struck: a block
+    of no variables that holds x_1 (the pure-x_1 terms), then the blocks
+    by their first variable.  The holders of x_1 against the rest walk
+    T |holders' box| + |rest's box|, T the x_1 values; the blocks greedily
+    balanced (largest box first, each to the group of the smaller box)
+    walk |group's box| per group, times T for a group that holds x_1, and
+    are taken when that is fewer and the smaller group walks at most the
+    box's prefixes.  With parent, the rule before one join rule: each
+    balanced group walked T |group's box|, holding x_1 or not."""
+    size = [len(r) for r in ranges]
+    T, prefixes = size[0], prod(size[1:])
+    struck = [([], True)] + sorted(blocks)
+    width = lambda ys: prod(size[i] for i in ys)
+    holders = (T * prod(width(ys) for ys, held in struck if held)
+               + prod(width(ys) for ys, held in struck if not held))
+    groups, weight = ([], []), [1, 1]
+    for ys, held in sorted(struck, key=lambda b: -width(b[0])):
+        g = int(weight[1] < weight[0])
+        groups[g].append(held)
+        weight[g] *= width(ys)
+    walked = [w * T ** (parent or any(g)) for w, g in zip(weight, groups)]
+    if sum(walked) < holders and min(walked) <= prefixes:
+        return sum(walked)
+    return holders
+
+
+def walked_points(phi, P, box, keep) -> tuple:
+    """count_solutions' result and the points its join's two sides walk."""
+    walked, sides = [], counting._sides
+
+    def counted(walk):
+        def inner(axes, ranges):
+            for v, x in walk(axes, ranges):
+                walked.append(v.size)
+                yield v, x
+        return inner
+
+    def spy(blocks, box):
+        return [(axes, counted(walk)) for axes, walk in sides(blocks, box)]
+
+    with mock.patch.object(counting, "_sides", spy):
+        res = count_solutions(phi, P, box=box, keep=keep)
+    return res, sum(walked)
+
+
 def shared_expected(widths, ranges) -> bool:
     """Whether the join over the x_1-fibres should be taken for a form of
     hub_forms on the box of ranges: the blocks greedily in two groups,
@@ -438,17 +542,32 @@ class TestSharedJoin:
         assert res.count == len(ref)
         assert res.solutions_sample == tuple(ref)
 
-    @pytest.mark.parametrize("make, P, shared", [
-        (make_fermat, 60, False), (make_selmer4, 12, False),
+    @pytest.mark.parametrize("make, P, balanced", [
+        (make_fermat, 60, False), (make_selmer4, 12, True),
         (make_triple_product, 10, False), (make_watson5, 8, True),
         (make_diag5m2, 10, True)])
-    def test_corpus_choice(self, make, P, shared):
+    def test_corpus_choice(self, make, P, balanced):
+        # the sides, and whether both walk x_1 and are joined by keys
+        expected = {make_fermat: ([[0], [1, 2]], False),
+                    make_selmer4: ([[1, 3], [2, 0]], False),
+                    make_triple_product: ([[1, 2, 0], [3]], False),
+                    make_watson5: ([[1, 3, 0], [2, 4, 0]], True),
+                    make_diag5m2: ([[1, 3, 0], [2, 4]], False)}[make]
         phi = make()
-        axes = join_axes(phi, [range(-P, P + 1)] * phi.n)
-        disjoint = [axes for axes, _ in counting._split(phi)[0]]
-        assert (axes != disjoint) == shared
-        if shared:  # four one-variable blocks, two to a side
-            assert sorted(map(len, axes)) == [3, 3]
+        sides = counting._sides(counting._split(phi),
+                                [range(-P, P + 1)] * phi.n)
+        axes = [axes for axes, _ in sides]
+        assert (axes, all(0 in a for a in axes)) == expected
+        # keyed sides carry the two key terms each beyond phi's own
+        tables = [walk.args[0] for _, walk in sides]
+        assert sum(map(len, tables)) - len(phi.terms()) == 4 * expected[1]
+        # the holders of x_1 against the rest: x_1 and the variables that
+        # share a term with it (for these forms all of phi's block that
+        # holds x_1), against every other variable
+        held = sorted({i for _, idx in phi.terms() if 0 in idx for i in idx}
+                      - {0})
+        rest = [i for i in range(1, phi.n) if i not in held]
+        assert (axes != [held + [0], rest]) == balanced
 
     def test_held_side_within_the_prefixes(self):
         # x_1 (y^2 + z^2) - 3 on 50 x 2 x 2 points: the shared join walks
@@ -460,6 +579,37 @@ class TestSharedJoin:
         box = [(r.start / 25, (r.stop - 1) / 25) for r in ranges]
         res = count_solutions(phi, 25, box=box)
         assert res.count == len(scan_zeros(phi, ranges)) == 1
+
+
+class TestJoinRule:
+    """Sums of blocks on random partitions of the variables, some joined to
+    x_1: the zeros against the scan of the box, and the points walked
+    against the one join rule."""
+
+    # selmer4 on [-2, 2]^4: four blocks, only the pure-x_1 one holding x_1,
+    # balanced as {y, w} against {z} and x_1 for 2 * 25 points, where the
+    # holders walk 5 + 125
+    @example(case=(make_selmer4(), [([1], False), ([2], False),
+                                    ([3], False)],
+                   2, None, [range(-2, 3)] * 4, 100),
+             start=0, max_shell=3)
+    @settings(max_examples=150, deadline=None)
+    @given(block_cases(heights=[1, 5, 2**70]), st.integers(0, 3),
+           st.integers(0, 3))
+    def test_zeros_and_points(self, case, start, max_shell):
+        phi, blocks, P, box, ranges, keep = case
+        ref = scan_zeros(phi, ranges)
+        res, walked = walked_points(phi, P, box, keep)
+        assert res.count == len(ref)
+        assert res.solutions_sample == tuple(ref[:keep])
+        if all(ranges):
+            assert walked == rule_points(blocks, ranges)
+            assert walked <= rule_points(blocks, ranges, parent=True)
+        else:
+            assert walked == 0
+        rep = smallest_solution(phi, max_shell, start_shell=start)
+        assert (rep.found, rep.shell) == shell_reference(phi, max_shell,
+                                                         start)
 
 
 class TestSmallestSolution:
