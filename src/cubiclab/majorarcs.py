@@ -17,7 +17,7 @@ per level, so a slab costs one add, one reciprocal, in one buffer per
 worker thread reused from slab to slab, and one matrix product with those
 two vectors; the nodes near the zero set of C take the integrand from C's
 whole table.  Its independent pieces, the slabs of the tensor rule and the
-Monte-Carlo chunks (each drawing its own slice of the seeded sample), run
+Monte-Carlo chunks (each computing its own slice of the seeded sample), run
 on up to _WORKERS threads (numpy releases the GIL in the kernel's ufuncs);
 the pieces and the order their partial results are combined in do not
 depend on the worker count, so neither does any result, to the last bit.
@@ -368,13 +368,12 @@ def _full_slab(C: CubicPolynomial, axes: list, Z: float):
     return slab
 
 
-def _split_slab(C: CubicPolynomial, blocks: list, axes: list, Z: float,
+def _split_slab(C: CubicPolynomial, split: tuple, axes: list, Z: float,
                 rows: int):
     """The slab sum of the tensor rule for C = A(x_O) + B(x_L), O the axes
-    of the variable block that holds x_0 and L every other axis (blocks is
-    C's term table split by _variable_blocks, at least two of them):
-    slab((s, e)) is the rule's sum over axis-0 rows s .. e - 1, a slab of at
-    most `rows` rows.
+    of the variable block that holds x_0 and L every other axis (split is
+    (O, A, L, B) from _tensor_split): slab((s, e)) is the rule's sum over
+    axis-0 rows s .. e - 1, a slab of at most `rows` rows.
 
     With T = 2 pi Z A and u = 2 pi Z B, the sum over L of the weights w_L
     times 2 Z sin(T + u) / (T + u) is sin T (R @ v_c) + cos T (R @ v_s),
@@ -388,7 +387,7 @@ def _split_slab(C: CubicPolynomial, blocks: list, axes: list, Z: float,
     absolute error of a few eps (T' + 1), T' = 2 pi Z times the sum of
     |w prod x_i| over C's terms, divided by |t| >= 1."""
     n, m1 = len(axes), len(axes[0][0])
-    O, head, L, rest = _x1_split(blocks, n)
+    O, head, L, rest = split
 
     def phase(table, dims):
         """2 pi Z table over the grid of the axes dims, flat in C order."""
@@ -465,26 +464,60 @@ def _split_slab(C: CubicPolynomial, blocks: list, axes: list, Z: float,
     return slab
 
 
-def _tensor_integral(C: CubicPolynomial, bounds, Z: float, m: int) -> float:
-    axes = [_cc_nodes(m, lo, hi) for lo, hi in bounds]
+def _tensor_split(C: CubicPolynomial) -> tuple | None:
+    """What the tensor rule reads of C's structure, whatever the level:
+    None when C's variables form one block (_variable_blocks), else the
+    (O, A, L, B) of _x1_split."""
     blocks = _variable_blocks(C.terms())
+    return None if len(blocks) == 1 else _x1_split(blocks, C.n)
+
+
+def _tensor_integral(C: CubicPolynomial, bounds, Z: float, m: int,
+                     split: tuple | None) -> float:
+    """The (m + 1)^n tensor rule on the box, split = _tensor_split(C)."""
+    axes = [_cc_nodes(m, lo, hi) for lo, hi in bounds]
     cuts = _slab_cuts(m, len(bounds))
     rows = max(e - s for s, e in zip(cuts[:-1], cuts[1:]))
-    slab = (_full_slab(C, axes, Z) if len(blocks) == 1
-            else _split_slab(C, blocks, axes, Z, rows))
+    slab = (_full_slab(C, axes, Z) if split is None
+            else _split_slab(C, split, axes, Z, rows))
     total = 0.0
     for part in _map(slab, zip(cuts[:-1], cuts[1:])):
         total += part  # in slab order, whatever thread computed it
     return total
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the step of its state and
+# the (shift, multiplier) of its two multiply-xorshift rounds
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+
+
 def _sample_chunk(seed: int, bounds, N: int, c: int, size: int) -> list:
-    """Points c .. c + size - 1 of the sample default_rng(seed) draws as
-    [uniform(lo, hi, N) for each axis], one array per axis.  Each uniform
-    takes one 64-bit output of the PCG64 stream, so axis i's point j is
-    output i N + j, reached by advance without drawing what comes before."""
-    return [np.random.Generator(np.random.PCG64(seed).advance(i * N + c))
-            .uniform(lo, hi, size) for i, (lo, hi) in enumerate(bounds)]
+    """Points c .. c + size - 1 of the seeded sample of N points, one array
+    per axis.  Axis i's point j comes from output k = i N + j of the
+    SplitMix64 stream keyed by seed mod 2^64: the state key + (k + 1) gamma
+    mod 2^64, put through the two multiply-xorshift rounds and s ^= s >> 31,
+    gives s, and the point is lo + (hi - lo) u, u = (s >> 11) 2^-53 in
+    [0, 1).  Output k is computed from k alone, so a chunk takes its slice
+    with no set-up and no chunk size changes a bit.  The arithmetic stays
+    on uint64 arrays, which wrap silently where a scalar would warn."""
+    key = np.uint64(seed % 2**64)
+    out = []
+    for i, (lo, hi) in enumerate(bounds):
+        s = np.arange(i * N + c + 1, i * N + c + size + 1, dtype=np.uint64)
+        s *= _GAMMA
+        s += key
+        for shift, mult in _MIX:
+            s ^= s >> shift
+            s *= mult
+        s ^= s >> np.uint64(31)
+        s >>= np.uint64(11)
+        x = s.astype(float)
+        x *= (hi - lo) * 2.0 ** -53  # one rounding: (s >> 11) 2^-53 is exact
+        x += lo
+        out.append(x)
+    return out
 
 
 def singular_integral(C: CubicPolynomial, box, Z: float,
@@ -496,27 +529,31 @@ def singular_integral(C: CubicPolynomial, box, Z: float,
     the first m whose value I_m agrees with I_(m/2) to tol (relative, or
     absolute below 1); the reported error is that agreement |I_m - I_(m/2)|,
     not a bound.  Seeded Monte Carlo with reported standard error for
-    higher dimension.  The budget counts points: BudgetExceeded is raised
-    before any (m + 1)^n grid that would exceed it, so also when not even
-    the first 17^n grid fits, and when it admits fewer than two Monte-Carlo
-    points, which leave no standard error.  A box of another dimension
-    than C's raises DimensionMismatch, and a Z that is not finite and
-    positive ValueError.
+    higher dimension, on the sample _sample_chunk computes from the seed.
+    The budget counts points: BudgetExceeded is raised before any
+    (m + 1)^n grid that would exceed it, so also when not even the first
+    17^n grid fits, and when it admits fewer than two Monte-Carlo points,
+    which leave no standard error.  A box of another dimension than C's
+    raises DimensionMismatch, and a Z that is not finite and positive or a
+    negative seed ValueError, whatever the method.
     """
     bounds = _box_bounds(C.n, box)
     n = len(bounds)
     if not (isfinite(Z) and Z > 0):
         raise ValueError(
             f"Z must be {'positive' if isfinite(Z) else 'finite'}, got {Z}")
+    if seed < 0:
+        raise ValueError("--seed must be >= 0")
     cap = enumeration_budget(budget)
     if n <= 3:
+        split = _tensor_split(C)
         m, prev = 16, None
         while True:
             if (m + 1) ** n > cap:
                 raise BudgetExceeded(
                     f"quadrature grid ({m + 1})^{n} exceeds budget before "
                     f"reaching tol {tol}")
-            cur = _tensor_integral(C, bounds, Z, m)
+            cur = _tensor_integral(C, bounds, Z, m, split)
             if prev is not None:
                 err = abs(cur - prev)
                 if err < tol * max(1.0, abs(cur)):

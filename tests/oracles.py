@@ -296,6 +296,32 @@ def euler_comparison(phi: CubicPolynomial, lam: float, bounds,
     return {"sum": S, "integral": I, "diff": abs(S - I), "R": R}
 
 
+# -- the Monte-Carlo sample --------------------------------------------------
+
+
+def splitmix64(seed: int):
+    """The SplitMix64 stream of seed mod 2^64, one output per next() in
+    Python-int arithmetic (Steele, Lea & Flood, OOPSLA 2014): the state
+    steps by gamma, and each output is the state put through two
+    multiply-xorshift rounds and a last xorshift."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def uniform_sample(seed: int, bounds, N: int) -> list:
+    """N points drawn serially from one splitmix64(seed) stream, axis by
+    axis, one array per axis: each output z gives lo + (hi - lo) u with
+    u = (z >> 11) 2^-53, a double in [0, 1) from z's top 53 bits."""
+    stream = splitmix64(seed)
+    return [np.array([lo + (hi - lo) * ((next(stream) >> 11) * 2.0 ** -53)
+                      for _ in range(N)]) for lo, hi in bounds]
+
+
 # -- per-point references of the chunked box walks ---------------------------
 
 

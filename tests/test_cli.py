@@ -37,6 +37,15 @@ def watson_json(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def x3m2y3_json(tmp_path_factory):
+    path = tmp_path_factory.mktemp("polys") / "x3m2y3.json"
+    path.write_text(json.dumps(
+        {"n": 2, "cubic": [[1, 1, 1, 1], [2, 2, 2, -2]], "quad": [],
+         "lin": [0, 0], "const": 0}))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def diag5m2_json(tmp_path_factory):
     path = tmp_path_factory.mktemp("polys") / "diag5m2.json"
     path.write_text(json.dumps(make_diag5m2().to_json_dict()))
@@ -520,6 +529,17 @@ class TestIntegral:
     def test_non_positive_z_exits_one(self, capsys, fermat_json, Z):
         err = refused(capsys, ["integral", "--poly", fermat_json, "--Z", Z])
         assert err == f"error: integral: Z must be positive, got {float(Z)}\n"
+
+    @pytest.mark.parametrize("poly", ["x3m2y3_json", "watson_json"],
+                             ids=["cc", "mc"])
+    def test_negative_seed_exits_one(self, capsys, request, poly):
+        # one rule for n = 2 (Clenshaw-Curtis, which reads no seed) and
+        # n = 5 (Monte-Carlo), checked before a budget of one point refuses
+        # either method
+        err = refused(capsys, ["integral", "--poly",
+                               request.getfixturevalue(poly), "--Z", "4",
+                               "--seed", "-1", "--budget", "1"])
+        assert err == "error: integral: --seed must be >= 0\n"
 
 
 class TestSieveBudget:

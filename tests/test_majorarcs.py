@@ -10,6 +10,7 @@ from itertools import combinations_with_replacement, product
 from math import inf, nextafter, pi
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -26,7 +27,7 @@ from cubiclab.nt import trial_factor
 from cubiclab.polynomials import DimensionMismatch, _eval_terms
 from conftest import (full_poly_strategy, make_fermat, make_selmer4,
                       random_poly)
-from oracles import a_of_q_exact
+from oracles import a_of_q_exact, splitmix64, uniform_sample
 
 
 # -- real point -------------------------------------------------------------
@@ -225,6 +226,13 @@ def grid(bounds, m):
             for i, b in enumerate(bounds)]
 
 
+def tensor_integral(C, bounds, Z, m):
+    """One level of the tensor rule, C's structure read as singular_integral
+    reads it before its doubling loop."""
+    return majorarcs._tensor_integral(C, bounds, Z, m,
+                                      majorarcs._tensor_split(C))
+
+
 def one_table_kernel(C, X, Z):
     """2 Z sinc(2 Z C) from C's whole term table: t = 2 pi Z C and np.sinc's
     arithmetic on it, the integrand before C was split by variable block."""
@@ -252,7 +260,7 @@ def split_slab_sums(C, bounds, Z, m):
     assert len(blocks) > 1
     axes = [_cc_nodes(m, lo, hi) for lo, hi in bounds]
     cuts = majorarcs._slab_cuts(m, n)
-    slab = majorarcs._split_slab(C, blocks, axes, Z,
+    slab = majorarcs._split_slab(C, majorarcs._tensor_split(C), axes, Z,
                                  max(np.diff(cuts)))
     X = grid(bounds, m)
     shape = (m + 1,) * n
@@ -327,8 +335,8 @@ class TestVariableBlocks:
         assert majorarcs._variable_blocks(const.terms()) == [[(3, ())]]
         zero = CubicPolynomial(2)
         assert majorarcs._variable_blocks(zero.terms()) == [[]]
-        assert majorarcs._tensor_integral(zero, [(0.0, 1.0)] * 2, 3.0,
-                                          4) == pytest.approx(6.0)
+        assert tensor_integral(zero, [(0.0, 1.0)] * 2, 3.0,
+                               4) == pytest.approx(6.0)
 
 
 FREE_BOX = [(0.5, 1.5), (0.2, 1.1), (0.3, 1.2)]
@@ -395,13 +403,13 @@ class TestBlockKernel:
         assert sum(len(f) for _, f in seen) == (m + 1) ** 2
         for got, want, bound in sums:
             assert abs(got - want) <= bound
-        total = majorarcs._tensor_integral(C, bounds, Z, m)
+        total = tensor_integral(C, bounds, Z, m)
         assert total == pytest.approx(2 * Z, rel=1e-4)
 
     def test_far_from_the_zero_set_no_kernel_call(self):
         # x^3 + y^3 > 0 on the box: every slab skips the near search
         C, _ = symmetrize(2, {(0, 0, 0): 1, (1, 1, 1): 1})
-        got, seen = sinc_points(lambda: majorarcs._tensor_integral(
+        got, seen = sinc_points(lambda: tensor_integral(
             C, [(1.0, 2.0), (1.0, 2.0)], 8.0, 32))
         assert seen == []
         want = serial_slab_integral(C, [(1.0, 2.0)] * 2, 8.0, 32)
@@ -416,7 +424,7 @@ class TestBlockKernel:
         C = random_poly(random.Random(seed), len(bounds), 4)
         assume(len(majorarcs._variable_blocks(C.terms())) == 1)
         want = serial_slab_integral(C, bounds, Z, m, kernel=one_table_kernel)
-        assert majorarcs._tensor_integral(C, bounds, Z, m) == want
+        assert tensor_integral(C, bounds, Z, m) == want
 
 
 class TestSingularIntegral:
@@ -430,7 +438,7 @@ class TestSingularIntegral:
         C = random_poly(random.Random(seed), len(bounds), 4)
         want = full_grid_integral(C, bounds, Z, m)
         with mock.patch.object(majorarcs, "_SLAB_POINTS", slab):
-            got = majorarcs._tensor_integral(C, bounds, Z, m)
+            got = tensor_integral(C, bounds, Z, m)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_constant_c_in_one_slab_row(self):
@@ -438,7 +446,7 @@ class TestSingularIntegral:
         C = CubicPolynomial(1, const=2)
         want = full_grid_integral(C, [(-1.0, 1.0)], 1.0, 16)
         with mock.patch.object(majorarcs, "_SLAB_POINTS", 1):
-            got = majorarcs._tensor_integral(C, [(-1.0, 1.0)], 1.0, 16)
+            got = tensor_integral(C, [(-1.0, 1.0)], 1.0, 16)
         assert abs(got - want) <= 1e-13
 
     @pytest.mark.parametrize("dim", [2, 4])
@@ -505,13 +513,12 @@ class TestSingularIntegral:
     @given(st.integers(4, 5), st.integers(0, 2**32 - 1),
            st.integers(2, 3000), st.sampled_from([3, 1000, 1 << 16]))
     def test_monte_carlo_matches_one_serial_draw(self, n, seed, N, chunk):
-        # every axis drawn whole from default_rng(seed) before any kernel
-        # call, and the one-table integrand: the estimate to the last bit
+        # every axis drawn whole from one serial SplitMix64 stream before
+        # any kernel call, and the one-table integrand: the estimate to the
+        # last bit
         C = random_poly(random.Random(seed), n, 4)
         box = [(0.5, 1.5), (-1.0, 0.25)] + [(0.5, 1.5)] * (n - 2)
-        rng = np.random.default_rng(seed)
-        vals = one_table_kernel(C, [rng.uniform(lo, hi, N) for lo, hi in box],
-                                4.0)
+        vals = one_table_kernel(C, uniform_sample(seed, box, N), 4.0)
         vol = 1.0 * 1.25
         with mock.patch.object(majorarcs, "_MC_CHUNK", chunk):
             out = singular_integral(C, box, 4.0, budget=N, seed=seed)
@@ -521,17 +528,38 @@ class TestSingularIntegral:
 
     @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
     def test_sample_chunks_are_slices_of_one_draw(self, seed):
-        # a numpy change to PCG64 or to uniform() shows up here, not as a
-        # moved Monte-Carlo value
+        # each chunk computes its slice from the output index alone; the
+        # serial Python-int stream draws every output before it
         box = [(0.5, 1.5), (-3.0, 2.0), (0.0, 1e-3), (5.0, 6.0), (-1.0, 1.0)]
         N, chunk = 400_000, 1 << 16
-        rng = np.random.default_rng(seed)
-        whole = [rng.uniform(lo, hi, N) for lo, hi in box]
+        whole = uniform_sample(seed, box, N)
         for c in range(0, N, chunk):
             size = min(chunk, N - c)
             got = majorarcs._sample_chunk(seed, box, N, c, size)
             for axis, g in zip(whole, got):
                 assert np.array_equal(g, axis[c:c + size]), c
+
+    def test_oracle_stream_is_splitmix64(self):
+        # the first outputs of the reference splitmix64.c seeded with 0
+        stream = splitmix64(0)
+        assert [next(stream) for _ in range(3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    def test_monte_carlo_unbiased(self):
+        # C = x1^3 - 2 reads x1 alone: I is the volume of the other axes
+        # times a 1-D integral across the zero 2^(1/3); each seed's estimate
+        # lies within 6 of its standard errors
+        C = CubicPolynomial(4, cubic={(0, 0, 0): 1}, const=-2)
+        box = [(0.5, 1.5), (-1.0, 0.25), (0.5, 1.5), (0.0, 2.0)]
+        Z = 4.0
+        with mpmath.workdps(30):
+            exact = 2.5 * float(mpmath.quad(
+                lambda x: 2 * Z * mpmath.sincpi(2 * Z * (x**3 - 2)),
+                [0.5, mpmath.cbrt(2), 1.5]))
+        for seed in range(20):
+            out = singular_integral(C, box, Z, seed=seed)
+            assert out["method"] == "monte-carlo"
+            assert abs(out["value"] - exact) < 6 * out["error"], seed
 
     def test_transverse_zero_stabilizes(self):
         # C = x^3 - 2 y^3 with the zero sheet x = 2^(1/3) y through the box
@@ -605,7 +633,7 @@ class TestWorkers:
         C, bounds = case
         with mock.patch.object(majorarcs, "_SLAB_POINTS", slab):
             got = per_worker_count(
-                lambda: majorarcs._tensor_integral(C, bounds, Z, m))
+                lambda: tensor_integral(C, bounds, Z, m))
             if len(majorarcs._variable_blocks(C.terms())) == 1:
                 assert got[0] == serial_slab_integral(C, bounds, Z, m)
         assert got == [got[0]] * 3
@@ -655,7 +683,7 @@ class TestWorkers:
                 mock.patch.object(majorarcs, "_sinc_kernel", faulty), \
                 mock.patch.object(majorarcs, "_WORKERS", workers), \
                 pytest.raises(MemoryError, match="slab 3"):
-            majorarcs._tensor_integral(C, [(0.5, 1.5)] * 2, 2.0, 16)
+            tensor_integral(C, [(0.5, 1.5)] * 2, 2.0, 16)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_map_keeps_order_and_first_error(self, workers):

@@ -3,15 +3,18 @@ interval references: no library module imports them, and they are test
 extras, not dependencies.  Every name a library module imports is read in
 that module, every private module-level name is read by another
 definition, every import sits at module level, importing the CLI loads no
-pool machinery and no mpmath, and no library code walks points with
-itertools.product or builds an np.ix_ mesh."""
+pool machinery and no mpmath, no library code walks points with
+itertools.product or builds an np.ix_ mesh, and none reaches numpy.random."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 import tomllib
 from pathlib import Path
+
+from conftest import make_fermat, make_watson5
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -174,3 +177,39 @@ def test_lattice_kernels_do_not_load_majorarcs():
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "False", module
+
+
+def test_library_never_names_numpy_random():
+    # the Monte-Carlo sample is computed from its indices by integer ufuncs
+    # (majorarcs._sample_chunk), so no module reaches numpy.random, whose
+    # first import costs a process about 10 ms
+    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert not (node.attr == "random"
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id in ("np", "numpy")), path.name
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("numpy.random")
+                               for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                assert not node.module.startswith("numpy.random"), path.name
+                assert not (node.module == "numpy" and "random" in
+                            [a.name for a in node.names]), path.name
+
+
+def test_integral_loads_no_numpy_random(tmp_path):
+    # watson5 takes the Monte-Carlo branch, fermat Clenshaw-Curtis
+    for name, poly in (("watson5", make_watson5()), ("fermat", make_fermat())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(poly.to_json_dict()))
+        argv = ["integral", "--poly", str(path), "--Z", "1"]
+        code = ("import sys, cubiclab.cli; "
+                f"rc = cubiclab.cli.main({argv!r}); "
+                "print(rc, sorted(m for m in sys.modules "
+                "if m.split('.')[:2] == ['numpy', 'random']))")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True,
+                             text=True).stdout
+        assert out.splitlines()[-1] == "0 []", name
