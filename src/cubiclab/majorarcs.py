@@ -8,15 +8,22 @@ The singular integral is computed from the interchanged form
     I(Z) = int_B sin(2 pi Z C(x)) / (pi C(x)) dx = int_B 2 Z sinc(2 Z C(x)) dx,
 
 whose integrand is smooth (the zero set of C is a removable sinc point).
-The tensor rule works through the grid in axis-0 slabs of equal row
-counts.  When C's terms split into blocks of disjoint variables,
-C = A(x_O) + B(x_L) with x_0 in O (every diagonal form), it contracts
-each slab over L's points: the sines and cosines of 2 pi Z A and 2 pi Z B
-are taken on the O and L subgrids and folded into two weight vectors once
-per level, so a slab costs one add, one reciprocal, in one buffer per
-worker thread reused from slab to slab, and one matrix product with those
-two vectors; the nodes near the zero set of C take the integrand from C's
-whole table.  Its independent pieces, the slabs of the tensor rule and the
+The tensor rule maps one Clenshaw-Curtis rule per level to every axis and
+works through the grid in axis-0 slabs of equal row counts.  When C's
+terms split into blocks of disjoint variables, C = A(x_O) + B(x_L) with x_0
+in O (every diagonal form), it contracts over L's points once per level:
+with T = 2 pi Z A and u = 2 pi Z B, the sines and cosines are taken on the
+O and L subgrids and folded into two weight vectors, which leaves the sums
+of those vectors over 1/(T + u).  The O points are cut into panels of
+contiguous T values.  The poles -u within (1 + kappa) h + 2 of a panel's
+centre, h its half-width and kappa = 3 (the near window), are summed
+directly, in blocks of at most a slab's points held in one buffer per
+worker thread; the far poles go through K Chebyshev proxies on the panel,
+K the fewest nodes whose Bernstein-ellipse bound for the nearest far pole
+is eps.  A level of one slab, and a panel whose proxies would cost as much
+as its far poles, sums every pole directly, and the nodes near the zero set
+of C take the integrand from C's whole table.  Its independent pieces, the
+runs of panels of a split C, the slabs of a connected one and the
 Monte-Carlo chunks (each computing its own slice of the seeded sample), run
 on up to _WORKERS threads (numpy releases the GIL in the kernel's ufuncs);
 the pieces and the order their partial results are combined in do not
@@ -33,7 +40,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import inf, isfinite, nextafter, pi
+from math import acosh, inf, isfinite, nextafter, pi
 
 import numpy as np
 
@@ -248,6 +255,15 @@ def _cc_nodes(m: int, lo: float, hi: float):
     return (lo + hi) / 2 + half * x, half * w
 
 
+def _cc_axes(m: int, bounds) -> list:
+    """_cc_nodes(m, lo, hi) for each (lo, hi) of bounds, bit for bit, from
+    one rule built on [-1, 1], where _cc_nodes' map to [lo, hi] is the
+    identity."""
+    x, w = _cc_nodes(m, -1.0, 1.0)
+    return [((lo + hi) / 2 + (hi - lo) / 2 * x, (hi - lo) / 2 * w)
+            for lo, hi in bounds]
+
+
 # Threads of the singular integral: one per CPU this process may run on,
 # capped to bound the slabs held in memory at once.
 _WORKERS = min(4, len(os.sched_getaffinity(0))
@@ -368,6 +384,240 @@ def _full_slab(C: CubicPolynomial, axes: list, Z: float):
     return slab
 
 
+# Near window of a panel of the split rule: the poles -u within
+# (1 + _KAPPA) h + 2 of the centre c of a panel [c - h, c + h] of T are
+# summed directly, the rest through Chebyshev proxies, so a far pole lies at
+# least 1 + _KAPPA half-widths from the centre.
+_KAPPA = 3.0
+# K first-kind Chebyshev nodes interpolate 1/(t - p) on a panel, p a pole x
+# half-widths from its centre, to a relative error of 1 / T_K(x) = 2 /
+# (rho^K + rho^-K), rho = x + sqrt(x^2 - 1) the Bernstein ellipse through p:
+# at most eps once K acosh(x) >= acosh(1 / eps).
+_ACOSH_EPS = acosh(1.0 / np.finfo(float).eps)
+
+
+@cache
+def _chebyshev(K: int) -> tuple:
+    """The K first-kind Chebyshev nodes cos theta_j, theta_j = (2 j + 1) pi
+    / (2 K), and their barycentric weights (-1)^j sin theta_j (Berrut &
+    Trefethen, SIAM Review 46, 2004), as read-only arrays."""
+    theta = (2 * np.arange(K) + 1) * (pi / (2 * K))
+    x, beta = np.cos(theta), np.sin(theta)
+    beta[1::2] *= -1.0
+    x.flags.writeable = beta.flags.writeable = False
+    return x, beta
+
+
+def _lagrange(s: np.ndarray, K: int) -> np.ndarray:
+    """The Lagrange basis of _chebyshev(K)'s nodes at the points s,
+    (len(s), K), by the barycentric formula; a point on a node is that
+    node's row of the identity."""
+    x, beta = _chebyshev(K)
+    D = s[:, None] - x
+    if D.all():
+        Q = beta / D
+    else:
+        hit = D == 0
+        with np.errstate(divide="ignore"):
+            Q = beta / D
+        on = hit.any(axis=1)
+        Q[on] = hit[on]
+    Q /= Q.sum(axis=1, keepdims=True)
+    return Q
+
+
+def _proxies(dist, h) -> np.ndarray:
+    """K for panels of half-width h whose nearest far pole lies dist from
+    their centre, x = dist / h half-widths (inf when h = 0)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = np.divide(dist, h)
+    return np.maximum(1, np.ceil(_ACOSH_EPS / np.arccosh(x))).astype(int)
+
+
+def _panels(Ts: np.ndarray, us: np.ndarray, cap: int) -> list:
+    """The cut of the sorted T values Ts into panels for the sorted u
+    values us: a list of (p0, p1, lo, hi, K, c, h), the panel Ts[p0:p1] in
+    [c - h, c + h] with its near window us[lo:hi] and K proxies (0 where it
+    sums every pole directly).  The cuts are into 1, 2, 4, ...
+    panels of equal counts, up to one per T value, and into as few as hold
+    every pole within cap, tried six at a time in increasing count until
+    the reciprocals they take, P N near + K (N far + P) summed over panels
+    of P points, rise again; the one taken has the fewest reciprocals, then
+    panels, among those whose near blocks P N near stay within cap."""
+    P, N = len(Ts), len(us)
+    counts = sorted({min(1 << d, P) for d in range(P.bit_length() + 1)}
+                    | {-(-P // max(1, cap // N))})
+    best = None
+    for d0 in range(0, len(counts), 6):
+        ns = counts[d0:d0 + 6]
+        cut = [P * np.arange(n + 1) // n for n in ns]
+        start = np.concatenate([b[:-1] for b in cut])
+        end = np.concatenate([b[1:] for b in cut])
+        a, b = Ts[start], Ts[end - 1]
+        c, h = (a + b) / 2, (b - a) / 2
+        r = (1 + _KAPPA) * h + 2
+        lo, hi = np.searchsorted(us, -c - r), np.searchsorted(us, r - c)
+        far, size = N - (hi - lo), end - start
+        dist = np.minimum(np.where(lo > 0, -us[lo - 1] - c, inf),
+                          np.where(hi < N, c + us[np.minimum(hi, N - 1)],
+                                   inf))
+        K = np.where(far > 0, _proxies(dist, h), 0)
+        direct = K * (far + size) >= size * far
+        lo[direct], hi[direct], K[direct] = 0, N, 0
+        near = size * (hi - lo)
+        offs = np.cumsum([0] + ns)
+        cost = np.add.reduceat(near + K * (N - (hi - lo) + size), offs[:-1])
+        ok = np.maximum.reduceat(near, offs[:-1]) <= cap
+        for i in np.flatnonzero(ok):
+            if best is None or cost[i] < best[0]:
+                j = slice(offs[i], offs[i + 1])
+                best = (cost[i], list(zip(*(x[j].tolist() for x in (
+                    start, end, lo, hi, K, c, h)))))
+        if best is not None and (cost[-1] > best[0] or ns[-1] == P):
+            return best[1]
+    return best[1]
+
+
+# The work items of _cauchy_sums are runs of panels that take at least
+# _ITEM_BLOCKS blocks of reciprocals, a panel whose near block fills half a
+# block or more being an item of its own: many small panels gained nothing
+# from a second thread (2-CPU x86-64 host: x3m2y3/crit10's m = 2048 level at
+# Z = 64, 16 panels of 128 O points, took 4.5 ms on one thread and 5.0 ms on
+# two with items of one block), few large ones did.
+_ITEM_BLOCKS = 16
+
+
+def _cauchy_sums(T: np.ndarray, u: np.ndarray, v: np.ndarray, cap: int,
+                 near) -> tuple:
+    """(S, g): S[o] = sum over l of v[:, l] / (T[o] + u[l]), (len(T), 2),
+    leaving out the candidate pairs u[l] in (-2 - T[o], 2 - T[o]), and g[o]
+    the sum of near(o', l') over the candidates (o', l') with o' = o, near
+    taking index arrays; no block of reciprocals it holds has more than
+    cap >= len(u) entries, or K for a far field of one column.
+
+    The O points are cut into panels of contiguous T values (_panels).  The
+    poles -u of a panel [c - h, c + h] within (1 + _KAPPA) h + 2 of c (the
+    near window, which holds every candidate of the panel) are summed
+    directly, the rest through K Chebyshev proxies tau_j = c + h x_j (Dutt,
+    Gu & Rokhlin, SIAM J. Numer. Anal. 33, 1996): Phi_j = sum over far l of
+    v[:, l] / (tau_j + u[l]) and S[o] += sum_j l_j(T[o]) Phi_j, K taken from
+    the nearest far pole so that no far term is off by more than eps of
+    itself (_ACOSH_EPS).  A level of at most cap pairs is one panel that
+    sums every pole directly, over u in its given order, and a larger one
+    whose window over the whole range of T holds no pole one far panel; u
+    is sorted only to find candidates or to cut panels.  The work items of
+    _map are runs of panels (_ITEM_BLOCKS), each with the largest K of its
+    panels; none depends on the worker count."""
+    P, N = len(T), len(u)
+    u_lo, u_hi = u.min(), u.max()
+    a, b = T.min(), T.max()
+    c, h = (a + b) / 2, (b - a) / 2
+    r = (1 + _KAPPA) * h + 2
+    pairs = a + u_lo < 2 and b + u_hi > -2  # some |T + u| < 2 possible
+    planned = P * N > cap and c - r <= -u_lo and -u_hi <= c + r
+    Ts, cu, cv, tord, order = T, u, v, None, None
+    if planned or pairs:
+        order = np.argsort(u, kind="stable")
+    if planned:
+        tord = np.argsort(T, kind="stable")
+        Ts = T[tord]
+        cu, cv = u[order], v[:, order]
+        panels = _panels(Ts, cu, cap)
+    elif P * N > cap:  # every pole is far
+        panels = [(0, P, 0, 0, int(_proxies(max(c + u_lo, -u_hi - c), h)),
+                   c, h)]
+    else:
+        panels = [(0, P, 0, N, 0, c, h)]
+    if pairs:
+        # the candidates of Ts[i] are u's sorted positions kl[i] ..
+        # kl[i] + cnt[i] - 1, all within the window of its panel: numbered
+        # in the order of Ts, candidate j = first[i] .. first[i + 1] - 1 is
+        # sorted position j - shift[i]
+        us = cu if planned else u[order]
+        kl = np.searchsorted(us, -2.0 - Ts, "right")
+        cnt = np.searchsorted(us, 2.0 - Ts, "left") - kl
+        first = np.zeros(P + 1, dtype=np.intp)
+        np.cumsum(cnt, out=first[1:])
+        shift = first[:-1] - kl
+    items, i0, todo = [], 0, 0
+    for i, (p0, p1, lo, hi, K, _, _) in enumerate(panels):
+        near_block = (p1 - p0) * (hi - lo)
+        todo += near_block + K * (N - hi + lo + p1 - p0)
+        if (todo >= _ITEM_BLOCKS * cap or 2 * near_block >= cap
+                or i == len(panels) - 1):
+            items.append(panels[i0:i + 1])
+            i0, todo = i + 1, 0
+    local = threading.local()
+
+    def run(item: list) -> tuple:
+        """(S, g) over the sorted O points of a run of panels, the far
+        fields with the largest K of these panels."""
+        if not hasattr(local, "buf"):  # a far block has one column or more
+            local.buf = np.empty(max(cap, max(p[4] for p in panels)))
+        base, top = item[0][0], item[-1][1]
+        S = np.empty((top - base, 2))
+        g = np.zeros(top - base)
+        held = []  # candidates (rows, L points) not yet handed to near
+
+        def flush():
+            o, l = held[0] if len(held) == 1 else (
+                np.concatenate(x) for x in zip(*held))
+            g[:] += np.bincount(o, weights=near(
+                o + base if tord is None else tord[o + base], l),
+                minlength=top - base)
+            held.clear()
+
+        Kg = max(p[4] for p in item)
+        if Kg:
+            x = _chebyshev(Kg)[0]
+            size = [p1 - p0 for p0, p1, *_ in item]
+            s = Ts[base:top] - np.repeat([p[5] for p in item], size)
+            s /= np.repeat([p[6] or 1.0 for p in item], size)
+            L = _lagrange(s, Kg)
+        for p0, p1, a, z, K, c, h in item:
+            p0, p1 = p0 - base, p1 - base
+            R = local.buf[:(p1 - p0) * (z - a)].reshape(p1 - p0, z - a)
+            np.add(Ts[base + p0:base + p1, None], cu[a:z], out=R)
+            with np.errstate(divide="ignore", over="ignore"):
+                np.divide(1.0, R, out=R)  # t = 0 or subnormal: a candidate
+            if pairs and first[base + p0] < first[base + p1]:
+                n = cnt[base + p0:base + p1]
+                o = np.repeat(np.arange(p0, p1), n)
+                k = (np.arange(first[base + p0], first[base + p1])
+                     - np.repeat(shift[base + p0:base + p1], n))
+                l = order[k]
+                R.reshape(-1)[(o - p0) * (z - a) + (k if planned else l)
+                              - a] = 0.0
+                held.append((o, l))
+                # near takes the candidates of a run of panels at once,
+                # a sixteenth of a block or more
+                if 16 * sum(len(o) for o, _ in held) >= cap:
+                    flush()
+            np.matmul(R, cv[:, a:z].T, out=S[p0:p1])
+            if Kg and a + N - z:
+                tau = c + h * x
+                phi = np.zeros((Kg, 2))
+                step = max(1, cap // Kg)
+                for j0, j1 in ((0, a), (z, N)):
+                    for j in range(j0, j1, step):
+                        e = min(j1, j + step)
+                        F = local.buf[:Kg * (e - j)].reshape(Kg, e - j)
+                        np.add(tau[:, None], cu[j:e], out=F)
+                        np.divide(1.0, F, out=F)
+                        phi += F @ cv[:, j:e].T
+                S[p0:p1] += L[p0:p1] @ phi
+        if held:
+            flush()
+        return S, g
+
+    parts = _map(run, items)
+    S, g = parts[0] if len(parts) == 1 else (
+        np.concatenate(x) for x in zip(*parts))
+    if tord is not None:
+        S[tord], g[tord] = S.copy(), g.copy()
+    return S, g
+
+
 def _split_slab(C: CubicPolynomial, split: tuple, axes: list, Z: float,
                 rows: int):
     """The slab sum of the tensor rule for C = A(x_O) + B(x_L), O the axes
@@ -377,15 +627,16 @@ def _split_slab(C: CubicPolynomial, split: tuple, axes: list, Z: float,
 
     With T = 2 pi Z A and u = 2 pi Z B, the sum over L of the weights w_L
     times 2 Z sin(T + u) / (T + u) is sin T (R @ v_c) + cos T (R @ v_s),
-    R = 1 / (T + u) on the slab's (O points) x (L points) and v_c, v_s =
-    2 Z w_L (cos u, sin u) folded once per level: each slab costs one add,
-    one reciprocal in a buffer kept per thread, and one product with the
-    two columns of v; sines are taken only on the O and L subgrids.  The
-    candidates |T + u| < 2, found per O point by searchsorted on the sorted
-    u, take _sinc_kernel at their points instead, so where |t| < 1 the
-    integrand is bit for bit that of one block; elsewhere sin(T + u) has an
-    absolute error of a few eps (T' + 1), T' = 2 pi Z times the sum of
-    |w prod x_i| over C's terms, divided by |t| >= 1."""
+    R = 1 / (T + u) on (O points) x (L points) and v_c, v_s = 2 Z w_L
+    (cos u, sin u): the two contractions S are taken once per level by
+    _cauchy_sums, in blocks of at most `rows` rows' worth of R, and each
+    slab reads its rows of S; sines are taken only on the O and L subgrids.
+    The candidates |T + u| < 2 take _sinc_kernel at their points instead,
+    so where |t| < 1 the integrand is bit for bit that of one block;
+    elsewhere sin(T + u) has an absolute error of a few eps (T' + 1),
+    T' = 2 pi Z times the sum of |w prod x_i| over C's terms, divided by
+    |t| >= 1, and the far field of _cauchy_sums adds at most eps of each
+    far term."""
     n, m1 = len(axes), len(axes[0][0])
     O, head, L, rest = split
 
@@ -411,55 +662,28 @@ def _split_slab(C: CubicPolynomial, split: tuple, axes: list, Z: float,
     np.multiply(np.cos(u), wL, out=v[0])
     np.multiply(np.sin(u), wL, out=v[1])
     v *= 2.0 * Z
-    sin_T, cos_T = np.sin(T), np.cos(T)
-    u_lo, u_hi = u.min(), u.max()
+    def near(o, l):
+        """w_L 2 Z sinc(2 Z C) at O points o and L points l."""
+        X = [None] * n
+        for i, j in zip(O, np.unravel_index(o, (m1,) * len(O))):
+            X[i] = axes[i][0][j]
+        for i, j in zip(L, np.unravel_index(l, (m1,) * len(L))):
+            X[i] = axes[i][0][j]
+        return wL[l] * _sinc_kernel(C, X, Z)
 
-    def has_candidates(Ts) -> bool:
-        """Whether the ranges of Ts and u admit some |T + u| < 2."""
-        return Ts.min() + u_lo < 2 and Ts.max() + u_hi > -2
-
-    if has_candidates(T):  # else no slab has one, and u need no sorting
-        order = np.argsort(u, kind="stable")
-        us = u[order]
-    K = m1 ** (len(O) - 1)  # O points per axis-0 row
+    width = m1 ** (len(O) - 1)  # O points per axis-0 row
+    S, extra = _cauchy_sums(T, u, v, rows * width * len(u), near)
+    g = np.sin(T) * S[:, 0]
+    g += np.cos(T) * S[:, 1]
+    g += extra
     w0 = axes[0][1]
-    local = threading.local()
 
     def slab(cut) -> float:
         s, e = cut
-        Ts = T[s * K:e * K]
-        P = len(Ts)
-        if not hasattr(local, "buf"):
-            local.buf = np.empty(rows * K * len(u))
-        R = local.buf[:P * len(u)].reshape(P, len(u))
-        np.add(Ts[:, None], u, out=R)
-        with np.errstate(divide="ignore", over="ignore"):
-            np.divide(1.0, R, out=R)  # t = 0 or subnormal: a candidate
-        near = 0.0
-        if has_candidates(Ts):
-            # candidate k is O point o[k] and L point l[k]: u's sorted
-            # positions lo[o] .. lo[o] + cnt[o] - 1
-            lo = np.searchsorted(us, -2.0 - Ts, "right")
-            cnt = np.searchsorted(us, 2.0 - Ts, "left") - lo
-            o = np.repeat(np.arange(P), cnt)
-            l = order[np.arange(len(o)) + np.repeat(lo - np.cumsum(cnt) + cnt,
-                                                    cnt)]
-            X = [None] * n
-            for i, j in zip(O, np.unravel_index(o + s * K, (m1,) * len(O))):
-                X[i] = axes[i][0][j]
-            for i, j in zip(L, np.unravel_index(l, (m1,) * len(L))):
-                X[i] = axes[i][0][j]
-            R.reshape(-1)[o * len(u) + l] = 0.0
-            near = np.bincount(o, weights=wL[l] * _sinc_kernel(C, X, Z),
-                               minlength=P)
-        S = R @ v.T
-        g = sin_T[s * K:e * K] * S[:, 0]
-        g += cos_T[s * K:e * K] * S[:, 1]
-        g += near
-        g = g.reshape((e - s,) + (m1,) * (len(O) - 1))
+        f = g[s * width:e * width].reshape((e - s,) + (m1,) * (len(O) - 1))
         for i in reversed(O[1:]):
-            g = g @ axes[i][1]
-        return float(w0[s:e] @ g)
+            f = f @ axes[i][1]
+        return float(w0[s:e] @ f)
 
     return slab
 
@@ -475,13 +699,16 @@ def _tensor_split(C: CubicPolynomial) -> tuple | None:
 def _tensor_integral(C: CubicPolynomial, bounds, Z: float, m: int,
                      split: tuple | None) -> float:
     """The (m + 1)^n tensor rule on the box, split = _tensor_split(C)."""
-    axes = [_cc_nodes(m, lo, hi) for lo, hi in bounds]
+    axes = _cc_axes(m, bounds)
     cuts = _slab_cuts(m, len(bounds))
     rows = max(e - s for s, e in zip(cuts[:-1], cuts[1:]))
-    slab = (_full_slab(C, axes, Z) if split is None
-            else _split_slab(C, split, axes, Z, rows))
+    slabs = zip(cuts[:-1], cuts[1:])
+    if split is None:
+        parts = _map(_full_slab(C, axes, Z), slabs)
+    else:  # the slabs read the contractions _split_slab took
+        parts = map(_split_slab(C, split, axes, Z, rows), slabs)
     total = 0.0
-    for part in _map(slab, zip(cuts[:-1], cuts[1:])):
+    for part in parts:
         total += part  # in slab order, whatever thread computed it
     return total
 
@@ -600,7 +827,7 @@ def slice_volume(C: CubicPolynomial, box, grid: int = 128) -> dict:
 
     # every slice node as a flat array per rest axis; none when n = 1,
     # which leaves a single slice of weight 1
-    axes = [_cc_nodes(grid, *bounds[i]) for i in rest]
+    axes = _cc_axes(grid, [bounds[i] for i in rest])
     W = np.ones(())
     for _, w in axes:
         W = np.multiply.outer(W, w)

@@ -1,6 +1,7 @@
 """Real-point construction, certified boxes, the singular integral, slice
 volumes, and truncated singular series."""
 
+import math
 import os
 import random
 import sys
@@ -170,6 +171,19 @@ class TestCCWeights:
                 exact = (hi ** (d + 1) - lo ** (d + 1)) / (d + 1)
                 assert float(w @ x ** d) == pytest.approx(
                     exact, rel=1e-13, abs=1e-13), (m, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3)),
+                    min_size=1, max_size=3))
+    def test_axes_from_one_reference_rule(self, boxes):
+        # the rule built once on [-1, 1] and mapped to each axis is, node
+        # for node and weight for weight, the rule built on that axis
+        bounds = [(c - h, c + h) for c, h in boxes]
+        for m in (0, 1, 2, 16, 64):
+            for (x, w), b in zip(majorarcs._cc_axes(m, bounds), bounds):
+                want_x, want_w = _cc_nodes(m, *b)
+                assert np.array_equal(x, want_x), (m, b)
+                assert np.array_equal(w, want_w), (m, b)
 
 
 # -- singular integral ------------------------------------------------------
@@ -427,6 +441,179 @@ class TestBlockKernel:
         assert tensor_integral(C, bounds, Z, m) == want
 
 
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def cauchy_levels(draw):
+    """(T, u, v, cap) for majorarcs._cauchy_sums in one of six layouts:
+    random T and u; the poles -u just outside the near window of the whole
+    range [c - h, c + h] of T, (1 + kappa) h + 2 from c; T on the Chebyshev
+    nodes of that range; a single T value; every pole inside the range of
+    T; every pole far from it.  cap runs from len(u), one O point per block,
+    to past the whole level."""
+    kind = draw(st.sampled_from(
+        ["random", "window edge", "on the nodes", "one value", "all near",
+         "all far"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P, N = draw(st.integers(1, 60)), draw(st.integers(1, 90))
+    a, w = draw(st.floats(-400, 400)), draw(st.floats(0, 200))
+    T = a + w * rng.random(P)
+    if kind == "one value":
+        T[:] = a
+    c, h = (T.min() + T.max()) / 2, (T.max() - T.min()) / 2
+    if kind == "on the nodes":
+        x = majorarcs._chebyshev(draw(st.integers(1, 24)))[0]
+        T = np.concatenate([c + h * x, [c - h, c + h]])
+    r = (1 + majorarcs._KAPPA) * h + 2
+    side = rng.choice([-1.0, 1.0], N)
+    if kind == "window edge":
+        poles = c + side * r * (1 + 1e-3 * rng.random(N) ** 4)
+    elif kind == "all near":
+        poles = c + h * rng.uniform(-1, 1, N)
+    elif kind == "all far":
+        poles = c + side * (r + 10.0 ** rng.uniform(0, 4, N))
+    else:
+        poles = c + (h + 2) * rng.uniform(-10, 10, N)
+    v = rng.uniform(-1, 1, (2, N))
+    N, P = len(poles), len(T)
+    return T, -poles, v, draw(st.integers(N, 2 * P * N))
+
+
+def dense_cauchy(T, u, v):
+    """The contraction pair by pair: sum over l of v[:, l] / (T + u[l]) by
+    fsum, the candidates u in (-2 - T, 2 - T) left out, and the candidate
+    mask."""
+    with np.errstate(divide="ignore", over="ignore"):
+        R = 1.0 / (T[:, None] + u)  # t = 0 or subnormal: a candidate
+    cand = (u > -2.0 - T[:, None]) & (u < 2.0 - T[:, None])
+    R[cand] = 0.0
+    S = np.array([[math.fsum(row * vc) for vc in v] for row in R])
+    return S, cand
+
+
+class TestFarField:
+    """The split rule's contraction of 1/(T + u): near windows summed
+    directly, far poles through Chebyshev proxies."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1 + majorarcs._KAPPA, 1e8), st.booleans(),
+           st.lists(st.floats(-1, 1), max_size=20))
+    def test_proxies_interpolate_a_pole_to_rounding(self, x, left, s):
+        # 1/(s - p) for a pole p at |p| >= 1 + kappa, interpolated at the K
+        # nodes taken from |p|, points on the nodes included
+        p = -x if left else x
+        K = int(majorarcs._proxies(x, 1.0))
+        nodes = majorarcs._chebyshev(K)[0]
+        s = np.concatenate([s, nodes])
+        got = majorarcs._lagrange(s, K) @ (1.0 / (nodes - p))
+        want = 1.0 / (s - p)
+        assert np.all(np.abs(got - want) <= 8 * EPS * np.abs(want))
+
+    @pytest.mark.parametrize("x", [1 + majorarcs._KAPPA, 4.5, 32.0, 1e3])
+    def test_proxies_are_the_fewest_at_rounding_level(self, x):
+        # K is the least with 1 / T_K(x) <= eps, T_K(x) = cosh(K acosh x)
+        K = int(majorarcs._proxies(x, 1.0))
+        assert np.cosh(K * np.arccosh(x)) >= 1 / EPS
+        assert K == 1 or np.cosh((K - 1) * np.arccosh(x)) < 1 / EPS
+
+    def test_node_points_take_the_identity_row(self):
+        x = majorarcs._chebyshev(7)[0]
+        assert np.array_equal(majorarcs._lagrange(x, 7), np.eye(7))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cauchy_levels())
+    def test_panels_keep_far_poles_outside_their_windows(self, level):
+        T, u, _, cap = level
+        Ts, us = np.sort(T), np.sort(u)
+        panels = majorarcs._panels(Ts, us, cap)
+        bnd = [p0 for p0, *_ in panels] + [panels[-1][1]]
+        assert bnd[0] == 0 and bnd[-1] == len(T) and np.all(np.diff(bnd) > 0)
+        for p0, p1, lo, hi, K, c, h in panels:
+            panel = Ts[p0:p1]
+            assert len(panel) * (hi - lo) <= cap
+            if K == 0:
+                assert (lo, hi) == (0, len(u))
+                continue
+            # [c - h, c + h] is the panel's range, to the rounding of c, h
+            assert np.all(np.abs(panel - c)
+                          <= h + 4 * np.spacing(np.abs(panel).max()))
+            far = np.abs(np.concatenate([us[:lo], us[hi:]]) + c)
+            r = (1 + majorarcs._KAPPA) * h + 2
+            assert len(far) and far.min() >= r
+            if h:
+                with np.errstate(over="ignore"):
+                    x = far.min() / h
+                assert np.cosh(K * np.arccosh(x)) >= 1 / EPS
+
+    @settings(max_examples=300, deadline=None)
+    @given(cauchy_levels())
+    def test_contraction_matches_dense_sum(self, level):
+        # every candidate goes to `near` once, and S is the dense sum to
+        # the bound of TestBlockKernel per O point: 8 eps (T' + 1) sum |v|,
+        # T' = |T| + max |u| bounding the phase sum
+        T, u, v, cap = level
+        seen = []
+
+        def near(o, l):
+            seen.extend(zip(o.tolist(), l.tolist()))
+            return (3.0 * o + l) % 5
+
+        S, g = majorarcs._cauchy_sums(T, u, v, cap, near)
+        want, cand = dense_cauchy(T, u, v)
+        assert sorted(seen) == sorted(zip(*map(list, np.nonzero(cand))))
+        o, l = np.nonzero(cand)
+        assert np.array_equal(g, np.bincount(
+            o, weights=(3.0 * o + l) % 5, minlength=len(T)))
+        bound = 8 * EPS * (np.abs(T) + np.abs(u).max() + 1) * np.abs(v).sum()
+        assert np.all(np.abs(S - want) <= bound[:, None])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([
+               # O = {0, 1}, L = {2, 3}; O = {0}, L = {1, 2}; O = {0, 1, 2},
+               # L = {3}
+               ({(0, 0, 0): 1, (0, 1, 1): 2, (2, 2, 2): -2, (3, 3, 3): 1}, 4),
+               ({(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): -1}, 3),
+               ({(0, 0, 1): 1, (1, 1, 2): 1, (3, 3, 3): -3}, 4)]),
+           st.floats(-0.5, 0.5), st.floats(8, 64), st.sampled_from([16, 32]),
+           st.sampled_from([7, 500, 4096]))
+    def test_split_forms_with_several_axes(self, form, shift, Z, m, slab):
+        # boxes across and beside the zero set, slabs small enough that
+        # the levels are cut into panels
+        cubic, n = form
+        C, _ = symmetrize(n, cubic)
+        bounds = [(0.5 + shift, 1.5 + shift)] * (n - 1) + [(0.8, 1.3)]
+        with mock.patch.object(majorarcs, "_SLAB_POINTS", slab):
+            sums, seen = sinc_points(
+                lambda: split_slab_sums(C, bounds, Z, m))
+        for got, want, bound in sums:
+            assert abs(got - want) <= bound
+        assert_near_set_exact(C, bounds, Z, m, seen)
+
+    @pytest.mark.parametrize("C,bounds,Z,m,slab", [
+        # panels cut from a level across the zero set; one far panel
+        (symmetrize(2, {(0, 0, 0): 1, (1, 1, 1): -2})[0],
+         [(1.1619052598738477, 1.861905259873848),
+          (0.85, 1.5499999999999998)], 64.0, 256, 16384),
+        (make_fermat(), [(1.0, 2.0), (1.0, 2.0), (5.0, 6.0)], 4.0, 32, 7)])
+    def test_far_fields_on_corpus_levels(self, C, bounds, Z, m, slab):
+        calls = []
+        lagrange = majorarcs._lagrange
+
+        def spy(s, K):
+            calls.append(K)
+            return lagrange(s, K)
+
+        with mock.patch.object(majorarcs, "_SLAB_POINTS", slab), \
+                mock.patch.object(majorarcs, "_lagrange", spy):
+            sums, seen = sinc_points(
+                lambda: split_slab_sums(C, bounds, Z, m))
+        assert calls
+        for got, want, bound in sums:
+            assert abs(got - want) <= bound
+        assert_near_set_exact(C, bounds, Z, m, seen)
+
+
 class TestSingularIntegral:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
@@ -560,6 +747,29 @@ class TestSingularIntegral:
             out = singular_integral(C, box, Z, seed=seed)
             assert out["method"] == "monte-carlo"
             assert abs(out["value"] - exact) < 6 * out["error"], seed
+
+    @pytest.mark.parametrize("case,Z,nodes", [
+        ("fermat", 4.0, 257), ("x3m2y3", 4.0, 129), ("x3m2y3", 16.0, 513),
+        ("x3m2y3", 64.0, 2049)])
+    def test_doubling_stops_where_the_dense_rule_stopped(self, case, Z,
+                                                          nodes):
+        # the levels the dense reciprocal matrix stopped at, fermat on
+        # [1, 2]^2 x [5, 6] and x^3 - 2 y^3 on a box across its zero set;
+        # the value within the per-level bound of the one-table integrand
+        # (split_slab_sums) over the whole last grid
+        C, bounds = {
+            "fermat": (make_fermat(), [(1.0, 2.0), (1.0, 2.0), (5.0, 6.0)]),
+            "x3m2y3": (symmetrize(2, {(0, 0, 0): 1, (1, 1, 1): -2})[0],
+                       [(1.1619052598738477, 1.861905259873848),
+                        (0.85, 1.5499999999999998)])}[case]
+        out = singular_integral(C, bounds, Z, budget=20_000_000)
+        assert (out["method"], out["nodes"]) == ("clenshaw-curtis", nodes)
+        top = [max(abs(lo), abs(hi)) for lo, hi in bounds]
+        T = 2 * pi * Z * float(_eval_terms(
+            [(abs(w), idx) for w, idx in C.terms()], top))
+        vol = math.prod(hi - lo for lo, hi in bounds)
+        want = serial_slab_integral(C, bounds, Z, nodes - 1)
+        assert abs(out["value"] - want) <= 8 * EPS * (T + 1) * 2 * Z * vol
 
     def test_transverse_zero_stabilizes(self):
         # C = x^3 - 2 y^3 with the zero sheet x = 2^(1/3) y through the box
