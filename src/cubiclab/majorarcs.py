@@ -438,11 +438,11 @@ def _panels(Ts: np.ndarray, us: np.ndarray, cap: int) -> list:
     """The cut of the sorted T values Ts into panels for the sorted u
     values us: a list of (p0, p1, lo, hi, K, c, h), the panel Ts[p0:p1] in
     [c - h, c + h] with its near window us[lo:hi] and K proxies (0 where it
-    sums every pole directly).  The cuts are into 1, 2, 4, ...
-    panels of equal counts, up to one per T value, and into as few as hold
-    every pole within cap, tried six at a time in increasing count until
-    the reciprocals they take, P N near + K (N far + P) summed over panels
-    of P points, rise again; the one taken has the fewest reciprocals, then
+    sums every pole directly).  The cuts are into 1, 2, 4, ... panels of
+    equal counts, up to one per T value, and into as few as hold every pole
+    within cap, tried six at a time in increasing count until the
+    reciprocals they take, P N near + K (N far + P) summed over panels of P
+    points, rise again; the one taken has the fewest reciprocals, then
     panels, among those whose near blocks P N near stay within cap."""
     P, N = len(Ts), len(us)
     counts = sorted({min(1 << d, P) for d in range(P.bit_length() + 1)}
