@@ -66,11 +66,20 @@ def _load_poly(path: str) -> CubicPolynomial:
 
 
 def _load_box(path: str) -> list:
+    """The (lo, hi) pairs of {"bounds": [[lo, hi], ...]}, each a JSON
+    number within the finite floats (not a bool, NaN or Infinity); anything
+    else is refused."""
     with open(path) as fh:
         d = json.load(fh)
-    if "bounds" not in d:
-        raise ValueError("box JSON: need field 'bounds'")
-    return [tuple(b) for b in d["bounds"]]
+    bounds = d.get("bounds") if isinstance(d, dict) else None
+    if not (isinstance(bounds, list) and all(
+            isinstance(b, list) and len(b) == 2 and all(
+                type(v) in (int, float) and abs(v) <= sys.float_info.max
+                for v in b)
+            for b in bounds)):
+        raise ValueError("box JSON: need field 'bounds', a list of [lo, hi] "
+                         "pairs of finite numbers")
+    return [tuple(b) for b in bounds]
 
 
 def _emit(result, args) -> None:

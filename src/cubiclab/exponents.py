@@ -269,42 +269,3 @@ def theorem_exponent_check(n: int) -> dict:
     e_P = paper_exponents(T)["P"]
     bound = Fraction(6407) * n * n
     return {"n": n, "exp_P": e_P, "bound": bound, "ok": e_P <= bound}
-
-
-# -- threshold profile ------------------------------------------------------
-
-
-def thresholds(T, p: Fraction, r: Fraction) -> dict:
-    """Exponents of phi_0, phi_1, phi_2 at P = M^p, R = M^r, plus the
-    crossover scales R0, R1."""
-    T = _frac(T)
-    B = 2 * T + 17
-    phi0 = -(4 * r + 31 * p + 2 * T + 30) / 15
-    phi1 = Fraction(9, 10) * r - 3 * p - (2 * T + Fraction(101, 5))
-    phi2 = Fraction(7, 25) * B - Fraction(7, 10) * r - Fraction(43, 25) * p
-    R0 = Fraction(4, 5) * p + Fraction(4, 5) * B + 2
-    R1 = Fraction(50, 17) * B + Fraction(96, 17)
-    return {"phi0": phi0, "phi1": phi1, "phi2": phi2, "R0": R0, "R1": R1}
-
-
-def threshold_profile(T) -> dict:
-    """Table of threshold exponents at the paper's P exponent over the R
-    exponents R0 - 10, R0 - 1, R0, R0 + 1, R0 + 10 and R1, with the regime
-    classification phi2 <= phi0 <= phi1 iff r >= R0 verified exactly at
-    each of them."""
-    T = _frac(T)
-    p = paper_exponents(T)["P"]
-    base = thresholds(T, p, Fraction(0))
-    R0, R1 = base["R0"], base["R1"]
-    rows = []
-    for r in [R0 - 10, R0 - 1, R0, R0 + 1, R0 + 10, R1]:
-        t = thresholds(T, p, r)
-        if r >= R0:
-            regime = "phi2<=phi0<=phi1"
-            ordered = t["phi2"] <= t["phi0"] <= t["phi1"]
-        else:
-            regime = "phi1<=phi0<=phi2"
-            ordered = t["phi1"] <= t["phi0"] <= t["phi2"]
-        rows.append({"r": r, "phi0": t["phi0"], "phi1": t["phi1"],
-                     "phi2": t["phi2"], "regime": regime, "ordered": ordered})
-    return {"P_exponent": p, "R0": R0, "R1": R1, "rows": rows}

@@ -1,7 +1,7 @@
 """Exponential sums: complete Gauss sums S(q, a), Weyl sums over scaled
-boxes, the bilinear counting functions of the minor-arc analysis, and
-exact verifiers for the shrinking and bootstrap lemmas.  The averages A(q)
-of the singular series are read off local densities instead (majorarcs).
+boxes and the Weyl-differencing probe, and exact verifiers for the
+shrinking and bootstrap lemmas.  The averages A(q) of the singular series
+are read off local densities instead (majorarcs).
 
 Implicit-constant policy: lemmas stated with << become probes that report
 ratios; only exact identities and divisibility statements are asserted.
@@ -91,50 +91,33 @@ def weyl_sum(phi: CubicPolynomial, alpha, bounds, P: float = 1.0,
     return _sum_once(counts.tolist(), phases)
 
 
-# -- bilinear counting ------------------------------------------------------
+# -- shrinking lemma verifier ----------------------------------------------
 
 
-def _near_integer_count(L, scale, r: int, eps) -> int:
-    """#{u in [-r, r]^n : ||scale (L u)_i|| < eps for all i}, n = len(L),
-    over chunks of the box.  Each value is formed in the order and the
-    arithmetic of one point's scale * sum_j L[i][j] u[j]: exact for int and
+def _near_integer_count(L, r: int, eps) -> int:
+    """#{u in [-r, r]^n : ||(L u)_i|| < eps for all i}, n = len(L), over
+    chunks of the box.  Each value is formed in the order and the
+    arithmetic of one point's sum_j L[i][j] u[j]: exact for int and
     Fraction entries, IEEE double once a float enters; its distance to the
     nearest integer is taken as nt.nearest_int_distance takes it."""
     rows = [[(w, (j,)) for j, w in enumerate(row)] for row in L]
-    height = [(max(1, abs(scale)) * w, idx) for row in rows for w, idx in row]
+    height = [term for row in rows for term in row]
     count = 0
     for _, shape, u in _walk([range(-r, r + 1)] * len(L), _CHUNK, height):
         near = True
         for row in rows:
-            x = scale * _eval_terms(row, u)
+            x = _eval_terms(row, u)
             frac = x - x // 1
             near = near & (np.minimum(frac, 1 - frac) < eps)
         count += int(np.count_nonzero(np.broadcast_to(near, shape)))
     return count
 
 
-def bilinear_count(C: CubicPolynomial, alpha, h, bound: int, eps,
-                   budget: int | None = None) -> int:
-    """#{d : |d| <= bound, ||6 alpha B_i(h, d)|| < eps for all i}.
-
-    Exact when alpha and eps are rational (a value landing exactly on 1/2
-    counts as distance 1/2 and fails the strict inequality).
-    """
-    check_budget((2 * bound + 1) ** C.n, budget, what="bilinear count")
-    M = C.hessian(h)  # B_i(h, d) = (M(h) d)_i
-    if isinstance(alpha, Fraction):
-        return _near_integer_count(M, 6 * alpha, bound, Fraction(eps))
-    return _near_integer_count(M, 6.0 * alpha, bound, eps)
-
-
-# -- shrinking lemma verifier ----------------------------------------------
-
-
 def shrinking_count(L, a, Z, budget: int | None = None) -> int:
     """N(Z) = #{u : |u| <= a Z, ||(L u)_i|| < a^-1 Z for all i}."""
     r = floor(float(a) * float(Z) + 1e-12)
     check_budget((2 * r + 1) ** len(L), budget, what="shrinking count")
-    return _near_integer_count(L, 1, r, float(Z) / float(a))
+    return _near_integer_count(L, r, float(Z) / float(a))
 
 
 def shrinking_check(L, a, Z, budget: int | None = None) -> dict:

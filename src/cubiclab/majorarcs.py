@@ -761,14 +761,24 @@ def singular_integral(C: CubicPolynomial, box, Z: float,
     (m + 1)^n grid that would exceed it, so also when not even the first
     17^n grid fits, and when it admits fewer than two Monte-Carlo points,
     which leave no standard error.  A box of another dimension than C's
-    raises DimensionMismatch, and a Z that is not finite and positive or a
-    negative seed ValueError, whatever the method.
+    raises DimensionMismatch, and a Z that is not finite and positive, a Z
+    whose largest phase 2 pi Z sum |w| B^deg (B the largest |bound|) is not
+    a finite float, or a negative seed ValueError, whatever the method.
     """
     bounds = _box_bounds(C.n, box)
     n = len(bounds)
     if not (isfinite(Z) and Z > 0):
         raise ValueError(
             f"Z must be {'positive' if isfinite(Z) else 'finite'}, got {Z}")
+    B = max([0.0] + [abs(float(v)) for pair in bounds for v in pair])
+    try:
+        phase = 2 * pi * Z * sum(abs(w) * B ** len(idx)
+                                 for w, idx in C.terms())
+    except OverflowError:  # a weight past the float range
+        phase = inf
+    if not isfinite(phase):
+        raise ValueError(f"Z = {Z} makes the phase 2 pi Z C(x) overflow on "
+                         f"this box")
     if seed < 0:
         raise ValueError("--seed must be >= 0")
     cap = enumeration_budget(budget)

@@ -45,6 +45,23 @@ class DegreeError(ValueError):
     pass
 
 
+def _json_int(value, what: str) -> int:
+    """value, if it is a JSON integer (a bool is not), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(
+            f"polynomial JSON: {what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(d: dict, key: str) -> list:
+    """d[key], a list, or [] where it is missing; else ValueError."""
+    value = d.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(
+            f"polynomial JSON: field {key!r} must be a list, got {value!r}")
+    return value
+
+
 def _mult(idx: tuple) -> int:
     """Number of distinct orderings of a sorted index tuple of length <= 3:
     len! over the factorial of its one run of repeated indices."""
@@ -324,24 +341,30 @@ class CubicPolynomial:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CubicPolynomial":
-        try:
-            n = int(d["n"])
-        except (KeyError, TypeError, ValueError):
-            raise ValueError("polynomial JSON: missing or invalid field 'n'")
-        cubic = {}
-        for entry in d.get("cubic", []):
-            if len(entry) != 4:
-                raise ValueError(f"polynomial JSON: bad cubic entry {entry}")
-            i, j, k, c = entry
-            cubic[(i - 1, j - 1, k - 1)] = c
-        quad = {}
-        for entry in d.get("quad", []):
-            if len(entry) != 3:
-                raise ValueError(f"polynomial JSON: bad quad entry {entry}")
-            i, j, c = entry
-            quad[(i - 1, j - 1)] = c
-        return cls(n, cubic=cubic, quad=quad,
-                   lin=tuple(d.get("lin", [0] * n)), const=d.get("const", 0))
+        """The object {"n", "cubic": [[i, j, k, c], ...], "quad": [[i, j,
+        c], ...], "lin", "const"}, indices 1-based, n >= 1.  Every number is
+        a JSON integer and every field a list but "n" and "const"; a float,
+        a string or a bool in place of an integer is a ValueError, as is
+        any other shape."""
+        if not isinstance(d, dict):
+            raise ValueError("polynomial JSON: expected an object")
+        n = _json_int(d.get("n"), "field 'n'")
+        if n < 1:
+            raise ValueError(f"polynomial JSON: need n >= 1, got {n}")
+        parts = []
+        for key, width in (("cubic", 4), ("quad", 3)):
+            part = {}
+            for entry in _json_list(d, key):
+                if not isinstance(entry, list) or len(entry) != width:
+                    raise ValueError(
+                        f"polynomial JSON: bad {key} entry {entry!r}")
+                *idx, c = [_json_int(v, f"each number of {key} entry "
+                                        f"{entry}") for v in entry]
+                part[tuple(i - 1 for i in idx)] = c
+            parts.append(part)
+        lin = [_json_int(v, "each 'lin' entry") for v in _json_list(d, "lin")]
+        return cls(n, cubic=parts[0], quad=parts[1], lin=tuple(lin),
+                   const=_json_int(d.get("const", 0), "field 'const'"))
 
     @classmethod
     def from_json(cls, s: str) -> "CubicPolynomial":

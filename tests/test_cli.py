@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -941,6 +942,59 @@ class TestStrictJson:
         result, code = args.func(cli._load_poly(fermat_json), args)
         assert code == 0 and result.count == 61
         assert capsys.readouterr() == ("", "")
+
+
+_X3M2Y3 = {"n": 2, "cubic": [[1, 1, 1, 1], [2, 2, 2, -2]], "quad": [],
+           "lin": [0, 0], "const": 0}
+
+
+class TestMalformedInput:
+    # a polynomial or box file outside README's JSON format, or a Z whose
+    # phase overflows, is refused with one error line naming the command:
+    # never read as a nearby value, never a traceback or a numpy warning.
+    # Each case: (fields replacing x3m2y3's, box file text, command line)
+    COUNT, INTEGRAL = ["count", "--P", "1"], ["integral", "--Z", "1"]
+    CASES = {
+        "const-float": ({"const": 1.5}, None, COUNT),
+        "coefficient-float": ({"cubic": [[1, 1, 1, 1.7]]}, None, COUNT),
+        "coefficient-string": ({"cubic": [[1, 1, 1, "7"]]}, None, COUNT),
+        "coefficient-bool": ({"cubic": [[1, 1, 1, True]]}, None, COUNT),
+        "index-float": ({"cubic": [[1.5, 1, 1, 1]]}, None, COUNT),
+        "n-float": ({"n": 2.5}, None, COUNT),
+        "n-bool": ({"n": True, "cubic": [[1, 1, 1, 1]], "lin": [0]}, None,
+                   COUNT),
+        "cubic-not-a-list": ({"cubic": 5}, None, COUNT),
+        "lin-not-a-list": ({"lin": 5}, None, COUNT),
+        "n-zero-count": ({"n": 0, "cubic": [], "lin": []}, None, COUNT),
+        "n-zero-integral": ({"n": 0, "cubic": [], "lin": []}, None, INTEGRAL),
+        "n-zero-series": ({"n": 0, "cubic": [], "lin": []}, None,
+                          ["series", "--p0", "5"]),
+        "bounds-number-count": ({}, '{"bounds": 5}', COUNT),
+        "bounds-number-integral": ({}, '{"bounds": 5}', INTEGRAL),
+        "bound-infinite-count": ({}, '{"bounds": [[0, Infinity], [0, 1]]}',
+                                 COUNT),
+        "bound-infinite-integral": (
+            {}, '{"bounds": [[0, Infinity], [0, 1]]}', INTEGRAL),
+        "bound-nan-integral": ({}, '{"bounds": [[0, NaN], [0, 1]]}',
+                               INTEGRAL),
+        "Z-overflows": ({}, None, ["integral", "--Z", "1e308"]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_with_one_error_line(self, tmp_path, case):
+        fields, box, (cmd, *tail) = self.CASES[case]
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({**_X3M2Y3, **fields}))
+        argv = [cmd, "--poly", str(poly), *tail]
+        if box:
+            (tmp_path / "box.json").write_text(box)
+            argv += ["--box", str(tmp_path / "box.json")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = outcome(argv)
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith(f"error: {cmd}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestEveryFlagIsLive:

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cubiclab import (CubicPolynomial, asymptotic_compare, count_solutions,
-                      singular_series, smallest_solution, symmetrize)
+from cubiclab import (CubicPolynomial, count_solutions, singular_series,
+                      smallest_solution, symmetrize)
 from cubiclab import counting
 from cubiclab.budget import BudgetExceeded, check_budget
+from cubiclab.majorarcs import asymptotic_compare
 from cubiclab.polynomials import DimensionMismatch, _from_terms, _substitute
 from conftest import (make_diag5m2, make_fermat, make_selmer4,
                       make_triple_product, make_watson5, random_poly)

@@ -1,5 +1,5 @@
 """Symbolic exponent system: parameter choices, assumption tags, psi
-requirements, theorem-scale checks, and threshold orderings."""
+requirements and theorem-scale checks."""
 
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
@@ -8,9 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cubiclab import (ExponentSystem, paper_exponents, psi_requirement,
-                      solve_parameters, theorem_exponent_check,
-                      threshold_profile)
-from cubiclab.exponents import _frac, present, thresholds, unprintable
+                      solve_parameters, theorem_exponent_check)
+from cubiclab.exponents import _frac, present, unprintable
 
 
 T84 = Fraction(84)
@@ -239,29 +238,3 @@ class TestTheoremExponent:
         out = theorem_exponent_check(14)
         T = Fraction(292) * (14 * 14 - 1)
         assert out["exp_P"] == (373 * (2 * T + 17) + 640) / Fraction(34)
-
-
-class TestThresholds:
-    def test_triple_equality_at_r0(self):
-        p = paper_exponents(T84)["P"]
-        r0 = thresholds(T84, p, Fraction(0))["R0"]
-        t = thresholds(T84, p, r0)
-        assert t["phi0"] == t["phi1"] == t["phi2"]
-        assert t["phi0"] == Fraction(-802997, 170)
-
-    def test_r1_matches_p0_exponent(self):
-        t = thresholds(T84, paper_exponents(T84)["P"], Fraction(0))
-        assert t["R1"] == paper_exponents(T84)["P0"]
-
-    def test_profile_ordering(self):
-        prof = threshold_profile(T84)
-        assert all(row["ordered"] for row in prof["rows"])
-        below = [r for r in prof["rows"] if r["r"] < prof["R0"]]
-        above = [r for r in prof["rows"] if r["r"] >= prof["R0"]]
-        assert below and above
-
-    def test_phi1_monotone_in_r(self):
-        p = paper_exponents(T84)["P"]
-        v1 = thresholds(T84, p, Fraction(0))["phi1"]
-        v2 = thresholds(T84, p, Fraction(10))["phi1"]
-        assert v2 - v1 == Fraction(9)  # slope 9/10

@@ -1,18 +1,17 @@
-"""Gauss sums, coprime averages, Weyl sums, bilinear counting, and the
-shrinking/bootstrap lemma verifiers."""
+"""Gauss sums, coprime averages, Weyl sums, and the shrinking/bootstrap
+lemma verifiers."""
 
 import cmath
 import random
 from unittest import mock
 from fractions import Fraction
-from itertools import product
 from math import gcd, tau
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cubiclab import (CubicPolynomial, bilinear_count, bootstrap_check,
-                      gauss_sum, rho, shrinking_check, symmetrize, weyl_sum)
+from cubiclab import (CubicPolynomial, bootstrap_check, gauss_sum, rho,
+                      shrinking_check, symmetrize, weyl_sum)
 from cubiclab import expsums
 from cubiclab.expsums import shrinking_count, weyl_bound_probe
 from cubiclab.nt import nearest_int_distance
@@ -193,63 +192,6 @@ class TestWeylSumOracle:
         bounds = [(-1.0, 1.0)] * 5
         assert _bits(weyl_sum(C, alpha, bounds, 6)) == \
             _bits(weyl_sum_direct(C, alpha, bounds, 6))
-
-
-# -- bilinear counting ------------------------------------------------------
-
-def brute_bilinear_count(C, alpha, h, bound, eps):
-    """bilinear_count by direct enumeration, in the arithmetic of alpha."""
-    M = C.hessian(h)
-    n = C.n
-    want = 0
-    for d in product(range(-bound, bound + 1), repeat=n):
-        vals = [6 * alpha * sum(M[i][j] * d[j] for j in range(n))
-                for i in range(n)]
-        if all(nearest_int_distance(v) < eps for v in vals):
-            want += 1
-    return want
-
-
-class TestBilinearCount:
-    def test_alpha_zero_full_box(self):
-        C = symmetrize(3, {(0, 1, 2): 6})[0]
-        assert bilinear_count(C, Fraction(0), [1, 0, 0], 3, Fraction(1, 4)) \
-            == 7**3
-
-    def test_large_eps_full_box(self):
-        C = symmetrize(3, {(0, 1, 2): 6})[0]
-        assert bilinear_count(C, Fraction(1, 2), [1, 0, 0], 3,
-                              Fraction(1, 2)) == 7**3
-
-    def test_matches_brute_oracle(self):
-        rng = random.Random(6)
-        for _ in range(10):
-            C = random_poly(rng, 2).cubic_part()
-            alpha = Fraction(rng.randint(1, 4), rng.randint(5, 9))
-            h = [rng.randint(-2, 2) for _ in range(2)]
-            eps = Fraction(1, rng.randint(3, 6))
-            got = bilinear_count(C, alpha, h, 4, eps)
-            assert got == brute_bilinear_count(C, alpha, h, 4, eps)
-
-    def test_float_alpha_matches_brute_oracle(self):
-        rng = random.Random(7)
-        counts = set()
-        for _ in range(10):
-            C = random_poly(rng, 2).cubic_part()
-            alpha = rng.uniform(-1, 1)
-            h = [rng.randint(-2, 2) for _ in range(2)]
-            eps = rng.uniform(0.05, 0.45)
-            got = bilinear_count(C, alpha, h, 4, eps)
-            assert got == brute_bilinear_count(C, alpha, h, 4, eps)
-            counts.add(got)
-        assert len(counts) > 2  # neither always empty nor always full
-
-    def test_half_ties_excluded(self):
-        # 6 alpha B = d exactly at distance 1/2 for odd d: strict < fails
-        C = symmetrize(1, {(0, 0, 0): 1})[0]  # B(h, d) = h^2 d
-        got = bilinear_count(C, Fraction(1, 12), [1], 2, Fraction(1, 2))
-        # 6 * (1/12) * d = d/2: distance 1/2 for odd d, 0 for even d
-        assert got == 3  # d in {-2, 0, 2}
 
 
 # -- shrinking lemma --------------------------------------------------------

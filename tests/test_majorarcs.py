@@ -17,13 +17,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from cubiclab import (BoxRegion, CubicPolynomial, build_box, real_point,
-                      singular_integral, singular_series, slice_volume,
-                      symmetrize)
+from cubiclab import (BoxRegion, CubicPolynomial, singular_integral,
+                      singular_series, slice_volume, symmetrize)
 from cubiclab import local, majorarcs
 from cubiclab.budget import BudgetExceeded
 from cubiclab.local import local_factor
-from cubiclab.majorarcs import _Interval, _cc_nodes, evaluate_array
+from cubiclab.majorarcs import (_Interval, _cc_nodes, build_box,
+                                evaluate_array, real_point)
 from cubiclab.nt import trial_factor
 from cubiclab.polynomials import DimensionMismatch, _eval_terms
 from conftest import (full_poly_strategy, make_fermat, make_selmer4,

@@ -2,7 +2,8 @@
 interval references: no library module imports them, and they are test
 extras, not dependencies.  Every name a library module imports is read in
 that module, every private module-level name is read by another
-definition, every import sits at module level, importing the CLI loads no
+definition, every exported name is reached from a command, a benchmark
+call or an acceptance criterion, every import sits at module level, importing the CLI loads no
 pool machinery and no mpmath, no library code walks points with
 itertools.product or builds an np.ix_ mesh, and none reaches numpy.random."""
 
@@ -90,6 +91,70 @@ def test_every_private_name_has_a_caller():
               if not any(name in names for stmt, names in reads
                          if stmt is not owner)]
     assert not unread
+
+
+# exported names that no command and no benchmark call reaches, each with
+# the acceptance criterion (tests/test_acceptance.py) that reads it
+ACCEPTANCE_ONLY = {
+    "small_subspace_solution_bound": 3,
+    "gauss_sum": 6,
+    "shrinking_check": 9,
+    "bootstrap_check": 9,
+    "symmetrize": 10,
+    "hensel_lift": 11,
+}
+
+
+def _graph_roots() -> list:
+    """cli.main, and every library function a benchmark op calls."""
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    api = [value.value for node in ast.walk(tree) if isinstance(node, ast.Dict)
+           for key, value in zip(node.keys, node.values)
+           if isinstance(key, ast.Constant) and key.value == "api"]
+    assert api
+    return ["main", *api]
+
+
+def test_every_export_is_reached():
+    # the reference graph of src/: a top-level definition reaches every
+    # definition whose name it reads (by name, in any module, as in
+    # test_every_private_name_has_a_caller); an export the graph does not
+    # reach from cli.main or the benchmark's calls is listed, with its
+    # criterion, in ACCEPTANCE_ONLY, which that criterion imports and reads
+    defs = {}
+    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for name in _top_level_names(stmt):
+                defs.setdefault(name, []).append(stmt)
+    reached, todo = set(), _graph_roots()
+    assert "main" in defs
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo += [node.id if isinstance(node, ast.Name) else node.attr
+                 for stmt in defs.get(name, ()) for node in ast.walk(stmt)
+                 if isinstance(node, ast.Attribute)
+                 or isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)]
+    init = ast.parse((ROOT / "src" / "cubiclab" / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unreached = sorted(exported - reached)
+    assert unreached == sorted(ACCEPTANCE_ONLY), f"unreached: {unreached}"
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                and node.module.split(".")[0] == "cubiclab"
+                for alias in node.names}
+    criteria = {int(fn.name.split("_")[2]): fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef)
+                and fn.name.startswith("test_criterion_")}
+    for name, k in ACCEPTANCE_ONLY.items():
+        assert name in imported, name
+        assert any(isinstance(node, ast.Name) and node.id == name
+                   for node in ast.walk(criteria[k])), (name, k)
 
 
 def test_itertools_product_only_expands_substitutions():

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import iv
 
-from cubiclab import CubicPolynomial, symmetrize, homogenize, transform
+from cubiclab import CubicPolynomial, symmetrize, homogenize
 from cubiclab import polynomials
 from cubiclab.budget import BudgetExceeded
 from cubiclab.majorarcs import evaluate_array
 from cubiclab.polynomials import (DimensionMismatch, DegreeError,
                                   NormalizationError, normalize_leading,
-                                  _eval_terms, _extend_to_unimodular)
+                                  transform, _eval_terms,
+                                  _extend_to_unimodular)
 from conftest import (CUBIC_UNISOLVENT, full_poly_strategy, random_poly,
                       residue_walk)
 from oracles import int_det, normalize_direction_direct
