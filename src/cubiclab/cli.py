@@ -137,6 +137,8 @@ def cmd_search(phi, args) -> tuple:
 
 
 def cmd_exponents(phi, args) -> tuple:
+    if args.n is not None and args.n < 1:
+        raise ValueError("--n must be >= 1")
     if args.theorem:
         if args.psi is not None or args.delta is not None:
             raise ValueError("--theorem reads neither --psi nor --delta")

@@ -24,6 +24,7 @@ arithmetic is int64 when the height and the box prove that nothing
 overflows, else Python ints in object arrays.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import partial
 from math import ceil, floor, prod
@@ -209,11 +210,15 @@ def _box_bounds(n: int, box) -> list:
 
 def _box_ranges(n: int, P: int, box=None) -> list:
     """Ranges of the integers [ceil(P lo), floor(P hi)] per axis of the box
-    scaled by P (default [-P, P]^n); count_solutions and weyl_sum walk them."""
+    scaled by P (default [-P, P]^n); count_solutions and weyl_sum walk them.
+    A box that P scales past the floats is refused."""
     if box is None:
         return [range(-P, P + 1)] * n
-    return [range(ceil(P * lo - 1e-12), floor(P * hi + 1e-12) + 1)
-            for lo, hi in _box_bounds(n, box)]
+    try:
+        return [range(ceil(P * lo - 1e-12), floor(P * hi + 1e-12) + 1)
+                for lo, hi in _box_bounds(n, box)]
+    except OverflowError:
+        raise ValueError("P scales the box past the largest float") from None
 
 
 def _first(sample, z, keep: int):
@@ -230,11 +235,17 @@ def count_solutions(phi: CubicPolynomial, P: int, box=None,
 
     The budget counts the prefixes (x_2..x_n); solutions_sample holds the
     first `keep` zeros in prefix order, x_1 ascending within a prefix.
-    P < 0 and a box of another dimension than phi's are refused."""
+    P < 0, a box of another dimension than phi's and a nonempty box with
+    an axis of more than sys.maxsize integers, which no walk can index,
+    are refused."""
     if P < 0:
         raise ValueError("P must be >= 0")
     rng = _box_ranges(phi.n, P, box)
-    check_budget(prod(map(_size, rng[1:])), budget, what="solution count")
+    sizes = list(map(_size, rng))
+    check_budget(prod(sizes[1:]), budget, what="solution count")
+    if all(sizes) and max(sizes) > sys.maxsize:
+        raise ValueError(f"an axis of the box has more than {sys.maxsize} "
+                         "integers, too many to walk")
     count, sample = 0, np.empty((0, phi.n), dtype=np.int64)
     for z in _zeros(_split(phi), rng):
         count += len(z)

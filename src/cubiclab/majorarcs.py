@@ -17,17 +17,17 @@ O and L subgrids and folded into two weight vectors, which leaves the sums
 of those vectors over 1/(T + u).  The O points are cut into panels of
 contiguous T values.  The poles -u within (1 + kappa) h + 2 of a panel's
 centre, h its half-width and kappa = 3 (the near window), are summed
-directly, in blocks of at most a slab's points held in one buffer per
-worker thread; the far poles go through K Chebyshev proxies on the panel,
-K the fewest nodes whose Bernstein-ellipse bound for the nearest far pole
-is eps.  A level of one slab, and a panel whose proxies would cost as much
-as its far poles, sums every pole directly, and the nodes near the zero set
-of C take the integrand from C's whole table.  Its independent pieces, the
-runs of panels of a split C, the slabs of a connected one and the
-Monte-Carlo chunks (each computing its own slice of the seeded sample), run
-on up to _WORKERS threads (numpy releases the GIL in the kernel's ufuncs);
-the pieces and the order their partial results are combined in do not
-depend on the worker count, so neither does any result, to the last bit.
+directly, in blocks of at most a slab's points held in one buffer; the far
+poles go through K Chebyshev proxies on the panel, K the largest over the
+level's panels of the fewest nodes whose Bernstein-ellipse bound for the
+nearest far pole is eps.  A level of one slab, and a panel whose proxies
+would cost as much as its far poles, sums every pole directly, and the
+nodes near the zero set of C take the integrand from C's whole table.  Its
+independent pieces, the slabs of a connected C and the Monte-Carlo chunks
+(each computing its own slice of the seeded sample), run on up to _WORKERS
+threads (numpy releases the GIL in the kernel's ufuncs); the pieces and the
+order their partial results are combined in do not depend on the worker
+count, so neither does any result, to the last bit.
 
 Both modes of the truncated singular series read one table of local
 densities rho(p^j), p^j <= P0: the Euler factors are its top levels, and
@@ -478,15 +478,6 @@ def _panels(Ts: np.ndarray, us: np.ndarray, cap: int) -> list:
     return best[1]
 
 
-# The work items of _cauchy_sums are runs of panels that take at least
-# _ITEM_BLOCKS blocks of reciprocals, a panel whose near block fills half a
-# block or more being an item of its own: many small panels gained nothing
-# from a second thread (2-CPU x86-64 host: x3m2y3/crit10's m = 2048 level at
-# Z = 64, 16 panels of 128 O points, took 4.5 ms on one thread and 5.0 ms on
-# two with items of one block), few large ones did.
-_ITEM_BLOCKS = 16
-
-
 def _cauchy_sums(T: np.ndarray, u: np.ndarray, v: np.ndarray, cap: int,
                  near) -> tuple:
     """(S, g): S[o] = sum over l of v[:, l] / (T[o] + u[l]), (len(T), 2),
@@ -505,9 +496,9 @@ def _cauchy_sums(T: np.ndarray, u: np.ndarray, v: np.ndarray, cap: int,
     itself (_ACOSH_EPS).  A level of at most cap pairs is one panel that
     sums every pole directly, over u in its given order, and a larger one
     whose window over the whole range of T holds no pole one far panel; u
-    is sorted only to find candidates or to cut panels.  The work items of
-    _map are runs of panels (_ITEM_BLOCKS), each with the largest K of its
-    panels; none depends on the worker count."""
+    is sorted only to find candidates or to cut panels.  The panels run in
+    order in the calling thread, every far field with the largest K of the
+    level's panels, so one Lagrange basis serves all O points."""
     P, N = len(T), len(u)
     u_lo, u_hi = u.min(), u.max()
     a, b = T.min(), T.max()
@@ -539,80 +530,56 @@ def _cauchy_sums(T: np.ndarray, u: np.ndarray, v: np.ndarray, cap: int,
         first = np.zeros(P + 1, dtype=np.intp)
         np.cumsum(cnt, out=first[1:])
         shift = first[:-1] - kl
-    items, i0, todo = [], 0, 0
-    for i, (p0, p1, lo, hi, K, _, _) in enumerate(panels):
-        near_block = (p1 - p0) * (hi - lo)
-        todo += near_block + K * (N - hi + lo + p1 - p0)
-        if (todo >= _ITEM_BLOCKS * cap or 2 * near_block >= cap
-                or i == len(panels) - 1):
-            items.append(panels[i0:i + 1])
-            i0, todo = i + 1, 0
-    local = threading.local()
+    Kg = max(p[4] for p in panels)
+    buf = np.empty(max(cap, Kg))  # a far block has one column or more
+    S = np.empty((P, 2))
+    g = np.zeros(P)
+    held = []  # candidates (rows, L points) not yet handed to near
 
-    def run(item: list) -> tuple:
-        """(S, g) over the sorted O points of a run of panels, the far
-        fields with the largest K of these panels."""
-        if not hasattr(local, "buf"):  # a far block has one column or more
-            local.buf = np.empty(max(cap, max(p[4] for p in panels)))
-        base, top = item[0][0], item[-1][1]
-        S = np.empty((top - base, 2))
-        g = np.zeros(top - base)
-        held = []  # candidates (rows, L points) not yet handed to near
+    def flush():
+        o, l = held[0] if len(held) == 1 else (
+            np.concatenate(x) for x in zip(*held))
+        g[:] += np.bincount(o, weights=near(o if tord is None else tord[o], l),
+                            minlength=P)
+        held.clear()
 
-        def flush():
-            o, l = held[0] if len(held) == 1 else (
-                np.concatenate(x) for x in zip(*held))
-            g[:] += np.bincount(o, weights=near(
-                o + base if tord is None else tord[o + base], l),
-                minlength=top - base)
-            held.clear()
-
-        Kg = max(p[4] for p in item)
-        if Kg:
-            x = _chebyshev(Kg)[0]
-            size = [p1 - p0 for p0, p1, *_ in item]
-            s = Ts[base:top] - np.repeat([p[5] for p in item], size)
-            s /= np.repeat([p[6] or 1.0 for p in item], size)
-            L = _lagrange(s, Kg)
-        for p0, p1, a, z, K, c, h in item:
-            p0, p1 = p0 - base, p1 - base
-            R = local.buf[:(p1 - p0) * (z - a)].reshape(p1 - p0, z - a)
-            np.add(Ts[base + p0:base + p1, None], cu[a:z], out=R)
-            with np.errstate(divide="ignore", over="ignore"):
-                np.divide(1.0, R, out=R)  # t = 0 or subnormal: a candidate
-            if pairs and first[base + p0] < first[base + p1]:
-                n = cnt[base + p0:base + p1]
-                o = np.repeat(np.arange(p0, p1), n)
-                k = (np.arange(first[base + p0], first[base + p1])
-                     - np.repeat(shift[base + p0:base + p1], n))
-                l = order[k]
-                R.reshape(-1)[(o - p0) * (z - a) + (k if planned else l)
-                              - a] = 0.0
-                held.append((o, l))
-                # near takes the candidates of a run of panels at once,
-                # a sixteenth of a block or more
-                if 16 * sum(len(o) for o, _ in held) >= cap:
-                    flush()
-            np.matmul(R, cv[:, a:z].T, out=S[p0:p1])
-            if Kg and a + N - z:
-                tau = c + h * x
-                phi = np.zeros((Kg, 2))
-                step = max(1, cap // Kg)
-                for j0, j1 in ((0, a), (z, N)):
-                    for j in range(j0, j1, step):
-                        e = min(j1, j + step)
-                        F = local.buf[:Kg * (e - j)].reshape(Kg, e - j)
-                        np.add(tau[:, None], cu[j:e], out=F)
-                        np.divide(1.0, F, out=F)
-                        phi += F @ cv[:, j:e].T
-                S[p0:p1] += L[p0:p1] @ phi
-        if held:
-            flush()
-        return S, g
-
-    parts = _map(run, items)
-    S, g = parts[0] if len(parts) == 1 else (
-        np.concatenate(x) for x in zip(*parts))
+    if Kg:
+        x = _chebyshev(Kg)[0]
+        size = [p1 - p0 for p0, p1, *_ in panels]
+        s = Ts - np.repeat([p[5] for p in panels], size)
+        s /= np.repeat([p[6] or 1.0 for p in panels], size)
+        L = _lagrange(s, Kg)
+    for p0, p1, a, z, _, c, h in panels:
+        R = buf[:(p1 - p0) * (z - a)].reshape(p1 - p0, z - a)
+        np.add(Ts[p0:p1, None], cu[a:z], out=R)
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(1.0, R, out=R)  # t = 0 or subnormal: a candidate
+        if pairs and first[p0] < first[p1]:
+            n = cnt[p0:p1]
+            o = np.repeat(np.arange(p0, p1), n)
+            k = np.arange(first[p0], first[p1]) - np.repeat(shift[p0:p1], n)
+            l = order[k]
+            R.reshape(-1)[(o - p0) * (z - a) + (k if planned else l) - a] = 0.0
+            held.append((o, l))
+            # near takes the candidates of several panels at once, a
+            # sixteenth of a block or more
+            if 16 * sum(len(o) for o, _ in held) >= cap:
+                flush()
+        np.matmul(R, cv[:, a:z].T, out=S[p0:p1])
+        if Kg and a + N - z:
+            tau = c + h * x
+            phi = np.zeros((Kg, 2))
+            step = max(1, cap // Kg)
+            for j0, j1 in ((0, a), (z, N)):
+                for j in range(j0, j1, step):
+                    e = min(j1, j + step)
+                    F = buf[:Kg * (e - j)].reshape(Kg, e - j)
+                    np.add(tau[:, None], cu[j:e], out=F)
+                    np.divide(1.0, F, out=F)
+                    phi += F @ cv[:, j:e].T
+            S[p0:p1] += L[p0:p1] @ phi
+    if held:
+        flush()
     if tord is not None:
         S[tord], g[tord] = S.copy(), g.copy()
     return S, g

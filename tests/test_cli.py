@@ -336,6 +336,13 @@ class TestExponents:
         assert err == ("error: exponents: --theorem reads neither --psi nor "
                        "--delta\n")
 
+    @pytest.mark.parametrize("argv", [[], ["--theorem", "h14"]])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_refuses_n_below_one(self, capsys, argv, n):
+        # --n 0 was read as absent: n = 14, or every row of the h14 check
+        err = refused(capsys, ["exponents", *argv, "--n", n])
+        assert err == "error: exponents: --n must be >= 1\n"
+
     @pytest.mark.parametrize("argv", [[], ["--T", "84", "--psi", "30"]])
     def test_csv_needs_theorem(self, capsys, argv):
         # only the theorem check prints rows
@@ -978,6 +985,17 @@ class TestMalformedInput:
         "bound-nan-integral": ({}, '{"bounds": [[0, NaN], [0, 1]]}',
                                INTEGRAL),
         "Z-overflows": ({}, None, ["integral", "--Z", "1e308"]),
+        # a count whose scaled box leaves the floats, or whose axis has more
+        # integers than a walk can index
+        "bound-scaled-infinite-count": (
+            {}, '{"bounds": [[0, 1e308], [0, 1]]}', ["count", "--P", "10"]),
+        "P-past-floats-count": ({}, '{"bounds": [[0, 1], [0, 1]]}',
+                                ["count", "--P", "1" + "0" * 400]),
+        "axis-too-long-box-count": (
+            {}, '{"bounds": [[0, 1e300], [0, 1]]}', ["count", "--P", "10"]),
+        "axis-too-long-count": (
+            {"n": 1, "cubic": [[1, 1, 1, 2]], "lin": [0], "const": 1}, None,
+            ["count", "--P", "100000000000000000000", "--budget", "10"]),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

@@ -818,8 +818,10 @@ def per_worker_count(fn, counts=(1, 2, 3)):
 
 
 class TestWorkers:
-    """The slabs and Monte-Carlo chunks of the singular integral are shared
-    among _WORKERS threads; no result may depend on the count."""
+    """The slabs of a connected C and the Monte-Carlo chunks of the singular
+    integral are shared among _WORKERS threads, while a split C's
+    contraction runs in the calling thread; no result may depend on the
+    count."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
@@ -874,6 +876,18 @@ class TestWorkers:
             got = per_worker_count(run)
         assert want["method"] == "monte-carlo" and want["nodes"] == N
         assert got == [want] * 3
+
+    def test_split_rule_starts_no_thread(self):
+        # a split C's level cut into many panels by a small slab, with two
+        # workers allowed, is contracted in the calling thread
+        C, _ = symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): -1})
+        bounds = [(-1.0, 1.0)] * 3
+        with mock.patch.object(majorarcs, "_SLAB_POINTS", 7):
+            want = tensor_integral(C, bounds, 8.0, 32)
+            with mock.patch.object(majorarcs, "_WORKERS", 2), \
+                    mock.patch.object(threading, "Thread", side_effect=(
+                        AssertionError("a thread was started"))):
+                assert tensor_integral(C, bounds, 8.0, 32) == want
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_slab_exception_reaches_caller(self, workers):
