@@ -30,14 +30,13 @@ def _frac(x) -> Fraction:
         raise ValueError(f"zero denominator in {x!r}") from None
 
 
-def present(x: Fraction, places: int = 2) -> str:
-    """Exact rational to fixed-point string with `places` decimals, a half
-    rounded away from zero, in exact integers with no precision context; a
-    negative x keeps its sign even where it rounds to zero (-0.00)."""
+def present(x: Fraction) -> str:
+    """Exact rational to fixed-point string with 2 decimals, a half rounded
+    away from zero, in exact integers with no precision context; a negative
+    x keeps its sign even where it rounds to zero (-0.00)."""
     num, den = abs(x.numerator), x.denominator
-    digits = str((2 * num * 10**places + den) // (2 * den)).zfill(places + 1)
-    whole, frac = digits[:len(digits) - places], digits[len(digits) - places:]
-    return ("-" if x < 0 else "") + whole + ("." + frac if places else "")
+    digits = str((200 * num + den) // (2 * den)).zfill(3)
+    return ("-" if x < 0 else "") + digits[:-2] + "." + digits[-2:]
 
 
 @dataclass(frozen=True)
@@ -115,18 +114,30 @@ def solve_parameters(T, psi=None, delta=None, n: int = 14) -> ExponentSystem:
     p = paper_exponents(T)
     e_u, e_P0, e_P, e_Q = p["u"], p["P0"], p["P"], p["Q"]
     B = 2 * T + 17
-    tags = []
-
-    tags.append(_le("M1", 2 * e_P0 + e_u, 3 * e_P))
-    tags.append(_le("M2", e_u + e_P0 + 1 + 2 * Z_EXP, e_P,
-                    note=f"|z| modeled as M^{Z_EXP}"))
-    tags.append(_le("M3", 3 * e_P0 + e_u, e_P - (Fraction(17, 2) + T),
-                    note="equality by construction"))
-
+    tags = [
+        _le("M1", 2 * e_P0 + e_u, 3 * e_P),
+        _le("M2", e_u + e_P0 + 1 + 2 * Z_EXP, e_P,
+            note=f"|z| modeled as M^{Z_EXP}"),
+        _le("M3", 3 * e_P0 + e_u, e_P - (Fraction(17, 2) + T),
+            note="equality by construction"),
+        _le("I1", 2 * e_u + 17, e_P),
+        _le("m1", 2 * e_Q, (n - 3) * e_P - (Fraction(17, 2) + T)),
+        _le("m2", 2 * T + 17, 8 * e_P),
+        _le("m3", (2 * T + 16) + 2 * e_Q, 11 * e_P),
+        _le("m6", e_Q, Fraction(11, 9) * e_P - (2 * T + 16) / 9,
+            note="equality by choice of Q"),
+        _le("m7", Fraction(15, 13) * e_P + (6 * T + 64) / 13, e_Q),
+        _le("m8", Fraction(91, 9) * B + Fraction(440, 27), e_P),
+        _le("m10", Fraction(50, 17) * B + Fraction(96, 17), e_P0,
+            note="equality by choice of P0"),
+        _le("m11", Fraction(12, 11) * e_P + (234 * B + 503) / 187, e_Q),
+        _le("m13", (28 * B + 32) / 17, e_u, note="equality by choice of u"),
+    ]
     if psi is None:
-        for t in ("S1", "S2", "S3"):
-            tags.append(_vacuous(t, "psi = infinity: vacuous"))
-        # replacement series cutoff for the psi-free chain
+        # every psi-dependent tag passes vacuously, and S4 checks the
+        # replacement series cutoff of the psi-free chain
+        tags += [_vacuous(t, "psi = infinity: vacuous")
+                 for t in ("S1", "S2", "S3", "m4", "m5", "m9", "m12")]
         if T == 84:
             req = Fraction(259)
         else:
@@ -164,38 +175,13 @@ def solve_parameters(T, psi=None, delta=None, n: int = 14) -> ExponentSystem:
                                       e_P0 >= req))
         else:
             tags.append(_vacuous("S4", "delta not supplied: not evaluated"))
-
-    tags.append(_le("I1", 2 * e_u + 17, e_P))
-
-    tags.append(_le("m1", 2 * e_Q, (n - 3) * e_P - (Fraction(17, 2) + T)))
-    tags.append(_le("m2", 2 * T + 17, 8 * e_P))
-    tags.append(_le("m3", (2 * T + 16) + 2 * e_Q, 11 * e_P))
-    if psi is None:
-        tags.append(_vacuous("m4", "psi = infinity: vacuous"))
-        tags.append(_vacuous("m5", "psi = infinity: vacuous"))
-    else:
-        tags.append(_le("m4", 5 * e_P, 13 * psi - 2 * T - 17))
-        tags.append(_le("m5", 3 * e_P + 2 * e_Q, 14 * psi - 2 * T - 16))
-    tags.append(_le("m6", e_Q, Fraction(11, 9) * e_P - (2 * T + 16) / 9,
-                    note="equality by choice of Q"))
-    tags.append(_le("m7", Fraction(15, 13) * e_P + (6 * T + 64) / 13, e_Q))
-    tags.append(_le("m8", Fraction(91, 9) * B + Fraction(440, 27), e_P))
-    if psi is None:
-        tags.append(_vacuous("m9", "psi = infinity: vacuous"))
-    else:
-        tags.append(_le("m9", e_P,
-                        (175 * psi - 91 * B - 130) / 116))
-    tags.append(_le("m10", Fraction(50, 17) * B + Fraction(96, 17), e_P0,
-                    note="equality by choice of P0"))
-    tags.append(_le("m11", Fraction(12, 11) * e_P + (234 * B + 503) / 187,
-                    e_Q))
-    if psi is None:
-        tags.append(_vacuous("m12", "psi = infinity: vacuous"))
-    else:
-        tags.append(_le("m12", 3 * e_P - (Fraction(7, 2) * psi
-                                          - (117 * B + 192) / 17), e_Q))
-    tags.append(_le("m13", (28 * B + 32) / 17, e_u,
-                    note="equality by choice of u"))
+        tags += [_le("m4", 5 * e_P, 13 * psi - 2 * T - 17),
+                 _le("m5", 3 * e_P + 2 * e_Q, 14 * psi - 2 * T - 16),
+                 _le("m9", e_P, (175 * psi - 91 * B - 130) / 116),
+                 _le("m12", 3 * e_P - (Fraction(7, 2) * psi
+                                       - (117 * B + 192) / 17), e_Q)]
+    # the paper's order: M1-M3, S1-S4, I1, m1-m13
+    tags.sort(key=lambda t: ("MSIm".index(t.tag[0]), int(t.tag[1:])))
     return ExponentSystem(T=T, psi=psi, delta=delta, n=n, params=p,
                           tags=tuple(tags))
 

@@ -19,7 +19,6 @@ from .nt import column_reduce, trial_factor, ceil_fraction, is_prime
 from .polynomials import (CubicPolynomial, DimensionMismatch, _CHUNK,
                           _eval_terms, _variable_blocks, _walk)
 
-_FACTOR_BOUND = 10**6  # trial division bound for the factorization of Delta
 _PSI_BOUND_CONST = 20.0  # largest regularized ratio psi_good_report accepts
 _LLL_DELTA = Fraction(3, 4)  # the Lovasz condition parameter of _lll
 _CHUNK_ENTRIES = 2**14  # Hessian entries a rank_census chunk holds at most
@@ -53,7 +52,7 @@ def delta(C: CubicPolynomial) -> DeltaInvariant:
     if len(pivots) < C.n:
         return DeltaInvariant(0)
     g = prod(abs(v) for v in pivots)
-    factors, cof = trial_factor(g, _FACTOR_BOUND)
+    factors, cof = trial_factor(g)
     return DeltaInvariant(g, prime_factorization=factors,
                           unfactored_cofactor=cof)
 
@@ -66,10 +65,6 @@ class RankCensus:
     H: int
     counts: dict            # rank r -> number of x with |x| < H, r(x) = r
     p: int | None = None    # None: rank over Q; else over F_p
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def _large_primes():

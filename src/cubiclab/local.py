@@ -118,15 +118,12 @@ def _frobenius_roots(f, p: int) -> np.ndarray:
     for _ in range(d - 1):
         fold.append(_times_t(fold[-1], m, p))
     fold = np.stack(fold)
-    # the products r_i r_j in order of degree i + j, and where each begins
-    degree = [i + j for i in range(d) for j in range(d)]
-    order = np.argsort(degree, kind="stable")
-    starts = np.searchsorted(np.sort(degree), range(2 * d - 1))
     r = np.zeros((d, N), dtype=np.int64)
     r[1] = 1
     for bit in bin(p)[3:]:
-        sq = np.add.reduceat((r[:, None] * r[None]).reshape(d * d, N)[order],
-                             starts)  # sq[e] = sum_(i+j=e) r_i r_j
+        sq = np.zeros((2 * d - 1, N), dtype=np.int64)
+        for i in range(d):  # sq[e] = sum_(i+j=e) r_i r_j
+            sq[i:i + d] += r[i] * r
         if bit == "1":  # times t: degrees d-1.. fold, the rest shift up
             low = np.concatenate((np.zeros_like(sq[:1]), sq[:d - 1]))
             r = (low + (sq[d - 1:, None] * fold).sum(axis=0)) % p

@@ -225,15 +225,15 @@ def build_box(C: CubicPolynomial, z_tilde) -> BoxRegion:
 # -- singular integral ------------------------------------------------------
 
 
-def _cc_nodes(m: int, lo: float, hi: float):
-    """Clenshaw-Curtis nodes and weights on [lo, hi] (m + 1 points).
+def _cc_nodes(m: int):
+    """Clenshaw-Curtis nodes and weights on [-1, 1] (m + 1 points).
 
     The weights come from Waldvogel's FFT construction (BIT 46, 2006),
     O(m log m); his formula needs m >= 2, so m = 0 (midpoint) and m = 1
     (trapezoid) are set directly.
     """
     if m == 0:
-        return np.array([(lo + hi) / 2]), np.array([hi - lo])
+        return np.zeros(1), np.full(1, 2.0)
     k = np.arange(m + 1)
     x = np.cos(pi * k / m)
     if m == 1:
@@ -251,15 +251,13 @@ def _cc_nodes(m: int, lo: float, hi: float):
         v += g / (m * m - 1 + m % 2)
         w = np.fft.ifft(v).real
         w = np.append(w, w[0])
-    half = (hi - lo) / 2
-    return (lo + hi) / 2 + half * x, half * w
+    return x, w
 
 
 def _cc_axes(m: int, bounds) -> list:
-    """_cc_nodes(m, lo, hi) for each (lo, hi) of bounds, bit for bit, from
-    one rule built on [-1, 1], where _cc_nodes' map to [lo, hi] is the
-    identity."""
-    x, w = _cc_nodes(m, -1.0, 1.0)
+    """The rule _cc_nodes(m) mapped to [lo, hi] for each (lo, hi) of
+    bounds."""
+    x, w = _cc_nodes(m)
     return [((lo + hi) / 2 + (hi - lo) / 2 * x, (hi - lo) / 2 * w)
             for lo, hi in bounds]
 
@@ -440,42 +438,33 @@ def _panels(Ts: np.ndarray, us: np.ndarray, cap: int) -> list:
     [c - h, c + h] with its near window us[lo:hi] and K proxies (0 where it
     sums every pole directly).  The cuts are into 1, 2, 4, ... panels of
     equal counts, up to one per T value, and into as few as hold every pole
-    within cap, tried six at a time in increasing count until the
-    reciprocals they take, P N near + K (N far + P) summed over panels of P
-    points, rise again; the one taken has the fewest reciprocals, then
-    panels, among those whose near blocks P N near stay within cap."""
+    within cap, all priced at once by the reciprocals they take, P N near +
+    K (N far + P) summed over panels of P points; the one taken has the
+    fewest reciprocals, then panels, among those whose near blocks P N near
+    stay within cap, as the cut into single T values does (cap >= N)."""
     P, N = len(Ts), len(us)
-    counts = sorted({min(1 << d, P) for d in range(P.bit_length() + 1)}
-                    | {-(-P // max(1, cap // N))})
-    best = None
-    for d0 in range(0, len(counts), 6):
-        ns = counts[d0:d0 + 6]
-        cut = [P * np.arange(n + 1) // n for n in ns]
-        start = np.concatenate([b[:-1] for b in cut])
-        end = np.concatenate([b[1:] for b in cut])
-        a, b = Ts[start], Ts[end - 1]
-        c, h = (a + b) / 2, (b - a) / 2
-        r = (1 + _KAPPA) * h + 2
-        lo, hi = np.searchsorted(us, -c - r), np.searchsorted(us, r - c)
-        far, size = N - (hi - lo), end - start
-        dist = np.minimum(np.where(lo > 0, -us[lo - 1] - c, inf),
-                          np.where(hi < N, c + us[np.minimum(hi, N - 1)],
-                                   inf))
-        K = np.where(far > 0, _proxies(dist, h), 0)
-        direct = K * (far + size) >= size * far
-        lo[direct], hi[direct], K[direct] = 0, N, 0
-        near = size * (hi - lo)
-        offs = np.cumsum([0] + ns)
-        cost = np.add.reduceat(near + K * (N - (hi - lo) + size), offs[:-1])
-        ok = np.maximum.reduceat(near, offs[:-1]) <= cap
-        for i in np.flatnonzero(ok):
-            if best is None or cost[i] < best[0]:
-                j = slice(offs[i], offs[i + 1])
-                best = (cost[i], list(zip(*(x[j].tolist() for x in (
-                    start, end, lo, hi, K, c, h)))))
-        if best is not None and (cost[-1] > best[0] or ns[-1] == P):
-            return best[1]
-    return best[1]
+    ns = sorted({min(1 << d, P) for d in range(P.bit_length() + 1)}
+                | {-(-P // max(1, cap // N))})
+    cut = [P * np.arange(n + 1) // n for n in ns]
+    start = np.concatenate([b[:-1] for b in cut])
+    end = np.concatenate([b[1:] for b in cut])
+    a, b = Ts[start], Ts[end - 1]
+    c, h = (a + b) / 2, (b - a) / 2
+    r = (1 + _KAPPA) * h + 2
+    lo, hi = np.searchsorted(us, -c - r), np.searchsorted(us, r - c)
+    far, size = N - (hi - lo), end - start
+    dist = np.minimum(np.where(lo > 0, -us[lo - 1] - c, inf),
+                      np.where(hi < N, c + us[np.minimum(hi, N - 1)], inf))
+    K = np.where(far > 0, _proxies(dist, h), 0)
+    direct = K * (far + size) >= size * far
+    lo[direct], hi[direct], K[direct] = 0, N, 0
+    near = size * (hi - lo)
+    offs = np.cumsum([0] + ns)
+    cost = np.add.reduceat(near + K * (N - (hi - lo) + size), offs[:-1])
+    ok = np.maximum.reduceat(near, offs[:-1]) <= cap
+    i = np.flatnonzero(ok)[np.argmin(cost[ok])]
+    j = slice(offs[i], offs[i + 1])
+    return list(zip(*(x[j].tolist() for x in (start, end, lo, hi, K, c, h))))
 
 
 def _cauchy_sums(T: np.ndarray, u: np.ndarray, v: np.ndarray, cap: int,
@@ -714,6 +703,16 @@ def _sample_chunk(seed: int, bounds, N: int, c: int, size: int) -> list:
     return out
 
 
+def _region(n: int, box) -> list:
+    """_box_bounds(n, box) for an integral: an axis with lo > hi, which the
+    rules would integrate with a sign, raises ValueError."""
+    bounds = _box_bounds(n, box)
+    for i, (lo, hi) in enumerate(bounds):
+        if lo > hi:
+            raise ValueError(f"box axis {i + 1} has lo {lo} > hi {hi}")
+    return bounds
+
+
 def singular_integral(C: CubicPolynomial, box, Z: float,
                       tol: float = 1e-8, budget: int | None = None,
                       seed: int = 0) -> dict:
@@ -728,11 +727,11 @@ def singular_integral(C: CubicPolynomial, box, Z: float,
     (m + 1)^n grid that would exceed it, so also when not even the first
     17^n grid fits, and when it admits fewer than two Monte-Carlo points,
     which leave no standard error.  A box of another dimension than C's
-    raises DimensionMismatch, and a Z that is not finite and positive, a Z
-    whose largest phase 2 pi Z sum |w| B^deg (B the largest |bound|) is not
-    a finite float, or a negative seed ValueError, whatever the method.
+    raises DimensionMismatch; an axis lo > hi, a Z not finite and positive,
+    a Z whose largest phase 2 pi Z sum |w| B^deg (B the largest |bound|) is
+    not a finite float, or a negative seed ValueError, whatever the method.
     """
-    bounds = _box_bounds(C.n, box)
+    bounds = _region(C.n, box)
     n = len(bounds)
     if not (isfinite(Z) and Z > 0):
         raise ValueError(
@@ -794,9 +793,9 @@ def slice_volume(C: CubicPolynomial, box, grid: int = 128) -> dict:
     a plain bounds list (axis 0) the caller guarantees at most one root per
     slice.  Returns a float value, 0 with the empty flag when C has no zero
     in the box.  A box of another dimension than C's raises
-    DimensionMismatch.
+    DimensionMismatch, and one with an axis lo > hi ValueError (_region).
     """
-    bounds = _box_bounds(C.n, box)
+    bounds = _region(C.n, box)
     ax = box.axis1 if isinstance(box, BoxRegion) else 0
     n = len(bounds)
     lo1, hi1 = bounds[ax]
@@ -866,10 +865,17 @@ def singular_series(phi: CubicPolynomial, P0: int, mode: str = "both",
     the budget is a prime power; the sum stops there with `partial` set.
     The q-sum's top levels p^k(p) are the Euler levels, so in mode "both"
     it adds only the levels below them.  The sieve up to P0 counts P0
-    points against the budget.
+    points against the budget.  A height whose tail bound overflows the
+    floats is refused (ValueError) before any of it.
     """
     if P0 < 1:
         raise ValueError("P0 must be >= 1")
+    M = max(phi.height, 2)
+    try:
+        tail = float(M) ** (7.0 / 3.0) * float(P0) ** (-1.0 / 3.0)
+    except OverflowError:
+        raise ValueError("the tail bound M^(7/3) P0^(-1/3) is not a finite "
+                         "float: the height M is too large") from None
     n = phi.n
     density = cache(lambda p, j: local_factor(phi, p, j, budget))
     factors, k_used = {}, {}
@@ -901,8 +907,6 @@ def singular_series(phi: CubicPolynomial, P0: int, mode: str = "both",
                 partial = True
                 break
         frak = sum(terms)
-    M = max(phi.height, 2)
-    tail = float(M) ** (7.0 / 3.0) * float(P0) ** (-1.0 / 3.0)
     return SeriesTruncation(P0=P0, factors=factors, k_used=k_used,
                             value=value, frak_value=frak,
                             tail_bound=tail, partial=partial)

@@ -1,4 +1,4 @@
-"""Exact cubic polynomials: symmetric tensor storage, Hessians, bilinear forms.
+"""Exact cubic polynomials: symmetric tensor storage, Hessians, JSON form.
 
 A cubic polynomial in n variables is split into homogeneous parts
 phi = C + Q + L + N where C carries a symmetric integer 3-tensor c_{ijk},
@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import factorial, prod
-import json
 
 import numpy as np
 
@@ -250,9 +249,6 @@ class CubicPolynomial:
         """Symmetric tensor entry c_{ijk} (any index order)."""
         return self.cubic.get(tuple(sorted((i, j, k))), 0)
 
-    def q(self, i: int, j: int) -> int:
-        return self.quad.get(tuple(sorted((i, j))), 0)
-
     @property
     def height(self) -> int:
         """max |coefficient| over all stored parts; recomputed on every call."""
@@ -305,7 +301,7 @@ class CubicPolynomial:
             raise DimensionMismatch(f"point has dim {len(x)}, expected {self.n}")
         return [_eval_terms(t, x) for t in self._gradient_terms]
 
-    # -- Hessian / bilinear forms ------------------------------------------
+    # -- Hessian -----------------------------------------------------------
 
     def hessian(self, x) -> list:
         """Matrix M(x) with M_ij = sum_k c_{ijk} x_k (cubic part only)."""
@@ -319,12 +315,6 @@ class CubicPolynomial:
                 M[i][j] = M[j][i] = s
         return M
 
-    def bilinear(self, x, y) -> list:
-        """B_i(x, y) = sum_{j,k} c_{ijk} x_j y_k = (M(x) y)_i, for all i."""
-        if len(x) != self.n or len(y) != self.n:
-            raise DimensionMismatch("bilinear arguments must have dim n")
-        return [sum(m * v for m, v in zip(row, y)) for row in self.hessian(x)]
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -335,9 +325,6 @@ class CubicPolynomial:
             "lin": list(self.lin),
             "const": self.const,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CubicPolynomial":
@@ -365,10 +352,6 @@ class CubicPolynomial:
         lin = [_json_int(v, "each 'lin' entry") for v in _json_list(d, "lin")]
         return cls(n, cubic=parts[0], quad=parts[1], lin=tuple(lin),
                    const=_json_int(d.get("const", 0), "field 'const'"))
-
-    @classmethod
-    def from_json(cls, s: str) -> "CubicPolynomial":
-        return cls.from_json_dict(json.loads(s))
 
 
 # -- construction: the inverse of terms() ----------------------------------

@@ -2,6 +2,7 @@
 command reaches any of them."""
 
 import cmath
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -234,7 +235,7 @@ def _exact_residue_profile(poly_json: str, q: int) -> tuple:
     """counts[m] = #{r mod q : phi(r) = m mod q}, by exact evaluation in
     Python ints (independent of the numpy grid path).  Cached per (phi, q):
     every numerator a of one modulus reuses it."""
-    phi = CubicPolynomial.from_json(poly_json)
+    phi = CubicPolynomial.from_json_dict(json.loads(poly_json))
     counts, terms = [0] * q, phi.terms()
     for r in product(range(q), repeat=phi.n):
         counts[_eval_terms(terms, r) % q] += 1
@@ -247,7 +248,7 @@ def gauss_sum_direct(phi: CubicPolynomial, q: int, a: int,
     count times root is summed exactly in Fractions and rounded once."""
     check_budget(q**phi.n, budget, what=f"Gauss sum mod {q}")
     roots = [_unit_root(m, q) for m in range(q)]
-    counts = _exact_residue_profile(phi.to_json(), q)
+    counts = _exact_residue_profile(json.dumps(phi.to_json_dict()), q)
     re = sum(counts[m] * Fraction(roots[a * m % q].real) for m in range(q))
     im = sum(counts[m] * Fraction(roots[a * m % q].imag) for m in range(q))
     return complex(float(re), float(im))

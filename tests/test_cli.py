@@ -985,6 +985,22 @@ class TestMalformedInput:
         "bound-nan-integral": ({}, '{"bounds": [[0, NaN], [0, 1]]}',
                                INTEGRAL),
         "Z-overflows": ({}, None, ["integral", "--Z", "1e308"]),
+        "weight-past-floats-integral": (
+            {"cubic": [[1, 1, 1, 10**400]]}, None, INTEGRAL),
+        # an integral over a box with an axis lo > hi, by Clenshaw-Curtis
+        # and by Monte-Carlo
+        "box-reversed-integral": ({}, '{"bounds": [[0, 1], [1, 0]]}',
+                                  INTEGRAL),
+        "box-reversed-monte-carlo": (
+            {"n": 4, "cubic": [[1, 1, 1, 1], [2, 2, 2, 1], [3, 3, 3, 1],
+                               [4, 4, 4, -1]], "lin": [0] * 4},
+            '{"bounds": [[0.5, 1.5], [1.5, 0.5], [0.5, 1.5], [0.5, 1.5]]}',
+            ["integral", "--Z", "4"]),
+        # a height whose series tail bound overflows, or has no float
+        "height-tail-overflows-series": ({"cubic": [[1, 1, 1, 10**200]]},
+                                         None, ["series", "--p0", "2"]),
+        "height-past-floats-series": ({"cubic": [[1, 1, 1, 10**400]]}, None,
+                                      ["series", "--p0", "2"]),
         # a count whose scaled box leaves the floats, or whose axis has more
         # integers than a walk can index
         "bound-scaled-infinite-count": (

@@ -19,9 +19,9 @@ class TestPresent:
     def test_round_half_up(self):
         assert present(Fraction(5212, 17)) == "306.59"
         assert present(Fraction(1, 8)) == "0.13"
-        assert present(Fraction(5, 2), places=0) == "3"
+        assert present(Fraction(5, 200)) == "0.03"
         # away from zero, and the sign kept where it rounds to zero
-        assert present(Fraction(-5, 2), places=0) == "-3"
+        assert present(Fraction(-5, 200)) == "-0.03"
         assert present(Fraction(-1, 1000)) == "-0.00"
         assert present(Fraction(0)) == "0.00"
 
@@ -29,20 +29,19 @@ class TestPresent:
         # 28 digits and more: past the default Decimal context
         assert present(Fraction(10**40 + 1, 2)) == "5" + "0" * 38 + "0.50"
 
-    @given(st.fractions(), st.integers(min_value=0, max_value=6))
-    @example(Fraction(-1, 1000), 2).via("rounds to -0.00")
-    @example(Fraction(-1, 3), 0).via("rounds to -0")
-    @example(Fraction(-5, 2), 0).via("a half, away from zero")
-    def test_matches_decimal_holding_every_digit(self, x, places):
+    @given(st.fractions())
+    @example(Fraction(-1, 1000)).via("rounds to -0.00")
+    @example(Fraction(-1, 300)).via("rounds to -0.00 from a third")
+    @example(Fraction(-5, 200)).via("a half, away from zero")
+    def test_matches_decimal_holding_every_digit(self, x):
         # every digit of the integer part and the denominator's worth past
         # the last place: a quotient that exact neither creates nor hides a
         # half, so Decimal's one rounding is the exact one
-        prec = (len(str(abs(x.numerator))) + len(str(x.denominator))
-                + places + 10)
+        prec = len(str(abs(x.numerator))) + len(str(x.denominator)) + 12
         with localcontext(prec=prec, rounding=ROUND_HALF_UP):
             d = Decimal(x.numerator) / Decimal(x.denominator)
-            expect = str(d.quantize(Decimal(1).scaleb(-places)))
-        assert present(x, places) == expect
+            expect = str(d.quantize(Decimal("0.01")))
+        assert present(x) == expect
 
 
 class TestFrac:

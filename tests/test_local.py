@@ -198,6 +198,16 @@ class TestRho:
         phi = symmetrize(1, {(0, 0, 0): 1})[0]
         assert rho(phi, 5, 1) == 1
 
+    def test_stratification_cap(self):
+        # x1^2 x2 in six variables: the 7^6 grid mod 7 fits the budget but
+        # 49^6 does not, and its 7^5 singular roots mod 7 (every point
+        # with x1 = 0) are more than the stratification rescales
+        phi = symmetrize(6, {(0, 0, 1): 1})[0]
+        with pytest.raises(BudgetExceeded,
+                           match="16807 singular roots mod 7 exceed "
+                                 "stratification cap 4096"):
+            rho(phi, 7, 2, budget=200_000)
+
     def test_fermat_mod_two(self, fermat):
         assert rho(fermat, 2, 1) == 4
 
@@ -552,6 +562,11 @@ class TestLiftingLevel:
     def test_inhomogeneous(self):
         assert lifting_level("inhomogeneous", 7, 0, 15) == 98
         assert lifting_level("inhomogeneous", 7, 1, 15) == 146
+
+    def test_ncc_level_raised_for_p_dividing_delta(self):
+        # n >= 15 has an inhomogeneous ell; p | Delta lifts k(p) to 2 ell - 1
+        assert local.ncc_levels(15, 3, 100, 1) == (146, 291)
+        assert local.ncc_levels(15, 3, 100, 0) == (98, 4)
 
     def test_range_guards(self):
         with pytest.raises(ValueError):

@@ -159,14 +159,14 @@ class TestCCWeights:
     def test_fft_matches_cosine_sum(self):
         eps = np.finfo(float).eps
         for m in [*range(1, 65), 4096]:
-            x, w = _cc_nodes(m, -1.0, 1.0)
+            x, w = _cc_nodes(m)
             assert len(x) == len(w) == m + 1
             assert np.max(np.abs(w - cosine_sum_weights(m))) <= 2 * eps, m
 
     @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.5, 2.0)])
     def test_exact_up_to_degree_m(self, lo, hi):
         for m in range(1, 33):
-            x, w = _cc_nodes(m, lo, hi)
+            x, w = majorarcs._cc_axes(m, [(lo, hi)])[0]
             for d in range(m + 1):
                 exact = (hi ** (d + 1) - lo ** (d + 1)) / (d + 1)
                 assert float(w @ x ** d) == pytest.approx(
@@ -176,14 +176,19 @@ class TestCCWeights:
     @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3)),
                     min_size=1, max_size=3))
     def test_axes_from_one_reference_rule(self, boxes):
-        # the rule built once on [-1, 1] and mapped to each axis is, node
-        # for node and weight for weight, the rule built on that axis
-        bounds = [(c - h, c + h) for c, h in boxes]
+        # each axis takes the rule on [-1, 1] through x -> c + h x, h the
+        # half-width: its nodes fall from hi to lo and its weights sum to
+        # hi - lo; on [-1, 1] itself the map is the identity, bit for bit
+        bounds = [(c - h, c + h) for c, h in boxes] + [(-1.0, 1.0)]
         for m in (0, 1, 2, 16, 64):
-            for (x, w), b in zip(majorarcs._cc_axes(m, bounds), bounds):
-                want_x, want_w = _cc_nodes(m, *b)
-                assert np.array_equal(x, want_x), (m, b)
-                assert np.array_equal(w, want_w), (m, b)
+            axes = majorarcs._cc_axes(m, bounds)
+            assert all(map(np.array_equal, axes[-1], _cc_nodes(m))), m
+            for (x, w), (lo, hi) in zip(axes, bounds):
+                tol = 4 * np.finfo(float).eps * max(abs(lo), abs(hi))
+                if m:
+                    assert abs(x[0] - hi) <= tol and abs(x[-1] - lo) <= tol
+                    assert np.all(np.diff(x) < 0), (m, lo, hi)
+                assert float(np.sum(w)) == pytest.approx(hi - lo, rel=1e-13)
 
 
 # -- singular integral ------------------------------------------------------
@@ -191,7 +196,7 @@ class TestCCWeights:
 def full_grid_integral(C, bounds, Z, m):
     """The Clenshaw-Curtis sum over the whole (m + 1)^n grid at once, with
     np.sinc: the reference for the slab-wise evaluation."""
-    axes = [_cc_nodes(m, lo, hi) for lo, hi in bounds]
+    axes = majorarcs._cc_axes(m, bounds)
     n = len(bounds)
     X = [axes[i][0].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
          for i in range(n)]
@@ -236,8 +241,8 @@ def block_forms(draw, n):
 def grid(bounds, m):
     """The Clenshaw-Curtis nodes of a box, one broadcastable axis each."""
     n = len(bounds)
-    return [_cc_nodes(m, *b)[0].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
-            for i, b in enumerate(bounds)]
+    return [x.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+            for i, (x, _) in enumerate(majorarcs._cc_axes(m, bounds))]
 
 
 def tensor_integral(C, bounds, Z, m):
@@ -272,7 +277,7 @@ def split_slab_sums(C, bounds, Z, m):
     n = len(bounds)
     blocks = majorarcs._variable_blocks(C.terms())
     assert len(blocks) > 1
-    axes = [_cc_nodes(m, lo, hi) for lo, hi in bounds]
+    axes = majorarcs._cc_axes(m, bounds)
     cuts = majorarcs._slab_cuts(m, n)
     slab = majorarcs._split_slab(C, majorarcs._tensor_split(C), axes, Z,
                                  max(np.diff(cuts)))
@@ -397,7 +402,7 @@ class TestBlockKernel:
         C, _ = symmetrize(2, {(0, 0, 0): a, (1, 1, 1): -a},
                           {(0, 0): b, (1, 1): -b}, lin=[c, -c])
         bounds = [(centre - half, centre + half)] * 2
-        x = _cc_nodes(m, *bounds[0])[0]
+        x = majorarcs._cc_axes(m, bounds)[0][0]
         sums, seen = sinc_points(
             lambda: split_slab_sums(C, bounds, Z, m))
         for got, want, bound in sums:
@@ -642,6 +647,26 @@ class TestSingularIntegral:
         with pytest.raises(DimensionMismatch, match=f"dim {dim}, expected 3"):
             singular_integral(C, [(0.5, 1.5)] * dim, 2.0)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_reversed_axis_refused(self, n):
+        # Clenshaw-Curtis and Monte-Carlo alike would integrate with a sign
+        C = symmetrize(n, {(i, i, i): 1 for i in range(n)})[0]
+        box = [(0.5, 1.5)] * n
+        box[1] = (1.5, 0.5)
+        with pytest.raises(ValueError, match="box axis 2 has lo 1.5 > hi 0.5"):
+            singular_integral(C, box, 4.0)
+
+    def test_empty_axis_is_zero(self):
+        C = symmetrize(2, {(0, 0, 0): 1, (1, 1, 1): -2})[0]
+        out = singular_integral(C, [(0.5, 1.5), (1.0, 1.0)], 4.0)
+        assert out["value"] == 0.0 and out["error"] == 0.0
+
+    def test_weight_past_the_floats_refused(self):
+        # 10^400 has no float: the phase is refused as overflowing
+        C = symmetrize(2, {(0, 0, 0): 10**400, (1, 1, 1): 1})[0]
+        with pytest.raises(ValueError, match="phase 2 pi Z C.x. overflow"):
+            singular_integral(C, [(1.0, 3.0)] * 2, 1.0)
+
     def test_unconverged_raises(self):
         # tol = 0 is never met: the grid budget, not a node cap, ends it
         C = symmetrize(1, {(0, 0, 0): 1})[0]
@@ -789,7 +814,7 @@ def serial_slab_integral(C, bounds, Z, m, kernel=one_table_kernel):
     each slab's partial sum added in slab order: the reference its threaded
     form must match bit for bit.  Slabs are as few as keep each within
     _SLAB_POINTS points, their row counts as equal as they can be."""
-    axes = [_cc_nodes(m, lo, hi) for lo, hi in bounds]
+    axes = majorarcs._cc_axes(m, bounds)
     n = len(bounds)
     X = [axes[i][0].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
          for i in range(n)]
@@ -894,7 +919,7 @@ class TestWorkers:
         # slabs 3 and 5 of 17 raise: the caller sees slab 3's error, never
         # a partial sum with a slab missing
         C = random_poly(random.Random(5), 2, 4)
-        x0 = _cc_nodes(16, 0.5, 1.5)[0]
+        x0 = majorarcs._cc_axes(16, [(0.5, 1.5)])[0][0]
         kernel = majorarcs._sinc_kernel
 
         def faulty(C, X, Z, out=None):
@@ -1076,7 +1101,7 @@ class TestSliceVolume:
         got = slice_volume(C, bounds, grid=grid)
         assert type(got["value"]) is float
 
-        axes = [_cc_nodes(grid, lo, hi) for lo, hi in ybox]
+        axes = majorarcs._cc_axes(grid, ybox)
         total, hit = 0.0, False
         for combo in product(*(range(grid + 1) for _ in ybox)):
             y = [float(axes[t][0][k]) for t, k in enumerate(combo)]
@@ -1098,6 +1123,14 @@ class TestSliceVolume:
         # one to raise IndexError
         with pytest.raises(DimensionMismatch, match=f"dim {dim}, expected 3"):
             slice_volume(fermat, [(0.5, 1.5)] * dim)
+
+    def test_reversed_axis_refused(self, fermat):
+        with pytest.raises(ValueError, match="box axis 3 has lo 2 > hi 1"):
+            slice_volume(fermat, [(0.5, 1.5), (0.5, 1.5), (2, 1)], grid=16)
+
+    def test_empty_rest_axis_is_zero(self, fermat):
+        got = slice_volume(fermat, [(0.5, 1.5), (0.5, 1.5), (1, 1)], grid=16)
+        assert got["value"] == 0.0
 
 
 # -- singular series --------------------------------------------------------
@@ -1187,6 +1220,27 @@ class TestSingularSeries:
             assert tr.factors[p] == local_factor(watson5, p, tr.k_used[p])
         assert singular_series(watson5, 12, mode="qsum").frak_value == sum(
             a_of_q_exact(watson5, q) for q in range(1, 13))
+
+    def test_qsum_stops_partial_at_budget(self, watson5):
+        # rho(7) counts 7^4 = 2401 slice prefixes, past a budget of 1000:
+        # the q-sum stops at q = 7 with the full sum up to P0 = 6
+        tr = singular_series(watson5, 10, mode="qsum", budget=1000)
+        assert tr.partial
+        assert tr.frak_value == Fraction(746, 125)
+        assert tr.frak_value == singular_series(watson5, 6,
+                                                mode="qsum").frak_value
+
+    @pytest.mark.parametrize("digits", [200, 400])
+    def test_height_past_the_tail_bound_refused(self, digits, monkeypatch):
+        # the tail bound M^(7/3) P0^(-1/3) overflows at 10^200, and 10^400
+        # has no float at all: refused before any rho is counted
+        def no_rho(*args):
+            raise AssertionError("a density was counted")
+
+        monkeypatch.setattr(majorarcs, "local_factor", no_rho)
+        phi = symmetrize(2, {(0, 0, 0): 10**digits, (1, 1, 1): 1})[0]
+        with pytest.raises(ValueError, match="tail bound .* not a finite"):
+            singular_series(phi, 2)
 
     @pytest.mark.parametrize("P0", [0, -3])
     def test_p0_below_one_refused(self, fermat, P0):

@@ -1,6 +1,7 @@
 """Core polynomial representation: symmetrization, evaluation, Hessians,
-bilinear forms, homogenization, serialization and leading normalization."""
+homogenization, serialization and leading normalization."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -64,7 +65,7 @@ class TestSymmetrize:
         poly, scale = symmetrize(3, {(0, 1, 2): 1}, {(0, 0): 1},
                                  lin=[1, 0, 0], const=5)
         assert scale == 6
-        assert poly.q(0, 0) == 6
+        assert poly.quad[(0, 0)] == 6
         assert poly.lin == (6, 0, 0)
         assert poly.const == 30
 
@@ -255,23 +256,6 @@ class TestHessianBilinear:
     def test_zero_point(self, fermat):
         assert fermat.hessian([0, 0, 0]) == [[0] * 3 for _ in range(3)]
 
-    def test_bilinear_triple_product(self):
-        poly, _ = symmetrize(3, {(0, 1, 2): 6})
-        assert poly.bilinear([1, 0, 0], [0, 1, 0]) == [0, 0, 1]
-        assert poly.bilinear([0, 0, 0], [0, 0, 0]) == [0, 0, 0]
-
-    @settings(max_examples=100, deadline=None)
-    @given(poly_strategy(), st.integers(0, 2**32 - 1))
-    def test_bilinear_symmetry_and_hessian_product(self, poly, seed):
-        rng = random.Random(seed)
-        n = poly.n
-        x = [rng.randint(-4, 4) for _ in range(n)]
-        y = [rng.randint(-4, 4) for _ in range(n)]
-        M = poly.hessian(x)
-        Mx_y = [sum(M[i][j] * y[j] for j in range(n)) for i in range(n)]
-        assert poly.bilinear(x, y) == Mx_y
-        assert poly.bilinear(x, y) == poly.bilinear(y, x)
-
     @settings(max_examples=60, deadline=None)
     @given(poly_strategy(), st.integers(0, 2**32 - 1))
     def test_hessian_linearity(self, poly, seed):
@@ -287,11 +271,12 @@ class TestHessianBilinear:
     @settings(max_examples=100, deadline=None)
     @given(poly_strategy(), st.integers(0, 2**32 - 1))
     def test_euler_identity(self, poly, seed):
-        # 3 C(x) = x . grad C(x), with grad C_i = 3 B_i(x, x)
+        # 3 C(x) = x . grad C(x), with grad C_i = 3 B_i(x, x) and
+        # B(x, x) = M(x) x, M the Hessian
         rng = random.Random(seed)
         C = poly.cubic_part()
         x = [rng.randint(-5, 5) for _ in range(poly.n)]
-        B = C.bilinear(x, x)
+        B = [sum(m * v for m, v in zip(row, x)) for row in C.hessian(x)]
         grad = C.gradient(x)
         assert grad == [3 * b for b in B]
         assert 3 * C.evaluate(x) == sum(xi * g for xi, g in zip(x, grad))
@@ -341,7 +326,8 @@ class TestHomogenize:
 
 class TestJson:
     def test_round_trip(self, watson5):
-        assert CubicPolynomial.from_json(watson5.to_json()) == watson5
+        text = json.dumps(watson5.to_json_dict())
+        assert CubicPolynomial.from_json_dict(json.loads(text)) == watson5
 
     def test_one_based_indices(self, fermat):
         d = fermat.to_json_dict()
