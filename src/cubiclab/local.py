@@ -4,19 +4,24 @@ necessary-congruence-condition (NCC) certifier.
 
 Counting is exact, and every quantity is computed at its true level or
 raises BudgetExceeded; ncc_levels is the one rule for that level.  Every
-count mod q walks [0, q)^n through one generator, _residues: _walk's
-chunks in C order, each with its term tables' values mod q (computed in
-int64, reduced mod q where a running bound says the next product or sum
-could overflow and once at the end, so below q = 2**15 usually once per
-table; it refuses q >= 2**31, where q^2 no longer fits int64); no whole
-grid is built.
+count mod q walks [0, q)^n, or a variable block's [0, q)^|U|, through one
+generator, _residues: _walk's chunks in C order, each with its term
+tables' values mod q (computed in int64, reduced mod q where a running
+bound says the next product or sum could overflow and once at the end, so
+below q = 2**15 usually once per table; it refuses q >= 2**31, where q^2
+no longer fits int64); no whole grid is built.
 
 rho first divides out the p-content of phi's term table, so only
-content-free tables are counted.  At level 1 the slice kernel counts them:
-with phi(t, y) = sum_d t^d phi_d(y), each of the p^(n-1) prefixes y adds
-the number of distinct roots of its slice in t (found by evaluating the
-slice at every t mod p where that is small, else as deg gcd(f_y,
-t^p - t)), so the budget counts prefixes, not the p^n points.  Above
+content-free tables are counted.  A table whose variables split into two
+or more blocks, phi = sum_k phi_k(x_(U_k)), is counted from the blocks'
+value histograms mod q, each walked on its own variables and convolved
+cyclically, wherever their cost fits the budget and their convolution
+products stay within _BLOCK_MAX_CONV.  Otherwise, at level 1, the slice
+kernel counts them: with phi(t, y) = sum_d t^d phi_d(y), each of the
+p^(n-1) prefixes y adds the number of distinct roots of its slice in t
+(found by evaluating the slice at every t mod p where that is small, else
+as deg gcd(f_y, t^p - t)), so the budget counts prefixes, not the p^n
+points.  Above
 level 1 the walk mod p^k counts the zeros; beyond the budget, rho falls
 back to a stratified recursion: each non-singular root mod p (read off
 the walk mod p with the gradient tables, which the recursion needs point
@@ -40,13 +45,19 @@ from .budget import check_budget, BudgetExceeded, enumeration_budget
 from .invariants import delta, DeltaInvariant, _ranks_mod
 from .nt import is_prime, primes_up_to, valuation
 from .polynomials import (CubicPolynomial, _CHUNK, _derivative, _eval_terms,
-                          _substitute, _walk, _x1_slices, homogenize)
+                          _substitute, _variable_blocks, _walk, _x1_slices,
+                          homogenize)
 
 _MAX_SINGULAR = 4096  # singular roots mod p one stratification step rescales
 _REPORT_P0 = 100  # the P0 of local_report's k_threshold
 _WALK_BLOCK = 2**13  # points of a mod-q _walk evaluated at once: an early
                      # root costs little, a full walk stays at numpy speed
 _WALK_MAX_Q = 2**31  # _eval_terms mod q is exact in int64 while q**2 < 2**63
+_BLOCK_MAX_CONV = 2**20  # block kernel products: about 0.5 ms, near the
+                         # floor of stratifying a form smooth mod p (0.14-0.31
+                         # ms for fermat, selmer4 and diag5m2 mod 5^3..7^4, in
+                         # process on a 2-CPU host); past it the blocks took
+                         # up to 10x that floor (fermat mod 7^4: 2.2 ms)
 _SLICE_MAX_P = 2**19  # the slice kernel's packed keys (< p^3) and unreduced
                       # sums (< 9 p^3) stay below 2**63
 
@@ -72,6 +83,49 @@ def _residues(tables, n: int, q: int, points: int):
     for first, shape, x in _walk([range(q)] * n, points):
         yield first, shape, x, [np.broadcast_to(_eval_terms(t, x, q), shape)
                                 for t in tables]
+
+
+def _block_zeros(terms, n: int, q: int, cap: int) -> int | None:
+    """rho(q) of a table of two or more variable blocks,
+    phi = sum_k phi_k(x_(U_k)) (_variable_blocks), or None.
+
+    Each distinct block table is walked once by _residues on its own
+    variables into its value histogram mod q; the cyclic convolution of
+    all but the last block's histograms, h, counts the points of those
+    blocks by their phi value, and the zeros are sum_r h(r) g(-r), g the
+    last block's histogram, times q^f for the f variables in no term.  The
+    kernel costs sum_k q^|U_k| points and (B - 2) q^2 + q products, B the
+    number of blocks.  It runs only where that fits the cap, where the
+    products stay within _BLOCK_MAX_CONV (so q <= 2**20, which _residues
+    walks) and where q^u < 2**63 (u the variables in some term) keeps every
+    int64 count exact; elsewhere the result is None, before any histogram
+    is allocated.
+    """
+    blocks = _variable_blocks(terms)
+    if len(blocks) < 2:
+        return None
+    tables = []  # each block's table on its own variables, and their number
+    for block in blocks:
+        used = sorted({i for _, idx in block for i in idx})
+        at = {i: j for j, i in enumerate(used)}
+        tables.append((tuple((w, tuple(at[i] for i in idx))
+                             for w, idx in block), len(used)))
+    u = sum(d for _, d in tables)
+    conv = (len(tables) - 2) * q * q + q
+    if (conv > _BLOCK_MAX_CONV or q**u >= 2**63
+            or sum(q**d for _, d in tables) + conv > cap):
+        return None
+    hist = {}
+    for table, d in set(tables):
+        hist[table] = np.zeros(q, dtype=np.int64)
+        for *_, (v,) in _residues([table], d, q, _CHUNK):
+            hist[table] += np.bincount(v.ravel(), minlength=q)
+    h = hist[tables[0][0]]
+    for table, _ in tables[1:-1]:
+        h = np.convolve(h, hist[table])
+        h[:q - 1] += h[q:]
+        h = h[:q]
+    return int(h @ hist[tables[-1][0]][-np.arange(q) % q]) * q ** (n - u)
 
 
 # -- rho / rho* -------------------------------------------------------------
@@ -186,21 +240,36 @@ def rho(phi: CubicPolynomial, p: int, k: int,
 
     Content reduction first: when p^c divides every weight of phi.terms(),
     rho(phi, p^k) = p^(cn) rho(phi / p^c, p^(k-c)), which is p^(kn) once
-    c >= k.  Only a content-free table is counted: at level 1 by the slice
-    kernel (p < 2**19; its slices are evaluated at every t mod p where they
-    are few, else solved by _frobenius_roots), else on its residue grid
-    when that fits the budget (the walk's values mod p^k are reduced where
-    int64 needs it, once per table below 2**15), else by stratification
-    at p.
+    c >= k.  Only a content-free table is counted, by the first of four
+    kernels that applies, all exact:
+      1. blocks: a table of B >= 2 variable blocks, phi = sum_k phi_k(x_U_k),
+         is h(0) q^f, q = p^k, h the cyclic convolution of the blocks'
+         value histograms mod q and f the variables in no term; it runs
+         where its sum_k q^|U_k| points plus (B - 2) q^2 + q products fit
+         the budget, where those products stay within 2**20 (past that, a
+         stratification mod p^k can be several times faster) and where
+         q^u < 2**63 (u the variables in some term) keeps its int64 counts
+         exact, q^f being a Python int;
+      2. at level 1, the slice kernel (p < 2**19; its slices are evaluated
+         at every t mod p where they are few, else solved by
+         _frobenius_roots), charged its p^(n-1) prefixes;
+      3. the residue grid mod p^k, where its q^n points fit the budget
+         (the walk's values are reduced where int64 needs it, once per
+         table below 2**15);
+      4. stratification at p, each rescaled table meeting the same four.
+    Weights of any size are reduced mod q by _eval_terms in every walk.
     """
     _require_prime(p)
     return _rho(phi.terms(), phi.n, p, k, enumeration_budget(budget))
 
 
 def _rho(terms, n: int, p: int, k: int, cap: int) -> int:
-    """rho on a (weight, index tuple) table; the stratified recursion
-    rescales each singular root mod p to the table of psi_a at level k-1.
-    Every call it makes is at a lower level, so it nests at most k deep."""
+    """rho on a (weight, index tuple) table, cap the budget: content
+    reduction, then the block kernel (_block_zeros), the slice kernel,
+    the grid and the stratified recursion, the first that fits the cap.
+    The recursion rescales each singular root mod p to the table of psi_a
+    at level k-1, which tries the same kernels in the same order.  Every
+    call it makes is at a lower level, so it nests at most k deep."""
     if k == 0:
         return 1
     c = min((valuation(w, p) for w, _ in terms), default=k)
@@ -209,6 +278,8 @@ def _rho(terms, n: int, p: int, k: int, cap: int) -> int:
     if c:
         reduced = [(w // p**c, idx) for w, idx in terms]
         return p ** (c * n) * _rho(reduced, n, p, k - c, cap)
+    if (zeros := _block_zeros(terms, n, p**k, cap)) is not None:
+        return zeros
     if k == 1 and p < _SLICE_MAX_P:
         return _slice_roots(terms, n, p, cap)
     if (p**k) ** n <= cap:

@@ -786,7 +786,8 @@ def singular_integral(C: CubicPolynomial, box, Z: float,
 def slice_volume(C: CubicPolynomial, box, grid: int = 128) -> dict:
     """V(0) = int over {C = 0} cap B of dx_2..dx_n / (dC/dx_1).
 
-    Clenshaw-Curtis with grid + 1 nodes per rest axis; the x_1-slice root at
+    Clenshaw-Curtis with grid + 1 nodes per rest axis (grid = 0 is the
+    midpoint rule; a negative grid raises ValueError); the x_1-slice root at
     every node is found by one bisection over all sign-changing nodes at
     once, run until the bracket is two adjacent floats.  A BoxRegion's
     positive certified floor for dC/dx_1 (axis1) makes that root unique; for
@@ -795,6 +796,8 @@ def slice_volume(C: CubicPolynomial, box, grid: int = 128) -> dict:
     in the box.  A box of another dimension than C's raises
     DimensionMismatch, and one with an axis lo > hi ValueError (_region).
     """
+    if grid < 0:
+        raise ValueError(f"grid must be >= 0, got {grid}")
     bounds = _region(C.n, box)
     ax = box.axis1 if isinstance(box, BoxRegion) else 0
     n = len(bounds)

@@ -76,12 +76,60 @@ def residue_grid(phi: CubicPolynomial, q: int) -> np.ndarray:
     int64 where sum |w| q^deg < 2**63 bounds every product and partial
     sum, else Python ints in object arrays (which for watson5 mod 27 took
     5 s and 1.2 GB where int64 takes 0.5 s and 0.3 GB)."""
-    terms = phi.terms()
+    return _table_grid(phi.terms(), phi.n, q)
+
+
+def _table_grid(terms, n: int, q: int) -> np.ndarray:
+    """residue_grid of a (weight, index tuple) table in n variables."""
     wide = sum(abs(w) * q ** len(idx) for w, idx in terms) >= 2**63
-    x = np.ix_(*[np.arange(q, dtype=object if wide else np.int64)] * phi.n)
+    x = np.ix_(*[np.arange(q, dtype=object if wide else np.int64)] * n)
     exact = sum(w * prod(x[i] for i in idx) for w, idx in terms)
-    return np.broadcast_to(np.asarray(exact % q, dtype=np.int64),
-                           (q,) * phi.n)
+    return np.broadcast_to(np.asarray(exact % q, dtype=np.int64), (q,) * n)
+
+
+def _convolve_counts(a: dict, b: dict, q: int) -> dict:
+    """{value mod q: count} of r + s over the r counted by a and the s
+    counted by b."""
+    out = {}
+    for r, m in a.items():
+        for s, c in b.items():
+            out[(r + s) % q] = out.get((r + s) % q, 0) + m * c
+    return out
+
+
+def _value_counts(values: np.ndarray) -> dict:
+    """{value: count} of an array, in Python ints."""
+    r, c = np.unique(values, return_counts=True)
+    return dict(zip(r.tolist(), c.tolist()))
+
+
+def diagonal_zero_count(coeffs, const: int, q: int) -> int:
+    """#{x mod q : const + sum_i c_i x_i^3 = 0 mod q}, a Python-dict
+    convolution of the per-variable cube-residue counts, in Python ints
+    with no numpy: the reference for the block kernel of cubiclab.local on
+    diagonal forms, at moduli and variable counts no whole grid reaches."""
+    total = {const % q: 1}
+    for c in coeffs:
+        cubes = {}
+        for x in range(q):
+            cubes[c * x**3 % q] = cubes.get(c * x**3 % q, 0) + 1
+        total = _convolve_counts(total, cubes, q)
+    return total.get(0, 0)
+
+
+def split_zero_count(blocks, const: int, free: int, q: int) -> int:
+    """#{x mod q : phi(x) = 0 mod q} for phi = const + sum_k B_k(x_(U_k)),
+    the polynomials B_k = blocks[k] on disjoint sets of variables, and
+    `free` more variables in no term.  Each block's values come from its
+    own whole grid (its weights reduced mod q first, so heights past int64
+    stay exact), and their per-value counts are convolved as dicts, in
+    Python ints."""
+    total = {const % q: 1}
+    for block in blocks:
+        values = _table_grid([(w % q, idx) for w, idx in block.terms()],
+                             block.n, q)
+        total = _convolve_counts(total, _value_counts(values), q)
+    return total.get(0, 0) * q**free
 
 
 def value_distribution(phi: CubicPolynomial, q: int,

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from cubiclab import cli
 from cubiclab.cli import COMMANDS, main, parse_args, usage
 from conftest import make_diag5m2, make_fermat, make_wall14, make_watson5
+from oracles import diagonal_zero_count
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +218,19 @@ class TestSeries:
         out, err = capsys.readouterr()
         assert code == 1 and not out
         assert err == "error: series: P0 must be >= 1\n"
+
+    def test_diag5m2_reaches_p0_100(self, capsys, diag5m2_json, monkeypatch):
+        # the slice kernel's 53^4 prefixes exceed the default budget; the
+        # block kernel walks 5 p points and convolves 4 times p^2 products
+        monkeypatch.delenv("CUBIC_LAB_BUDGET", raising=False)
+        code, out = run(capsys, ["series", "--poly", diag5m2_json, "--p0",
+                                 "100", "--mode", "both"])
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert not res["partial"] and res["k_used"]["97"] == 1
+        for p in (53, 97):
+            assert Fraction(res["factors"][str(p)]) == Fraction(
+                diagonal_zero_count([1] * 5, -2, p), p**4)
 
     def test_rational_serialization(self, capsys, fermat_json):
         code, out = run(capsys, ["series", "--poly", fermat_json,

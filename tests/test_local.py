@@ -22,7 +22,8 @@ from cubiclab.nt import is_prime
 from cubiclab.polynomials import _eval_terms
 from conftest import (CUBIC_UNISOLVENT, full_poly_strategy, random_poly,
                       residue_walk)
-from oracles import first_root, residue_grid, value_distribution
+from oracles import (diagonal_zero_count, first_root, residue_grid,
+                     split_zero_count, value_distribution)
 
 
 X3_XY_1 = CubicPolynomial(2, cubic={(0, 0, 0): 1}, quad={(0, 1): 1}, const=1)
@@ -87,6 +88,41 @@ def moduli():
     return (st.integers(2, 40) | st.integers(2, 2**31 - 1)
             | st.sampled_from([2**15 - 1, 2**15 + 3, 46_337, 65_537,
                                2**31 - 1]))
+
+
+@st.composite
+def split_forms(draw):
+    """(phi, blocks, free): phi = const + sum_k B_k(x_(U_k)) in n <= 5
+    variables, B_0 a connected block in two variables, then one or two
+    one-variable blocks, the rest free, the variables shuffled; cubic,
+    quadratic, linear and constant entries up to 2**70 in size."""
+    coeff = st.integers(-2**70, 2**70) | st.integers(-9, 9)
+    unit = coeff.filter(bool)
+    pair = CubicPolynomial(
+        2, cubic={(0, 0, 0): draw(coeff), (0, 0, 1): draw(coeff),
+                  (0, 1, 1): draw(unit), (1, 1, 1): draw(coeff)},
+        quad={(0, 0): draw(coeff), (0, 1): draw(coeff), (1, 1): draw(coeff)},
+        lin=[draw(coeff), draw(coeff)])
+    singles = [CubicPolynomial(1, cubic={(0, 0, 0): draw(unit)},
+                               quad={(0, 0): draw(coeff)}, lin=[draw(coeff)])
+               for _ in range(draw(st.integers(1, 2)))]
+    blocks = [pair, *singles]
+    free = draw(st.integers(0, 3 - len(singles)))
+    n = 2 + len(singles) + free
+    at = draw(st.permutations(range(n)))
+    cubic, quad, lin, first = {}, {}, [0] * n, 0
+    for block in blocks:
+        to = at[first:first + block.n]
+        first += block.n
+        cubic |= {tuple(sorted(to[i] for i in t)): c
+                  for t, c in block.cubic.items()}
+        quad |= {tuple(sorted(to[i] for i in t)): c
+                 for t, c in block.quad.items()}
+        for i, c in enumerate(block.lin):
+            lin[to[i]] = c
+    phi = CubicPolynomial(n, cubic=cubic, quad=quad, lin=lin,
+                          const=draw(coeff))
+    return phi, blocks, free
 
 
 def brute_rho(phi, p, k):
@@ -498,6 +534,68 @@ class TestSliceKernel:
                      lambda: local_report(fermat, p, 1)):
             with pytest.raises(ValueError, match="p must be a prime"):
                 call()
+
+
+class TestBlockKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(split_forms(), st.sampled_from([2, 3, 5, 7]), st.integers(1, 3))
+    def test_matches_split_oracle(self, form, p, k):
+        phi, blocks, free = form
+        zeros = split_zero_count(blocks, phi.const, free, p**k)
+        assert rho(phi, p, k) == zeros
+        if p ** (k * phi.n) <= 4096:  # the oracle against the whole grid
+            assert zeros == value_distribution(phi, p**k)[0]
+
+    @pytest.mark.parametrize("u", [15, 16])
+    def test_int64_edge(self, u):
+        # mod q = 16 the block counts of sum x_i^3 in u variables reach
+        # q^u: 2**60 fits int64, 2**64 does not, and there rho stratifies at
+        # p = 2, whose rescaled tables come back to the blocks mod 2.  Four
+        # free variables take q^n past 2**63 on both sides.
+        free, taken = 4, []
+        phi = CubicPolynomial(u + free, cubic={(i, i, i): 1 for i in range(u)})
+        kernel = local._block_zeros
+
+        def spy(terms, n, q, cap):
+            zeros = kernel(terms, n, q, cap)
+            taken.append((q, zeros is not None))
+            return zeros
+
+        with mock.patch.object(local, "_block_zeros", spy):
+            count = rho(phi, 2, 4)
+        assert taken[0] == (16, u == 15)
+        assert count == diagonal_zero_count([1] * u, 0, 16) * 16**free
+        assert count > 2**63
+
+    def test_wide_modulus_refused_before_allocating(self):
+        # a budget that admits x^3 + y^3 - 2's blocks mod p > 2**31 leaves
+        # them to the walk's refusal, with no histogram of p counts built
+        p = 2**31 + 11
+        phi = CubicPolynomial(2, cubic={(0, 0, 0): 1, (1, 1, 1): 1}, const=-2)
+        assert local._block_zeros(phi.terms(), 2, p, p**3) is None
+        with pytest.raises(BudgetExceeded, match="too large"):
+            rho(phi, p, 1, budget=p**3)
+
+    def test_cost_rule(self, fermat, watson5):
+        # fermat mod 9: three blocks of 9 points, one convolution of 81
+        # products and a last product of 9
+        terms, cost = fermat.terms(), 3 * 9 + 81 + 9
+        assert local._block_zeros(terms, 3, 9, cost) == brute_rho(fermat, 3, 2)
+        assert local._block_zeros(terms, 3, 9, cost - 1) is None
+        assert local._block_zeros(watson5.terms(), 5, 2, 10**6) is None
+        assert rho(fermat, 3, 2, cost) == rho(fermat, 3, 2, cost - 1) \
+            == brute_rho(fermat, 3, 2)
+
+    def test_crossover(self, fermat):
+        # 3^6 takes 729^2 + 729 products, under 2**20; 2^10 takes
+        # 1024^2 + 1024, over it, and so does 3^8 at any budget, where
+        # stratification is as fast
+        terms = fermat.terms()
+        assert local._block_zeros(terms, 3, 3**6, 10**9) is not None
+        for q in (2**10, 3**8):
+            assert local._block_zeros(terms, 3, q, 10**9) is None
+        assert rho(fermat, 2, 10, 10**9) == \
+            diagonal_zero_count([1, 1, 1], 0, 2**10)
 
 
 class TestLocalFactor:

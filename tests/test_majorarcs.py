@@ -1128,6 +1128,17 @@ class TestSliceVolume:
         with pytest.raises(ValueError, match="box axis 3 has lo 2 > hi 1"):
             slice_volume(fermat, [(0.5, 1.5), (0.5, 1.5), (2, 1)], grid=16)
 
+    @pytest.mark.parametrize("grid", [-1, -5])
+    def test_negative_grid_refused(self, fermat, grid):
+        # -1 used to raise IndexError in _cc_nodes, -5 numpy's "negative
+        # dimensions are not allowed"
+        with pytest.raises(ValueError, match=f"grid must be >= 0, got {grid}"):
+            slice_volume(fermat, [(0.5, 1.5)] * 3, grid=grid)
+        # grid 0 is the midpoint rule: one slice, at y = 1, z = 1.5, whose
+        # root x^3 = 2.375 has dC/dx = 3 x^2
+        midpoint = slice_volume(fermat, [(0.5, 1.5), (0.5, 1.5), (1, 2)], 0)
+        assert midpoint["value"] == pytest.approx(1 / (3 * 2.375 ** (2 / 3)))
+
     def test_empty_rest_axis_is_zero(self, fermat):
         got = slice_volume(fermat, [(0.5, 1.5), (0.5, 1.5), (1, 1)], grid=16)
         assert got["value"] == 0.0
