@@ -8,6 +8,7 @@ The singular integral is computed from the interchanged form
     I(Z) = int_B sin(2 pi Z C(x)) / (pi C(x)) dx = int_B 2 Z sinc(2 Z C(x)) dx,
 
 whose integrand is smooth (the zero set of C is a removable sinc point).
+The integrand's sines and cosines come from one tangent per phase (_sinpi).
 The tensor rule maps one Clenshaw-Curtis rule per level to every axis and
 works through the grid in axis-0 slabs of equal row counts.  When C's
 terms split into blocks of disjoint variables, C = A(x_O) + B(x_L) with x_0
@@ -24,10 +25,11 @@ nearest far pole is eps.  A level of one slab, and a panel whose proxies
 would cost as much as its far poles, sums every pole directly, and the
 nodes near the zero set of C take the integrand from C's whole table.  Its
 independent pieces, the slabs of a connected C and the Monte-Carlo chunks
-(each computing its own slice of the seeded sample), run on up to _WORKERS
-threads (numpy releases the GIL in the kernel's ufuncs); the pieces and the
-order their partial results are combined in do not depend on the worker
-count, so neither does any result, to the last bit.
+(each computing its own slice of the seeded sample, in buffers its thread
+allocates once), run on up to _WORKERS threads (numpy releases the GIL in
+the kernel's ufuncs); the pieces and the order their partial results are
+combined in do not depend on the worker count, so neither does any result,
+to the last bit.
 
 Both modes of the truncated singular series read one table of local
 densities rho(p^j), p^j <= P0: the Euler factors are its top levels, and
@@ -335,22 +337,62 @@ _SLAB_POINTS = 1 << 18
 _MC_CHUNK = 1 << 16
 
 
+def _sinpi(y: np.ndarray, cos: bool = False, out: tuple | None = None):
+    """sin(pi y), or (sin(pi y), cos(pi y)) with cos, for a float array y,
+    from one tangent: y = 2 k + d with k = rint(y / 2) and |d| <= 1, both
+    exact (d by Sterbenz's lemma), tau = tan(pi d / 2), sin = 2 tau / (1 +
+    tau^2) and cos = (1 - tau^2) / (1 + tau^2).  Against sinpi and cospi the
+    absolute error stays within 2 eps for every y, where np.sin(pi y) errs
+    by about eps |y| (numpy computes tan in SIMD, sin and cos one element at
+    a time).  out holds the work arrays, of y's shape: two, or three with
+    cos, the results in the first (two); new arrays when None."""
+    a, b, *c = out or [np.empty_like(y) for _ in range(2 + cos)]
+    np.multiply(y, 0.5, out=a)
+    np.rint(a, out=a)
+    a *= -2.0
+    a += y
+    a *= pi / 2
+    np.tan(a, out=a)
+    np.multiply(a, a, out=b)
+    if not cos:
+        b += 1.0
+        a /= b
+        a *= 2.0
+        return a
+    den = np.add(b, 1.0, out=c[0])
+    a /= den
+    a *= 2.0
+    np.subtract(1.0, b, out=b)
+    b /= den
+    return a, b
+
+
 def _sinc_kernel(C: CubicPolynomial, X: list, Z: float,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """2 Z sinc(2 Z C) = 2 Z sin(t) / t, t = 2 pi Z C, over the broadcast of
-    the coordinate arrays X, with the removable point t = 0 set to 2 Z: the
-    arithmetic of np.sinc, built in the buffer of evaluate_array's values
-    plus `out` (a new array when None), so that every step, the sine
-    included, runs on the full broadcast and rounds as it does there."""
-    t = evaluate_array(C, X)
-    t *= 2.0 * Z
+                 out: np.ndarray | None = None,
+                 work: tuple | None = None) -> np.ndarray:
+    """2 Z sinc(2 Z C) = 2 Z sin(t) / t, t = pi y and y = 2 Z C, over the
+    broadcast of the coordinate arrays X, with 2 Z, the limit, where t is 0
+    or subnormal (there sin t = t to the last bit, while _sinpi's pi y / 2
+    rounds to fewer bits): y and t round as written, and sin(t) is
+    _sinpi(y).  With out, the broadcast's float array, and work, two float
+    arrays and one bool array of its shape, the kernel is built in out, C's
+    values through the out path of _eval_terms, and allocates nothing; else
+    in new arrays."""
+    if out is None:
+        y = evaluate_array(C, X)
+        work = (np.empty_like(y), np.empty_like(y), np.empty(y.shape, bool))
+    else:
+        y = _eval_terms(C.terms(), X, out=out, work=work[0])
+    y *= 2.0 * Z
+    s = _sinpi(y, out=work[:2])
+    t = y
     t *= pi
-    zero = t == 0
-    f = np.sin(t, out=np.empty_like(t) if out is None else out)
-    np.divide(f, t, out=f, where=~zero)
-    f *= 2.0 * Z
-    f[zero] = 2.0 * Z
-    return f
+    live = np.greater_equal(np.abs(t, out=work[1]), 2.0 ** -1022,
+                            out=work[2])
+    np.divide(s, t, out=t, where=live)
+    t *= 2.0 * Z
+    np.copyto(t, 2.0 * Z, where=np.logical_not(live, out=live))
+    return t
 
 
 def _slab_cuts(m: int, n: int) -> list:
@@ -586,27 +628,34 @@ def _split_slab(C: CubicPolynomial, split: tuple, axes: list, Z: float,
     R = 1 / (T + u) on (O points) x (L points) and v_c, v_s = 2 Z w_L
     (cos u, sin u): the two contractions S are taken once per level by
     _cauchy_sums, in blocks of at most `rows` rows' worth of R, and each
-    slab reads its rows of S; sines are taken only on the O and L subgrids.
-    The candidates |T + u| < 2 take _sinc_kernel at their points instead,
-    so where |t| < 1 the integrand is bit for bit that of one block;
-    elsewhere sin(T + u) has an absolute error of a few eps (T' + 1),
-    T' = 2 pi Z times the sum of |w prod x_i| over C's terms, divided by
-    |t| >= 1, and the far field of _cauchy_sums adds at most eps of each
-    far term."""
+    slab reads its rows of S; sines are taken only on the O and L subgrids,
+    by _sinpi of T / pi and u / pi.  The candidates |T + u| < 2 take
+    _sinc_kernel at their points instead, so where |t| < 1 the integrand is
+    bit for bit that of one block; elsewhere sin(T + u) has an absolute
+    error of a few eps T' from the rounding of T and u, T' = 2 pi Z times
+    the sum of |w prod x_i| over C's terms, and of at most 9 eps from the
+    four sines and cosines (each within 2 eps) and their angle addition,
+    divided by |t| >= 1, and the far field of _cauchy_sums adds at most eps
+    of each far term."""
     n, m1 = len(axes), len(axes[0][0])
     O, head, L, rest = split
 
     def phase(table, dims):
-        """2 pi Z table over the grid of the axes dims, flat in C order."""
+        """2 Z table over the grid of the axes dims, flat in C order."""
         X = [None] * n
         for d, i in enumerate(dims):
             X[i] = axes[i][0].reshape((-1,) + (1,) * (len(dims) - 1 - d))
-        v = np.asarray(_eval_terms(table, X), dtype=float) * (2.0 * Z)
-        v *= pi
-        return np.broadcast_to(v, (m1,) * len(dims)).ravel()
+        y = np.asarray(_eval_terms(table, X), dtype=float) * (2.0 * Z)
+        return np.broadcast_to(y, (m1,) * len(dims)).ravel()
 
-    T = phase(head, O)
-    u = phase(rest, L)
+    # one _sinpi call for both subgrids: on the small grids of the first
+    # levels each numpy call costs more than its elements
+    y = np.concatenate([phase(head, O), phase(rest, L)])
+    P = m1 ** len(O)
+    s, c = _sinpi(y, cos=True)
+    y *= pi
+    T, sinT, cosT = y[:P], s[:P], c[:P]
+    u, sin_u, cos_u = y[P:], s[P:], c[P:]
     wL = np.ones(())
     for i in L:
         wL = np.multiply.outer(wL, axes[i][1])
@@ -615,8 +664,8 @@ def _split_slab(C: CubicPolynomial, split: tuple, axes: list, Z: float,
     # times as fast as R @ v with v laid out (L points, 2) on a 3 x 66049
     # slab (x86-64, single-threaded BLAS)
     v = np.empty((2, len(u)))
-    np.multiply(np.cos(u), wL, out=v[0])
-    np.multiply(np.sin(u), wL, out=v[1])
+    np.multiply(cos_u, wL, out=v[0])
+    np.multiply(sin_u, wL, out=v[1])
     v *= 2.0 * Z
     def near(o, l):
         """w_L 2 Z sinc(2 Z C) at O points o and L points l."""
@@ -629,8 +678,8 @@ def _split_slab(C: CubicPolynomial, split: tuple, axes: list, Z: float,
 
     width = m1 ** (len(O) - 1)  # O points per axis-0 row
     S, extra = _cauchy_sums(T, u, v, rows * width * len(u), near)
-    g = np.sin(T) * S[:, 0]
-    g += np.cos(T) * S[:, 1]
+    g = sinT * S[:, 0]
+    g += cosT * S[:, 1]
     g += extra
     w0 = axes[0][1]
 
@@ -676,30 +725,31 @@ _MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
         (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 
 
-def _sample_chunk(seed: int, bounds, N: int, c: int, size: int) -> list:
-    """Points c .. c + size - 1 of the seeded sample of N points, one array
-    per axis.  Axis i's point j comes from output k = i N + j of the
-    SplitMix64 stream keyed by seed mod 2^64: the state key + (k + 1) gamma
-    mod 2^64, put through the two multiply-xorshift rounds and s ^= s >> 31,
-    gives s, and the point is lo + (hi - lo) u, u = (s >> 11) 2^-53 in
-    [0, 1).  Output k is computed from k alone, so a chunk takes its slice
-    with no set-up and no chunk size changes a bit.  The arithmetic stays
-    on uint64 arrays, which wrap silently where a scalar would warn."""
-    key = np.uint64(seed % 2**64)
-    out = []
-    for i, (lo, hi) in enumerate(bounds):
-        s = np.arange(i * N + c + 1, i * N + c + size + 1, dtype=np.uint64)
-        s *= _GAMMA
-        s += key
+def _sample_chunk(seed: int, bounds, N: int, c: int, steps: np.ndarray,
+                  out: list, work: np.ndarray) -> list:
+    """Points c .. c + size - 1 of the seeded sample of N points written to
+    out, one float array of size points per axis, and returned; steps holds
+    j gamma mod 2^64 for j < size or more, and work is a (2, size) uint64
+    array.  Axis i's point j comes from output k = i N + j of the SplitMix64
+    stream keyed by the seed, 0 <= seed < 2^64: the state seed + (k + 1)
+    gamma mod 2^64, the chunk's first state plus steps[j - c], put through
+    the two multiply-xorshift rounds and s ^= s >> 31, gives s, and the
+    point is lo + (hi - lo) u, u = (s >> 11) 2^-53 in [0, 1).  Output k is
+    computed from k alone, so a chunk takes its slice with no set-up and no
+    chunk size changes a bit.  The arithmetic stays on uint64 arrays, which
+    wrap silently where a scalar would warn."""
+    s, tmp = work
+    for i, ((lo, hi), x) in enumerate(zip(bounds, out)):
+        first = ((i * N + c + 1) * int(_GAMMA) + seed) % 2**64
+        np.add(steps[:len(x)], np.uint64(first), out=s)
         for shift, mult in _MIX:
-            s ^= s >> shift
+            s ^= np.right_shift(s, shift, out=tmp)
             s *= mult
-        s ^= s >> np.uint64(31)
+        s ^= np.right_shift(s, np.uint64(31), out=tmp)
         s >>= np.uint64(11)
-        x = s.astype(float)
-        x *= (hi - lo) * 2.0 ** -53  # one rounding: (s >> 11) 2^-53 is exact
+        # one rounding: (s >> 11) 2^-53 is exact, and so is its float
+        np.multiply(s, (hi - lo) * 2.0 ** -53, out=x)
         x += lo
-        out.append(x)
     return out
 
 
@@ -728,8 +778,10 @@ def singular_integral(C: CubicPolynomial, box, Z: float,
     17^n grid fits, and when it admits fewer than two Monte-Carlo points,
     which leave no standard error.  A box of another dimension than C's
     raises DimensionMismatch; an axis lo > hi, a Z not finite and positive,
-    a Z whose largest phase 2 pi Z sum |w| B^deg (B the largest |bound|) is
-    not a finite float, or a negative seed ValueError, whatever the method.
+    a Z whose bound 2 Z sum |w| B^deg (B the largest |bound|) on y = 2 Z C,
+    the phase over pi, is not a finite float or reaches 2^52, past which
+    every float y is an integer, or a seed outside [0, 2^64) ValueError,
+    whatever the method.
     """
     bounds = _region(C.n, box)
     n = len(bounds)
@@ -738,15 +790,19 @@ def singular_integral(C: CubicPolynomial, box, Z: float,
             f"Z must be {'positive' if isfinite(Z) else 'finite'}, got {Z}")
     B = max([0.0] + [abs(float(v)) for pair in bounds for v in pair])
     try:
-        phase = 2 * pi * Z * sum(abs(w) * B ** len(idx)
-                                 for w, idx in C.terms())
+        ymax = 2 * Z * sum(abs(w) * B ** len(idx) for w, idx in C.terms())
     except OverflowError:  # a weight past the float range
-        phase = inf
-    if not isfinite(phase):
+        ymax = inf
+    if not isfinite(ymax):
         raise ValueError(f"Z = {Z} makes the phase 2 pi Z C(x) overflow on "
                          f"this box")
+    if ymax >= 2.0 ** 52:
+        raise ValueError(f"Z = {Z} makes 2 Z C(x) reach 2^52 on this box, "
+                         f"where a float phase has no fractional part")
     if seed < 0:
         raise ValueError("--seed must be >= 0")
+    if seed >= 2**64:
+        raise ValueError("--seed must be < 2^64")
     cap = enumeration_budget(budget)
     if n <= 3:
         split = _tensor_split(C)
@@ -771,11 +827,22 @@ def singular_integral(C: CubicPolynomial, box, Z: float,
     for lo, hi in bounds:
         vol *= hi - lo
     vals = np.empty(N)
+    top = min(_MC_CHUNK, N)
+    steps = np.arange(top, dtype=np.uint64) * _GAMMA
+    held = threading.local()  # each worker's buffers, one chunk's worth
 
     def chunk(c: int) -> None:
+        if not hasattr(held, "x"):
+            held.x = np.empty((n, top))
+            held.work = np.empty((2, top))
+            held.live = np.empty(top, dtype=bool)
         size = min(_MC_CHUNK, N - c)
-        _sinc_kernel(C, _sample_chunk(seed, bounds, N, c, size), Z,
-                     out=vals[c:c + size])
+        work = held.work[:, :size]
+        # the sampler's uint64 scratch is the kernel's, done with before it
+        x = _sample_chunk(seed, bounds, N, c, steps, list(held.x[:, :size]),
+                          work.view(np.uint64))
+        _sinc_kernel(C, x, Z, out=vals[c:c + size],
+                     work=(*work, held.live[:size]))
 
     _map(chunk, range(0, N, _MC_CHUNK))
     est = vol * float(np.mean(vals))

@@ -71,16 +71,23 @@ def _mult(idx: tuple) -> int:
 # a temporary array that nothing else references, so every product after the
 # first, and the running sum of _eval_terms, is computed in place.  A loop
 # over a named running product allocates an array per factor instead, which
-# doubles the time of a 400,000-point Monte-Carlo integrand.
+# doubles the time of a 400,000-point Monte-Carlo integrand.  The out path
+# of _eval_terms, which the Monte-Carlo chunks take, allocates nothing.
 _MONOMIAL = (lambda w, x, idx: w,
              lambda w, x, idx: w * x[idx[0]],
              lambda w, x, idx: w * x[idx[0]] * x[idx[1]],
              lambda w, x, idx: w * x[idx[0]] * x[idx[1]] * x[idx[2]])
 
 
-def _eval_terms(terms, x, mod=None):
+def _eval_terms(terms, x, mod=None, out=None, work=None):
     """sum w * prod x[i] over (weight, index tuple) terms, for x of exact
     numbers, numpy arrays or the exact intervals of majorarcs.
+
+    With out, a float array of the broadcast shape of x (floats, arrays or
+    scalars), the value is written there and out returned, bit for bit the
+    value of the path without it: the constants before the first variable
+    term sum exactly, as Python numbers do there, and each later monomial
+    is formed in work, a float array of out's shape, and added to out.
 
     With mod = q < 2**31 the coordinates must lie in [0, q), as the residue
     walk of local gives them, and the value comes back in [0, q).  The
@@ -92,6 +99,27 @@ def _eval_terms(terms, x, mod=None):
     Below q = 2**15 no monomial of degree <= 3 needs a reduction, and a
     table of fewer than 2**63 / q**4 terms needs only the last %."""
     total = 0
+    if out is not None:
+        head = True  # out holds nothing yet: total sums the constants
+        for w, idx in terms:
+            if not idx:
+                if head:
+                    total = total + w
+                else:
+                    out += w
+                continue
+            m = out if head else work
+            np.multiply(x[idx[0]], w, out=m)
+            for i in idx[1:]:
+                m *= x[i]
+            if head:
+                out += total  # 0 + -0.0 is 0.0, as on the other path
+                head = False
+            else:
+                out += m
+        if head:
+            out[...] = total
+        return out
     if mod is None:
         for w, idx in terms:
             total = total + _MONOMIAL[len(idx)](w, x, idx)

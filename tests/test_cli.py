@@ -970,8 +970,9 @@ _X3M2Y3 = {"n": 2, "cubic": [[1, 1, 1, 1], [2, 2, 2, -2]], "quad": [],
 
 
 class TestMalformedInput:
-    # a polynomial or box file outside README's JSON format, or a Z whose
-    # phase overflows, is refused with one error line naming the command:
+    # a polynomial or box file outside README's JSON format, a Z whose
+    # phase overflows or has no fractional part, or a seed past 2^64, is
+    # refused with one error line naming the command:
     # never read as a nearby value, never a traceback or a numpy warning.
     # Each case: (fields replacing x3m2y3's, box file text, command line)
     COUNT, INTEGRAL = ["count", "--P", "1"], ["integral", "--Z", "1"]
@@ -999,6 +1000,11 @@ class TestMalformedInput:
         "bound-nan-integral": ({}, '{"bounds": [[0, NaN], [0, 1]]}',
                                INTEGRAL),
         "Z-overflows": ({}, None, ["integral", "--Z", "1e308"]),
+        # 2 Z C(x) reaches 2^52 on the box, where no float phase has a
+        # fractional part; a seed past the 64-bit key
+        "Z-phase-without-fraction": ({}, None, ["integral", "--Z", "1e14"]),
+        "seed-past-64-bits": ({}, None, ["integral", "--Z", "1", "--seed",
+                                         str(2**64)]),
         "weight-past-floats-integral": (
             {"cubic": [[1, 1, 1, 10**400]]}, None, INTEGRAL),
         # an integral over a box with an axis lo > hi, by Clenshaw-Curtis

@@ -8,7 +8,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import inf, nextafter, pi
+from math import inf, isfinite, nextafter, pi
 from unittest import mock
 
 import mpmath
@@ -253,14 +253,18 @@ def tensor_integral(C, bounds, Z, m):
 
 
 def one_table_kernel(C, X, Z):
-    """2 Z sinc(2 Z C) from C's whole term table: t = 2 pi Z C and np.sinc's
-    arithmetic on it, the integrand before C was split by variable block."""
-    t = evaluate_array(C, X)
-    t *= 2.0 * Z
-    t *= pi
-    zero = t == 0
-    f = np.sin(t, out=np.empty_like(t))
-    np.divide(f, t, out=f, where=~zero)
+    """2 Z sinc(2 Z C) from C's whole term table, the integrand before C was
+    split by variable block: y = 2 Z C, t = pi y, sin t by the reduced
+    tangent (y = 2 k + d, k = rint(y / 2), tau = tan(pi d / 2) and sin t =
+    2 tau / (1 + tau^2)), and 2 Z sin t / t with 2 Z where t is 0 or
+    subnormal."""
+    y = evaluate_array(C, X) * (2.0 * Z)
+    d = y - 2.0 * np.rint(y / 2.0)
+    tau = np.tan(d * (pi / 2.0))
+    sin_t = tau / (1.0 + tau * tau) * 2.0
+    t = y * pi
+    zero = np.abs(t) < 2.0**-1022
+    f = np.divide(sin_t, t, out=np.zeros_like(t), where=~zero)
     f *= 2.0 * Z
     f[zero] = 2.0 * Z
     return f
@@ -619,6 +623,28 @@ class TestFarField:
         assert_near_set_exact(C, bounds, Z, m, seen)
 
 
+class TestSinPi:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-2.0**40, 2.0**40), min_size=1, max_size=16))
+    @example([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0**52 + 1,
+              2.0**53])
+    def test_within_two_eps_of_sinpi_and_cospi(self, ys):
+        # the reduced tangent against mpmath's exact-argument sinpi/cospi
+        y = np.array(ys)
+        s, c = majorarcs._sinpi(y, cos=True)
+        assert majorarcs._sinpi(y).tobytes() == s.tobytes()
+        for v, sv, cv in zip(ys, s, c):
+            assert abs(sv - mpmath.sinpi(v)) <= 2 * EPS, v
+            assert abs(cv - mpmath.cospi(v)) <= 2 * EPS, v
+
+    def test_sinc_is_its_limit_at_subnormal_phases(self):
+        # sin t = t to the last bit there, as np.sin gives it, while the
+        # tangent of pi y / 2 would round to fewer bits: 4/3 at y = 2^-1074
+        C = CubicPolynomial(1, lin=(1,))
+        y = np.array([2.0**-1074, -2.0**-1074, 3 * 2.0**-1074, 1e-310, 0.0])
+        assert majorarcs._sinc_kernel(C, [y], 0.5).tolist() == [1.0] * 5
+
+
 class TestSingularIntegral:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
@@ -666,6 +692,23 @@ class TestSingularIntegral:
         C = symmetrize(2, {(0, 0, 0): 10**400, (1, 1, 1): 1})[0]
         with pytest.raises(ValueError, match="phase 2 pi Z C.x. overflow"):
             singular_integral(C, [(1.0, 3.0)] * 2, 1.0)
+
+    def test_phase_without_a_fraction_refused(self):
+        # 2 Z sum |w| B^deg = 8 Z: at 2^52 every float 2 Z C is an integer,
+        # whose sine is 0; one float below it the integral runs
+        C = symmetrize(4, {(i, i, i): 1 for i in range(4)})[0]
+        box = [(0.0, 1.0)] * 4
+        with pytest.raises(ValueError, match=r"2 Z C\(x\) reach 2\^52"):
+            singular_integral(C, box, 2.0**49, budget=8)
+        out = singular_integral(C, box, nextafter(2.0**49, 0), budget=8)
+        assert out["method"] == "monte-carlo" and isfinite(out["value"])
+
+    @pytest.mark.parametrize("seed", [2**64, 2**65])
+    def test_seed_past_64_bits_refused(self, seed):
+        # the key is the seed itself: no two seeds share a sample
+        C = symmetrize(4, {(i, i, i): 1 for i in range(4)})[0]
+        with pytest.raises(ValueError, match=r"--seed must be < 2\^64"):
+            singular_integral(C, [(0.0, 1.0)] * 4, 1.0, seed=seed)
 
     def test_unconverged_raises(self):
         # tol = 0 is never met: the grid budget, not a node cap, ends it
@@ -740,14 +783,19 @@ class TestSingularIntegral:
 
     @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
     def test_sample_chunks_are_slices_of_one_draw(self, seed):
-        # each chunk computes its slice from the output index alone; the
-        # serial Python-int stream draws every output before it
+        # each chunk computes its slice from the output index alone, into
+        # the one set of buffers a worker keeps; the serial Python-int
+        # stream draws every output before it
         box = [(0.5, 1.5), (-3.0, 2.0), (0.0, 1e-3), (5.0, 6.0), (-1.0, 1.0)]
         N, chunk = 400_000, 1 << 16
         whole = uniform_sample(seed, box, N)
+        steps = np.arange(chunk, dtype=np.uint64) * majorarcs._GAMMA
+        x = np.empty((len(box), chunk))
+        work = np.empty((2, chunk), dtype=np.uint64)
         for c in range(0, N, chunk):
             size = min(chunk, N - c)
-            got = majorarcs._sample_chunk(seed, box, N, c, size)
+            got = majorarcs._sample_chunk(seed, box, N, c, steps,
+                                          list(x[:, :size]), work[:, :size])
             for axis, g in zip(whole, got):
                 assert np.array_equal(g, axis[c:c + size]), c
 

@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from mpmath import iv
 
 from cubiclab import CubicPolynomial, symmetrize, homogenize
@@ -127,6 +128,23 @@ class TestEvaluate:
 
 # -- the term table: one evaluator for every arithmetic ----------------------
 
+@st.composite
+def float_tables(draw):
+    """A (weight, index tuple) table in n <= 4 variables, weights up to
+    2^60, constant-only half the time, and n float arrays of mutually
+    broadcastable shapes, 0-d among them, holding signed zeros."""
+    n = draw(st.integers(1, 4))
+    index = (st.just(()) if draw(st.booleans()) else
+             st.lists(st.integers(0, n - 1), max_size=3).map(tuple))
+    terms = draw(st.lists(st.tuples(st.integers(-2**60, 2**60), index),
+                          max_size=6))
+    shapes = draw(hnp.mutually_broadcastable_shapes(
+        num_shapes=n, min_dims=0, max_dims=3, max_side=3))
+    values = st.sampled_from([0.0, -0.0, 0.5, -1.0, 3.0, 1e-3, 2.0**30 + 1])
+    return terms, [draw(hnp.arrays(float, shape, elements=values))
+                   for shape in shapes.input_shapes]
+
+
 class TestTermTable:
     def test_constant_first(self, watson5):
         assert watson5.terms()[0] == (watson5.const, ())
@@ -197,6 +215,22 @@ class TestTermTable:
         assert len(parts) == 4
         assert sum(x[0] ** d * _eval_terms(part, x[1:])
                    for d, part in enumerate(parts)) == poly.evaluate(x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(float_tables())
+    # 2^53 + 2 is a float, 2^53 + 1 is not: the constants sum exactly
+    @example(([(2**53, ()), (1, ()), (1, ())], [np.zeros(())]))
+    def test_out_path_is_the_allocating_path(self, case):
+        # bit for bit, signs of zero included, on monomials of fewer axes
+        # than the broadcast and on 0-d coordinates
+        terms, X = case
+        shape = np.broadcast_shapes(*(x.shape for x in X))
+        want = np.broadcast_to(np.asarray(_eval_terms(terms, X), float),
+                               shape)
+        out, work = np.full(shape, np.nan), np.full(shape, np.nan)
+        got = _eval_terms(terms, X, out=out, work=work)
+        assert got is out
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 # -- variable blocks: the split the slab, the counter and the census share --
