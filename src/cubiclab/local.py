@@ -11,23 +11,22 @@ bound says the next product or sum could overflow and once at the end, so
 below q = 2**15 usually once per table; it refuses q >= 2**31, where q^2
 no longer fits int64); no whole grid is built.
 
-rho first divides out the p-content of phi's term table, so only
-content-free tables are counted.  A table whose variables split into two
-or more blocks, phi = sum_k phi_k(x_(U_k)), is counted from the blocks'
-value histograms mod q, each walked on its own variables and convolved
-cyclically, wherever their cost fits the budget and their convolution
-products stay within _BLOCK_MAX_CONV.  Otherwise, at level 1, the slice
-kernel counts them: with phi(t, y) = sum_d t^d phi_d(y), each of the
-p^(n-1) prefixes y adds the number of distinct roots of its slice in t
-(found by evaluating the slice at every t mod p where that is small, else
-as deg gcd(f_y, t^p - t)), so the budget counts prefixes, not the p^n
-points.  Above
-level 1 the walk mod p^k counts the zeros; beyond the budget, rho falls
-back to a stratified recursion: each non-singular root mod p (read off
-the walk mod p with the gradient tables, which the recursion needs point
-by point) contributes p^((k-1)(n-1)) and each singular root a is rescaled
-via psi_a(y) = phi(a + p y)/p and counted at level k-1.  The recursion runs on
-term tables and never builds a CubicPolynomial.
+rho divides out the p-content of phi's term table and counts the rest
+mod q = p^k by the kernel that the table, p and k pick, in this order:
+
+  kernel    runs first where                      budget charge
+  blocks    B >= 2 variable blocks U_j, and       sum_j q^|U_j| points,
+            k = 1 or sum_j q^|U_j| <= _MAX_WALK   (B - 2) q^2 + q products
+  slice     k = 1, p < _SLICE_MAX_P               p^(n-1) prefixes
+  grid      k = 1 or q^n <= _MAX_WALK             q^n points
+  stratify  anywhere else                         p^n points a step
+
+The budget only refuses: a refused kernel hands the table down the order,
+and a refused slice kernel or stratification (by the budget, by over
+_MAX_SINGULAR singular roots mod p, or deeper down) hands it back to the
+blocks, then the grid, where their charge fits.  A stratification step
+adds p^((k-1)(n-1)) per non-singular root mod p and rescales each singular
+root a to psi_a(y) = phi(a + p y)/p at level k-1, in the same order.
 
 NCC witnesses come from the same walk: _first_root takes it a block at a
 time and stops at the first root, so the budget caps the points it walks.
@@ -53,6 +52,8 @@ _REPORT_P0 = 100  # the P0 of local_report's k_threshold
 _WALK_BLOCK = 2**13  # points of a mod-q _walk evaluated at once: an early
                      # root costs little, a full walk stays at numpy speed
 _WALK_MAX_Q = 2**31  # _eval_terms mod q is exact in int64 while q**2 < 2**63
+_MAX_WALK = 2**15  # points a grid or block walk takes above level 1; past
+                  # it stratifying was faster (BENCH_rho-kernels.json)
 _BLOCK_MAX_CONV = 2**20  # block kernel products: about 0.5 ms, near the
                          # floor of stratifying a form smooth mod p (0.14-0.31
                          # ms for fermat, selmer4 and diag5m2 mod 5^3..7^4, in
@@ -98,8 +99,8 @@ def _block_zeros(terms, n: int, q: int, cap: int) -> int | None:
     number of blocks.  It runs only where that fits the cap, where the
     products stay within _BLOCK_MAX_CONV (so q <= 2**20, which _residues
     walks) and where q^u < 2**63 (u the variables in some term) keeps every
-    int64 count exact; elsewhere the result is None, before any histogram
-    is allocated.
+    int64 count exact; elsewhere it is None, before any histogram is
+    allocated.  The module docstring's kernel order says where it runs.
     """
     blocks = _variable_blocks(terms)
     if len(blocks) < 2:
@@ -236,40 +237,27 @@ def _slice_roots(terms, n: int, p: int, cap: int) -> int:
 
 def rho(phi: CubicPolynomial, p: int, k: int,
         budget: int | None = None) -> int:
-    """Exact #{x mod p^k : phi(x) = 0 mod p^k} for a prime p.
+    """Exact #{x mod p^k : phi(x) = 0 mod p^k} for a prime p and k >= 0.
 
-    Content reduction first: when p^c divides every weight of phi.terms(),
-    rho(phi, p^k) = p^(cn) rho(phi / p^c, p^(k-c)), which is p^(kn) once
-    c >= k.  Only a content-free table is counted, by the first of four
-    kernels that applies, all exact:
-      1. blocks: a table of B >= 2 variable blocks, phi = sum_k phi_k(x_U_k),
-         is h(0) q^f, q = p^k, h the cyclic convolution of the blocks'
-         value histograms mod q and f the variables in no term; it runs
-         where its sum_k q^|U_k| points plus (B - 2) q^2 + q products fit
-         the budget, where those products stay within 2**20 (past that, a
-         stratification mod p^k can be several times faster) and where
-         q^u < 2**63 (u the variables in some term) keeps its int64 counts
-         exact, q^f being a Python int;
-      2. at level 1, the slice kernel (p < 2**19; its slices are evaluated
-         at every t mod p where they are few, else solved by
-         _frobenius_roots), charged its p^(n-1) prefixes;
-      3. the residue grid mod p^k, where its q^n points fit the budget
-         (the walk's values are reduced where int64 needs it, once per
-         table below 2**15);
-      4. stratification at p, each rescaled table meeting the same four.
-    Weights of any size are reduced mod q by _eval_terms in every walk.
+    When p^c divides every weight of phi.terms(), rho(phi, p^k) =
+    p^(cn) rho(phi / p^c, p^(k-c)), which is p^(kn) once c >= k; the rest
+    is counted exactly in the module docstring's kernel order (refused
+    where a stratification nests past the interpreter's stack).
     """
     _require_prime(p)
-    return _rho(phi.terms(), phi.n, p, k, enumeration_budget(budget))
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    try:
+        return _rho(phi.terms(), phi.n, p, k, enumeration_budget(budget))
+    except RecursionError:
+        raise BudgetExceeded(f"rho({p}^{k}): stratification nests deeper "
+                             "than the interpreter's stack") from None
 
 
 def _rho(terms, n: int, p: int, k: int, cap: int) -> int:
     """rho on a (weight, index tuple) table, cap the budget: content
-    reduction, then the block kernel (_block_zeros), the slice kernel,
-    the grid and the stratified recursion, the first that fits the cap.
-    The recursion rescales each singular root mod p to the table of psi_a
-    at level k-1, which tries the same kernels in the same order.  Every
-    call it makes is at a lower level, so it nests at most k deep."""
+    reduction, then the module docstring's kernel order.  Each call the
+    stratification makes is a level lower, so it nests at most k deep."""
     if k == 0:
         return 1
     c = min((valuation(w, p) for w, _ in terms), default=k)
@@ -278,34 +266,44 @@ def _rho(terms, n: int, p: int, k: int, cap: int) -> int:
     if c:
         reduced = [(w // p**c, idx) for w, idx in terms]
         return p ** (c * n) * _rho(reduced, n, p, k - c, cap)
-    if (zeros := _block_zeros(terms, n, p**k, cap)) is not None:
+    q, blocks = p**k, _variable_blocks(terms)
+    walk = sum(q ** len({i for _, idx in b for i in idx}) for b in blocks)
+    if (k == 1 or walk <= _MAX_WALK) \
+            and (zeros := _block_zeros(terms, n, q, cap)) is not None:
         return zeros
-    if k == 1 and p < _SLICE_MAX_P:
-        return _slice_roots(terms, n, p, cap)
-    if (p**k) ** n <= cap:
-        return sum(int(np.count_nonzero(v == 0))
-                   for *_, (v,) in _residues([terms], n, p**k, _CHUNK))
-    if p**n > cap:
-        raise BudgetExceeded(
-            f"rho({p}^{k}): even the level-1 grid {p}^{n} exceeds budget {cap}")
-    grad = [_derivative(terms, i) for i in range(n)]
-    count, singular = 0, []
-    for _, shape, x, (v, *dv) in _residues([terms, *grad], n, p, _CHUNK):
-        sol = v == 0
-        nonsing = sol & np.any(dv, axis=0)
-        count += int(np.count_nonzero(nonsing))
-        sing = sol & ~nonsing  # its roots' coordinates, in C order
-        singular.append(np.column_stack(
-            [np.broadcast_to(c, shape)[sing] for c in x]))
-    singular = np.concatenate(singular).tolist()
-    count *= p ** ((k - 1) * (n - 1))
-    if len(singular) > _MAX_SINGULAR:
-        raise BudgetExceeded(
-            f"rho({p}^{k}): {len(singular)} singular roots mod {p} "
-            f"exceed stratification cap {_MAX_SINGULAR}")
-    for a in singular:
-        count += _rho(_psi_rescale(terms, p, a), n, p, k - 1, cap)
-    return count
+    try:
+        if k == 1 and p < _SLICE_MAX_P:
+            return _slice_roots(terms, n, p, cap)
+        if (k > 1 and q**n > _MAX_WALK) or q**n > cap:
+            if p**n > cap:
+                raise BudgetExceeded(f"rho({p}^{k}): even the level-1 grid "
+                                     f"{p}^{n} exceeds budget {cap}")
+            grad = [_derivative(terms, i) for i in range(n)]
+            count, singular = 0, []
+            for _, shape, x, (v, *dv) in _residues([terms, *grad], n, p,
+                                                   _CHUNK):
+                sol = v == 0
+                nonsing = sol & np.any(dv, axis=0)
+                count += int(np.count_nonzero(nonsing))
+                sing = sol & ~nonsing  # its roots' coordinates, in C order
+                singular.append(np.column_stack(
+                    [np.broadcast_to(c, shape)[sing] for c in x]))
+            singular = np.concatenate(singular).tolist()
+            count *= p ** ((k - 1) * (n - 1))
+            if len(singular) > _MAX_SINGULAR:
+                raise BudgetExceeded(
+                    f"rho({p}^{k}): {len(singular)} singular roots mod {p} "
+                    f"exceed stratification cap {_MAX_SINGULAR}")
+            for a in singular:
+                count += _rho(_psi_rescale(terms, p, a), n, p, k - 1, cap)
+            return count
+    except BudgetExceeded:
+        if (zeros := _block_zeros(terms, n, q, cap)) is not None:
+            return zeros
+        if q**n > cap:
+            raise
+    return sum(int(np.count_nonzero(v == 0))
+               for *_, (v,) in _residues([terms], n, q, _CHUNK))
 
 
 def rho_star(phi: CubicPolynomial, p: int, k: int,
@@ -318,6 +316,8 @@ def rho_star(phi: CubicPolynomial, p: int, k: int,
     source definition is only exercised where Hensel applies).
     """
     _require_prime(p)
+    if k < 0:
+        raise ValueError("k must be >= 0")
     n, q, t = phi.n, p**k, p ** ((k + 1) // 2)
     check_budget(q**n, budget, what=f"residue grid mod {q}")
     tables = [phi.terms(), *map(phi.derivative, range(n))]

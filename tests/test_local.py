@@ -334,9 +334,26 @@ class TestRho:
         # 1, so each step lowers the level by 2: rho(2^20) stratifies ten
         # steps deep under a budget of 2, and the grid of 2^20 agrees
         phi = CubicPolynomial(1, cubic={(0, 0, 0): 2}, quad={(0, 0): 1})
-        assert rho(phi, 2, 20, budget=2) == rho(phi, 2, 20, 2**20) == 2**10
+        assert rho(phi, 2, 20, budget=2) \
+            == np.count_nonzero(residue_grid(phi, 2**20) == 0) == 2**10
         assert len(rescale_calls) == 10
-        assert rho(fermat, 3, 4, budget=27) == rho(fermat, 3, 4, 81**3)
+        assert rho(fermat, 3, 4, budget=27) \
+            == np.count_nonzero(residue_grid(fermat, 81) == 0)
+
+    def test_stratification_past_the_stack_is_refused(self, fermat):
+        # rho(fermat, 3^k) = 3^(2k) (2m + 1) for k = 3m and 3m + 1; each
+        # stratification step lowers the level by a few, so 3^1000 nests
+        # within the interpreter's stack and 3^2000 does not
+        assert rho(fermat, 3, 1000, budget=20_000) == 667 * 3**2000
+        with pytest.raises(BudgetExceeded, match="nests deeper than the "
+                                                 "interpreter's stack"):
+            rho(fermat, 3, 2000, budget=20_000)
+
+    @pytest.mark.parametrize("k", [-1, -2])
+    def test_negative_level_refused(self, watson5, k):
+        for count in (rho, rho_star, local_factor):
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                count(watson5, 3, k)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 2),
@@ -596,6 +613,114 @@ class TestBlockKernel:
             assert local._block_zeros(terms, 3, q, 10**9) is None
         assert rho(fermat, 2, 10, 10**9) == \
             diagonal_zero_count([1, 1, 1], 0, 2**10)
+
+
+def counted(phi, p, k, budget=None):
+    """rho(phi, p^k), or its refusal, and the (tables, variables, modulus)
+    of every _residues walk that counted it, which names the kernel: the
+    grid walks phi's one table mod q, a stratification step phi and its n
+    derivatives mod p, the block kernel one table of a block's own
+    variables and the slice kernel three slice tables of n - 1 variables
+    mod p."""
+    walks, residues = [], local._residues
+
+    def spy(tables, n, q, points):
+        walks.append((len(tables), n, q))
+        return residues(tables, n, q, points)
+
+    with mock.patch.object(local, "_residues", spy):
+        try:
+            return rho(phi, p, k, budget), walks
+        except BudgetExceeded as refusal:
+            return str(refusal), walks
+
+
+class TestKernelOrder:
+    """The table, p and k pick rho's kernel; the budget only refuses one."""
+
+    @pytest.mark.parametrize("name,p,k", [
+        ("watson5", 2, 6), ("watson5", 3, 4), ("watson5", 5, 3),
+        ("triple_product", 7, 3), ("triple_product", 2, 8),
+        ("triple_product", 3, 5), ("fermat", 2, 10), ("fermat", 3, 6),
+        ("fermat", 7, 4), ("selmer4", 3, 5), ("selmer4", 2, 9),
+        ("diag5m2", 3, 5), ("diag5m2", 2, 9), ("wall14", 2, 2)])
+    def test_raised_budget_runs_the_same_kernels(self, request, name, p, k):
+        # a budget of 10^8 admits grids and block walks of up to 10^8
+        # points here; the walks must still be those of the default
+        phi = request.getfixturevalue(name)
+        assert counted(phi, p, k, 10**8) == counted(phi, p, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(full_poly_strategy() | split_forms().map(lambda form: form[0])
+           .filter(lambda phi: phi.n <= 4),
+           st.sampled_from([2, 3, 5]), st.integers(1, 8))
+    def test_raised_budget_on_random_forms(self, phi, p, k):
+        k = min(k, max(j for j in range(1, 9) if p ** (j * phi.n) <= 10**8))
+        q = p**k
+        count, default = counted(phi, p, k)
+        assert counted(phi, p, k, 10**8) == (count, default)
+        if q**phi.n <= 10**4:
+            assert count == brute_rho(phi, p, k)
+        elif q**phi.n <= 10**5:  # the whole-grid oracle, faster than brute
+            assert count == value_distribution(phi, q)[0]
+
+    def test_grid_up_to_the_walk_bound(self):
+        # x^3 + x mod 2^15 is walked whole; mod 2^16 a stratification step
+        # walks 2 points first and rescales the singular root 1
+        phi = CubicPolynomial(1, cubic={(0, 0, 0): 1}, lin=[1])
+        assert local._MAX_WALK == 2**15
+        for k, first in ((15, (1, 1, 2**15)), (16, (2, 1, 2))):
+            count, made = counted(phi, 2, k)
+            assert made[0] == first
+            assert count == np.count_nonzero(residue_grid(phi, 2**k) == 0)
+
+    def test_blocks_up_to_the_walk_bound(self, triple_product):
+        # 6 x1 x2 x3 - x4^3 walks 27^3 + 27 = 19,710 block points mod 3^3,
+        # within the bound, and 32^3 + 32 = 32,800 mod 2^5, past it, where a
+        # stratification step walks 2^4 points first
+        for p, k, first in ((3, 3, (1, 3, 27)), (2, 5, (5, 4, 2))):
+            count, made = counted(triple_product, p, k)
+            assert made[0] == first
+            assert count == value_distribution(triple_product, p**k)[0]
+
+    def test_blocks_at_level_one_past_the_walk_bound(self):
+        # two 2-variable blocks mod 257 walk 2 * 257^2 points, past the
+        # bound; at level 1 the blocks still count them, not the 257^3
+        # slice prefixes a budget of 10^8 would admit
+        blocks = [CubicPolynomial(2, cubic={(0, 0, 0): 1, (0, 1, 1): 1},
+                                  lin=[1, 0]),
+                  CubicPolynomial(2, cubic={(0, 0, 1): 2, (1, 1, 1): 1})]
+        phi = CubicPolynomial(4, cubic={(0, 0, 0): 1, (0, 1, 1): 1,
+                                        (2, 2, 3): 2, (3, 3, 3): 1},
+                              lin=[1, 0, 0, 0], const=5)
+        count, made = counted(phi, 257, 1, 10**8)
+        assert 2 * 257**2 > local._MAX_WALK
+        assert {n for _, n, _ in made} == {2}
+        assert count == split_zero_count(blocks, 5, 0, 257)
+
+    def test_refused_stratification_falls_back_to_the_blocks(self):
+        # x^3 + y^3 in ten variables mod 3^10 walks 2 * 3^10 block points,
+        # past the bound; its stratification finds 3^9 singular roots mod 3,
+        # past _MAX_SINGULAR, so the blocks count it after all
+        phi = CubicPolynomial(10, cubic={(0, 0, 0): 1, (1, 1, 1): 1})
+        q = 3**10
+        count, made = counted(phi, 3, 10)
+        assert made == [(11, 10, 3), (1, 1, q)]
+        cubes = np.bincount(np.arange(q) ** 3 % q, minlength=q)
+        assert count == int(cubes @ cubes[-np.arange(q) % q]) * q**8
+
+    def test_singular_cap_falls_back_to_the_grid(self, monkeypatch):
+        # 3 x^2 y mod 2^8: two of its three roots mod 2 are singular, past a
+        # cap of 1, so its 2^16-point grid counts it where the budget admits
+        # that, and the cap's refusal stands where it does not
+        phi = CubicPolynomial(2, cubic={(0, 0, 1): 1})
+        monkeypatch.setattr(local, "_MAX_SINGULAR", 1)
+        count, made = counted(phi, 2, 8)
+        assert made == [(3, 2, 2), (1, 2, 256)]
+        assert count == np.count_nonzero(residue_grid(phi, 256) == 0)
+        with pytest.raises(BudgetExceeded, match="2 singular roots mod 2 "
+                                                 "exceed stratification cap 1"):
+            rho(phi, 2, 8, budget=2**16 - 1)
 
 
 class TestLocalFactor:
