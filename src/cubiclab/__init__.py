@@ -3,9 +3,9 @@ cubic Diophantine equations — exact invariants, p-adic densities,
 exponential sums, singular series/integral, lattice counting, and the
 symbolic exponent system behind the uniform solubility bounds.
 
-Every exported name is reached from a command, the benchmark's library
-call or an acceptance criterion; the major-arc chain, which no command
-reaches yet, is imported from its modules."""
+Every exported name, like every other top-level definition of the
+package, is reached from a command, the benchmark's library call or an
+acceptance criterion."""
 
 __version__ = "0.1.0"
 
@@ -18,7 +18,7 @@ from .local import (rho, rho_star, hensel_lift, lifting_level, ncc_certify,
 from .expsums import (gauss_sum, weyl_sum, shrinking_check, bootstrap_check,
                       weyl_bound_probe)
 from .majorarcs import (singular_integral, slice_volume, singular_series,
-                        BoxRegion, SeriesTruncation)
+                        SeriesTruncation)
 from .counting import count_solutions, smallest_solution, CountResult
 from .exponents import (solve_parameters, psi_requirement,
                         theorem_exponent_check, paper_exponents,

@@ -200,9 +200,9 @@ class CountResult:
 
 
 def _box_bounds(n: int, box) -> list:
-    """The (lo, hi) pairs of a box, a BoxRegion or a list of pairs; a box
-    of another dimension than n raises DimensionMismatch."""
-    bounds = box.bounds if hasattr(box, "bounds") else list(box)
+    """box, a sequence of (lo, hi) pairs, as a list; a box of another
+    dimension than n raises DimensionMismatch."""
+    bounds = list(box)
     if len(bounds) != n:
         raise DimensionMismatch(f"box has dim {len(bounds)}, expected {n}")
     return bounds

@@ -1,5 +1,6 @@
 """Invariants of cubic forms: the Delta discriminant-gcd, Hessian rank
-statistics, the rank-census diagnostic, and Siegel-lemma small kernel vectors.
+statistics, the rank-census diagnostic, and the small-subspace solution
+bound.
 
 Delta(C) is the gcd of all n x n minors of the n x binom(n+1, 2) matrix
 whose (i, (j, k)) entry is c_{ijk}, columns indexed by unordered pairs
@@ -16,11 +17,9 @@ import numpy as np
 
 from .budget import check_budget
 from .nt import column_reduce, trial_factor, ceil_fraction, is_prime
-from .polynomials import (CubicPolynomial, DimensionMismatch, _CHUNK,
-                          _eval_terms, _variable_blocks, _walk)
+from .polynomials import CubicPolynomial, _variable_blocks, _walk
 
 _PSI_BOUND_CONST = 20.0  # largest regularized ratio psi_good_report accepts
-_LLL_DELTA = Fraction(3, 4)  # the Lovasz condition parameter of _lll
 _CHUNK_ENTRIES = 2**14  # Hessian entries a rank_census chunk holds at most
 
 
@@ -218,103 +217,7 @@ def psi_good_report(C: CubicPolynomial, H_max: int,
             "verdict": "consistent" if consistent else "inconsistent"}
 
 
-# -- Siegel-lemma small kernel vectors --------------------------------------
-
-
-class FullRankError(ValueError):
-    pass
-
-
-def _lll(basis: list) -> list:
-    """Textbook LLL reduction of integer row vectors (exact rationals)."""
-    b = [list(map(int, v)) for v in basis]
-    k_max = len(b)
-
-    def gram(bv):
-        # Gram-Schmidt: returns (mu, Bnorms)
-        mu = [[Fraction(0)] * k_max for _ in range(k_max)]
-        star: list = []
-        norms = []
-        for i in range(k_max):
-            v = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                if norms[j] == 0:
-                    mu[i][j] = Fraction(0)
-                    continue
-                mu[i][j] = Fraction(sum(x * y for x, y in zip(b[i], star[j])),
-                                    1) / norms[j]
-                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-            star.append(v)
-            norms.append(sum(x * x for x in v))
-        return mu, norms
-
-    k = 1
-    mu, norms = gram(b)
-    while k < k_max:
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu, norms = gram(b)
-        if norms[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = gram(b)
-            k = max(k - 1, 1)
-    return b
-
-
-def integer_kernel_basis(A: list) -> list:
-    """Basis of the full integer kernel lattice {x in Z^n : Ax = 0}: the
-    U-columns of the unimodular column reduction that pair with zeroed-out
-    A-columns, so they generate (not merely span rationally) the lattice."""
-    pivots, U, _ = column_reduce(A)
-    return U[len(pivots):]
-
-
-def siegel_solve(A: list) -> list:
-    """Nonzero integer kernel vector of the m x n matrix A, m < n, with
-    |x|_inf <= (n * maxentry)^(m/(n-m)) (classical Siegel bound, asserted).
-    When neither the kernel basis nor its LLL reduction meets the bound,
-    the 7^len(basis) combinations with coefficients in [-3, 3] are scanned
-    for the first, in C order, of least norm; BudgetExceeded is raised
-    first when they exceed the enumeration budget."""
-    m = len(A)
-    n = len(A[0])
-    if any(len(r) != n for r in A):
-        raise DimensionMismatch("ragged matrix")
-    basis = integer_kernel_basis(A)
-    if not basis:
-        raise FullRankError("kernel is trivial: matrix has full column rank")
-    maxentry = max((abs(v) for row in A for v in row), default=0)
-    bound = float(n * max(maxentry, 1)) ** (m / (n - m))
-    cand = min(basis, key=lambda v: max(abs(x) for x in v))
-    if max(abs(x) for x in cand) > bound and len(basis) > 1:
-        red = _lll(basis)
-        red = [v for v in red if any(v)]
-        cand = min(red, key=lambda v: max(abs(x) for x in v))
-        basis = red
-    if max(abs(x) for x in cand) > bound:
-        # last resort: small integer combinations of the (reduced) basis
-        check_budget(7 ** len(basis), what="siegel_solve combination scan")
-        # v_i = sum_j c_j basis[j][i]: coordinate i as a linear table in c
-        cols = [[(bv[i], (j,)) for j, bv in enumerate(basis)]
-                for i in range(n)]
-        norm = max(abs(x) for x in cand)
-        for _, shape, c in _walk([range(-3, 4)] * len(basis), _CHUNK,
-                                 [t for col in cols for t in col]):
-            v = [np.broadcast_to(_eval_terms(col, c), shape) for col in cols]
-            size = np.abs(np.stack(v)).max(axis=0)
-            size = np.where(size > 0, size, norm)
-            at = np.unravel_index(size.argmin(), shape)
-            if size[at] < norm:
-                cand, norm = [int(vi[at]) for vi in v], size[at]
-    norm = max(abs(x) for x in cand)
-    assert norm <= bound, (
-        f"Siegel bound violated: |x| = {norm} > {bound}")
-    assert all(sum(r[i] * cand[i] for i in range(n)) == 0 for r in A)
-    return cand
+# -- small-subspace solution bound ------------------------------------------
 
 
 @dataclass(frozen=True)

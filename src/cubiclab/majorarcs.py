@@ -1,7 +1,6 @@
-"""Major-arc machinery: constructive real zeros of the cubic form, scaled
-box regions with certified derivative floors, the singular integral via the
-sinc-kernel representation, truncated singular series, and the comparison
-of exact counts against the circle-method prediction.
+"""Major-arc machinery: the singular integral via the sinc-kernel
+representation, the volume of the zero set's x_1-slices, and truncated
+singular series.
 
 The singular integral is computed from the interchanged form
 
@@ -42,186 +41,16 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import acosh, inf, isfinite, nextafter, pi
+from math import acosh, inf, isfinite, pi
 
 import numpy as np
 
 from .budget import check_budget, enumeration_budget, BudgetExceeded
-from .counting import _box_bounds, count_solutions, smallest_solution
-from .invariants import siegel_solve, FullRankError
-from .local import local_factor, ncc_certify, ncc_levels
+from .counting import _box_bounds
+from .local import local_factor, ncc_levels
 from .nt import primes_up_to
 from .polynomials import (CubicPolynomial, _eval_terms, _variable_blocks,
-                          _x1_split, transform)
-
-_CALIBRATION = 1e3  # frozen slack of real_point's xi bracket
-_MAX_A_LOG2 = 10  # build_box gives up beyond A = 2^10
-
-
-# -- real non-singular point ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RealPoint:
-    kind: str                # "integer" (exact solution) or "real"
-    point: tuple             # z~ with C(z~) = 0
-    xi: float | None = None  # positive real root of a xi^3 + F2 xi + F3
-    derivatives: tuple = ()  # grad C at the point
-
-
-def real_point(C: CubicPolynomial, h: int | None = None) -> RealPoint:
-    """Constructive zero of C with large first partial derivative.
-
-    Requires the leading normalization c_111 > 0.  Without h it returns an
-    integer zero from the first shells if they hold one; h, the h-invariant,
-    skips that search and brackets xi by h in place of n.  Finds an integer
-    y != 0 with F1(y) = 0 (Siegel), exits early with the integer solution
-    (0, y) when F3(y) = 0, otherwise flips signs so F3(y) <= -1 and solves
-    a xi^3 + F2(y) xi + F3(y) = 0 for its smallest positive real root.
-    Only positivity of the derivative and the xi bracket (up to the frozen
-    calibration constant) are asserted; achieved values are reported.
-    """
-    n = C.n
-    a = C.c(0, 0, 0)
-    f1 = [3 * C.c(0, 0, j) for j in range(1, n)]
-    F3, F2 = C.x1_slices()[:2]
-    if a <= 0:
-        raise ValueError("normalization c_111 > 0 required (run normalize_leading)")
-    if n < 2:
-        raise ValueError("real_point needs n >= 2")
-    M = max(C.height, 2)
-    if h is None:
-        shell_cap = max(1, int(round(M ** (1.0 / max(n - 2, 1)))) + 1)
-        rep = smallest_solution(C, shell_cap, start_shell=1)
-        if rep.found is not None:
-            grad = C.gradient(list(rep.found))
-            return RealPoint(kind="integer", point=rep.found,
-                             derivatives=tuple(grad))
-    if all(v == 0 for v in f1):
-        y = [0] * (n - 1)
-        y[0] = 1
-    else:
-        try:
-            y = siegel_solve([f1])
-        except FullRankError:
-            raise RuntimeError("F1 has no nonzero integer kernel vector")
-    if _eval_terms(F3, y) == 0:
-        sol = (0, *y)
-        grad = C.gradient(list(sol))
-        return RealPoint(kind="integer", point=sol, derivatives=tuple(grad))
-    if _eval_terms(F3, y) > 0:
-        y = [-v for v in y]  # F1(-y) = 0, F2 even, F3 odd
-    f2v, f3v = _eval_terms(F2, y), _eval_terms(F3, y)
-    roots = np.roots([a, 0, f2v, f3v])
-    real_pos = sorted(r.real for r in roots
-                      if abs(r.imag) < 1e-9 * max(1.0, abs(r)) and r.real > 0)
-    if not real_pos:
-        raise RuntimeError("no positive real root for the x1 cubic")
-    xi = float(real_pos[0])
-    # Newton polish
-    for _ in range(60):
-        g = a * xi**3 + f2v * xi + f3v
-        dg = 3 * a * xi**2 + f2v
-        if dg == 0:
-            break
-        step = g / dg
-        xi -= step
-        if abs(step) < 1e-15 * max(1.0, abs(xi)):
-            break
-    z = (xi, *(float(v) for v in y))
-    grad = [float(g) for g in C.gradient(z)]
-    assert grad[0] > 0, "first partial derivative must be positive at the point"
-    hh = h or n
-    if hh > 2:  # the bracket's exponent degenerates at h <= 2
-        lo = M ** (-1.0 - 2.0 / (hh - 2)) / _CALIBRATION
-        hi = M ** (1.0 / (hh - 2)) * _CALIBRATION
-        assert lo <= xi <= hi, f"xi = {xi} outside calibrated bracket [{lo}, {hi}]"
-    return RealPoint(kind="real", point=z, xi=xi, derivatives=tuple(grad))
-
-
-# -- box construction with certified floors ---------------------------------
-
-
-@dataclass(frozen=True)
-class BoxRegion:
-    center: tuple
-    width: float = 1.0      # half-width per axis
-    sigma: float = 0.0      # certified upper bound of |C| on the box
-    d1: float = 0.0         # certified floor of dC/dx_axis1 on the box
-    d2: float = 0.0         # certified floor of dC/dx_axis2 on the box
-    axis1: int = 0
-    axis2: int = 1
-    A: int = 4              # frozen power-of-2 scaling constant
-
-    @property
-    def bounds(self) -> list:
-        return [(z - self.width, z + self.width) for z in self.center]
-
-
-@dataclass(frozen=True)
-class _Interval:
-    """[lo, hi] with exact Fraction endpoints, closed under the + and * of
-    _eval_terms (a number is the interval [x, x]), so a term table
-    evaluated on intervals encloses its exact range on the box."""
-    lo: Fraction
-    hi: Fraction
-
-    def __add__(self, other):
-        other = _as_interval(other)
-        return _Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __mul__(self, other):
-        other = _as_interval(other)
-        ends = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-        return _Interval(min(ends), max(ends))
-
-    __radd__, __rmul__ = __add__, __mul__
-
-
-def _as_interval(x) -> _Interval:
-    return x if isinstance(x, _Interval) else _Interval(Fraction(x), Fraction(x))
-
-
-def _to_float(x: Fraction, up: bool) -> float:
-    """x rounded to a float towards +inf (up) or -inf."""
-    f = float(x)
-    if (Fraction(f) < x) if up else (Fraction(f) > x):
-        f = nextafter(f, inf if up else -inf)
-    return f
-
-
-def build_box(C: CubicPolynomial, z_tilde) -> BoxRegion:
-    """Scale z~ to z = A M^(3 + 8/(n-2)) z~, n = C.n and M = max(C.height,
-    2), and certify the box floors.
-
-    A is the smallest power of two >= 4 for which exact interval
-    arithmetic on the box bounds certifies both derivatives of one sign on
-    all of B; it is frozen into the region.  The floors d1, d2 are rounded
-    down to floats and the bound sigma of |C| up.  Axes are relabeled
-    (axis1/axis2 fields) so the dominant derivative comes first.
-    """
-    n = C.n
-    base = float(max(C.height, 2)) ** (3.0 + 8.0 / max(n - 2, 1))
-    grad0 = C.gradient(z_tilde)
-    order = sorted(range(n), key=lambda i: -abs(grad0[i]))
-    ax1, ax2 = order[0], (order[1] if n > 1 else order[0])
-    A = 4
-    while A <= 2**_MAX_A_LOG2:
-        z = tuple(A * base * v for v in z_tilde)
-        ivals = [_Interval(Fraction(zi - 1.0), Fraction(zi + 1.0)) for zi in z]
-        g1, g2 = (_as_interval(_eval_terms(C.derivative(ax), ivals))
-                  for ax in (ax1, ax2))
-        if (all(g.lo > 0 or g.hi < 0 for g in (g1, g2))
-                and max(abs(zi) for zi in z) >= 2.0):
-            d1, d2 = (_to_float(min(abs(g.lo), abs(g.hi)), up=False)
-                      for g in (g1, g2))
-            cv = _as_interval(_eval_terms(C.terms(), ivals))
-            sigma = _to_float(max(abs(cv.lo), abs(cv.hi)), up=True)
-            return BoxRegion(center=z, width=1.0, sigma=sigma,
-                             d1=d1, d2=d2, axis1=ax1, axis2=ax2, A=A)
-        A *= 2
-    raise RuntimeError(
-        f"box verification failed for every A <= 2^{_MAX_A_LOG2}")
+                          _x1_split)
 
 
 # -- singular integral ------------------------------------------------------
@@ -851,44 +680,37 @@ def singular_integral(C: CubicPolynomial, box, Z: float,
 
 
 def slice_volume(C: CubicPolynomial, box, grid: int = 128) -> dict:
-    """V(0) = int over {C = 0} cap B of dx_2..dx_n / (dC/dx_1).
+    """V(0) = int over {C = 0} cap B of dx_2..dx_n / |dC/dx_1|, x_1 the
+    slice axis.
 
-    Clenshaw-Curtis with grid + 1 nodes per rest axis (grid = 0 is the
-    midpoint rule; a negative grid raises ValueError); the x_1-slice root at
-    every node is found by one bisection over all sign-changing nodes at
-    once, run until the bracket is two adjacent floats.  A BoxRegion's
-    positive certified floor for dC/dx_1 (axis1) makes that root unique; for
-    a plain bounds list (axis 0) the caller guarantees at most one root per
-    slice.  Returns a float value, 0 with the empty flag when C has no zero
-    in the box.  A box of another dimension than C's raises
-    DimensionMismatch, and one with an axis lo > hi ValueError (_region).
+    Clenshaw-Curtis with grid + 1 nodes per axis x_2..x_n (grid = 0 is the
+    midpoint rule; a negative grid raises ValueError).  It takes one root
+    per slice: a node whose x_1-slice changes sign across [lo_1, hi_1]
+    contributes the one root that a bisection over all such nodes at once
+    finds, run until the bracket is two adjacent floats, and a node whose
+    slice does not change sign contributes nothing.  So the value is V(0)
+    only where no slice has more than one root in the box: of a slice's
+    three roots one is counted, of two none.  Returns a float value, 0
+    with the empty flag when no slice changes sign.  A box of another
+    dimension than C's raises DimensionMismatch, and one with an axis
+    lo > hi ValueError (_region).
     """
     if grid < 0:
         raise ValueError(f"grid must be >= 0, got {grid}")
     bounds = _region(C.n, box)
-    ax = box.axis1 if isinstance(box, BoxRegion) else 0
-    n = len(bounds)
-    lo1, hi1 = bounds[ax]
-    rest = [i for i in range(n) if i != ax]
+    lo1, hi1 = bounds[0]
 
-    # every slice node as a flat array per rest axis; none when n = 1,
+    # every slice node as a flat array per axis x_2..x_n; none when n = 1,
     # which leaves a single slice of weight 1
-    axes = _cc_axes(grid, [bounds[i] for i in rest])
+    axes = _cc_axes(grid, bounds[1:])
     W = np.ones(())
     for _, w in axes:
         W = np.multiply.outer(W, w)
     W = W.ravel()
     Y = [g.ravel() for g in np.meshgrid(*(x for x, _ in axes), indexing="ij")]
 
-    def point(x1, Y):
-        X = [None] * n
-        X[ax] = x1
-        for i, y in zip(rest, Y):
-            X[i] = y
-        return X
-
-    f_lo = evaluate_array(C, point(np.full(W.size, float(lo1)), Y))
-    f_hi = evaluate_array(C, point(np.full(W.size, float(hi1)), Y))
+    f_lo = evaluate_array(C, [np.full(W.size, float(lo1)), *Y])
+    f_hi = evaluate_array(C, [np.full(W.size, float(hi1)), *Y])
     hit = np.sign(f_lo) * np.sign(f_hi) <= 0
     if not hit.any():
         return {"value": 0.0, "empty": True}
@@ -898,10 +720,10 @@ def slice_volume(C: CubicPolynomial, box, grid: int = 128) -> dict:
         mid = 0.5 * (a + b)
         if not ((a < mid) & (mid < b)).any():
             break
-        right = np.sign(evaluate_array(C, point(mid, Y))) == s_lo
+        right = np.sign(evaluate_array(C, [mid, *Y])) == s_lo
         a = np.where(right, mid, a)
         b = np.where(right, b, mid)
-    d = _eval_terms(C.derivative(ax), point(mid, Y))
+    d = _eval_terms(C.derivative(0), [mid, *Y])
     return {"value": float(np.sum(W / np.abs(d))), "empty": False}
 
 
@@ -980,30 +802,3 @@ def singular_series(phi: CubicPolynomial, P0: int, mode: str = "both",
     return SeriesTruncation(P0=P0, factors=factors, k_used=k_used,
                             value=value, frak_value=frak,
                             tail_bound=tail, partial=partial)
-
-
-def asymptotic_compare(phi: CubicPolynomial, box, P_list, P0: int, Z: float,
-                       budget: int | None = None) -> list:
-    """Rows (P, N(P) over P*B, J, J's error, S(P0) * J * P^(n-3), ratio):
-    S(P0) the Euler product, 0 under an NCC violation, and J the singular
-    integral int_B 2 Z sinc(2 Z phi(P x)/P^3) dx of P*B's integrand, which
-    tends to the cubic part's as P grows, computed as P^3 I_{phi(P x)}(Z/P^3)
-    (the error times P^3, at tolerance 1e-8/P^3).  Purely diagnostic: no
-    assertion is made about the ratios."""
-    n = phi.n
-    violated = ncc_certify(phi, P0, budget).status == "violation"
-    series_val = 0.0 if violated else float(singular_series(
-        phi, P0, mode="euler", budget=budget).value)
-    rows = []
-    for P in P_list:
-        count = count_solutions(phi, P, box=box, budget=budget,
-                                keep=0).count
-        scaled = transform(phi, [[P * (i == j) for j in range(n)]
-                                 for i in range(n)])
-        J = singular_integral(scaled, box, Z / P**3, tol=1e-8 / P**3,
-                              budget=budget)
-        pred = series_val * P**3 * J["value"] * float(P) ** (n - 3)
-        rows.append({"P": P, "count": count, "J": P**3 * J["value"],
-                     "J_error": P**3 * J["error"], "prediction": pred,
-                     "ratio": count / pred if pred else None})
-    return rows

@@ -14,23 +14,18 @@ canonical accessor expands the symmetry.
 
 terms() lists phi as weighted monomials, one per stored entry, and
 _from_terms inverts it.  Evaluation reads that table, and so does every
-construction: symmetrize, homogenize, and each coordinate change
-phi(shift + U y) through _substitute (transform, and the p-adic rescaling
-psi_a of the local densities).
+construction: symmetrize, homogenize, and the coordinate change
+phi(shift + U y) of _substitute, which gives the p-adic rescaling psi_a of
+the local densities.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import factorial, prod
 
 import numpy as np
 
-from .budget import check_budget
-from .nt import column_reduce
-
-_NORMALIZE_HEIGHT = 3  # normalize_leading searches primitive t with |t| <= this
 _CHUNK = 1 << 15  # points per _walk chunk; bounds peak memory
 _INT64_MAX = 2**63 - 1
 _MONOMIAL_MAX = 2**62  # so a monomial plus a reduced total fits int64
@@ -81,7 +76,7 @@ _MONOMIAL = (lambda w, x, idx: w,
 
 def _eval_terms(terms, x, mod=None, out=None, work=None):
     """sum w * prod x[i] over (weight, index tuple) terms, for x of exact
-    numbers, numpy arrays or the exact intervals of majorarcs.
+    numbers, numpy arrays or any other values with + and *, intervals too.
 
     With out, a float array of the broadcast shape of x (floats, arrays or
     scalars), the value is written there and out returned, bit for bit the
@@ -310,11 +305,6 @@ class CubicPolynomial:
         """d phi / d x_m as (weight, index tuple) pairs."""
         return list(self._gradient_terms[m])
 
-    def x1_slices(self) -> list:
-        """[phi_0, phi_1, phi_2, phi_3] with phi(t, y) = sum t^d phi_d(y),
-        y = (x_2..x_n), each as (weight, index tuple) pairs over y."""
-        return _x1_slices(self._terms)
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, x) -> int:
@@ -444,63 +434,3 @@ def homogenize(phi: CubicPolynomial) -> tuple[CubicPolynomial, int]:
         return _from_terms(n + 1, table), 1
     except ValueError:
         return _from_terms(n + 1, {t: 3 * w for t, w in table.items()}), 3
-
-
-# -- coordinate changes -----------------------------------------------------
-
-
-class NormalizationError(RuntimeError):
-    pass
-
-
-def _extend_to_unimodular(t: list) -> list:
-    """Unimodular integer matrix whose first column is the primitive vector t.
-
-    The column reduction of the row t^T gives t^T U = g e_1^T, so
-    t = g V^T e_1 with V = U^-1: V^T with its first column times g = +-1.
-    """
-    if not any(t):
-        raise ValueError("zero vector cannot be a basis column")
-    (g,), _, V = column_reduce([t])
-    if abs(g) != 1:
-        raise ValueError(f"vector {t} is not primitive (gcd {abs(g)})")
-    return [[g * col[0], *col[1:]] for col in zip(*V)]
-
-
-def transform(phi: CubicPolynomial, U: list) -> CubicPolynomial:
-    """phi(U y) for an integer matrix U (exact)."""
-    return _from_terms(phi.n, _substitute(phi.terms(), U))
-
-
-def normalize_leading(phi: CubicPolynomial):
-    """Coordinate change making the x_1^3 coefficient positive and large.
-
-    Searches primitive vectors t with |t| <= 3 and picks the first, in C
-    order, maximizing |C(t)|; requires |C(t)| >= M / (10 n^3).  Returns
-    (transformed phi, U) with phi'(y) = phi(U y), U's first column t or
-    -t, whichever has C > 0.  Raises NormalizationError when no such
-    vector exists within the search height, and BudgetExceeded when its
-    7^n candidates exceed the enumeration budget.
-    """
-    n = phi.n
-    h = _NORMALIZE_HEIGHT
-    check_budget((2 * h + 1) ** n, what="normalize_leading search")
-    terms = phi.cubic_part().terms()
-    best_t, best_val = None, 0
-    for _, shape, t in _walk([range(-h, h + 1)] * n, _CHUNK, terms):
-        val = np.broadcast_to(_eval_terms(terms, t), shape)
-        primitive = np.gcd.reduce(np.broadcast_arrays(*t), initial=0) == 1
-        size = np.where(primitive, abs(val), 0)
-        at = np.unravel_index(size.argmax(), shape)
-        if size[at] > abs(best_val):
-            best_t = [int(c.ravel()[at[len(shape) - c.ndim]]) for c in t]
-            best_val = int(val[at])
-    threshold = Fraction(phi.height, 10 * n**3)
-    if best_t is None or abs(best_val) < threshold:
-        raise NormalizationError(
-            f"no primitive vector of height <= {h} with "
-            f"|C(t)| >= {threshold}")
-    if best_val < 0:
-        best_t = [-v for v in best_t]
-    U = _extend_to_unimodular(best_t)
-    return transform(phi, U), U

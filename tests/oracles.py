@@ -404,27 +404,3 @@ def shrinking_count_direct(L, a, Z) -> int:
         all(nearest_int_distance(sum(L[i][j] * u[j] for j in range(n))) < eps
             for i in range(n))
         for u in product(range(-r, r + 1), repeat=n))
-
-
-def normalize_direction_direct(phi: CubicPolynomial):
-    """(t, C(t)) for the first primitive t in itertools.product order over
-    [-3, 3]^n with the largest |C(t)| > 0, C the cubic part; (None, 0) when
-    C vanishes on all of them."""
-    C = phi.cubic_part()
-    best_t, best_val = None, 0
-    for t in product(range(-3, 4), repeat=phi.n):
-        if gcd(*t) == 1 and abs(C.evaluate(t)) > abs(best_val):
-            best_t, best_val = list(t), C.evaluate(t)
-    return best_t, best_val
-
-
-def siegel_scan_direct(basis: list, best: list) -> list:
-    """The first nonzero combination sum c_j basis[j], c in [-3, 3]^k in
-    itertools.product order, whose sup norm is smallest and below that of
-    `best`; `best` itself when there is none."""
-    n = len(basis[0])
-    for coeffs in product(range(-3, 4), repeat=len(basis)):
-        v = [sum(c * bv[i] for c, bv in zip(coeffs, basis)) for i in range(n)]
-        if any(v) and max(map(abs, v)) < max(map(abs, best)):
-            best = v
-    return best

@@ -1,5 +1,4 @@
-"""Exact lattice counting, expanding-shell search, and the prediction
-comparison table."""
+"""Exact lattice counting and expanding-shell search."""
 
 import random
 from itertools import combinations_with_replacement, product
@@ -10,11 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cubiclab import (CubicPolynomial, count_solutions, singular_series,
-                      smallest_solution, symmetrize)
+from cubiclab import (CubicPolynomial, count_solutions, smallest_solution,
+                      symmetrize)
 from cubiclab import counting
 from cubiclab.budget import BudgetExceeded, check_budget
-from cubiclab.majorarcs import asymptotic_compare
 from cubiclab.polynomials import DimensionMismatch, _from_terms, _substitute
 from conftest import (make_diag5m2, make_fermat, make_selmer4,
                       make_triple_product, make_watson5, random_poly)
@@ -468,6 +466,11 @@ class TestCountSolutions:
             res = count_solutions(fermat, P, box=box)
             assert res.solutions_sample == (zero,)
 
+    def test_nested_monotone(self, fermat):
+        c1 = count_solutions(fermat, 5).count
+        c2 = count_solutions(fermat, 10).count
+        assert c2 >= c1
+
 
 class TestSharedJoin:
     """Forms whose slices in x_1 split by block while x_1 holds phi
@@ -756,48 +759,3 @@ class TestSmallestSolution:
             assert count_solutions(phi, rep.shell).count > 0
             if rep.shell > 1:
                 assert count_solutions(phi, rep.shell - 1).count == 0
-
-
-class TestAsymptoticCompare:
-    def test_violation_gives_zero_prediction(self):
-        phi = symmetrize(1, {(0, 0, 0): 2}, const=1)[0]
-        rows = asymptotic_compare(phi, [(-1.0, 1.0)], [3, 5], P0=3, Z=4.0)
-        for row in rows:
-            assert row["count"] == 0
-            assert row["prediction"] == 0.0
-            assert row["ratio"] is None
-
-    def test_toy_rows_finite(self, fermat):
-        box = [(0.2, 2.2), (0.2, 2.2), (0.2, 2.2)]
-        rows = asymptotic_compare(fermat, box, [5, 10], P0=3, Z=4.0,
-                                  budget=40_000_000)
-        assert [r["P"] for r in rows] == [5, 10]
-        for row in rows:
-            assert row["prediction"] > 0
-            assert row["count"] >= 0
-
-    def test_diag5m2_integrates_the_box_integrand(self, diag5m2):
-        # N(P) counts P*B, whose integrand is phi(P x)/P^3 = C(x) - 2/P^3:
-        # J at P = 30 matches an independent Monte-Carlo of
-        # int_B 2 Z sinc(2 Z (C(x) - 2/P^3)) dx, not phi's own integral
-        # (the P = 1 integrand, 1.03 here)
-        box, P, Z = [(-1.0, 1.0)] * 5, 30, 16.0
-        [row] = asymptotic_compare(diag5m2, box, [P], P0=10, Z=Z,
-                                   budget=10**9)
-        rng = np.random.default_rng(2026)
-        vals = np.concatenate([
-            2 * Z * np.sinc(2 * Z * ((x**3).sum(axis=1) - 2 / P**3))
-            for x in (rng.uniform(-1.0, 1.0, (200_000, 5)) for _ in range(5))])
-        vals *= 2.0**5  # the box's volume
-        ref, se = vals.mean(), vals.std(ddof=1) / np.sqrt(vals.size)
-        assert row["J_error"] > 0 and se > 0
-        assert abs(row["J"] - ref) <= 4 * np.hypot(row["J_error"], se)
-        assert 15 < row["J"] < 18
-        series = singular_series(diag5m2, 10, mode="euler").value
-        assert row["prediction"] == pytest.approx(
-            float(series) * row["J"] * P**2, rel=1e-12)
-
-    def test_nested_monotone(self, fermat):
-        c1 = count_solutions(fermat, 5).count
-        c2 = count_solutions(fermat, 10).count
-        assert c2 >= c1

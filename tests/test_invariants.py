@@ -1,5 +1,5 @@
-"""Delta invariant, Hessian rank census, psi-growth diagnostic, and
-Siegel-lemma kernel vectors."""
+"""Delta invariant, Hessian rank census, psi-growth diagnostic, and the
+small-subspace solution bound."""
 
 import random
 import tracemalloc
@@ -10,7 +10,6 @@ from math import prod
 
 import numpy as np
 import pytest
-from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,13 +17,12 @@ from cubiclab import (CubicPolynomial, delta, homogenize, rank_census,
                       psi_good_report, symmetrize)
 from cubiclab import invariants
 from cubiclab.budget import BudgetExceeded
-from cubiclab.invariants import (FullRankError, integer_kernel_basis,
-                                 siegel_solve, small_subspace_solution_bound)
+from cubiclab.invariants import small_subspace_solution_bound
 from cubiclab.nt import column_reduce
-from cubiclab.polynomials import transform
+from cubiclab.polynomials import _from_terms, _substitute
 from conftest import random_poly
 from oracles import (coefficient_matrix, int_det, minor_gcd, rank_mod_p,
-                     rank_rational, siegel_scan_direct)
+                     rank_rational)
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -94,7 +92,7 @@ def cubic_forms(draw, big=True, n_max=4):
         src = draw(st.integers(0, n - 1))
         for row in U:
             row[0] = row[src] if src else 0
-        C = transform(C, U)
+        C = _from_terms(n, _substitute(C.terms(), U))
     return C
 
 
@@ -266,10 +264,6 @@ class TestDelta:
     def test_matches_minor_gcd_oracle(self, C):
         mat = coefficient_matrix(C)
         assert delta(C).value == minor_gcd(mat)
-        kernel = integer_kernel_basis(mat)
-        assert len(kernel) == len(mat[0]) - rank_rational(mat)
-        assert all(sum(a * x for a, x in zip(row, v)) == 0
-                   for v in kernel for row in mat)
 
     @settings(max_examples=100, deadline=None)
     @given(zero_column_forms())
@@ -477,85 +471,7 @@ class TestPsiGoodReport:
         assert rep["rows"][0]["H"] == 2
 
 
-# -- Siegel solve -----------------------------------------------------------
-
-class TestSiegel:
-    def test_ones(self):
-        x = siegel_solve([[1, 1]])
-        assert x in ([1, -1], [-1, 1])
-
-    def test_two_three(self):
-        x = siegel_solve([[2, 3]])
-        assert x in ([3, -2], [-3, 2])
-        assert max(abs(v) for v in x) <= 6
-
-    def test_full_rank_rejected(self):
-        with pytest.raises(FullRankError):
-            siegel_solve([[1, 0], [0, 1]])
-
-    def test_random_two_by_four(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            A = [[rng.randint(-10, 10) for _ in range(4)] for _ in range(2)]
-            x = siegel_solve(A)
-            assert any(x)
-            assert all(sum(r[i] * x[i] for i in range(4)) == 0 for r in A)
-            maxentry = max(abs(v) for row in A for v in row)
-            assert max(abs(v) for v in x) <= (4 * max(maxentry, 1)) ** (2 / 2)
-
-
-    def test_combination_scan_is_budgeted(self, monkeypatch):
-        # a kernel basis far above the Siegel bound, which LLL is kept from
-        # reducing, forces the 7^9 combination scan: refused, not run
-        monkeypatch.delenv("CUBIC_LAB_BUDGET", raising=False)
-        A = [[1] * 10]
-        big = [[100 * v for v in b]
-               for b in invariants.integer_kernel_basis(A)]
-        monkeypatch.setattr(invariants, "integer_kernel_basis", lambda A: big)
-        monkeypatch.setattr(invariants, "_lll", lambda basis: basis)
-        with pytest.raises(BudgetExceeded,
-                           match="siegel_solve combination scan needs "
-                                 "40353607 points"):
-            siegel_solve(A)
-
-    def test_combination_scan_within_budget(self, monkeypatch):
-        # a skewed basis u = e1 + 3 e2, v = e2 + 3 u of the kernel of
-        # x + y + z: the scan over its 7^2 combinations finds e2 = v - 3 u
-        # within the bound; one point less of budget refuses the scan
-        A = [[1, 1, 1]]
-        monkeypatch.setattr(invariants, "integer_kernel_basis",
-                            lambda A: [[-4, 1, 3], [-13, 3, 10]])
-        monkeypatch.setattr(invariants, "_lll", lambda basis: basis)
-        monkeypatch.setenv("CUBIC_LAB_BUDGET", "49")
-        x = siegel_solve(A)
-        assert any(x) and sum(x) == 0 and max(map(abs, x)) <= 3 ** 0.5
-        monkeypatch.setenv("CUBIC_LAB_BUDGET", "48")
-        with pytest.raises(BudgetExceeded):
-            siegel_solve(A)
-
-
-    def test_combination_scan_matches_product_order(self):
-        # every basis T (a, b) of the kernel of x + y + z, a = e1 - e2,
-        # b = e2 - e3 and T in [-3, 3]^(2x2) unimodular, whose vectors both
-        # exceed the Siegel bound 3^(1/2): the scan runs, and the norm-1
-        # vectors +-a, +-b, +-(a + b) tie, so the first minimum in product
-        # order is what is compared
-        scanned = 0
-        for T in product(range(-3, 4), repeat=4):
-            basis = [[x, y - x, -y] for x, y in (T[:2], T[2:])]
-            cand = min(basis, key=lambda v: max(map(abs, v)))
-            if abs(T[0] * T[3] - T[1] * T[2]) != 1 or max(map(abs, cand)) < 2:
-                continue
-            want = siegel_scan_direct(basis, cand)
-            for chunk in (1, 5, 49):  # ties across chunks, then in one
-                with mock.patch.object(invariants, "integer_kernel_basis",
-                                       lambda A: basis), \
-                        mock.patch.object(invariants, "_lll", lambda b: b), \
-                        mock.patch.object(invariants, "_CHUNK", chunk):
-                    assert siegel_solve([[1, 1, 1]]) == want
-            scanned += 1
-        assert scanned == 96
-
+# -- small-subspace solution bound ------------------------------------------
 
 class TestSubspaceBound:
     def test_headline_exponent(self):

@@ -1,12 +1,12 @@
 """scipy and mpmath serve only the tests, as quadrature, root-finding and
 interval references: no library module imports them, and they are test
 extras, not dependencies.  Every name a library module imports is read in
-that module, every private module-level name is read by another
-definition, every exported name is reached from a command, a benchmark
-call or an acceptance criterion, every public method is read, every import
-sits at module level, importing the CLI loads no pool machinery and no
-mpmath, no library code walks points with itertools.product or builds an
-np.ix_ mesh, and none reaches numpy.random."""
+that module, every top-level definition is reached from a command, a
+benchmark call or an acceptance criterion, every public method is read,
+every import sits at module level, importing the CLI loads no pool
+machinery and no mpmath, no library code walks points with
+itertools.product or builds an np.ix_ mesh, and none reaches
+numpy.random."""
 
 import ast
 import json
@@ -73,29 +73,8 @@ def _top_level_names(stmt) -> set:
             if isinstance(node, ast.Name)}
 
 
-def test_every_private_name_has_a_caller():
-    # a module-level _name is read by some other top-level definition of
-    # src/ (a function reading itself does not count; neither do the
-    # tests), so a private helper cannot outlive its last caller
-    defined, reads = [], []
-    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            defined += [(name, stmt) for name in _top_level_names(stmt)
-                        if name.startswith("_") and not name.endswith("__")]
-            reads.append((stmt, {node.id if isinstance(node, ast.Name)
-                                 else node.attr for node in ast.walk(stmt)
-                                 if isinstance(node, ast.Attribute)
-                                 or isinstance(node, ast.Name)
-                                 and isinstance(node.ctx, ast.Load)}))
-    assert defined
-    unread = [name for name, owner in defined
-              if not any(name in names for stmt, names in reads
-                         if stmt is not owner)]
-    assert not unread
-
-
-# exported names that no command and no benchmark call reaches, each with
-# the acceptance criterion (tests/test_acceptance.py) that reads it
+# top-level definitions that no command and no benchmark call reaches, each
+# with the acceptance criterion (tests/test_acceptance.py) that reads it
 ACCEPTANCE_ONLY = {
     "small_subspace_solution_bound": 3,
     "gauss_sum": 6,
@@ -116,19 +95,12 @@ def _graph_roots() -> list:
     return ["main", *api]
 
 
-def test_every_export_is_reached():
-    # the reference graph of src/: a top-level definition reaches every
-    # definition whose name it reads (by name, in any module, as in
-    # test_every_private_name_has_a_caller); an export the graph does not
-    # reach from cli.main or the benchmark's calls is listed, with its
-    # criterion, in ACCEPTANCE_ONLY, which that criterion imports and reads
-    defs = {}
-    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            for name in _top_level_names(stmt):
-                defs.setdefault(name, []).append(stmt)
-    reached, todo = set(), _graph_roots()
-    assert "main" in defs
+def _reach(defs: dict, roots, reached: set) -> set:
+    """reached, grown by every definition the roots reach: a top-level
+    definition reaches every definition whose name it reads, by name or as
+    an attribute, in any module, so one that only reads itself reaches
+    nothing new."""
+    todo = list(roots)
     while todo:
         name = todo.pop()
         if name in reached:
@@ -139,11 +111,26 @@ def test_every_export_is_reached():
                  if isinstance(node, ast.Attribute)
                  or isinstance(node, ast.Name)
                  and isinstance(node.ctx, ast.Load)]
-    init = ast.parse((ROOT / "src" / "cubiclab" / "__init__.py").read_text())
-    exported = {alias.asname or alias.name for node in init.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    unreached = sorted(exported - reached)
-    assert unreached == sorted(ACCEPTANCE_ONLY), f"unreached: {unreached}"
+    return reached
+
+
+def test_every_definition_is_reached():
+    # every top-level definition of src/, exported or private, is reached
+    # from cli.main or the benchmark's calls, or else from an
+    # ACCEPTANCE_ONLY name that those do not reach and that its criterion
+    # imports and reads; no test is a caller, so no definition outlives
+    # its last caller in src/
+    defs = {}
+    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for name in _top_level_names(stmt):
+                defs.setdefault(name, []).append(stmt)
+    assert "main" in defs
+    reached = _reach(defs, _graph_roots(), set())
+    listed = set(ACCEPTANCE_ONLY)
+    assert listed <= set(defs) - reached, sorted(listed & reached)
+    unreached = sorted(set(defs) - _reach(defs, listed, reached))
+    assert not unreached, f"unreached: {unreached}"
     tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
     imported = {alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom)
@@ -261,9 +248,10 @@ def test_cli_run_loads_no_argument_parser():
 
 
 def test_lattice_kernels_do_not_load_majorarcs():
-    # majorarcs imports counting and invariants, which share the variable
-    # blocks with it through polynomials: loaded without the package's
-    # __init__, which imports every module, neither pulls majorarcs in
+    # majorarcs imports counting, and counting and invariants share the
+    # variable blocks with it through polynomials: loaded without the
+    # package's __init__, which imports every module, neither pulls
+    # majorarcs in
     for module in ("counting", "invariants"):
         code = ("import sys, types; pkg = types.ModuleType('cubiclab'); "
                 f"pkg.__path__ = [{str(ROOT / 'src' / 'cubiclab')!r}]; "

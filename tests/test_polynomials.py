@@ -1,12 +1,9 @@
 """Core polynomial representation: symmetrization, evaluation, Hessians,
-homogenization, serialization and leading normalization."""
+homogenization, serialization and substitution."""
 
 import json
 import random
-from fractions import Fraction
 from itertools import product
-from math import gcd
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,15 +13,12 @@ from mpmath import iv
 
 from cubiclab import CubicPolynomial, symmetrize, homogenize
 from cubiclab import polynomials
-from cubiclab.budget import BudgetExceeded
 from cubiclab.majorarcs import evaluate_array
 from cubiclab.polynomials import (DimensionMismatch, DegreeError,
-                                  NormalizationError, normalize_leading,
-                                  transform, _eval_terms,
-                                  _extend_to_unimodular)
+                                  _eval_terms, _from_terms, _substitute,
+                                  _x1_slices)
 from conftest import (CUBIC_UNISOLVENT, full_poly_strategy, random_poly,
                       residue_walk)
-from oracles import int_det, normalize_direction_direct
 
 
 # -- strategies -------------------------------------------------------------
@@ -211,7 +205,7 @@ class TestTermTable:
     def test_x1_slices_recompose(self, poly, seed):
         rng = random.Random(seed)
         x = [rng.randint(-7, 7) for _ in range(poly.n)]
-        parts = poly.x1_slices()
+        parts = _x1_slices(poly.terms())
         assert len(parts) == 4
         assert sum(x[0] ** d * _eval_terms(part, x[1:])
                    for d, part in enumerate(parts)) == poly.evaluate(x)
@@ -379,34 +373,10 @@ class TestJson:
 
 # -- coordinate changes -----------------------------------------------------
 
-class TestNormalize:
-    def test_unimodular_extension(self):
-        for t in ([2, 3], [1, 0, 0], [6, 10, 15], [-3, 5]):
-            U = _extend_to_unimodular(list(t))
-            n = len(t)
-            assert [U[i][0] for i in range(n)] == list(t)
-            assert abs(int_det(U)) == 1
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.just(0) | st.integers(-3, 3)
-                    | st.integers(-2**40, 2**40), min_size=1, max_size=6),
-           st.integers(2, 9))
-    def test_unimodular_extension_random(self, v, m):
-        g = gcd(*v)
-        if g == 0:
-            with pytest.raises(ValueError):
-                _extend_to_unimodular(v)
-            return
-        t = [x // g for x in v]
-        U = _extend_to_unimodular(t)
-        assert [row[0] for row in U] == t
-        assert int_det(U) in (1, -1)
-        with pytest.raises(ValueError):
-            _extend_to_unimodular([m * x for x in t])
-
+class TestSubstitute:
     def test_transform_identity(self, fermat):
         U = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-        assert transform(fermat, U) == fermat
+        assert _from_terms(3, _substitute(fermat.terms(), U)) == fermat
 
     @settings(max_examples=60, deadline=None)
     @given(full_poly_strategy(), st.integers(0, 2**32 - 1))
@@ -415,61 +385,7 @@ class TestNormalize:
         rng = random.Random(seed)
         n = poly.n
         U = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        out = transform(poly, U)
+        out = _from_terms(n, _substitute(poly.terms(), U))
         for y in product(CUBIC_UNISOLVENT, repeat=n):
             x = [sum(U[i][j] * y[j] for j in range(n)) for i in range(n)]
             assert out.evaluate(y) == poly.evaluate(x)
-
-    def test_normalize_leading(self, fermat):
-        out, U = normalize_leading(fermat)
-        M = fermat.height
-        assert out.c(0, 0, 0) > 0
-        assert abs(out.c(0, 0, 0)) >= M / (10 * 3**3)
-        rng = random.Random(3)
-        y = [rng.randint(-4, 4) for _ in range(3)]
-        x = [sum(U[i][j] * y[j] for j in range(3)) for i in range(3)]
-        assert out.evaluate(y) == fermat.evaluate(x)
-
-    def test_normalize_budget(self, wall14):
-        # 7^14 candidate vectors: refused before the search starts
-        with pytest.raises(BudgetExceeded, match="678223072849 points"):
-            normalize_leading(wall14)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 3), st.integers(0, 2**32 - 1),
-           st.sampled_from([1, 6, 50, 1 << 15]))
-    def test_normalize_direction_matches_product_order(self, n, seed, chunk):
-        # coefficients in {-1, 0, 1} tie many maxima of |C(t)|, so the
-        # first maximum in product order is what is compared, also when
-        # the ties fall in different chunks
-        phi = random_poly(random.Random(seed), n, coeff_bound=1)
-        t, val = normalize_direction_direct(phi)
-        with mock.patch.object(polynomials, "_CHUNK", chunk):
-            if t is None or abs(val) < Fraction(phi.height, 10 * n**3):
-                with pytest.raises(NormalizationError):
-                    normalize_leading(phi)
-                return
-            _, U = normalize_leading(phi)
-        assert [row[0] for row in U] == (t if val > 0 else [-v for v in t])
-
-    def test_normalize_direction_in_python_ints(self):
-        # weights near 2**62 overflow int64 on [-3, 3]^3: object arrays
-        phi = CubicPolynomial(3, cubic={(0, 0, 1): 2**62, (0, 1, 2): 5,
-                                        (1, 2, 2): 3 - 2**61})
-        t, val = normalize_direction_direct(phi)
-        _, U = normalize_leading(phi)
-        assert [row[0] for row in U] == (t if val > 0 else [-v for v in t])
-
-    def test_normalize_ties_take_the_first(self, fermat):
-        # x^3 + y^3 - z^3: |C(t)| = 62 at +-(3, 3, -2), +-(3, 2, -3) and
-        # +-(2, 3, -3); (-3, -3, 2) comes first in product order, and its
-        # sign flips so that C > 0
-        assert normalize_direction_direct(fermat) == ([-3, -3, 2], -62)
-        _, U = normalize_leading(fermat)
-        assert [row[0] for row in U] == [3, 3, -2]
-
-    def test_normalize_failure_reported(self):
-        # identically-zero cubic part: no vector can reach the threshold
-        poly = CubicPolynomial(2, quad={(0, 0): 5})
-        with pytest.raises(NormalizationError):
-            normalize_leading(poly)
