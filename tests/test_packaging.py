@@ -114,22 +114,33 @@ def _reach(defs: dict, roots, reached: set) -> set:
     return reached
 
 
-def test_every_definition_is_reached():
-    # every top-level definition of src/, exported or private, is reached
-    # from cli.main or the benchmark's calls, or else from an
-    # ACCEPTANCE_ONLY name that those do not reach and that its criterion
-    # imports and reads; no test is a caller, so no definition outlives
-    # its last caller in src/
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _unreached_definitions() -> list:
+    """The top-level definitions of src/, exported or private, that
+    neither cli.main and the benchmark's calls reach nor an ACCEPTANCE_ONLY
+    name that those do not reach; no test is a caller."""
     defs = {}
     for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             for name in _top_level_names(stmt):
                 defs.setdefault(name, []).append(stmt)
     assert "main" in defs
+    assert any(map(_private, defs))
     reached = _reach(defs, _graph_roots(), set())
     listed = set(ACCEPTANCE_ONLY)
     assert listed <= set(defs) - reached, sorted(listed & reached)
-    unreached = sorted(set(defs) - _reach(defs, listed, reached))
+    return sorted(set(defs) - _reach(defs, listed, reached))
+
+
+def test_every_export_is_reached():
+    # every public top-level definition of src/ is reached from cli.main
+    # or the benchmark's calls, or else from an ACCEPTANCE_ONLY name that
+    # those do not reach and that its criterion imports and reads
+    unreached = [name for name in _unreached_definitions()
+                 if not _private(name)]
     assert not unreached, f"unreached: {unreached}"
     tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
     imported = {alias.asname or alias.name for node in tree.body
@@ -143,6 +154,14 @@ def test_every_definition_is_reached():
         assert name in imported, name
         assert any(isinstance(node, ast.Name) and node.id == name
                    for node in ast.walk(criteria[k])), (name, k)
+
+
+def test_every_private_name_has_a_caller():
+    # a module-level _name is reached by the same walk, so a private
+    # helper cannot outlive its last caller in src/, and one read only by
+    # an unreached definition (or by itself) is unreached too
+    unreached = [name for name in _unreached_definitions() if _private(name)]
+    assert not unreached, f"unreached: {unreached}"
 
 
 # public methods and properties that nothing reads by attribute name, each
