@@ -1,12 +1,9 @@
 """Enumeration budget handling.
 
 Every brute-force loop in the package is guarded by a point-count budget so
-that a typo in parameters fails fast instead of hanging.  The environment
-variable CUBIC_LAB_BUDGET overrides the default globally; individual calls
-may pass an explicit budget.
+that a typo in parameters fails fast instead of hanging.  Individual calls
+may pass an explicit budget; the default is DEFAULT_BUDGET.
 """
-
-import os
 
 DEFAULT_BUDGET = 6_000_000
 
@@ -16,15 +13,7 @@ class BudgetExceeded(RuntimeError):
 
 
 def enumeration_budget(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("CUBIC_LAB_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"CUBIC_LAB_BUDGET is not an integer: {env!r}")
-    return DEFAULT_BUDGET
+    return DEFAULT_BUDGET if explicit is None else explicit
 
 
 def check_budget(points: int, budget: int | None = None, what: str = "enumeration"):

@@ -35,6 +35,8 @@ from .budget import BudgetExceeded, check_budget
 from .polynomials import (CubicPolynomial, DimensionMismatch, _CHUNK,
                           _eval_terms, _variable_blocks, _walk, _x1_slices)
 
+_SAMPLE = 100  # zeros count_solutions keeps in solutions_sample
+
 
 def _size(r: range) -> int:
     """The points of a range of positive step, in integer arithmetic (len()
@@ -221,20 +223,20 @@ def _box_ranges(n: int, P: int, box=None) -> list:
         raise ValueError("P scales the box past the largest float") from None
 
 
-def _first(sample, z, keep: int):
-    """The first `keep` rows of sample and z by the key (x_2..x_n, x_1)."""
+def _first(sample, z):
+    """The first _SAMPLE rows of sample and z by the key (x_2..x_n, x_1)."""
     both = np.concatenate([sample, z])
     # np.lexsort sorts by its last key first
     key = both.T[[0, *range(both.shape[1] - 1, 0, -1)]]
-    return both[np.lexsort(key)[:keep]]
+    return both[np.lexsort(key)[:_SAMPLE]]
 
 
 def count_solutions(phi: CubicPolynomial, P: int, box=None,
-                    budget: int | None = None, keep: int = 100) -> CountResult:
+                    budget: int | None = None) -> CountResult:
     """Exact N(P) over the integer box (default [-P, P]^n).
 
     The budget counts the prefixes (x_2..x_n); solutions_sample holds the
-    first `keep` zeros in prefix order, x_1 ascending within a prefix.
+    first _SAMPLE zeros in prefix order, x_1 ascending within a prefix.
     P < 0, a box of another dimension than phi's and a nonempty box with
     an axis of more than sys.maxsize integers, which no walk can index,
     are refused."""
@@ -249,8 +251,7 @@ def count_solutions(phi: CubicPolynomial, P: int, box=None,
     count, sample = 0, np.empty((0, phi.n), dtype=np.int64)
     for z in _zeros(_split(phi), rng):
         count += len(z)
-        if keep > 0:
-            sample = _first(sample, z, keep)
+        sample = _first(sample, z)
     return CountResult(P=P, count=count,
                        solutions_sample=tuple(map(tuple, sample.tolist())))
 
@@ -262,36 +263,31 @@ class SearchReport:
     exhausted_to: int | None
 
 
-def _least(blocks: list, n: int, S: int, start: int):
-    """(sup-norm, zero), the least over the zeros of sup-norm at least
-    `start` in the box [-S, S]^n, the zero lexicographically least within
-    its sup-norm; None if there is none.  blocks is _split(phi)."""
+def _least(blocks: list, n: int, S: int):
+    """(sup-norm, zero), the least over the zeros in the box [-S, S]^n, the
+    zero lexicographically least within its sup-norm; None if there is
+    none.  blocks is _split(phi)."""
     best = None
     for z in _zeros(blocks, [range(-S, S + 1)] * n):
         norm = np.abs(z).max(axis=1)
-        keep = norm >= start
-        z, norm = z[keep], norm[keep]
-        if len(z):
-            low = norm.min()
-            least = (int(low), min(map(tuple, z[norm == low].tolist())))
-            best = least if best is None else min(best, least)
+        low = norm.min()
+        least = (int(low), min(map(tuple, z[norm == low].tolist())))
+        best = least if best is None else min(best, least)
     return best
 
 
 def smallest_solution(phi: CubicPolynomial, max_shell: int,
-                      budget: int | None = None,
-                      start_shell: int = 0) -> SearchReport:
+                      budget: int | None = None) -> SearchReport:
     """First solution in expanding sup-norm shells (within a shell,
     lexicographically smallest), or certified emptiness up to max_shell.
 
     The shells are searched by whole boxes [-S, S]^n, one join each: after
-    box W (at first W = max(start_shell, 1) - 1, walked by no join) S is
-    the largest radius whose (2S + 1)^n points are at most twice box W's,
-    and W + 1 at least, capped at max_shell.  A join's sides are products
-    of powers of 2S + 1 whose exponents sum to at most n, so the box that
+    box W (at first W = 0, the origin, which is evaluated) S is the
+    largest radius whose (2S + 1)^n points are at most twice box W's, and
+    W + 1 at least, capped at max_shell.  A join's sides are products of
+    powers of 2S + 1 whose exponents sum to at most n, so the box that
     finds a first zero of shell s costs at most twice box s (doubling S
-    could cost 2^n times).  Of a box's zeros those of sup-norm at least
-    start_shell count, and the least of them by sup-norm, then
+    could cost 2^n times).  The least of a box's zeros by sup-norm, then
     lexicographically, is the answer, every box before having held none.
     The budget counts the (2s + 1)^(n-1) prefixes of shell s's box,
     charged shell by shell, in order, before a box is walked; when shell s
@@ -300,9 +296,9 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
     if max_shell < 0:
         raise ValueError("max_shell must be >= 0")
     n, blocks = phi.n, _split(phi)
-    if start_shell <= 0 and phi.evaluate([0] * n) == 0:
+    if phi.evaluate([0] * n) == 0:
         return SearchReport(found=(0,) * n, shell=0, exhausted_to=None)
-    walked, refused = max(start_shell, 1) - 1, None
+    walked, refused = 0, None
     while walked < max_shell:
         S = walked + 1
         while S < max_shell and (2 * S + 3) ** n <= 2 * (2 * walked + 1) ** n:
@@ -314,7 +310,7 @@ def smallest_solution(phi: CubicPolynomial, max_shell: int,
             except BudgetExceeded as exc:
                 S, refused = s - 1, exc
                 break
-        best = _least(blocks, n, S, start_shell) if S > walked else None
+        best = _least(blocks, n, S) if S > walked else None
         if best is not None:
             return SearchReport(found=best[1], shell=best[0],
                                 exhausted_to=None)

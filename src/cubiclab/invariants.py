@@ -46,8 +46,8 @@ def delta(C: CubicPolynomial) -> DeltaInvariant:
         for i, pair in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
             cols.setdefault(pair, [0] * C.n)[i] = v
     pairs = sorted(cols)
-    pivots, _, _ = column_reduce([[cols[jk][i] for jk in pairs]
-                                  for i in range(C.n)])
+    pivots, _ = column_reduce([[cols[jk][i] for jk in pairs]
+                               for i in range(C.n)])
     if len(pivots) < C.n:
         return DeltaInvariant(0)
     g = prod(abs(v) for v in pivots)

@@ -11,8 +11,10 @@ bound says the next product or sum could overflow and once at the end, so
 below q = 2**15 usually once per table; it refuses q >= 2**31, where q^2
 no longer fits int64); no whole grid is built.
 
-rho divides out the p-content of phi's term table and counts the rest
-mod q = p^k by the kernel that the table, p and k pick, in this order:
+rho sets aside the variables in no term of phi's table, each a factor
+p^k, and divides out the table's p-content; n below is the number of
+variables left.  The rest is counted mod q = p^k by the kernel that the
+table, p and k pick, in this order:
 
   kernel    runs first where                      budget charge
   blocks    B >= 2 variable blocks U_j, and       sum_j q^|U_j| points,
@@ -86,31 +88,32 @@ def _residues(tables, n: int, q: int, points: int):
                                 for t in tables]
 
 
-def _block_zeros(terms, n: int, q: int, cap: int) -> int | None:
-    """rho(q) of a table of two or more variable blocks,
-    phi = sum_k phi_k(x_(U_k)) (_variable_blocks), or None.
+def _on_own_variables(terms) -> tuple:
+    """(table, d): a (weight, index tuple) table renumbered onto the d
+    variables that its terms hold, in their order."""
+    at = {i: j for j, i in enumerate(sorted({i for _, idx in terms
+                                             for i in idx}))}
+    return tuple((w, tuple(at[i] for i in idx)) for w, idx in terms), len(at)
+
+
+def _block_zeros(tables: list, q: int, cap: int) -> int | None:
+    """rho(q) of phi = sum_k phi_k(x_(U_k)), every variable in some term,
+    from its variable blocks (_variable_blocks) as _on_own_variables
+    gives them, or None when there are fewer than two.
 
     Each distinct block table is walked once by _residues on its own
     variables into its value histogram mod q; the cyclic convolution of
     all but the last block's histograms, h, counts the points of those
     blocks by their phi value, and the zeros are sum_r h(r) g(-r), g the
-    last block's histogram, times q^f for the f variables in no term.  The
-    kernel costs sum_k q^|U_k| points and (B - 2) q^2 + q products, B the
-    number of blocks.  It runs only where that fits the cap, where the
-    products stay within _BLOCK_MAX_CONV (so q <= 2**20, which _residues
-    walks) and where q^u < 2**63 (u the variables in some term) keeps every
+    last block's histogram.  The kernel costs sum_k q^|U_k| points and
+    (B - 2) q^2 + q products, B the number of blocks.  It runs only where
+    that fits the cap, where the products stay within _BLOCK_MAX_CONV (so
+    q <= 2**20, which _residues walks) and where q^n < 2**63 keeps every
     int64 count exact; elsewhere it is None, before any histogram is
     allocated.  The module docstring's kernel order says where it runs.
     """
-    blocks = _variable_blocks(terms)
-    if len(blocks) < 2:
+    if len(tables) < 2:
         return None
-    tables = []  # each block's table on its own variables, and their number
-    for block in blocks:
-        used = sorted({i for _, idx in block for i in idx})
-        at = {i: j for j, i in enumerate(used)}
-        tables.append((tuple((w, tuple(at[i] for i in idx))
-                             for w, idx in block), len(used)))
     u = sum(d for _, d in tables)
     conv = (len(tables) - 2) * q * q + q
     if (conv > _BLOCK_MAX_CONV or q**u >= 2**63
@@ -126,7 +129,7 @@ def _block_zeros(terms, n: int, q: int, cap: int) -> int | None:
         h = np.convolve(h, hist[table])
         h[:q - 1] += h[q:]
         h = h[:q]
-    return int(h @ hist[tables[-1][0]][-np.arange(q) % q]) * q ** (n - u)
+    return int(h @ hist[tables[-1][0]][-np.arange(q) % q])
 
 
 # -- rho / rho* -------------------------------------------------------------
@@ -239,16 +242,21 @@ def rho(phi: CubicPolynomial, p: int, k: int,
         budget: int | None = None) -> int:
     """Exact #{x mod p^k : phi(x) = 0 mod p^k} for a prime p and k >= 0.
 
-    When p^c divides every weight of phi.terms(), rho(phi, p^k) =
-    p^(cn) rho(phi / p^c, p^(k-c)), which is p^(kn) once c >= k; the rest
-    is counted exactly in the module docstring's kernel order (refused
-    where a stratification nests past the interpreter's stack).
+    Each of the f variables in no term of phi.terms() multiplies the count
+    by p^k, so rho counts the table on the others (_on_own_variables), a
+    set that content reduction and every rescaling psi_a keep.  When p^c
+    divides every weight, rho(phi, p^k) = p^(cn) rho(phi / p^c, p^(k-c)),
+    which is p^(kn) once c >= k; the rest is counted exactly in the module
+    docstring's kernel order (refused where a stratification nests past
+    the interpreter's stack).
     """
     _require_prime(p)
     if k < 0:
         raise ValueError("k must be >= 0")
+    terms, n = _on_own_variables(phi.terms())
     try:
-        return _rho(phi.terms(), phi.n, p, k, enumeration_budget(budget))
+        return p ** (k * (phi.n - n)) * _rho(terms, n, p, k,
+                                             enumeration_budget(budget))
     except RecursionError:
         raise BudgetExceeded(f"rho({p}^{k}): stratification nests deeper "
                              "than the interpreter's stack") from None
@@ -266,10 +274,10 @@ def _rho(terms, n: int, p: int, k: int, cap: int) -> int:
     if c:
         reduced = [(w // p**c, idx) for w, idx in terms]
         return p ** (c * n) * _rho(reduced, n, p, k - c, cap)
-    q, blocks = p**k, _variable_blocks(terms)
-    walk = sum(q ** len({i for _, idx in b for i in idx}) for b in blocks)
-    if (k == 1 or walk <= _MAX_WALK) \
-            and (zeros := _block_zeros(terms, n, q, cap)) is not None:
+    q = p**k
+    blocks = [_on_own_variables(b) for b in _variable_blocks(terms)]
+    if (k == 1 or sum(q**d for _, d in blocks) <= _MAX_WALK) \
+            and (zeros := _block_zeros(blocks, q, cap)) is not None:
         return zeros
     try:
         if k == 1 and p < _SLICE_MAX_P:
@@ -298,7 +306,7 @@ def _rho(terms, n: int, p: int, k: int, cap: int) -> int:
                 count += _rho(_psi_rescale(terms, p, a), n, p, k - 1, cap)
             return count
     except BudgetExceeded:
-        if (zeros := _block_zeros(terms, n, q, cap)) is not None:
+        if (zeros := _block_zeros(blocks, q, cap)) is not None:
             return zeros
         if q**n > cap:
             raise
@@ -381,7 +389,7 @@ def hensel_lift(phi: CubicPolynomial, p: int, x: list, ell: int,
         y[i] += p ** (m - v) * s
 
 
-def lifting_level(kind: str, p: int, v_delta: int, n: int) -> int:
+def lifting_level(kind: str, v_delta: int, n: int) -> int:
     """Quantitative Hensel level: 3 floor(v/(n-9)) + 3 for forms (n >= 10);
     98 or 144 v + 2 for general polynomials (n >= 15)."""
     if kind == "homogeneous":
@@ -462,7 +470,7 @@ def ncc_levels(n: int, p: int, P0: int,
     lemma's variable range) and k(p) = max(floor(log_p P0), 1), raised to
     2 ell - 1 when p | Delta and ell is available."""
     try:
-        ell = lifting_level("inhomogeneous", p, v_delta, n)
+        ell = lifting_level("inhomogeneous", v_delta, n)
     except ValueError:
         ell = None
     k = 0

@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import chain
 from math import isqrt
 
+_TRIAL_BOUND = 10**6  # trial_factor divides by the primes up to this
+
 
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n by a plain sieve."""
@@ -60,8 +62,8 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-def trial_factor(n: int, bound: int = 10**6) -> tuple[dict[int, int], int]:
-    """Factor n by trial division up to bound.
+def trial_factor(n: int) -> tuple[dict[int, int], int]:
+    """Factor n by trial division up to _TRIAL_BOUND.
 
     Returns (factors, cofactor) with n == cofactor * prod(p**e); the
     cofactor carries whatever was not split off (1 if fully factored).
@@ -70,7 +72,7 @@ def trial_factor(n: int, bound: int = 10**6) -> tuple[dict[int, int], int]:
     factors: dict[int, int] = {}
     if n == 0:
         return factors, 0
-    for p in chain((2, 3), range(5, bound + 1, 2)):
+    for p in chain((2, 3), range(5, _TRIAL_BOUND + 1, 2)):
         if p * p > n:
             break
         if n % p:
@@ -79,7 +81,7 @@ def trial_factor(n: int, bound: int = 10**6) -> tuple[dict[int, int], int]:
         factors[p] = v
         n //= p**v
     if n > 1:
-        if n <= bound * bound or is_prime(n):
+        if n <= _TRIAL_BOUND**2 or is_prime(n):
             factors[n] = factors.get(n, 0) + 1
             n = 1
     return factors, n
@@ -99,20 +101,17 @@ def column_reduce(A: list) -> tuple:
     """Unimodular column reduction of the m x n integer matrix A.
 
     Euclid each row in turn across the columns that hold no pivot yet,
-    mirroring every column operation on an identity matrix U and its
-    inverse row operation on an identity matrix V.  Returns (pivots, U, V),
-    U as its list of n columns and V = U^-1 as its list of n rows:
-    A U = [H | 0], H has one column per pivot, the first nonzero entry of
-    column j of H is pivots[j], and every entry above it is 0.  When every
-    row gets a pivot, H is lower triangular, so |prod pivots| = |det H| is
-    the gcd of the m x m minors of A (the index of its column lattice in
-    Z^m; Cohen, GTM 138, sec. 2.4).  The U-columns paired with the zero
-    columns generate the integer kernel lattice of A.
+    mirroring every column operation on an identity matrix U.  Returns
+    (pivots, U), U as its list of n columns: A U = [H | 0], H has one
+    column per pivot, the first nonzero entry of column j of H is
+    pivots[j], and every entry above it is 0.  When every row gets a
+    pivot, H is lower triangular, so |prod pivots| = |det H| is the gcd of
+    the m x m minors of A (the index of its column lattice in Z^m; Cohen,
+    GTM 138, sec. 2.4).
     """
     m, n = len(A), len(A[0]) if A else 0
     cols = [[int(A[r][c]) for r in range(m)] for c in range(n)]
     U = [[int(r == c) for r in range(n)] for c in range(n)]
-    V = [[int(r == c) for c in range(n)] for r in range(n)]
     pivots = []
     for row in range(m):
         start = len(pivots)  # columns < start hold already-placed pivots
@@ -125,14 +124,11 @@ def column_reduce(A: list) -> tuple:
             for c in nz:
                 if c != piv:
                     q = cols[c][row] // a[row]
-                    # column c -= q * column piv, so row piv += q * row c of V
                     cols[c] = [x - q * y for x, y in zip(cols[c], a)]
                     U[c] = [x - q * y for x, y in zip(U[c], u)]
-                    V[piv] = [x + q * y for x, y in zip(V[piv], V[c])]
         if nz:
             c = nz[0]
             cols[start], cols[c] = cols[c], cols[start]
             U[start], U[c] = U[c], U[start]
-            V[start], V[c] = V[c], V[start]
             pivots.append(cols[start][row])
-    return pivots, U, V
+    return pivots, U

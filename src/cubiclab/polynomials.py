@@ -76,7 +76,7 @@ _MONOMIAL = (lambda w, x, idx: w,
 
 def _eval_terms(terms, x, mod=None, out=None, work=None):
     """sum w * prod x[i] over (weight, index tuple) terms, for x of exact
-    numbers, numpy arrays or any other values with + and *, intervals too.
+    numbers, numpy arrays or any other values with + and *.
 
     With out, a float array of the broadcast shape of x (floats, arrays or
     scalars), the value is written there and out returned, bit for bit the

@@ -219,10 +219,9 @@ class TestSeries:
         assert code == 1 and not out
         assert err == "error: series: P0 must be >= 1\n"
 
-    def test_diag5m2_reaches_p0_100(self, capsys, diag5m2_json, monkeypatch):
+    def test_diag5m2_reaches_p0_100(self, capsys, diag5m2_json):
         # the slice kernel's 53^4 prefixes exceed the default budget; the
         # block kernel walks 5 p points and convolves 4 times p^2 products
-        monkeypatch.delenv("CUBIC_LAB_BUDGET", raising=False)
         code, out = run(capsys, ["series", "--poly", diag5m2_json, "--p0",
                                  "100", "--mode", "both"])
         assert code == 0
@@ -899,12 +898,12 @@ class TestLatticeContract:
     @settings(max_examples=200, deadline=None)
     @given(line=lattice_lines())
     def test_search_and_count_exit_cleanly(self, request, line):
+        # a generated --budget comes after this one and wins
         poly, (cmd, *tail) = line
-        argv = [cmd, "--poly", request.getfixturevalue(poly), *tail]
+        argv = [cmd, "--poly", request.getfixturevalue(poly),
+                "--budget", "10000", *tail]
         start = time.perf_counter()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("CUBIC_LAB_BUDGET", "10000")
-            code, out, err = outcome(argv)
+        code, out, err = outcome(argv)
         assert time.perf_counter() - start < 30
         assert code in (0, 1, 2) and "Traceback" not in err
         if code == 1:

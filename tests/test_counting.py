@@ -64,13 +64,11 @@ def shell_reference(phi, max_shell: int, start_shell: int = 0) -> tuple:
     return None, None
 
 
-def search_reference(phi, max_shell: int, budget: int,
-                     start_shell: int = 0):
-    """smallest_solution by single shells: each shell s >= 1 from
-    start_shell on is charged its (2s + 1)^(n-1) prefixes, then scanned;
-    (zero, shell), (None, None) when none is found, or the message of the
-    first refused shell."""
-    for s in range(start_shell, max_shell + 1):
+def search_reference(phi, max_shell: int, budget: int):
+    """smallest_solution by single shells: each shell s >= 1 is charged
+    its (2s + 1)^(n-1) prefixes, then scanned; (zero, shell), (None, None)
+    when none is found, or the message of the first refused shell."""
+    for s in range(max_shell + 1):
         if s:
             try:
                 check_budget((2 * s + 1) ** (phi.n - 1), budget,
@@ -127,7 +125,7 @@ def lattice_polys(draw, n, heights):
 
 @st.composite
 def counting_cases(draw, heights):
-    """(phi, P, box, integer ranges of the box, keep) for n = 1..4: the
+    """(phi, P, box, integer ranges of the box) for n = 1..4: the
     polynomials of lattice_polys, boxes with empty ranges, and a planted
     zero when the box has points."""
     n = draw(st.integers(1, 4))
@@ -143,7 +141,7 @@ def counting_cases(draw, heights):
         box = [(r.start / P, (r.stop - 1) / P) for r in ranges]
     if all(ranges) and draw(st.booleans()):
         phi = plant_zero(phi, [draw(st.sampled_from(r)) for r in ranges])
-    return phi, P, box, ranges, draw(st.sampled_from([0, 1, 7, 100]))
+    return phi, P, box, ranges
 
 
 @st.composite
@@ -179,7 +177,7 @@ def hub_forms(draw, heights):
 
 @st.composite
 def hub_cases(draw, heights):
-    """(phi, widths, P, box, integer ranges of the box, keep) for the
+    """(phi, widths, P, box, integer ranges of the box) for the
     forms of hub_forms: x_1 ranges of 1 to 5 values, one value often, y
     ranges of 1 to 4, one range in eight boxes empty, and a planted zero
     when the box has points."""
@@ -196,7 +194,7 @@ def hub_cases(draw, heights):
     box = [(r.start / P, (r.stop - 1) / P) for r in ranges]
     if all(ranges) and draw(st.booleans()):
         phi = plant_zero(phi, [draw(st.sampled_from(r)) for r in ranges])
-    return phi, widths, P, box, ranges, draw(st.sampled_from([0, 3, 100]))
+    return phi, widths, P, box, ranges
 
 
 @st.composite
@@ -238,7 +236,7 @@ def block_sums(draw, heights):
 
 @st.composite
 def block_cases(draw, heights):
-    """(phi, blocks, P, box, integer ranges of the box, keep) for the forms
+    """(phi, blocks, P, box, integer ranges of the box) for the forms
     of block_sums, boxes as hub_cases draws them."""
     phi, blocks = draw(block_sums(heights))
     P = draw(st.integers(1, 4))
@@ -253,7 +251,7 @@ def block_cases(draw, heights):
     box = [(r.start / P, (r.stop - 1) / P) for r in ranges]
     if all(ranges) and draw(st.booleans()):
         phi = plant_zero(phi, [draw(st.sampled_from(r)) for r in ranges])
-    return phi, blocks, P, box, ranges, draw(st.sampled_from([0, 3, 100]))
+    return phi, blocks, P, box, ranges
 
 
 def rule_points(blocks, ranges, parent: bool = False) -> int:
@@ -284,7 +282,7 @@ def rule_points(blocks, ranges, parent: bool = False) -> int:
     return holders
 
 
-def walked_points(phi, P, box, keep) -> tuple:
+def walked_points(phi, P, box) -> tuple:
     """count_solutions' result and the points its join's two sides walk."""
     walked, sides = [], counting._sides
 
@@ -299,7 +297,7 @@ def walked_points(phi, P, box, keep) -> tuple:
         return [(axes, counted(walk)) for axes, walk in sides(blocks, box)]
 
     with mock.patch.object(counting, "_sides", spy):
-        res = count_solutions(phi, P, box=box, keep=keep)
+        res = count_solutions(phi, P, box=box)
     return res, sum(walked)
 
 
@@ -421,32 +419,32 @@ class TestCountSolutions:
     @settings(max_examples=150, deadline=None)
     @given(counting_cases(heights=[5]))
     def test_matches_root_reference(self, case):
-        phi, P, box, ranges, keep = case
+        phi, P, box, ranges = case
         ref = roots_reference(phi, ranges)
-        res = count_solutions(phi, P, box=box, keep=keep)
+        res = count_solutions(phi, P, box=box)
         assert res.count == len(ref) == len(scan_zeros(phi, ranges))
-        assert res.solutions_sample == tuple(ref[:keep])
+        assert res.solutions_sample == tuple(ref[:100])
 
     @settings(max_examples=60, deadline=None)
     @given(counting_cases(heights=[2**40, 2**57, 2**70]))
     def test_matches_scan_at_large_heights(self, case):
-        phi, P, box, ranges, keep = case
+        phi, P, box, ranges = case
         ref = scan_zeros(phi, ranges)
-        res = count_solutions(phi, P, box=box, keep=keep)
+        res = count_solutions(phi, P, box=box)
         assert res.count == len(ref)
-        assert res.solutions_sample == tuple(ref[:keep])
+        assert res.solutions_sample == tuple(ref[:100])
 
     @settings(max_examples=60, deadline=None)
     @given(counting_cases(heights=[5, 2**70]), st.sampled_from([1, 2, 5, 13]))
     def test_any_chunk_size_walks_the_same_zeros(self, case, chunk):
         # a chunk shorter than the x_1 axis decodes every coordinate from
         # the flat index; a longer one takes trailing axes whole
-        phi, P, box, ranges, keep = case
+        phi, P, box, ranges = case
         ref = scan_zeros(phi, ranges)
         with mock.patch.object(counting, "_CHUNK", chunk):
-            res = count_solutions(phi, P, box=box, keep=keep)
+            res = count_solutions(phi, P, box=box)
         assert res.count == len(ref)
-        assert res.solutions_sample == tuple(ref[:keep])
+        assert res.solutions_sample == tuple(ref[:100])
 
     def test_python_ints_where_int64_wraps(self):
         # 2^61 (x^3 - y^3) is 0 mod 2^64 whenever x^3 = y^3 mod 8, so int64
@@ -466,6 +464,19 @@ class TestCountSolutions:
             res = count_solutions(fermat, P, box=box)
             assert res.solutions_sample == (zero,)
 
+    def test_sample_is_the_first_hundred_across_chunks(self):
+        # x_1 = x_2 has 121 zeros on [-60, 60]^2, which _zeros yields 13 at
+        # a time: the sample is the first 100 in prefix order
+        phi = CubicPolynomial(2, lin=[1, -1])
+        ref = roots_reference(phi, [range(-60, 61)] * 2)
+        with mock.patch.object(counting, "_CHUNK", 13), \
+                mock.patch.object(counting, "_first",
+                                  wraps=counting._first) as chunks:
+            res = count_solutions(phi, 60)
+        assert chunks.call_count >= 2
+        assert res.count == len(ref) == 121
+        assert res.solutions_sample == tuple(ref[:100])
+
     def test_nested_monotone(self, fermat):
         c1 = count_solutions(fermat, 5).count
         c2 = count_solutions(fermat, 10).count
@@ -479,11 +490,11 @@ class TestSharedJoin:
     @settings(max_examples=200, deadline=None)
     @given(hub_cases(heights=[1, 5, 2**40, 2**70]))
     def test_count_matches_scan(self, case):
-        phi, widths, P, box, ranges, keep = case
+        phi, widths, P, box, ranges = case
         ref = scan_zeros(phi, ranges)
-        res = count_solutions(phi, P, box=box, keep=keep)
+        res = count_solutions(phi, P, box=box)
         assert res.count == len(ref)
-        assert res.solutions_sample == tuple(ref[:keep])
+        assert res.solutions_sample == tuple(ref[:100])
         if all(ranges):
             axes = join_axes(phi, ranges)
             if shared_expected(widths, ranges):
@@ -495,30 +506,29 @@ class TestSharedJoin:
     @settings(max_examples=60, deadline=None)
     @given(hub_cases(heights=[1, 5, 2**70]), st.sampled_from([1, 2, 5, 13]))
     def test_any_chunk_size(self, case, chunk):
-        phi, _, P, box, ranges, keep = case
+        phi, _, P, box, ranges = case
         ref = scan_zeros(phi, ranges)
         with mock.patch.object(counting, "_CHUNK", chunk):
-            res = count_solutions(phi, P, box=box, keep=keep)
+            res = count_solutions(phi, P, box=box)
         assert res.count == len(ref)
-        assert res.solutions_sample == tuple(ref[:keep])
+        assert res.solutions_sample == tuple(ref[:100])
 
     # x_1^3 + x_1 (y^2 + z^2) + 3 y^3 + 5 z^3, joined over its x_1-fibres,
-    # has no zero but the origin up to shell 9, which boxes 1 to 9 walk
+    # minus its value at (10, 1, 1) has no zero up to shell 9, which boxes
+    # 1 to 9 walk, and minus its value at (0, 0, 9) first one at shell 9
     @example(form=(symmetrize(3, {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1,
                                   (1, 1, 1): 3, (2, 2, 2): 5})[0], [1, 1]),
-             start=1, max_shell=9, z=[0] * 5)
+             max_shell=9, z=[10, 1, 1, 0, 0])
     @example(form=(symmetrize(3, {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1,
                                   (1, 1, 1): 3, (2, 2, 2): 5})[0], [1, 1]),
-             start=5, max_shell=9, z=[9, -4, 2, 0, 0])
+             max_shell=9, z=[0, 0, 9, 0, 0])
     @settings(max_examples=80, deadline=None)
-    @given(hub_forms(heights=[1, 5, 2**70]), st.integers(0, 4),
-           st.integers(0, 9),
+    @given(hub_forms(heights=[1, 5, 2**70]), st.integers(0, 9),
            st.lists(st.integers(-2, 2), min_size=5, max_size=5))
-    def test_search_matches_shell_reference(self, form, start, max_shell,
-                                            z):
+    def test_search_matches_shell_reference(self, form, max_shell, z):
         phi = plant_zero(form[0], z[:form[0].n])
-        rep = smallest_solution(phi, max_shell, start_shell=start)
-        found, shell = shell_reference(phi, max_shell, start)
+        rep = smallest_solution(phi, max_shell)
+        found, shell = shell_reference(phi, max_shell)
         assert (rep.found, rep.shell) == (found, shell)
         assert rep.exhausted_to == (max_shell if found is None else None)
 
@@ -595,25 +605,23 @@ class TestJoinRule:
     # holders walk 5 + 125
     @example(case=(make_selmer4(), [([1], False), ([2], False),
                                     ([3], False)],
-                   2, None, [range(-2, 3)] * 4, 100),
-             start=0, max_shell=3)
+                   2, None, [range(-2, 3)] * 4),
+             max_shell=3)
     @settings(max_examples=150, deadline=None)
-    @given(block_cases(heights=[1, 5, 2**70]), st.integers(0, 3),
-           st.integers(0, 3))
-    def test_zeros_and_points(self, case, start, max_shell):
-        phi, blocks, P, box, ranges, keep = case
+    @given(block_cases(heights=[1, 5, 2**70]), st.integers(0, 3))
+    def test_zeros_and_points(self, case, max_shell):
+        phi, blocks, P, box, ranges = case
         ref = scan_zeros(phi, ranges)
-        res, walked = walked_points(phi, P, box, keep)
+        res, walked = walked_points(phi, P, box)
         assert res.count == len(ref)
-        assert res.solutions_sample == tuple(ref[:keep])
+        assert res.solutions_sample == tuple(ref[:100])
         if all(ranges):
             assert walked == rule_points(blocks, ranges)
             assert walked <= rule_points(blocks, ranges, parent=True)
         else:
             assert walked == 0
-        rep = smallest_solution(phi, max_shell, start_shell=start)
-        assert (rep.found, rep.shell) == shell_reference(phi, max_shell,
-                                                         start)
+        rep = smallest_solution(phi, max_shell)
+        assert (rep.found, rep.shell) == shell_reference(phi, max_shell)
 
 
 class TestSmallestSolution:
@@ -639,22 +647,23 @@ class TestSmallestSolution:
     def test_origin(self, fermat):
         assert smallest_solution(fermat, 2).found == (0, 0, 0)
 
-    # x^3 + 2 y^3 + 4 z^3 has no zero but the origin up to shell 9
+    # x^3 + 2 y^3 + 4 z^3 = 1331 has no zero up to shell 9, and
+    # x^3 + 2 y^3 + 4 z^3 = 729 first one at shell 9
     @example(phi=symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 2,
                                 (2, 2, 2): 4})[0],
-             start=1, max_shell=9, z=[0] * 4)
+             max_shell=9, z=[11, 0, 0, 0])
     @example(phi=symmetrize(3, {(0, 0, 0): 1, (1, 1, 1): 2,
                                 (2, 2, 2): 4})[0],
-             start=5, max_shell=9, z=[9, -6, 3, 0])
+             max_shell=9, z=[9, 0, 0, 0])
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 4).flatmap(
                lambda n: lattice_polys(n, heights=[5, 2**70])),
-           st.integers(0, 5), st.integers(0, 9),
+           st.integers(0, 9),
            st.lists(st.integers(-3, 3), min_size=4, max_size=4))
-    def test_matches_shell_reference(self, phi, start, max_shell, z):
+    def test_matches_shell_reference(self, phi, max_shell, z):
         phi = plant_zero(phi, z[:phi.n])
-        rep = smallest_solution(phi, max_shell, start_shell=start)
-        found, shell = shell_reference(phi, max_shell, start)
+        rep = smallest_solution(phi, max_shell)
+        found, shell = shell_reference(phi, max_shell)
         assert (rep.found, rep.shell) == (found, shell)
         assert rep.exhausted_to == (max_shell if found is None else None)
 
@@ -666,8 +675,6 @@ class TestSmallestSolution:
         assert smallest_solution(phi, 3, budget=49).exhausted_to == 3
         with pytest.raises(BudgetExceeded):
             smallest_solution(phi, 4, budget=49)
-        with pytest.raises(BudgetExceeded):
-            smallest_solution(phi, 4, budget=80, start_shell=4)
 
     def test_budget_at_the_zeros_shell(self):
         # x^3 + y^3 = 341 = 6^3 + 5^3 first has zeros at shell 6, whose box
@@ -685,33 +692,21 @@ class TestSmallestSolution:
                {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 1, (): -36},
                {(0, 0, 0): 1, (1, 1, 1): -2, (): 5},
                {(0, 0, 0): 1, (): -125}]),
-           st.integers(0, 6), st.integers(0, 9), st.integers(-1, 400))
-    def test_refusal_matches_shell_loop(self, table, start, max_shell,
-                                        budget):
+           st.integers(0, 9), st.integers(-1, 400))
+    def test_refusal_matches_shell_loop(self, table, max_shell, budget):
         # the first refused shell raises what the shell-by-shell loop
         # raises, unless the box before it has a zero
         n = 1 + max(i for idx in table for i in idx)
         phi = symmetrize(n, {k: v for k, v in table.items() if k},
                          const=table[()])[0]
-        ref = search_reference(phi, max_shell, budget, start)
+        ref = search_reference(phi, max_shell, budget)
         if isinstance(ref, str):
             with pytest.raises(BudgetExceeded) as exc:
-                smallest_solution(phi, max_shell, budget=budget,
-                                  start_shell=start)
+                smallest_solution(phi, max_shell, budget=budget)
             assert str(exc.value) == ref
         else:
-            rep = smallest_solution(phi, max_shell, budget=budget,
-                                    start_shell=start)
+            rep = smallest_solution(phi, max_shell, budget=budget)
             assert (rep.found, rep.shell) == ref
-
-    @pytest.mark.parametrize("start", [1, 2, 3, 5, 8])
-    def test_inner_zeros_never_reported(self, fermat, start):
-        # x^3 + y^3 = z^3 has zeros in every shell, the origin among them;
-        # the first box searched holds shells below start too
-        rep = smallest_solution(fermat, start + 3, start_shell=start)
-        assert rep.shell == start
-        assert rep.found == shell_reference(fermat, start, start)[0]
-        assert max(map(abs, rep.found)) == start
 
     @staticmethod
     def boxes(phi, max_shell):

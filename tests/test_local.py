@@ -19,7 +19,8 @@ from cubiclab.budget import BudgetExceeded
 from cubiclab.local import (HenselPreconditionError, local_report,
                             _first_root, _psi_rescale)
 from cubiclab.nt import is_prime
-from cubiclab.polynomials import _eval_terms
+from cubiclab.polynomials import (_eval_terms, _from_terms, _substitute,
+                                  _variable_blocks)
 from conftest import (CUBIC_UNISOLVENT, full_poly_strategy, random_poly,
                       residue_walk)
 from oracles import (diagonal_zero_count, first_root, residue_grid,
@@ -123,6 +124,12 @@ def split_forms(draw):
     phi = CubicPolynomial(n, cubic=cubic, quad=quad, lin=lin,
                           const=draw(coeff))
     return phi, blocks, free
+
+
+def own_blocks(terms) -> list:
+    """The variable blocks of a table, each on its own variables, as rho
+    hands them to _block_zeros."""
+    return [local._on_own_variables(b) for b in _variable_blocks(terms)]
 
 
 def brute_rho(phi, p, k):
@@ -235,10 +242,11 @@ class TestRho:
         assert rho(phi, 5, 1) == 1
 
     def test_stratification_cap(self):
-        # x1^2 x2 in six variables: the 7^6 grid mod 7 fits the budget but
-        # 49^6 does not, and its 7^5 singular roots mod 7 (every point
-        # with x1 = 0) are more than the stratification rescales
-        phi = symmetrize(6, {(0, 0, 1): 1})[0]
+        # x1^2 x2 + 7 x2 x3 x4 + 7 x4 x5 x6, one block of six variables:
+        # the 7^6 grid mod 7 fits the budget but 49^6 does not, and its 7^5
+        # singular roots mod 7 (every point with x1 = 0) are more than the
+        # stratification rescales
+        phi = symmetrize(6, {(0, 0, 1): 1, (1, 2, 3): 7, (3, 4, 5): 7})[0]
         with pytest.raises(BudgetExceeded,
                            match="16807 singular roots mod 7 exceed "
                                  "stratification cap 4096"):
@@ -249,6 +257,20 @@ class TestRho:
 
     def test_watson_mod_eight_positive(self, watson5):
         assert rho(watson5, 2, 3) == brute_rho(watson5, 2, 3) > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(full_poly_strategy(max_n=3), st.integers(1, 2), st.data(),
+           st.sampled_from([2, 3, 5]), st.integers(1, 4))
+    def test_free_variables_match_the_grid(self, phi, free, data, p, k):
+        # phi times p^0..p^2 on some of n + free variables, the others in
+        # no term, against the whole grid of all of them
+        n = phi.n + free
+        at = data.draw(st.permutations(range(n)))
+        U = [[int(j == at[i]) for j in range(n)] for i in range(phi.n)]
+        wide = scaled(_from_terms(n, _substitute(phi.terms(), U)),
+                      data.draw(st.sampled_from([1, p, p * p])))
+        k = min(k, max(j for j in range(1, 5) if p ** (j * n) <= 10**5))
+        assert rho(wide, p, k) == value_distribution(wide, p**k)[0]
 
     def test_matches_brute_force(self):
         rng = random.Random(1)
@@ -568,13 +590,13 @@ class TestBlockKernel:
         # mod q = 16 the block counts of sum x_i^3 in u variables reach
         # q^u: 2**60 fits int64, 2**64 does not, and there rho stratifies at
         # p = 2, whose rescaled tables come back to the blocks mod 2.  Four
-        # free variables take q^n past 2**63 on both sides.
+        # free variables take the count past 2**63 on both sides.
         free, taken = 4, []
         phi = CubicPolynomial(u + free, cubic={(i, i, i): 1 for i in range(u)})
         kernel = local._block_zeros
 
-        def spy(terms, n, q, cap):
-            zeros = kernel(terms, n, q, cap)
+        def spy(blocks, q, cap):
+            zeros = kernel(blocks, q, cap)
             taken.append((q, zeros is not None))
             return zeros
 
@@ -589,17 +611,18 @@ class TestBlockKernel:
         # them to the walk's refusal, with no histogram of p counts built
         p = 2**31 + 11
         phi = CubicPolynomial(2, cubic={(0, 0, 0): 1, (1, 1, 1): 1}, const=-2)
-        assert local._block_zeros(phi.terms(), 2, p, p**3) is None
+        assert local._block_zeros(own_blocks(phi.terms()), p, p**3) is None
         with pytest.raises(BudgetExceeded, match="too large"):
             rho(phi, p, 1, budget=p**3)
 
     def test_cost_rule(self, fermat, watson5):
         # fermat mod 9: three blocks of 9 points, one convolution of 81
         # products and a last product of 9
-        terms, cost = fermat.terms(), 3 * 9 + 81 + 9
-        assert local._block_zeros(terms, 3, 9, cost) == brute_rho(fermat, 3, 2)
-        assert local._block_zeros(terms, 3, 9, cost - 1) is None
-        assert local._block_zeros(watson5.terms(), 5, 2, 10**6) is None
+        blocks, cost = own_blocks(fermat.terms()), 3 * 9 + 81 + 9
+        assert local._block_zeros(blocks, 9, cost) == brute_rho(fermat, 3, 2)
+        assert local._block_zeros(blocks, 9, cost - 1) is None
+        assert local._block_zeros(own_blocks(watson5.terms()), 2,
+                                  10**6) is None
         assert rho(fermat, 3, 2, cost) == rho(fermat, 3, 2, cost - 1) \
             == brute_rho(fermat, 3, 2)
 
@@ -607,10 +630,10 @@ class TestBlockKernel:
         # 3^6 takes 729^2 + 729 products, under 2**20; 2^10 takes
         # 1024^2 + 1024, over it, and so does 3^8 at any budget, where
         # stratification is as fast
-        terms = fermat.terms()
-        assert local._block_zeros(terms, 3, 3**6, 10**9) is not None
+        blocks = own_blocks(fermat.terms())
+        assert local._block_zeros(blocks, 3**6, 10**9) is not None
         for q in (2**10, 3**8):
-            assert local._block_zeros(terms, 3, q, 10**9) is None
+            assert local._block_zeros(blocks, q, 10**9) is None
         assert rho(fermat, 2, 10, 10**9) == \
             diagonal_zero_count([1, 1, 1], 0, 2**10)
 
@@ -698,16 +721,32 @@ class TestKernelOrder:
         assert {n for _, n, _ in made} == {2}
         assert count == split_zero_count(blocks, 5, 0, 257)
 
-    def test_refused_stratification_falls_back_to_the_blocks(self):
-        # x^3 + y^3 in ten variables mod 3^10 walks 2 * 3^10 block points,
-        # past the bound; its stratification finds 3^9 singular roots mod 3,
-        # past _MAX_SINGULAR, so the blocks count it after all
+    @pytest.mark.parametrize("k", [10, 11])
+    def test_free_variables_are_not_walked(self, k):
+        # x^3 + y^3 in ten variables: the eight in no term multiply
+        # rho(x^3 + y^3, 3^k) by 3^(8k), and no walk takes more variables
+        # than x and y
         phi = CubicPolynomial(10, cubic={(0, 0, 0): 1, (1, 1, 1): 1})
-        q = 3**10
-        count, made = counted(phi, 3, 10)
-        assert made == [(11, 10, 3), (1, 1, q)]
+        q = 3**k
+        count, made = counted(phi, 3, k)
+        assert max(n for _, n, _ in made) == 2
         cubes = np.bincount(np.arange(q) ** 3 % q, minlength=q)
         assert count == int(cubes @ cubes[-np.arange(q) % q]) * q**8
+
+    def test_refused_stratification_falls_back_to_the_blocks(self):
+        # A = x1^3 + 6 x1 x2 x3 + 6 x3 x4 x5 twice, on x1..x5 and x6..x10,
+        # mod 3^2 walks 2 * 9^5 block points, past the bound; it is
+        # x1 + x6 mod 3 with a gradient of 0 mod 3, so its stratification
+        # finds 3^9 singular roots mod 3, past _MAX_SINGULAR, and the blocks
+        # count it after all, walking the one distinct block once
+        block = {(0, 0, 0): 1, (0, 1, 2): 1, (2, 3, 4): 1}
+        A = CubicPolynomial(5, cubic=block)
+        phi = CubicPolynomial(10, cubic=block | {
+            tuple(i + 5 for i in idx): c for idx, c in block.items()})
+        count, made = counted(phi, 3, 2)
+        assert made == [(11, 10, 3), (1, 5, 9)]
+        h = value_distribution(A, 9)
+        assert count == int(h @ h[-np.arange(9) % 9])
 
     def test_singular_cap_falls_back_to_the_grid(self, monkeypatch):
         # 3 x^2 y mod 2^8: two of its three roots mod 2 are singular, past a
@@ -779,12 +818,12 @@ class TestHensel:
 
 class TestLiftingLevel:
     def test_homogeneous(self):
-        assert lifting_level("homogeneous", 7, 0, 10) == 3
-        assert lifting_level("homogeneous", 7, 11, 20) == 6
+        assert lifting_level("homogeneous", 0, 10) == 3
+        assert lifting_level("homogeneous", 11, 20) == 6
 
     def test_inhomogeneous(self):
-        assert lifting_level("inhomogeneous", 7, 0, 15) == 98
-        assert lifting_level("inhomogeneous", 7, 1, 15) == 146
+        assert lifting_level("inhomogeneous", 0, 15) == 98
+        assert lifting_level("inhomogeneous", 1, 15) == 146
 
     def test_ncc_level_raised_for_p_dividing_delta(self):
         # n >= 15 has an inhomogeneous ell; p | Delta lifts k(p) to 2 ell - 1
@@ -793,11 +832,11 @@ class TestLiftingLevel:
 
     def test_range_guards(self):
         with pytest.raises(ValueError):
-            lifting_level("homogeneous", 7, 0, 9)
+            lifting_level("homogeneous", 0, 9)
         with pytest.raises(ValueError):
-            lifting_level("inhomogeneous", 7, 0, 14)
+            lifting_level("inhomogeneous", 0, 14)
         with pytest.raises(ValueError):
-            lifting_level("mixed", 7, 0, 20)
+            lifting_level("mixed", 0, 20)
 
 
 # -- NCC --------------------------------------------------------------------

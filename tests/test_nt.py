@@ -30,11 +30,12 @@ def test_matches_plain_factorisation():
 
 
 def test_unsplit_cofactor():
-    p, q = 1_000_003, 1_000_033  # primes above the default bound 10^6
+    p, q = 1_000_003, 1_000_033  # primes above the trial bound 10^6
     assert is_prime(p) and is_prime(q)
     assert trial_factor(p * q) == ({}, p * q)
     assert trial_factor(12 * p * q) == ({2: 2, 3: 1}, p * q)
-    assert trial_factor(101 * 103, bound=10) == ({}, 101 * 103)
+    # a cofactor below the bound squared is prime, so it is split off
+    assert trial_factor(12 * p) == ({2: 2, 3: 1, p: 1}, 1)
 
 
 def test_valuation():

@@ -3,8 +3,9 @@ interval references: no library module imports them, and they are test
 extras, not dependencies.  Every name a library module imports is read in
 that module, every top-level definition is reached from a command, a
 benchmark call or an acceptance criterion, every public method is read,
-every import sits at module level, importing the CLI loads no pool
-machinery and no mpmath, no library code walks points with
+every defaulted parameter is passed by some call, no module reads the
+environment, every import sits at module level, importing the CLI loads
+no pool machinery and no mpmath, no library code walks points with
 itertools.product or builds an np.ix_ mesh, and none reaches
 numpy.random."""
 
@@ -14,6 +15,7 @@ import os
 import subprocess
 import sys
 import tomllib
+from functools import cache
 from pathlib import Path
 
 from conftest import make_fermat, make_watson5
@@ -21,11 +23,30 @@ from conftest import make_fermat, make_watson5
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@cache
+def _parsed(path: Path) -> ast.Module:
+    """The syntax tree of a source file, parsed once for every gate."""
+    return ast.parse(path.read_text())
+
+
+def _library() -> list:
+    """(path, syntax tree) of every module of src/cubiclab."""
+    paths = sorted((ROOT / "src" / "cubiclab").glob("*.py"))
+    assert paths
+    return [(path, _parsed(path)) for path in paths]
+
+
+def _callers() -> list:
+    """The syntax trees whose calls count: src/, bench/*.py and the
+    acceptance criteria."""
+    return [tree for _, tree in _library()] + [
+        _parsed(path) for path in [*sorted((ROOT / "bench").glob("*.py")),
+                                   ROOT / "tests" / "test_acceptance.py"]]
+
+
 def assert_library_never_imports(package: str) -> None:
-    sources = sorted((ROOT / "src" / "cubiclab").glob("*.py"))
-    assert sources
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, tree in _library():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -51,9 +72,9 @@ def test_library_never_imports_mpmath():
 
 def test_every_import_is_read():
     # __init__ imports to re-export, so it reads none of its names
-    sources = sorted((ROOT / "src" / "cubiclab").glob("*.py"))
-    for path in (p for p in sources if p.name != "__init__.py"):
-        tree = ast.parse(path.read_text())
+    for path, tree in _library():
+        if path.name == "__init__.py":
+            continue
         imported = {(alias.asname or alias.name).split(".")[0]
                     for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -85,14 +106,20 @@ ACCEPTANCE_ONLY = {
 }
 
 
+def _api_ops() -> list:
+    """The "api" ops of the benchmark's workloads as {key: value node}."""
+    tree = _parsed(ROOT / "bench" / "workloads.py")
+    ops = [{key.value: value for key, value in zip(node.keys, node.values)
+            if isinstance(key, ast.Constant)}
+           for node in ast.walk(tree) if isinstance(node, ast.Dict)]
+    ops = [op for op in ops if "api" in op]
+    assert ops
+    return ops
+
+
 def _graph_roots() -> list:
     """cli.main, and every library function a benchmark op calls."""
-    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
-    api = [value.value for node in ast.walk(tree) if isinstance(node, ast.Dict)
-           for key, value in zip(node.keys, node.values)
-           if isinstance(key, ast.Constant) and key.value == "api"]
-    assert api
-    return ["main", *api]
+    return ["main", *(op["api"].value for op in _api_ops())]
 
 
 def _reach(defs: dict, roots, reached: set) -> set:
@@ -123,8 +150,8 @@ def _unreached_definitions() -> list:
     neither cli.main and the benchmark's calls reach nor an ACCEPTANCE_ONLY
     name that those do not reach; no test is a caller."""
     defs = {}
-    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
+    for _, tree in _library():
+        for stmt in tree.body:
             for name in _top_level_names(stmt):
                 defs.setdefault(name, []).append(stmt)
     assert "main" in defs
@@ -142,7 +169,7 @@ def test_every_export_is_reached():
     unreached = [name for name in _unreached_definitions()
                  if not _private(name)]
     assert not unreached, f"unreached: {unreached}"
-    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    tree = _parsed(ROOT / "tests" / "test_acceptance.py")
     imported = {alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom)
                 and node.module.split(".")[0] == "cubiclab"
@@ -179,27 +206,104 @@ def test_every_method_is_read():
     # criteria, or is listed in UNREAD_METHODS.  The scan goes by name
     # alone, so a method that shares its name with another attribute read
     # is not caught: CubicPolynomial.q passed it beside the CLI's args.q
-    paths = [*sorted((ROOT / "src" / "cubiclab").glob("*.py")),
-             *sorted((ROOT / "bench").glob("*.py")),
-             ROOT / "tests" / "test_acceptance.py"]
-    read = {node.attr for path in paths
-            for node in ast.walk(ast.parse(path.read_text()))
+    read = {node.attr for tree in _callers() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)}
     unread = [(cls.name, fn.name)
-              for path in sorted((ROOT / "src" / "cubiclab").glob("*.py"))
-              for cls in ast.parse(path.read_text()).body
+              for _, tree in _library() for cls in tree.body
               if isinstance(cls, ast.ClassDef)
               for fn in cls.body if isinstance(fn, ast.FunctionDef)
               and not fn.name.startswith("_") and fn.name not in read]
     assert sorted(unread) == sorted(UNREAD_METHODS), f"unread: {unread}"
 
 
+def _defaulted(fn, method: bool) -> dict:
+    """{name: position in a call} of fn's parameters with a default, None
+    for a keyword-only one; a method's positions skip self or cls."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    skip = int(method and not any(getattr(d, "id", None) == "staticmethod"
+                                  for d in fn.decorator_list))
+    first = len(positional) - len(args.defaults)
+    return ({a.arg: i - skip for i, a in enumerate(positional) if i >= first}
+            | {a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None})
+
+
+def _unset_defaults() -> list:
+    """function.parameter for every defaulted parameter of a function or
+    method of src/, outside the ACCEPTANCE_ONLY definitions, that no call
+    in src/, bench/*.py or the acceptance criteria passes, by position or
+    by keyword, where a call is matched to a definition by name alone.  A
+    benchmark "api" op passes its "kwargs" keys; a call with *args passes
+    every position from there on, one with **kwargs every parameter."""
+    defaults = []
+    for _, tree in _library():
+        for stmt in tree.body:
+            if _top_level_names(stmt) & set(ACCEPTANCE_ONLY):
+                continue
+            methods = ({id(fn) for fn in stmt.body}
+                       if isinstance(stmt, ast.ClassDef) else set())
+            defaults += [(fn.name, name, at) for fn in ast.walk(stmt)
+                         if isinstance(fn, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                         for name, at in _defaulted(fn, id(fn)
+                                                    in methods).items()]
+    # function name -> the keywords passed, and the positions passed: i,
+    # or ("*", i) for a *args that passes i and every position after it
+    passed = {}
+    for tree in _callers():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            got = passed.setdefault(name, set())
+            for i, arg in enumerate(call.args):
+                if isinstance(arg, ast.Starred):
+                    got.add(("*", i))
+                    break
+                got.add(i)
+            got |= {kw.arg or "**" for kw in call.keywords}
+    for op in _api_ops():
+        passed.setdefault(op["api"].value, set()).update(
+            key.value for key in getattr(op.get("kwargs"), "keys", ()))
+
+    def is_set(got: set, name: str, at) -> bool:
+        return name in got or "**" in got or at is not None and (
+            at in got or any(isinstance(g, tuple) and at >= g[1]
+                             for g in got))
+
+    return sorted(f"{fn}.{name}" for fn, name, at in defaults
+                  if not is_set(passed.get(fn, set()), name, at))
+
+
+def test_every_default_is_set():
+    # a parameter with a default that no call sets is a constant in
+    # disguise: every defaulted parameter is passed by some call in src/,
+    # bench/ or the acceptance criteria (the ACCEPTANCE_ONLY definitions
+    # are exempt, their criteria being their callers)
+    unset = _unset_defaults()
+    assert not unset, f"never set: {unset}"
+
+
+def test_library_reads_no_environment():
+    # a result depends on the command line and the input files alone: no
+    # module reads os.environ or os.getenv, so two equal command lines
+    # give equal payloads
+    readers = sorted({path.name for path, tree in _library()
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr in ("environ", "getenv")
+                      or isinstance(node, ast.ImportFrom)
+                      and node.module == "os" and {"environ", "getenv"}
+                      & {alias.name for alias in node.names}})
+    assert not readers, f"reads the environment: {readers}"
+
+
 def test_itertools_product_only_expands_substitutions():
     # integer boxes are walked in chunks by polynomials._walk; the one
     # itertools.product left expands the factor choices of _substitute
     importers, callers = [], set()
-    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in _library():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 assert "itertools" not in [a.name for a in node.names], path.name
@@ -217,8 +321,7 @@ def test_itertools_product_only_expands_substitutions():
 def test_walk_is_the_only_box_enumerator():
     # residue grids mod q are walked in chunks by polynomials._walk too: no
     # library module builds a whole open mesh with np.ix_
-    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in _library():
         assert not any(isinstance(node, ast.Attribute) and node.attr == "ix_"
                        for node in ast.walk(tree)), path.name
 
@@ -232,8 +335,8 @@ def test_mpmath_is_a_test_extra_only():
 
 
 def test_imports_are_module_level():
-    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
+    for path, tree in _library():
+        for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = [node for node in ast.walk(fn)
                          if isinstance(node, (ast.Import, ast.ImportFrom))]
@@ -286,8 +389,8 @@ def test_library_never_names_numpy_random():
     # the Monte-Carlo sample is computed from its indices by integer ufuncs
     # (majorarcs._sample_chunk), so no module reaches numpy.random, whose
     # first import costs a process about 10 ms
-    for path in sorted((ROOT / "src" / "cubiclab").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, tree in _library():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 assert not (node.attr == "random"
                             and isinstance(node.value, ast.Name)
